@@ -2,7 +2,8 @@
 
 The package provides:
 
-- sparse exact linear algebra over ``fractions.Fraction`` (``exact_linear``),
+- sparse exact linear algebra over ``fractions.Fraction`` and the one sparse
+  Q-linear-combination type every algebra element is built on (``exact_linear``),
 - finitely presented graded-commutative algebras with Koszul signs, their
   Kähler differentials, localization at even generators, and a windowed
   right-Ore-condition checker (``graded_algebra``),

@@ -252,7 +252,10 @@ def cmd_cone(args):
 
 def cmd_localize(args):
     pres = parse_preset(args.preset)
-    new = localize(pres, args.generator)
+    try:
+        new = localize(pres, args.generator)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
     return {
         "preset": args.preset,
         "generator": args.generator,

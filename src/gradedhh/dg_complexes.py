@@ -6,12 +6,16 @@ over one presentation with differentials given by left multiplication
 and exact differential matrices over a finite degree range, on which
 homology dimensions, quasi-isomorphism checks and boundary-span questions
 are settled by the exact_linear module.  d compose d = 0 is checked at
-construction in both layers.
+construction in both layers.  Every differential and inclusion matrix in
+the package is built by one function, assemble: it indexes the target
+basis and writes the image of each source label as a column.
 
 The matrix DG algebra models the endomorphisms of the cone on v_n over
 Q[v_1, ..., v_n].  A degree-k element is a 2x2 matrix [[a, b], [c, d]] with
 |a| = |d| = k, |b| = k + 2p^n - 1 and |c| = k - 2p^n + 1; the (1,2) unit
-therefore sits in degree 1 - 2p^n.  The differential is
+therefore sits in degree 1 - 2p^n.  An element is one QCombination over
+(slot, monomial) labels, the same labels that index the basis of the
+degree-k piece.  The differential is
 
     d[[a, b], [c, d]] = [[v_n c, v_n d - (-1)^k a v_n], [0, -(-1)^k c v_n]]
 
@@ -25,13 +29,15 @@ class eps (the strictly upper classes) one degree above -2p^n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exact_linear import RationalMatrix, in_span, kernel_basis, rank
+from .exact_linear import QCombination, RationalMatrix, in_span, kernel_basis, rank
 from .graded_algebra import (
     Element,
     Presentation,
+    _check_mono,
+    koszul_mul,
     mono_degree,
+    mono_one,
     monomial_basis,
 )
 from .chromatic_presets import ChromaticParams, bp_q, eps_degree
@@ -96,6 +102,31 @@ class ChainWindow:
         return self.diff[t + 1]
 
 
+def assemble(source_labels, target_labels, image) -> RationalMatrix:
+    """Matrix whose column j is image(source_labels[j]) in target coordinates.
+
+    image(label) yields (target label, coefficient) pairs; pairs with equal
+    target labels add up.  A target label outside target_labels raises.
+    """
+    row = {label: i for i, label in enumerate(target_labels)}
+    entries = {}
+    for col, label in enumerate(source_labels):
+        for out, coeff in image(label):
+            i = row.get(out)
+            if i is None:
+                raise ValueError(
+                    "image escaped the enumerated basis; "
+                    "supplied caps are too tight for this window"
+                )
+            entries[(i, col)] = entries.get((i, col), 0) + coeff
+    return RationalMatrix(len(target_labels), len(source_labels), entries)
+
+
+def coordinates(x: QCombination, labels) -> list:
+    """Coefficients of x on an ordered basis; x must lie in its span."""
+    return assemble([x], labels, lambda c: c.terms.items()).column(0)
+
+
 # ---------------------------------------------------------------------------
 # Symbolic complexes over one presentation; cones.
 
@@ -143,24 +174,15 @@ class GradedComplex:
                 for mono in monomial_basis(self.pres, t - shift, caps):
                     labels.append((i, mono))
             basis[t] = labels
-        diff = {}
-        for t in range(lo, hi + 2):
-            target_index = {label: i for i, label in enumerate(basis[t - 1])}
-            entries = {}
-            for col, (term, mono) in enumerate(basis[t]):
-                if term == 0:
-                    continue
-                image = self.maps[term - 1] * Element.monomial(self.pres, mono)
-                for out_mono, coeff in image.terms.items():
-                    label = (term - 1, out_mono)
-                    row = target_index.get(label)
-                    if row is None:
-                        raise ValueError(
-                            "differential image escaped the enumerated basis; "
-                            "supplied caps are too tight for this window"
-                        )
-                    entries[(row, col)] = coeff
-            diff[t] = RationalMatrix(len(basis[t - 1]), len(basis[t]), entries)
+
+        def image(label):
+            term, mono = label
+            if term == 0:
+                return ()
+            product = self.maps[term - 1] * Element.monomial(self.pres, mono)
+            return (((term - 1, m), c) for m, c in product.terms.items())
+
+        diff = {t: assemble(basis[t], basis[t - 1], image) for t in range(lo, hi + 2)}
         return ChainWindow(basis, diff)
 
 
@@ -194,18 +216,11 @@ def mult_matrix(pres: Presentation, r: Element, source_degree: int, caps=None):
     if d is None and not r.is_zero():
         raise ValueError("multiplication element must be homogeneous")
     d = d or 0
-    source = monomial_basis(pres, source_degree, caps)
-    target = monomial_basis(pres, source_degree + d, caps)
-    target_index = {mono: i for i, mono in enumerate(target)}
-    entries = {}
-    for col, mono in enumerate(source):
-        image = r * Element.monomial(pres, mono)
-        for out_mono, coeff in image.terms.items():
-            row = target_index.get(out_mono)
-            if row is None:
-                raise ValueError("caps too tight: multiplication image escaped")
-            entries[(row, col)] = coeff
-    return RationalMatrix(len(target), len(source), entries)
+    return assemble(
+        monomial_basis(pres, source_degree, caps),
+        monomial_basis(pres, source_degree + d, caps),
+        lambda mono: (r * Element.monomial(pres, mono)).terms.items(),
+    )
 
 
 def regular_in_window(pres: Presentation, r: Element, window, caps=None) -> bool:
@@ -243,6 +258,27 @@ def cone_report(pres: Presentation, r: Element, window, caps=None) -> dict:
 # The matrix DG algebra of the v_n cone.
 
 
+_SLOTS = ("a", "b", "c", "d")
+
+# Matrix product, slot by slot: (left slot, right slot) -> product slot.
+_PRODUCT_SLOT = {
+    ("a", "a"): "a", ("b", "c"): "a",
+    ("a", "b"): "b", ("b", "d"): "b",
+    ("c", "a"): "c", ("d", "c"): "c",
+    ("c", "b"): "d", ("d", "d"): "d",
+}
+
+# d f = d_cone f - (-1)^k f d_cone with d_cone = [[0, v_n], [0, 0]], slot by
+# slot: source slot -> (target slot, from the left?) pairs.  Left terms are
+# v_n x; right terms are x v_n and carry the sign -(-1)^k.
+_DIFF_RULE = {
+    "a": (("b", False),),
+    "b": (),
+    "c": (("a", True), ("d", False)),
+    "d": (("b", True),),
+}
+
+
 @dataclass(frozen=True)
 class MatrixDGA:
     p: int
@@ -255,8 +291,12 @@ class MatrixDGA:
         return 2 * self.p**self.n - 1
 
     @property
-    def vn(self) -> Element:
-        return Element.gen(self.pres, f"v{self.n}")
+    def vn_mono(self) -> tuple:
+        return tuple(int(i == self.n - 1) for i in range(self.pres.ngens))
+
+    def slot_degree(self, slot: str, k: int) -> int:
+        """Degree of the entries in one slot of a degree-k matrix."""
+        return k + {"a": 0, "b": self.offdiag, "c": -self.offdiag, "d": 0}[slot]
 
 
 def matrix_dga(p: int, n: int) -> MatrixDGA:
@@ -266,91 +306,81 @@ def matrix_dga(p: int, n: int) -> MatrixDGA:
     return MatrixDGA(p, n, bp_q(params))
 
 
-class MatrixDGAElement:
-    """Homogeneous 2x2 matrix [[a, b], [c, d]] of total degree k."""
+class MatrixDGAElement(QCombination):
+    """Homogeneous 2x2 matrix [[a, b], [c, d]] of total degree k.
 
-    __slots__ = ("dga", "k", "a", "b", "c", "d")
+    Terms are labelled (slot, monomial).  Equality and hashing see the terms
+    only: the validated slot degrees fix k for a nonzero element, and the
+    zero matrix is the same in every degree.
+    """
+
+    __slots__ = ("dga", "k")
+    _SPACE = ("dga",)
 
     def __init__(self, dga: MatrixDGA, k: int, a, b, c, d):
-        self.dga = dga
-        self.k = k
-        shift = dga.offdiag
-        for entry, want, slot in (
-            (a, k, "a"),
-            (b, k + shift, "b"),
-            (c, k - shift, "c"),
-            (d, k, "d"),
-        ):
+        entries = (a, b, c, d)
+        for slot, entry in zip(_SLOTS, entries):
             if not isinstance(entry, Element) or entry.pres != dga.pres:
                 raise ValueError(f"slot {slot} must be an Element over the base ring")
-            if not entry.is_zero() and entry.degree() != want:
-                raise ValueError(
-                    f"slot {slot} must be homogeneous of degree {want}"
-                )
-        self.a, self.b, self.c, self.d = a, b, c, d
+        self.dga = dga
+        self.k = k
+        super().__init__({
+            (slot, mono): c
+            for slot, entry in zip(_SLOTS, entries)
+            for mono, c in entry.terms.items()
+        })
+
+    @classmethod
+    def from_terms(cls, dga: MatrixDGA, k: int, terms) -> "MatrixDGAElement":
+        out = object.__new__(cls)
+        out.dga = dga
+        out.k = k
+        QCombination.__init__(out, terms)
+        return out
 
     @classmethod
     def zero(cls, dga: MatrixDGA, k: int) -> "MatrixDGAElement":
-        z = Element.zero(dga.pres)
-        return cls(dga, k, z, z, z, z)
+        return cls.from_terms(dga, k, {})
 
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
+    def _check_key(self, label):
+        slot, mono = label
+        if slot not in _SLOTS:
+            raise ValueError(f"unknown matrix slot {slot!r}")
+        mono = _check_mono(self.dga.pres, mono)
+        want = self.dga.slot_degree(slot, self.k)
+        if mono_degree(self.dga.pres, mono) != want:
+            raise ValueError(f"slot {slot} must be homogeneous of degree {want}")
+        return slot, mono
 
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries())
-
-    def __add__(self, other):
-        if not isinstance(other, MatrixDGAElement) or other.dga != self.dga:
-            return NotImplemented
-        if other.k != self.k and not (self.is_zero() or other.is_zero()):
+    def _join(self, other):
+        self._require_same(other)
+        if other.k != self.k and self.terms and other.terms:
             raise ValueError("cannot add matrices of different degrees")
-        k = other.k if self.is_zero() else self.k
-        return MatrixDGAElement(
-            self.dga, k,
-            self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d,
+        return self if self.terms else other
+
+    def entry(self, slot: str) -> Element:
+        """The Element in one slot (a read-only view)."""
+        return Element(
+            self.dga.pres, {m: c for (s, m), c in self.terms.items() if s == slot}
         )
 
-    def __neg__(self):
-        return MatrixDGAElement(self.dga, self.k, -self.a, -self.b, -self.c, -self.d)
-
-    def __sub__(self, other):
-        if not isinstance(other, MatrixDGAElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            q = Fraction(scalar)
-            return MatrixDGAElement(
-                self.dga, self.k, self.a * q, self.b * q, self.c * q, self.d * q
-            )
-        return NotImplemented
+    a = property(lambda self: self.entry("a"))
+    b = property(lambda self: self.entry("b"))
+    c = property(lambda self: self.entry("c"))
+    d = property(lambda self: self.entry("d"))
 
     def __mul__(self, other):
-        if not isinstance(other, MatrixDGAElement) or other.dga != self.dga:
-            return NotImplemented
-        # entries live in an evenly graded commutative ring, so the graded
-        # matrix product is the literal matrix product
-        return MatrixDGAElement(
-            self.dga,
-            self.k + other.k,
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatrixDGAElement)
-            and self.dga == other.dga
-            and self.entries() == other.entries()
-            and (self.k == other.k or self.is_zero())
-        )
-
-    def __hash__(self):
-        return hash((self.dga, self.k, self.entries()))
+        if not isinstance(other, MatrixDGAElement):
+            return super().__mul__(other)
+        self._require_same(other)
+        pres = self.dga.pres
+        return self._new((
+            ((slot, hit[1]), hit[0] * ca * cb)
+            for (s, ma), ca in self.terms.items()
+            for (t, mb), cb in other.terms.items()
+            if (slot := _PRODUCT_SLOT.get((s, t)))
+            and (hit := koszul_mul(pres, ma, mb)) is not None
+        ), k=self.k + other.k)
 
     def __repr__(self):
         return (
@@ -359,87 +389,64 @@ class MatrixDGAElement:
         )
 
 
+def _diff_pairs(dga: MatrixDGA, k: int, terms):
+    """(label, coefficient) pairs of d on degree-k (label, coefficient) pairs."""
+    twist = 1 if k % 2 else -1  # -(-1)^k
+    vn = dga.vn_mono
+    for (slot, mono), coeff in terms:
+        for target, left in _DIFF_RULE[slot]:
+            # the entries are even, so these products never vanish
+            if left:
+                sign, moved = koszul_mul(dga.pres, vn, mono)
+            else:
+                sign, moved = koszul_mul(dga.pres, mono, vn)
+                sign *= twist
+            yield (target, moved), sign * coeff
+
+
 def dga_diff(f: MatrixDGAElement) -> MatrixDGAElement:
-    """The differential d(f) = d_cone f - (-1)^k f d_cone, in closed form."""
-    dga = f.dga
-    vn = dga.vn
-    sign = 1 if f.k % 2 == 0 else -1
-    return MatrixDGAElement(
-        dga,
-        f.k - 1,
-        vn * f.c,
-        vn * f.d - sign * (f.a * vn),
-        Element.zero(dga.pres),
-        (-sign) * (f.c * vn),
-    )
-
-
-_SLOTS = ("a", "b", "c", "d")
+    """The differential d(f) = d_cone f - (-1)^k f d_cone, slot by slot."""
+    return f._new(_diff_pairs(f.dga, f.k, f.terms.items()), k=f.k - 1)
 
 
 def mdga_basis_labels(dga: MatrixDGA, k: int):
     """Ordered (slot, monomial) labels of the degree-k piece."""
-    shift = dga.offdiag
-    slot_degree = {"a": k, "b": k + shift, "c": k - shift, "d": k}
-    labels = []
-    for slot in _SLOTS:
-        for mono in monomial_basis(dga.pres, slot_degree[slot]):
-            labels.append((slot, mono))
-    return labels
+    return [
+        (slot, mono)
+        for slot in _SLOTS
+        for mono in monomial_basis(dga.pres, dga.slot_degree(slot, k))
+    ]
 
 
 def mdga_element(dga: MatrixDGA, k: int, slot: str, mono, coeff=1) -> MatrixDGAElement:
-    z = Element.zero(dga.pres)
-    parts = {s: z for s in _SLOTS}
-    parts[slot] = Element.monomial(dga.pres, mono, coeff)
-    return MatrixDGAElement(dga, k, parts["a"], parts["b"], parts["c"], parts["d"])
-
-
-def mdga_to_vector(el: MatrixDGAElement, labels) -> list:
-    index = {label: i for i, label in enumerate(labels)}
-    vec = [Fraction(0)] * len(labels)
-    for slot, entry in zip(_SLOTS, el.entries()):
-        for mono, coeff in entry.terms.items():
-            vec[index[(slot, mono)]] += coeff
-    return vec
+    return MatrixDGAElement.from_terms(dga, k, {(slot, mono): coeff})
 
 
 def build_mdga_window(dga: MatrixDGA, window) -> ChainWindow:
     """Concrete complex of the matrix DGA on [lo-1, hi+1]."""
     lo, hi = window
     basis = {k: mdga_basis_labels(dga, k) for k in range(lo - 1, hi + 2)}
-    diff = {}
-    for k in range(lo, hi + 2):
-        entries = {}
-        target_index = {label: i for i, label in enumerate(basis[k - 1])}
-        for col, (slot, mono) in enumerate(basis[k]):
-            image = dga_diff(mdga_element(dga, k, slot, mono))
-            for out_slot, entry in zip(_SLOTS, image.entries()):
-                for out_mono, coeff in entry.terms.items():
-                    row = target_index[(out_slot, out_mono)]
-                    entries[(row, col)] = entries.get((row, col), Fraction(0)) + coeff
-        diff[k] = RationalMatrix(len(basis[k - 1]), len(basis[k]), entries)
+    diff = {
+        k: assemble(
+            basis[k], basis[k - 1], lambda label: _diff_pairs(dga, k, [(label, 1)])
+        )
+        for k in range(lo, hi + 2)
+    }
     return ChainWindow(basis, diff)
 
 
 def mdga_identity(dga: MatrixDGA) -> MatrixDGAElement:
-    one = Element.one(dga.pres)
-    z = Element.zero(dga.pres)
-    return MatrixDGAElement(dga, 0, one, z, z, one)
+    one = mono_one(dga.pres)
+    return MatrixDGAElement.from_terms(dga, 0, {("a", one): 1, ("d", one): 1})
 
 
 def mdga_eps(dga: MatrixDGA) -> MatrixDGAElement:
     """The (1,2) matrix unit: the exterior homology class in degree 1-2p^n."""
-    one = Element.one(dga.pres)
-    z = Element.zero(dga.pres)
-    return MatrixDGAElement(dga, -dga.offdiag, z, one, z, z)
+    return mdga_element(dga, -dga.offdiag, "b", mono_one(dga.pres))
 
 
 def mdga_diag(dga: MatrixDGA, x: Element) -> MatrixDGAElement:
-    if x.is_zero() or x.degree() is None:
-        k = 0
-    else:
-        k = x.degree()
+    k = x.degree() or 0
     if k % 2 != 0:
         raise ValueError("diagonal elements need even degree entries")
     z = Element.zero(dga.pres)
@@ -451,7 +458,25 @@ def mdga_diag(dga: MatrixDGA, x: Element) -> MatrixDGAElement:
 
 
 def _vn_free(dga: MatrixDGA, mono) -> bool:
-    return mono[dga.pres.index(f"v{dga.n}")] == 0
+    return mono[dga.n - 1] == 0
+
+
+def _cycle_labels(dga: MatrixDGA, k: int) -> list:
+    """Labels of Z in degree k: ("diag", mono) first, then ("upper", mono)."""
+    return [
+        (kind, mono)
+        for kind, degree in (("diag", k), ("upper", k + dga.offdiag))
+        for mono in monomial_basis(dga.pres, degree)
+        if _vn_free(dga, mono)
+    ]
+
+
+def _cycle_terms(k: int, label) -> dict:
+    """Terms of a Z basis element: [[m, 0], [0, (-1)^k m]] or [[0, m], [0, 0]]."""
+    kind, mono = label
+    if kind == "upper":
+        return {("b", mono): 1}
+    return {("a", mono): 1, ("d", mono): 1 if k % 2 == 0 else -1}
 
 
 def cycles_subalgebra(dga: MatrixDGA, window):
@@ -463,37 +488,21 @@ def cycles_subalgebra(dga: MatrixDGA, window):
     label ("diag", mono) or ("upper", mono).
     """
     lo, hi = window
-    out = []
-    for k in range(lo, hi + 1):
-        for mono in monomial_basis(dga.pres, k):
-            if _vn_free(dga, mono):
-                sign = 1 if k % 2 == 0 else -1
-                el = MatrixDGAElement(
-                    dga, k,
-                    Element.monomial(dga.pres, mono),
-                    Element.zero(dga.pres),
-                    Element.zero(dga.pres),
-                    Element.monomial(dga.pres, mono, sign),
-                )
-                out.append((k, ("diag", mono), el))
-        for mono in monomial_basis(dga.pres, k + dga.offdiag):
-            if _vn_free(dga, mono):
-                out.append((k, ("upper", mono), mdga_element(dga, k, "b", mono)))
-    return out
+    return [
+        (k, label, MatrixDGAElement.from_terms(dga, k, _cycle_terms(k, label)))
+        for k in range(lo, hi + 1)
+        for label in _cycle_labels(dga, k)
+    ]
 
 
 def is_vn_free_cycle_shape(el: MatrixDGAElement) -> bool:
     """Does el look like [[a, b], [0, (-1)^k a]] with v_n-free a and b?"""
-    dga = el.dga
     sign = 1 if el.k % 2 == 0 else -1
-    if not el.c.is_zero():
-        return False
-    if el.d != el.a * Fraction(sign):
-        return False
-    for entry in (el.a, el.b):
-        if not all(_vn_free(dga, m) for m in entry.terms):
-            return False
-    return True
+    return (
+        el.c.is_zero()
+        and el.d == el.a * sign
+        and all(_vn_free(el.dga, m) for slot, m in el.terms if slot in ("a", "b"))
+    )
 
 
 @dataclass
@@ -554,26 +563,17 @@ def quasi_iso_check(sub: ChainWindow, amb: ChainWindow, inclusion: dict, window)
 def build_cycles_window(dga: MatrixDGA, window):
     """Z as a ChainWindow (zero differential) plus its inclusion matrices."""
     lo, hi = window
-    amb_basis = {k: mdga_basis_labels(dga, k) for k in range(lo - 1, hi + 2)}
-    triples = cycles_subalgebra(dga, (lo - 1, hi + 1))
-    sub_basis = {k: [] for k in range(lo - 1, hi + 2)}
-    elements = {}
-    for k, label, el in triples:
-        sub_basis[k].append(label)
-        elements[(k, label)] = el
-    diff = {
-        k: RationalMatrix(len(sub_basis[k - 1]), len(sub_basis[k]))
-        for k in range(lo, hi + 2)
+    degrees = range(lo - 1, hi + 2)
+    basis = {k: _cycle_labels(dga, k) for k in degrees}
+    diff = {k: RationalMatrix(len(basis[k - 1]), len(basis[k])) for k in degrees[1:]}
+    inclusion = {
+        k: assemble(
+            basis[k], mdga_basis_labels(dga, k),
+            lambda label: _cycle_terms(k, label).items(),
+        )
+        for k in degrees
     }
-    sub = ChainWindow(sub_basis, diff)
-    inclusion = {}
-    for k in range(lo - 1, hi + 2):
-        cols = [
-            mdga_to_vector(elements[(k, label)], amb_basis[k])
-            for label in sub_basis[k]
-        ]
-        inclusion[k] = RationalMatrix.from_columns(cols, rows=len(amb_basis[k]))
-    return sub, inclusion
+    return ChainWindow(basis, diff), inclusion
 
 
 def commutative_model_check(p: int, n: int, window) -> dict:
@@ -671,7 +671,7 @@ def homology_ring_check(p: int, n: int, window) -> dict:
     eps_nonzero = None
     if lo <= eps.k <= hi:
         labels = win.basis[eps.k]
-        vec = mdga_to_vector(eps, labels)
+        vec = coordinates(eps, labels)
         eps_nonzero = not in_span(win.boundary_span(eps.k), vec).in_span
     eps_square_zero = (eps * eps).is_zero()
 
@@ -683,7 +683,7 @@ def homology_ring_check(p: int, n: int, window) -> dict:
         if not (eps * dv - dv * eps).is_zero():
             central = False
         if lo <= dv.k <= hi:
-            vec = mdga_to_vector(dv, win.basis[dv.k])
+            vec = coordinates(dv, win.basis[dv.k])
             if in_span(win.boundary_span(dv.k), vec).in_span:
                 v_classes_nonzero = False
 

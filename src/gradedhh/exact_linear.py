@@ -7,14 +7,118 @@ All three are answered by fraction-exact Gauss-Jordan elimination; there is
 deliberately no floating point anywhere in this package.
 
 Matrices are stored sparsely as {(row, col): Fraction}.  Elimination works
-on per-row {col: Fraction} dicts, which is ample for the sign-structured
-differentials produced by the other modules (a few hundred rows at most).
+on per-row {col: Fraction} dicts; the differentials the other modules
+produce are sign-structured and sparse, and the largest ranked in practice
+have several hundred columns (686 for the (8, 1) bar complex of a:2:2).
+
+The module also owns the one sparse vector type over Q: QCombination, a
+finite Q-linear combination of hashable labels.  Polynomials, Kahler
+differentials, bar chains and matrix-DGA elements are all QCombinations
+that differ only in what their labels are.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
+
+
+def combine(pairs) -> dict:
+    """Sum (label, coefficient) pairs by label, dropping labels that sum to 0."""
+    acc = {}
+    for label, c in pairs:
+        acc[label] = acc.get(label, 0) + c
+    return {label: c for label, c in acc.items() if c}
+
+
+class QCombination:
+    """Finite Q-linear combination of hashable labels: terms {label: Fraction}.
+
+    Zero coefficients are never stored.  A subclass names the attributes
+    that fix its ambient space in _SPACE (only combinations over the same
+    space are added or compared) and validates labels in _check_key; its
+    public constructor sets those attributes and then calls this one.
+    Results of arithmetic on valid combinations are valid by construction,
+    so _new builds them without re-checking labels.
+    """
+
+    __slots__ = ("terms",)
+    _SPACE = ()
+
+    def __init__(self, terms=None):
+        check = self._check_key
+        self.terms = combine(
+            (check(label), Fraction(c)) for label, c in (terms or {}).items()
+        )
+
+    def _check_key(self, label):
+        return label
+
+    def _new(self, pairs, **attrs):
+        """Same kind and space as self (attrs override), terms summed from pairs."""
+        out = object.__new__(type(self))
+        for name in self.__slots__:
+            setattr(out, name, attrs[name] if name in attrs else getattr(self, name))
+        out.terms = combine(pairs)
+        return out
+
+    @classmethod
+    def zero(cls, *space):
+        return cls(*space)
+
+    def _space(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._SPACE)
+
+    def _require_same(self, other):
+        if self._space() != other._space():
+            raise ValueError(
+                f"{type(self).__name__}s over different {'/'.join(self._SPACE)}"
+            )
+
+    def _join(self, other):
+        """Check that self + other makes sense; the operand the sum is like."""
+        self._require_same(other)
+        return self
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _common(self, key):
+        """key(label) when all terms agree on it; None if they differ or for 0."""
+        seen = {key(label) for label in self.terms}
+        return seen.pop() if len(seen) == 1 else None
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._join(other)._new(chain(self.terms.items(), other.terms.items()))
+
+    def __neg__(self):
+        return self._new((label, -c) for label, c in self.terms.items())
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        q = Fraction(scalar)
+        return self._new((label, c * q) for label, c in self.terms.items())
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self._space() == other._space()
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self._space(), frozenset(self.terms.items())))
 
 
 class RationalMatrix:

@@ -5,10 +5,12 @@ degree, laurent flag).  Odd-degree generators are exterior: they square to
 zero and monomial exponents for them are structurally 0 or 1.  Even-degree
 generators are polynomial, or Laurent (inverse adjoined) when flagged.
 
-Monomials are plain exponent tuples aligned with the generator list; an
-Element is a finite Q-linear combination of monomials.  Multiplication
-carries the Koszul sign: moving one odd generator past another flips the
-sign, so ab = (-1)^{|a||b|} ba for homogeneous a, b.
+Monomials are plain exponent tuples aligned with the generator list.  An
+Element is a QCombination (the one sparse vector type of exact_linear)
+labelled by monomials, and a KahlerElement is one labelled by (generator
+index, monomial) pairs; both inherit their linear structure from it.
+Multiplication carries the Koszul sign: moving one odd generator past
+another flips the sign, so ab = (-1)^{|a||b|} ba for homogeneous a, b.
 
 The module also provides the universal derivation into Kahler differentials
 (d(ab) = a d(b) + (-1)^{|a||b|} b d(a), coefficients written on the left),
@@ -25,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact_linear import RationalMatrix, in_span
+from .exact_linear import QCombination, RationalMatrix, combine, in_span
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*")
 
@@ -162,26 +164,18 @@ def mono_str(pres: Presentation, mono) -> str:
 # Elements.
 
 
-class Element:
+class Element(QCombination):
     """Finite Q-linear combination of monomials over a fixed Presentation."""
 
-    __slots__ = ("pres", "terms")
+    __slots__ = ("pres",)
+    _SPACE = ("pres",)
 
     def __init__(self, pres: Presentation, terms=None):
         self.pres = pres
-        clean = {}
-        for mono, coeff in (terms or {}).items():
-            mono = _check_mono(pres, mono)
-            q = Fraction(coeff)
-            if q:
-                clean[mono] = clean.get(mono, Fraction(0)) + q
-                if not clean[mono]:
-                    del clean[mono]
-        self.terms = clean
+        super().__init__(terms)
 
-    @classmethod
-    def zero(cls, pres: Presentation) -> "Element":
-        return cls(pres, {})
+    def _check_key(self, mono):
+        return _check_mono(self.pres, mono)
 
     @classmethod
     def one(cls, pres: Presentation) -> "Element":
@@ -195,63 +189,26 @@ class Element:
     def gen(cls, pres: Presentation, name: str) -> "Element":
         mono = [0] * pres.ngens
         mono[pres.index(name)] = 1
-        return cls(pres, {tuple(mono): Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return cls.monomial(pres, mono)
 
     def degree(self):
         """Common degree of all terms; None for zero or inhomogeneous."""
-        degs = {mono_degree(self.pres, m) for m in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        return self._common(lambda m: mono_degree(self.pres, m))
 
     def is_homogeneous(self) -> bool:
-        return len({mono_degree(self.pres, m) for m in self.terms}) <= 1
-
-    def _require_same(self, other):
-        if self.pres != other.pres:
-            raise ValueError("elements over different presentations")
-
-    def __add__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._require_same(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return Element(self.pres, terms)
-
-    def __neg__(self):
-        return Element(self.pres, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self + (-other)
+        return self.is_zero() or self.degree() is not None
 
     def __mul__(self, other):
-        if isinstance(other, Element):
-            self._require_same(other)
-            terms = {}
-            for ma, ca in self.terms.items():
-                for mb, cb in other.terms.items():
-                    hit = koszul_mul(self.pres, ma, mb)
-                    if hit is None:
-                        continue
-                    sign, mono = hit
-                    terms[mono] = terms.get(mono, Fraction(0)) + sign * ca * cb
-            return Element(self.pres, terms)
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Element(self.pres, {m: c * q for m, c in self.terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
+        if not isinstance(other, Element):
+            return super().__mul__(other)
+        self._require_same(other)
+        pres = self.pres
+        return self._new(
+            (hit[1], hit[0] * ca * cb)
+            for ma, ca in self.terms.items()
+            for mb, cb in other.terms.items()
+            if (hit := koszul_mul(pres, ma, mb)) is not None
+        )
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -260,16 +217,6 @@ class Element:
         for _ in range(k):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Element)
-            and self.pres == other.pres
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.pres, frozenset(self.terms.items())))
 
     def __str__(self):
         return poly_str(self)
@@ -289,20 +236,25 @@ def _coeff_mono_str(pres, mono, coeff) -> str:
     return f"{coeff} {ms}"
 
 
-def poly_str(x: Element) -> str:
-    """Deterministic human-readable form; leading term (highest lex) first."""
-    if not x.terms:
-        return "0"
+def _signed_sum(terms) -> str:
+    """Join term strings as "t1 + t2 - t3"; "0" when there are none."""
     parts = []
-    for mono in sorted(x.terms, reverse=True):
-        term = _coeff_mono_str(x.pres, mono, x.terms[mono])
+    for term in terms:
         if not parts:
             parts.append(term)
         elif term.startswith("-"):
             parts.append(f"- {term[1:]}")
         else:
             parts.append(f"+ {term}")
-    return " ".join(parts)
+    return " ".join(parts) or "0"
+
+
+def poly_str(x: Element) -> str:
+    """Deterministic human-readable form; leading term (highest lex) first."""
+    return _signed_sum(
+        _coeff_mono_str(x.pres, mono, x.terms[mono])
+        for mono in sorted(x.terms, reverse=True)
+    )
 
 
 _TERM_TOKEN = re.compile(
@@ -339,7 +291,10 @@ def element_from_string(pres: Presentation, text: str) -> Element:
         elif m.group("rat"):
             if coeff is not None or mono is not None:
                 raise ValueError("coefficient must precede generators")
-            coeff = Fraction(m.group("rat"))
+            try:
+                coeff = Fraction(m.group("rat"))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {m.group('rat')!r}") from None
         elif m.group("fac"):
             fac = m.group("fac")
             name, _, exp = fac.partition("^")
@@ -463,91 +418,64 @@ def monomial_basis(pres: Presentation, degree: int, caps=None):
 # Kahler differentials.
 
 
-class KahlerElement:
+class KahlerElement(QCombination):
     """Element of the module of Kahler differentials: sum c_g d(g).
 
-    Coefficients are Elements written on the left of the formal symbols
-    d(g); the symbol d(g) is given the degree of g, so left multiplication
-    is the plain module action with no extra sign.
+    Terms map (generator index, monomial) to the coefficient of mono d(g).
+    Coefficients are written on the left of the formal symbols d(g); the
+    symbol d(g) is given the degree of g, so left multiplication is the
+    plain module action with no extra sign.
     """
 
-    __slots__ = ("pres", "parts")
+    __slots__ = ("pres",)
+    _SPACE = ("pres",)
 
-    def __init__(self, pres: Presentation, parts=None):
+    def __init__(self, pres: Presentation, terms=None):
         self.pres = pres
-        clean = {}
-        for idx, coeff in (parts or {}).items():
-            if not isinstance(coeff, Element):
-                raise ValueError("Kahler coefficients must be Elements")
-            if coeff.pres != pres:
-                raise ValueError("coefficient over a different presentation")
-            if not 0 <= idx < pres.ngens:
-                raise ValueError("bad generator index")
-            if not coeff.is_zero():
-                clean[idx] = coeff
-        self.parts = clean
+        super().__init__(terms)
 
-    @classmethod
-    def zero(cls, pres: Presentation) -> "KahlerElement":
-        return cls(pres, {})
+    def _check_key(self, label):
+        idx, mono = label
+        if not 0 <= idx < self.pres.ngens:
+            raise ValueError("bad generator index")
+        return idx, _check_mono(self.pres, mono)
 
     @classmethod
     def d_symbol(cls, pres: Presentation, name: str) -> "KahlerElement":
-        return cls(pres, {pres.index(name): Element.one(pres)})
+        return cls(pres, {(pres.index(name), mono_one(pres)): 1})
 
-    def is_zero(self) -> bool:
-        return not self.parts
+    def coefficients(self) -> dict:
+        """{generator index: coefficient Element of d(g)}, ascending by index."""
+        parts = {}
+        for (idx, mono), c in sorted(self.terms.items()):
+            parts.setdefault(idx, {})[mono] = c
+        return {idx: Element(self.pres, t) for idx, t in parts.items()}
 
     def component(self, name: str) -> Element:
-        return self.parts.get(self.pres.index(name), Element.zero(self.pres))
-
-    def __add__(self, other):
-        if not isinstance(other, KahlerElement) or self.pres != other.pres:
-            return NotImplemented
-        parts = dict(self.parts)
-        for idx, coeff in other.parts.items():
-            parts[idx] = parts.get(idx, Element.zero(self.pres)) + coeff
-        return KahlerElement(self.pres, parts)
-
-    def __neg__(self):
-        return KahlerElement(self.pres, {i: -c for i, c in self.parts.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, KahlerElement) or self.pres != other.pres:
-            return NotImplemented
-        return self + (-other)
+        idx = self.pres.index(name)
+        return self.coefficients().get(idx, Element.zero(self.pres))
 
     def __rmul__(self, other):
-        if isinstance(other, Element):
-            return KahlerElement(
-                self.pres, {i: other * c for i, c in self.parts.items()}
-            )
-        if isinstance(other, (int, Fraction)):
-            return KahlerElement(
-                self.pres, {i: c * Fraction(other) for i, c in self.parts.items()}
-            )
-        return NotImplemented
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, KahlerElement)
-            and self.pres == other.pres
-            and self.parts == other.parts
+        if not isinstance(other, Element):
+            return super().__rmul__(other)
+        self._require_same(other)
+        pres = self.pres
+        return self._new(
+            ((idx, hit[1]), hit[0] * ca * cb)
+            for ma, ca in other.terms.items()
+            for (idx, mb), cb in self.terms.items()
+            if (hit := koszul_mul(pres, ma, mb)) is not None
         )
-
-    def __hash__(self):
-        return hash((self.pres, frozenset((i, c) for i, c in self.parts.items())))
 
     def display(self) -> str:
         """Symbols ordered by (degree, name), e.g. "v1^4 d(eps) + 4 v1^3 eps d(v1)"."""
-        if not self.parts:
+        parts = self.coefficients()
+        if not parts:
             return "0"
-        order = sorted(
-            self.parts, key=lambda i: (self.pres.degrees[i], self.pres.names[i])
-        )
+        order = sorted(parts, key=lambda i: (self.pres.degrees[i], self.pres.names[i]))
         chunks = []
         for i in order:
-            coeff = self.parts[i]
+            coeff = parts[i]
             sym = f"d({self.pres.names[i]})"
             s = poly_str(coeff)
             if s == "1":
@@ -559,50 +487,36 @@ class KahlerElement:
         return " + ".join(chunks)
 
     def to_json(self) -> dict:
-        return {
-            self.pres.names[i]: poly_str(c)
-            for i, c in sorted(self.parts.items())
-        }
+        return {self.pres.names[i]: poly_str(c) for i, c in self.coefficients().items()}
 
     def __repr__(self):
         return f"KahlerElement({self.display()})"
 
 
-def _d_monomial(pres: Presentation, mono) -> KahlerElement:
-    # Peel the first nonzero slot and recurse with the Leibniz rule
-    # d(head rest) = head d(rest) + (-1)^{|head||rest|} rest d(head),
-    # with d(g^e) = e g^{e-1} d(g) (valid for laurent exponents too).
-    first = None
-    for i, e in enumerate(mono):
-        if e:
-            first = i
-            break
-    if first is None:
-        return KahlerElement.zero(pres)
-    e = mono[first]
-    rest = list(mono)
-    rest[first] = 0
-    rest = tuple(rest)
-    head_mono = tuple(e if i == first else 0 for i in range(pres.ngens))
-
-    head_elem = Element.monomial(pres, head_mono)
-    out = head_elem * _d_monomial(pres, rest)
-
-    head_deg = e * pres.degrees[first]
-    rest_deg = mono_degree(pres, rest)
-    sign = -1 if (head_deg % 2) and (rest_deg % 2) else 1
-    lowered = tuple(e - 1 if i == first else 0 for i in range(pres.ngens))
-    coeff = Element.monomial(pres, rest) * Element.monomial(pres, lowered, sign * e)
-    out = out + KahlerElement(pres, {first: coeff})
-    return out
-
-
 def kahler_d(x: Element) -> KahlerElement:
-    """Universal derivation A -> Omega, extended Q-linearly."""
-    out = KahlerElement.zero(x.pres)
-    for mono, coeff in sorted(x.terms.items()):
-        out = out + coeff * _d_monomial(x.pres, mono)
-    return out
+    """Universal derivation A -> Omega, extended Q-linearly.
+
+    Peeling generators off the front with the Leibniz rule gives, for a
+    monomial g_1^{e_1} ... g_r^{e_r} in generator order, the sum over j of
+    (-1)^{|g_j^{e_j}| |rest_j|} e_j (mono / g_j) d(g_j), where rest_j is the
+    product of the factors after position j (valid for laurent exponents).
+    """
+    pres = x.pres
+
+    def pairs():
+        for mono, coeff in x.terms.items():
+            after = 0  # degree of the factors behind position i
+            for i in reversed(range(pres.ngens)):
+                e = mono[i]
+                if not e:
+                    continue
+                head = e * pres.degrees[i]
+                sign = -1 if head % 2 and after % 2 else 1
+                lowered = mono[:i] + (e - 1,) + mono[i + 1:]
+                yield (i, lowered), sign * e * coeff
+                after += head
+
+    return KahlerElement(pres, combine(pairs()))
 
 
 # ---------------------------------------------------------------------------
@@ -666,38 +580,29 @@ class MulTable:
 
     def combo_mul(self, u: dict, v: dict):
         """Bilinear product of label combinations; None if any part escapes."""
-        acc = {}
+        pairs = []
         for x, cx in u.items():
             for y, cy in v.items():
                 hit = self.products[(x, y)]
                 if hit is None:
                     return None
-                for label, c in hit.items():
-                    acc[label] = acc.get(label, Fraction(0)) + cx * cy * c
-        return {label: c for label, c in acc.items() if c}
+                pairs.extend((label, cx * cy * c) for label, c in hit.items())
+        return combine(pairs)
 
 
 def combo_str(combo) -> str:
     if combo is None:
         return "<out of window>"
-    if not combo:
-        return "0"
-    parts = []
+    terms = []
     for label in sorted(combo):
         c = combo[label]
         if c == 1:
-            term = label
+            terms.append(label)
         elif c == -1:
-            term = f"-{label}"
+            terms.append(f"-{label}")
         else:
-            term = f"{c} {label}"
-        if not parts:
-            parts.append(term)
-        elif term.startswith("-"):
-            parts.append(f"- {term[1:]}")
-        else:
-            parts.append(f"+ {term}")
-    return " ".join(parts)
+            terms.append(f"{c} {label}")
+    return _signed_sum(terms)
 
 
 def table_from_presentation(

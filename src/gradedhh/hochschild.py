@@ -20,6 +20,12 @@ levels are bounded by |m|_1, and every tensor of multidegree m has the same
 internal degree <m, degrees>.  Without Laurent generators a product of
 non-units is a non-unit, so the normalized basis is closed under b.
 
+A BarChain is a QCombination (the sparse vector type of exact_linear)
+labelled by tensors.  The faces of one basis tensor are produced by a
+single generator, _faces; hochschild_diff is its linear extension, and
+bar_window writes the same face sums straight into matrix columns through
+dg_complexes.assemble, without building a chain per basis tensor.
+
 Homology is compared against the polynomial/exterior prediction: for every
 generator g a companion class in degree |g| + 1 with flipped parity (the
 suspension of g), carrying the same multidegree weight as g.  The level-1
@@ -31,10 +37,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .dg_complexes import ChainWindow
-from .exact_linear import RationalMatrix
+from .dg_complexes import ChainWindow, assemble
+from .exact_linear import QCombination
 from .graded_algebra import (
     Element,
     KahlerElement,
@@ -73,9 +78,9 @@ def multidegree_to_dict(pres: Presentation, m) -> dict:
     return {name: e for name, e in zip(pres.names, m) if e}
 
 
-def internal_degree(pres: Presentation, m) -> int:
-    """Common internal degree of every tensor of multidegree m."""
-    return sum(e * d for e, d in zip(m, pres.degrees))
+# Every tensor of multidegree m has internal degree <m, degrees>: the degree
+# of the monomial whose exponents are m.
+internal_degree = mono_degree
 
 
 def multidegrees_up_to(pres: Presentation, weight: int):
@@ -106,99 +111,37 @@ def tensor_str(pres: Presentation, tensor) -> str:
     return " | ".join(mono_str(pres, m) for m in tensor)
 
 
-class BarChain:
+class BarChain(QCombination):
     """Q-linear combination of (level+1)-fold monomial tensors."""
 
-    __slots__ = ("pres", "level", "terms")
+    __slots__ = ("pres", "level")
+    _SPACE = ("pres", "level")
 
     def __init__(self, pres: Presentation, level: int, terms=None):
         if level < 0:
             raise ValueError("level must be nonnegative")
         self.pres = pres
         self.level = level
-        clean = {}
-        for tensor, coeff in (terms or {}).items():
-            if len(tensor) != level + 1:
-                raise ValueError("tensor length must be level + 1")
-            tensor = tuple(_check_mono(pres, m) for m in tensor)
-            q = Fraction(coeff)
-            if q:
-                clean[tensor] = clean.get(tensor, Fraction(0)) + q
-                if not clean[tensor]:
-                    del clean[tensor]
-        self.terms = clean
+        super().__init__(terms)
 
-    @classmethod
-    def zero(cls, pres: Presentation, level: int) -> "BarChain":
-        return cls(pres, level, {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _check_key(self, tensor):
+        if len(tensor) != self.level + 1:
+            raise ValueError("tensor length must be level + 1")
+        return tuple(_check_mono(self.pres, m) for m in tensor)
 
     def multidegree(self):
         """Common componentwise exponent total, or None if mixed or zero."""
-        seen = {
-            tuple(sum(m[i] for m in tensor) for i in range(self.pres.ngens))
-            for tensor in self.terms
-        }
-        if len(seen) == 1:
-            return seen.pop()
-        return None
+        return self._common(lambda tensor: tuple(map(sum, zip(*tensor))))
 
     def internal_degree(self):
-        seen = {sum(mono_degree(self.pres, m) for m in tensor) for tensor in self.terms}
-        if len(seen) == 1:
-            return seen.pop()
-        return None
+        return self._common(lambda t: sum(mono_degree(self.pres, m) for m in t))
 
     def normalized(self) -> "BarChain":
         """Project to the normalized complex: kill units in bar positions."""
         unit = mono_one(self.pres)
-        kept = {
-            tensor: coeff
-            for tensor, coeff in self.terms.items()
-            if all(m != unit for m in tensor[1:])
-        }
-        return BarChain(self.pres, self.level, kept)
-
-    def _require_same(self, other):
-        if self.pres != other.pres or self.level != other.level:
-            raise ValueError("chains over different presentations or levels")
-
-    def __add__(self, other):
-        if not isinstance(other, BarChain):
-            return NotImplemented
-        self._require_same(other)
-        terms = dict(self.terms)
-        for t, c in other.terms.items():
-            terms[t] = terms.get(t, Fraction(0)) + c
-        return BarChain(self.pres, self.level, terms)
-
-    def __neg__(self):
-        return BarChain(self.pres, self.level, {t: -c for t, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, BarChain):
-            return NotImplemented
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            q = Fraction(scalar)
-            return BarChain(self.pres, self.level,
-                            {t: c * q for t, c in self.terms.items()})
-        return NotImplemented
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BarChain)
-            and self.pres == other.pres
-            and self.level == other.level
-            and self.terms == other.terms
+        return self._new(
+            (tensor, c) for tensor, c in self.terms.items() if unit not in tensor[1:]
         )
-
-    def __hash__(self):
-        return hash((self.pres, self.level, frozenset(self.terms.items())))
 
     def to_json(self):
         return [
@@ -215,32 +158,32 @@ class BarChain:
         return f"BarChain(level={self.level}, " + " + ".join(parts) + ")"
 
 
+def _faces(pres: Presentation, tensor):
+    """(face, sign) pairs of b on one tensor; equal faces are to be summed.
+
+    Face i < s merges slots i and i+1 with sign (-1)^i; the last face
+    rotates a_s to the front with its Koszul sign, times (-1)^s.
+    """
+    s = len(tensor) - 1
+    for i in range(s):
+        hit = koszul_mul(pres, tensor[i], tensor[i + 1])
+        if hit is not None:
+            yield tensor[:i] + (hit[1],) + tensor[i + 2:], hit[0] * (-1) ** i
+    hit = koszul_mul(pres, tensor[s], tensor[0]) if s else None
+    if hit is not None:
+        moved = mono_degree(pres, tensor[s]) % 2
+        passed = sum(mono_degree(pres, m) for m in tensor[:s]) % 2
+        yield (hit[1],) + tensor[1:s], hit[0] * (-1) ** (moved * passed + s)
+
+
 def hochschild_diff(x: BarChain) -> BarChain:
     """Alternating face sum; the last face rotates with its Koszul sign."""
-    s = x.level
-    if s == 0:
-        return BarChain.zero(x.pres, 0)
-    out = {}
-
-    def add(tensor, coeff):
-        out[tensor] = out.get(tensor, Fraction(0)) + coeff
-
-    for tensor, coeff in x.terms.items():
-        parities = [mono_degree(x.pres, m) % 2 for m in tensor]
-        for i in range(s):
-            hit = koszul_mul(x.pres, tensor[i], tensor[i + 1])
-            if hit is None:
-                continue
-            sign, merged = hit
-            face = tensor[:i] + (merged,) + tensor[i + 2:]
-            add(face, coeff * sign * (-1) ** i)
-        hit = koszul_mul(x.pres, tensor[s], tensor[0])
-        if hit is not None:
-            sign, merged = hit
-            rotate = (-1) ** (parities[s] * sum(parities[:s]))
-            face = (merged,) + tensor[1:s]
-            add(face, coeff * sign * rotate * (-1) ** s)
-    return BarChain(x.pres, s - 1, out)
+    return x._new(
+        ((face, sign * coeff)
+         for tensor, coeff in x.terms.items()
+         for face, sign in _faces(x.pres, tensor)),
+        level=max(x.level - 1, 0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -300,22 +243,13 @@ def bar_basis(pres: Presentation, m) -> dict:
 def bar_window(pres: Presentation, m) -> ChainWindow:
     """The finite normalized complex of one multidegree, levels as degrees."""
     basis = bar_basis(pres, m)
-    top = sum(check_multidegree(pres, m))
-    windows = {-1: []}
-    windows.update({s: basis[s] for s in range(top + 1)})
-    windows[top + 1] = []
-    diff = {}
-    for s in range(0, top + 2):
-        source = windows.get(s, [])
-        target = windows.get(s - 1, [])
-        index = {t: i for i, t in enumerate(target)}
-        entries = {}
-        for col, tensor in enumerate(source):
-            image = hochschild_diff(BarChain(pres, s, {tensor: 1}))
-            for out_tensor, coeff in image.terms.items():
-                entries[(index[out_tensor], col)] = coeff
-        diff[s] = RationalMatrix(len(target), len(source), entries)
-    return ChainWindow(windows, diff)
+    top = max(basis)
+    basis[-1] = basis[top + 1] = []
+    diff = {
+        s: assemble(basis[s], basis[s - 1], lambda tensor: _faces(pres, tensor))
+        for s in range(top + 2)
+    }
+    return ChainWindow(basis, diff)
 
 
 def hh_dims(pres: Presentation, m) -> dict:
@@ -413,7 +347,7 @@ def D_map(x: BarChain) -> KahlerElement:
     out = KahlerElement.zero(x.pres)
     if x.level != 1:
         return out
-    for (a0, a1), coeff in sorted(x.terms.items()):
+    for (a0, a1), coeff in x.terms.items():
         front = Element.monomial(x.pres, a0, coeff)
         out = out + front * kahler_d(Element.monomial(x.pres, a1))
     return out

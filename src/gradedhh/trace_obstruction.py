@@ -33,10 +33,10 @@ for the height-one localizations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .chromatic_presets import ChromaticParams, a_q
-from .exact_linear import in_span
+from .dg_complexes import coordinates
+from .exact_linear import combine, in_span
 from .graded_algebra import (
     Element,
     KahlerElement,
@@ -77,24 +77,16 @@ def constant_loops_chain(gs) -> BarChain:
         if not g.is_zero() and g.degree() <= 0:
             raise ValueError("classes must sit in positive degree")
     unit = mono_one(pres)
-    terms = {}
 
-    def add(tensor, coeff):
-        terms[tensor] = terms.get(tensor, Fraction(0)) + coeff
-
-    for i, g in enumerate(gs, start=1):
-        for mono, coeff in g.terms.items():
-            slots = [unit] * (level + 1)
-            slots[i] = mono
-            add(tuple(slots), coeff)
-    total = gs[0]
-    for g in gs[1:]:
-        total = total + g
-    for mono, coeff in total.terms.items():
+    def placed(position, x):
         slots = [unit] * (level + 1)
-        slots[0] = mono
-        add(tuple(slots), -coeff)
-    return BarChain(pres, level, terms)
+        for mono, coeff in x.terms.items():
+            slots[position] = mono
+            yield tuple(slots), coeff
+
+    pairs = [pair for i, g in enumerate(gs, start=1) for pair in placed(i, g)]
+    pairs += placed(0, -sum(gs[1:], gs[0]))
+    return BarChain(pres, level, combine(pairs))
 
 
 @dataclass
@@ -162,11 +154,10 @@ def membership_test(omega: KahlerElement) -> MembershipResult:
         )
     eps_idx = odd[0]
     eps_name = pres.names[eps_idx]
-    d_eps = omega.parts.get(eps_idx)
-    if d_eps is not None:
-        return MembershipResult(False, f"d({eps_name})", poly_str(d_eps))
-    for i in sorted(omega.parts):
-        coeff = omega.parts[i]
+    parts = omega.coefficients()
+    if eps_idx in parts:
+        return MembershipResult(False, f"d({eps_name})", poly_str(parts[eps_idx]))
+    for i, coeff in parts.items():
         dirty = Element(
             pres, {m: c for m, c in coeff.terms.items() if m[eps_idx]}
         )
@@ -221,20 +212,16 @@ class ObstructionReport:
 
 def displayed_obstruction_class(pres: Presentation, exponents) -> KahlerElement:
     """The predicted value v^a d(eps) + sum_i a_i v^{a - e_i} eps d(v_i)."""
-    ngens = pres.ngens
-    eps_idx = ngens - 1
+    eps_idx = pres.ngens - 1
     v_mono = tuple(exponents) + (0,)
-    out = KahlerElement(pres, {eps_idx: Element.monomial(pres, v_mono)})
+    terms = {(eps_idx, v_mono): 1}
     for i, a in enumerate(exponents):
-        if not a:
-            continue
-        lowered = list(v_mono)
-        lowered[i] -= 1
-        lowered[eps_idx] = 1
-        out = out + KahlerElement(
-            pres, {i: Element.monomial(pres, tuple(lowered), a)}
-        )
-    return out
+        if a:
+            lowered = list(v_mono)
+            lowered[i] -= 1
+            lowered[eps_idx] = 1
+            terms[(i, tuple(lowered))] = a
+    return KahlerElement(pres, terms)
 
 
 def obstruction_report(p: int, n: int, exponents) -> ObstructionReport:
@@ -274,11 +261,7 @@ def obstruction_report(p: int, n: int, exponents) -> ObstructionReport:
     multidegree = mono  # one factor, so per-generator totals are the exponents
     window = bar_window(pres, multidegree)
     is_cycle = hochschild_diff(normalized).is_zero()
-    level1 = window.basis[1]
-    index = {t: i for i, t in enumerate(level1)}
-    vec = [Fraction(0)] * len(level1)
-    for tensor, coeff in normalized.terms.items():
-        vec[index[tensor]] = coeff
+    vec = coordinates(normalized, window.basis[1])
     boundaries = window.boundary_span(1)
     nonzero = not in_span(boundaries, vec).in_span
     nonzero_in_hh = is_cycle and nonzero

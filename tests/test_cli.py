@@ -178,3 +178,15 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ("localize", "--preset", "bp:2:2", "--generator", "zz"),
+    ("cone", "--preset", "bp:2:2", "--element", "1/0", "--window", "0:4"),
+    ("ore-check", "--preset", "bp:2:2", "--s", "1/0", "--window", "0:4"),
+])
+def test_malformed_input_is_one_line_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

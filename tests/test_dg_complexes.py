@@ -8,6 +8,8 @@ from gradedhh.chromatic_presets import ChromaticParams, bp_q
 from gradedhh.dg_complexes import (
     ChainWindow,
     GradedComplex,
+    MatrixDGAElement,
+    assemble,
     build_cycles_window,
     build_mdga_window,
     commutative_model_check,
@@ -58,6 +60,14 @@ def test_chain_window_rejects_nonzero_d_squared():
     one = RationalMatrix.from_rows([[1]])
     with pytest.raises(ValueError):
         ChainWindow({0: ["x"], 1: ["y"], 2: ["z"]}, {1: one, 2: one})
+
+
+def test_assemble_sums_pairs_and_rejects_escapes():
+    m = assemble(["x", "y"], ["u", "v"],
+                 lambda s: [("u", 1), ("u", 2)] if s == "x" else [("v", -1)])
+    assert m == RationalMatrix.from_rows([[3, 0], [0, -1]])
+    with pytest.raises(ValueError, match="escaped"):
+        assemble(["x"], ["u"], lambda s: [("w", 1)])
 
 
 def test_chain_window_homology_needs_padding():
@@ -142,6 +152,21 @@ def test_mdga_slot_degree_validation():
     mdga_diag(dga, v1)  # fine: degree 2 in both diagonal slots
     with pytest.raises(ValueError):
         mdga_diag(dga, Element.gen(dga.pres, "v1") + Element.one(dga.pres))
+
+
+def test_mdga_equality_and_hash_see_terms_only():
+    dga = matrix_dga(2, 1)
+    zeros = {MatrixDGAElement.zero(dga, 0), MatrixDGAElement.zero(dga, 1)}
+    assert MatrixDGAElement.zero(dga, 0) == MatrixDGAElement.zero(dga, 1)
+    assert len(zeros) == 1
+    eps = mdga_eps(dga)
+    assert len({eps, eps + MatrixDGAElement.zero(dga, 5)}) == 1
+
+
+def test_mdga_addition_rejects_mixed_degrees():
+    dga = matrix_dga(2, 1)
+    with pytest.raises(ValueError):
+        mdga_identity(dga) + mdga_eps(dga)
 
 
 def test_dga_diff_frozen_values():
