@@ -3,12 +3,16 @@
 Two layers.  A GradedComplex is symbolic: a chain of shifted free modules
 over one presentation with differentials given by left multiplication
 (cone(r) is the two-term case).  A ChainWindow is concrete: explicit bases
-and exact differential matrices over a finite degree range, on which
-homology dimensions, quasi-isomorphism checks and boundary-span questions
-are settled by the exact_linear module.  d compose d = 0 is checked at
-construction in both layers.  Every differential and inclusion matrix in
-the package is built by one function, assemble: it indexes the target
-basis and writes the image of each source label as a column.
+and exact differential matrices over a finite degree range.  d compose d = 0
+is checked at construction in both layers.  Every differential and inclusion
+matrix in the package is built by one function, assemble: it indexes the
+target basis and writes the image of each source label as a column.
+
+Each question realizes one window and ranks each of its differentials at
+most once: ChainWindow.rank(t) eliminates diff[t] on first use and keeps
+the result, and homology_dims, quasi_iso_check and cone_report read it.
+cone_report takes homology, quotient dimensions and regularity (injectivity
+of r on every source degree the windowed homology depends on) off one cone.
 
 The matrix DG algebra models the endomorphisms of the cone on v_n over
 Q[v_1, ..., v_n].  A degree-k element is a 2x2 matrix [[a, b], [c, d]] with
@@ -70,6 +74,7 @@ class ChainWindow:
         if degrees != list(range(self.lo, self.hi + 1)):
             raise ValueError("chain window degrees must be contiguous")
         self.basis = {t: list(basis[t]) for t in degrees}
+        self._ranks = {}
         self.diff = {}
         for t in range(self.lo + 1, self.hi + 1):
             m = diff.get(t)
@@ -85,17 +90,22 @@ class ChainWindow:
     def index(self, t: int) -> dict:
         return {label: i for i, label in enumerate(self.basis[t])}
 
+    def rank(self, t: int) -> int:
+        """Rank of diff[t], eliminated on first use and kept."""
+        if t not in self._ranks:
+            self._ranks[t] = rank(self.diff[t])
+        return self._ranks[t]
+
     def homology_dims(self, window) -> dict:
         lo, hi = window
         if lo <= self.lo or hi >= self.hi:
             raise ValueError(
                 f"homology window [{lo}, {hi}] needs bases one degree beyond"
             )
-        out = {}
-        for t in range(lo, hi + 1):
-            dim_cycles = len(self.basis[t]) - rank(self.diff[t])
-            out[t] = dim_cycles - rank(self.diff[t + 1])
-        return out
+        return {
+            t: len(self.basis[t]) - self.rank(t) - self.rank(t + 1)
+            for t in range(lo, hi + 1)
+        }
 
     def boundary_span(self, t: int) -> RationalMatrix:
         """Matrix whose column space is the boundaries landing in degree t."""
@@ -167,22 +177,28 @@ class GradedComplex:
     def realize(self, window, caps=None) -> ChainWindow:
         """Concrete bases and matrices on [lo-1, hi+1]; labels (term, mono)."""
         lo, hi = window
-        basis = {}
-        for t in range(lo - 1, hi + 2):
-            labels = []
-            for i, shift in enumerate(self.shifts):
-                for mono in monomial_basis(self.pres, t - shift, caps):
-                    labels.append((i, mono))
-            basis[t] = labels
+        degrees = range(lo - 1, hi + 2)
+        pieces = {
+            s: monomial_basis(self.pres, s, caps)
+            for s in sorted({t - shift for t in degrees for shift in self.shifts})
+        }
+        basis = {
+            t: [(i, mono) for i, shift in enumerate(self.shifts)
+                for mono in pieces[t - shift]]
+            for t in degrees
+        }
 
         def image(label):
             term, mono = label
             if term == 0:
                 return ()
-            product = self.maps[term - 1] * Element.monomial(self.pres, mono)
-            return (((term - 1, m), c) for m, c in product.terms.items())
+            return (
+                ((term - 1, hit[1]), hit[0] * c)
+                for m, c in self.maps[term - 1].terms.items()
+                if (hit := koszul_mul(self.pres, m, mono)) is not None
+            )
 
-        diff = {t: assemble(basis[t], basis[t - 1], image) for t in range(lo, hi + 2)}
+        diff = {t: assemble(basis[t], basis[t - 1], image) for t in degrees[1:]}
         return ChainWindow(basis, diff)
 
 
@@ -210,40 +226,29 @@ def homology_dims(complex_or_window, window, caps=None) -> dict:
     raise TypeError("expected a GradedComplex or ChainWindow")
 
 
-def mult_matrix(pres: Presentation, r: Element, source_degree: int, caps=None):
-    """Matrix of left multiplication by homogeneous r on one degree piece."""
-    d = r.degree()
-    if d is None and not r.is_zero():
-        raise ValueError("multiplication element must be homogeneous")
-    d = d or 0
-    return assemble(
-        monomial_basis(pres, source_degree, caps),
-        monomial_basis(pres, source_degree + d, caps),
-        lambda mono: (r * Element.monomial(pres, mono)).terms.items(),
-    )
-
-
-def regular_in_window(pres: Presentation, r: Element, window, caps=None) -> bool:
-    """Is left multiplication by r injective on every relevant degree piece?"""
-    lo, hi = window
-    d = r.degree() or 0
-    for t in range(lo - abs(d) - 1, hi + 1):
-        m = mult_matrix(pres, r, t, caps)
-        if rank(m) != m.cols:
-            return False
-    return True
-
-
 def cone_report(pres: Presentation, r: Element, window, caps=None) -> dict:
-    """Cone homology vs. quotient-ring dimensions, with a regularity test."""
+    """Cone homology vs. quotient-ring dimensions, with a regularity test.
+
+    All three are read off one cone realized on [lo, hi + max(0, d)], d = |r|:
+    its differential at t is multiplication by r from the shifted labels
+    (1, mono) into the unshifted (0, mono).  quotient_dims[t] is the count of
+    unshifted labels at t minus rank(t + 1).  r is regular when every
+    differential has full rank on the shifted labels, i.e. r is injective on
+    the source degrees [lo - d - 1, max(hi, hi - d)]: every degree homology in
+    [lo, hi] depends on, for either sign of d.
+    """
     lo, hi = window
-    d = r.degree() or 0
-    computed = homology_dims(cone(pres, r), window, caps)
-    quotient = {}
-    for t in range(lo, hi + 1):
-        m = mult_matrix(pres, r, t - d, caps)
-        quotient[t] = len(monomial_basis(pres, t, caps)) - rank(m)
-    regular = regular_in_window(pres, r, window, caps)
+    c = cone(pres, r)
+    d = c.shifts[1] - 1
+    win = c.realize((lo, hi + max(0, d)), caps)
+    computed = win.homology_dims(window)
+    quotient = {
+        t: sum(term == 0 for term, _ in win.basis[t]) - win.rank(t + 1)
+        for t in range(lo, hi + 1)
+    }
+    regular = all(
+        win.rank(t) == sum(term == 1 for term, _ in win.basis[t]) for t in win.diff
+    )
     return {
         "window": [lo, hi],
         "homology_dims": computed,
@@ -541,22 +546,18 @@ def quasi_iso_check(sub: ChainWindow, amb: ChainWindow, inclusion: dict, window)
         if lhs != rhs:
             raise ValueError(f"inclusion is not a chain map at degree {t}")
 
+    h_sub, h_amb = sub.homology_dims(window), amb.homology_dims(window)
     per_degree = {}
-    all_iso = True
     for t in range(lo, hi + 1):
-        h_sub = len(sub.basis[t]) - rank(sub.diff[t]) - rank(sub.diff[t + 1])
-        h_amb = len(amb.basis[t]) - rank(amb.diff[t]) - rank(amb.diff[t + 1])
         cycles = kernel_basis(sub.diff[t])
         mapped = [inclusion[t].mul_vector(z) for z in cycles]
-        boundaries = amb.diff[t + 1]
-        stacked = boundaries.hstack(
+        stacked = amb.diff[t + 1].hstack(
             RationalMatrix.from_columns(mapped, rows=len(amb.basis[t]))
         )
-        induced = rank(stacked) - rank(boundaries)
-        iso = h_sub == h_amb == induced
-        per_degree[t] = {"sub": h_sub, "amb": h_amb, "induced_rank": induced,
-                         "iso": iso}
-        all_iso = all_iso and iso
+        induced = rank(stacked) - amb.rank(t + 1)
+        per_degree[t] = {"sub": h_sub[t], "amb": h_amb[t], "induced_rank": induced,
+                         "iso": h_sub[t] == h_amb[t] == induced}
+    all_iso = all(v["iso"] for v in per_degree.values())
     return QuasiIsoReport(chain_map=True, per_degree=per_degree, all_iso=all_iso)
 
 
@@ -619,12 +620,10 @@ def dga_structure_check(p: int, n: int, window) -> dict:
             elements.append(mdga_element(dga, k, slot, mono))
     d_squared = all(dga_diff(dga_diff(f)).is_zero() for f in elements)
     derivation = True
-    pairs = 0
     for f in elements:
         sign = 1 if f.k % 2 == 0 else -1
         df = dga_diff(f)
         for g in elements:
-            pairs += 1
             lhs = dga_diff(f * g)
             rhs = df * g + sign * (f * dga_diff(g))
             if not (lhs - rhs).is_zero():
@@ -634,7 +633,7 @@ def dga_structure_check(p: int, n: int, window) -> dict:
         "n": n,
         "window": list(window),
         "basis_size": len(elements),
-        "pairs_checked": pairs,
+        "pairs_checked": len(elements) ** 2,
         "d_squared_zero": d_squared,
         "derivation_law": derivation,
     }
@@ -670,8 +669,7 @@ def homology_ring_check(p: int, n: int, window) -> dict:
     eps_cycle = dga_diff(eps).is_zero()
     eps_nonzero = None
     if lo <= eps.k <= hi:
-        labels = win.basis[eps.k]
-        vec = coordinates(eps, labels)
+        vec = coordinates(eps, win.basis[eps.k])
         eps_nonzero = not in_span(win.boundary_span(eps.k), vec).in_span
     eps_square_zero = (eps * eps).is_zero()
 

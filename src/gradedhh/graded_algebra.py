@@ -705,6 +705,19 @@ def _combo_degree(table, combo):
     return degs.pop() if degs else None
 
 
+def _commutes(table, koszul: bool) -> bool:
+    """p(x, y) = p(y, x) on every reported pair (up to (-1)^{|x||y|} if koszul)?"""
+    for x in table.labels:
+        for y in table.labels:
+            pxy, pyx = table.products[(x, y)], table.products[(y, x)]
+            if pxy is None or pyx is None:
+                continue
+            odd = koszul and table.degree[x] % 2 and table.degree[y] % 2
+            if pxy != {label: -c if odd else c for label, c in pyx.items()}:
+                return False
+    return True
+
+
 def ore_check(table: MulTable, s_elements, max_closure: int = 64) -> OreReport:
     """Windowed semi-decision for the right Ore condition.
 
@@ -714,7 +727,9 @@ def ore_check(table: MulTable, s_elements, max_closure: int = 64) -> OreReport:
     truncated to the window.  Witness searches are complete only when the
     table is degreewise complete, so "violated" is reported only then; a
     ring whose reported products all commute satisfies both conditions with
-    t = s, y = x, which yields "satisfied".  Everything else is honestly
+    t = s, y = x, which yields "satisfied".  So does a graded-commutative
+    ring (p(x, y) = (-1)^{|x||y|} p(y, x)) whose S lies in even degrees;
+    the "commutative" field stays literal.  Everything else is honestly
     "inconclusive".  S reaching 0 makes the localization the zero ring,
     reported as "degenerate".
     """
@@ -786,18 +801,7 @@ def ore_check(table: MulTable, s_elements, max_closure: int = 64) -> OreReport:
             notes=notes + ["S contains 0: the localization is the zero ring"],
         )
 
-    # Literal commutativity of every reported product pair.
-    commutative = True
-    for x in table.labels:
-        for y in table.labels:
-            pxy, pyx = table.products[(x, y)], table.products[(y, x)]
-            if pxy is None or pyx is None:
-                continue
-            if pxy != pyx:
-                commutative = False
-                break
-        if not commutative:
-            break
+    commutative = _commutes(table, koszul=False)
 
     label_index = {l: i for i, l in enumerate(table.labels)}
 
@@ -886,6 +890,15 @@ def ore_check(table: MulTable, s_elements, max_closure: int = 64) -> OreReport:
             truncated=truncated,
             closure=closure_strs,
             notes=notes + ["commutative ring: t = s, y = x witnesses both conditions"],
+        )
+    s_even = all(_combo_degree(table, s) % 2 == 0 for s in closure)
+    if s_even and _commutes(table, koszul=True):
+        return OreReport(
+            verdict="satisfied",
+            truncated=truncated,
+            closure=closure_strs,
+            notes=notes + ["graded-commutative ring, S even: "
+                           "t = s, y = x witnesses both conditions"],
         )
     return OreReport(
         verdict="inconclusive",

@@ -46,7 +46,7 @@ from gradedhh.hochschild import (
 from gradedhh.trace_obstruction import obstruction_report, trace_class
 
 
-MAX_WEIGHT = 4
+MAX_WEIGHT = 5
 
 HOMOLOGY_CASES = [(2, 1, (-8, 4)), (2, 2, (-12, 8)), (3, 1, (-10, 6))]
 

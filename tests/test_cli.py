@@ -146,6 +146,15 @@ def test_cone_command(capsys):
     assert doc["homology_dims"]["0"] == 1
 
 
+def test_cone_negative_degree_zero_divisor_exits_zero(capsys):
+    code, out, _ = run_cli(capsys, "cone", "--preset", "a:2:2",
+                           "--element", "eps", "--window", "-20:-13")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["regular"] is False
+    assert doc["dims_match_quotient"] is False
+
+
 def test_localize_command(capsys):
     code, out, _ = run_cli(capsys, "localize", "--preset", "bp:2:2",
                            "--generator", "v2")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedhh.chromatic_presets import ChromaticParams, bp_q
+from gradedhh.chromatic_presets import ChromaticParams, a_q, bp_q
 from gradedhh.dg_complexes import (
     ChainWindow,
     GradedComplex,
@@ -30,8 +30,17 @@ from gradedhh.dg_complexes import (
     mdga_identity,
     quasi_iso_check,
 )
-from gradedhh.exact_linear import RationalMatrix
-from gradedhh.graded_algebra import Element, make_presentation
+import gradedhh.dg_complexes as dg_complexes
+from gradedhh.cli import parse_preset
+from gradedhh.exact_linear import RationalMatrix, rank
+from gradedhh.graded_algebra import (
+    Element,
+    element_from_string,
+    koszul_mul,
+    make_presentation,
+    monomial_basis,
+)
+from gradedhh.hochschild import bar_window, hh_dims
 
 
 def poly_ring():
@@ -128,6 +137,110 @@ def test_homology_dims_dispatch():
     c = cone(pres, Element.gen(pres, "v2"))
     dims = homology_dims(c, (0, 4))
     assert dims == {0: 1, 1: 0, 2: 1, 3: 0, 4: 1}
+
+
+def _reference_cone_report(pres, r, window, caps):
+    """quotient_dims and regular from multiplication matrices on degree pieces."""
+    lo, hi = window
+    d = r.degree() or 0
+
+    def mult(source):
+        return assemble(
+            monomial_basis(pres, source, caps),
+            monomial_basis(pres, source + d, caps),
+            lambda mono: [(hit[1], hit[0] * c) for m, c in r.terms.items()
+                          if (hit := koszul_mul(pres, m, mono)) is not None],
+        )
+
+    quotient = {
+        t: len(monomial_basis(pres, t, caps)) - rank(mult(t - d))
+        for t in range(lo, hi + 1)
+    }
+    # every source degree that homology on [lo, hi] depends on; for d >= 0
+    # this is [lo - d - 1, hi]
+    sources = range(lo - d - 1, max(hi, hi - d) + 1)
+    regular = all(rank(m) == m.cols for m in map(mult, sources))
+    return quotient, regular
+
+
+def _outcome(report, *args):
+    try:
+        return report(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+CONE_REFERENCE_CASES = [
+    (preset, element, window, caps)
+    for preset, elements, windows, cap_values in [
+        ("bp:2:2", ["v2", "v1^2", "v1 v2", "0", "1"], [(-4, 12)], [None, 3]),
+        ("a:2:2", ["eps", "v1^4 eps", "v1", "0", "1"],
+         [(-20, -13), (-16, 6)], [None, 3]),
+        ("hh_a:2:2", ["sigma1", "delta", "eps", "v1^4 eps", "0", "1"],
+         [(-12, 6)], [2, 4]),
+    ]
+    for element in elements
+    for window in windows
+    for caps in cap_values
+]
+
+
+@pytest.mark.parametrize(
+    "preset, element, window, caps", CONE_REFERENCE_CASES,
+    ids=[f"{p}-{e}-{w[0]}:{w[1]}-caps{c}" for p, e, w, c in CONE_REFERENCE_CASES],
+)
+def test_cone_report_matches_multiplication_reference(preset, element, window, caps):
+    pres = parse_preset(preset)
+    r = element_from_string(pres, element)
+
+    def report(*args):
+        out = cone_report(*args)
+        return out["quotient_dims"], out["regular"]
+
+    got = _outcome(report, pres, r, window, caps)
+    assert got == _outcome(_reference_cone_report, pres, r, window, caps)
+    if not isinstance(got, str):
+        full = cone_report(pres, r, window, caps)
+        assert full["homology_dims"] == homology_dims(cone(pres, r), window, caps)
+
+
+def test_cone_report_negative_degree_zero_divisor_is_not_regular():
+    # |eps| = -7 and eps^2 = 0: homology at -13 depends on eps acting on
+    # the degree -7 piece, which lies above the window [-20, -13]
+    pres = a_q(ChromaticParams(2, 2))
+    report = cone_report(pres, Element.gen(pres, "eps"), (-20, -13))
+    assert report["homology_dims"][-13] == 1
+    assert report["quotient_dims"][-13] == 0
+    assert not report["regular"]
+    assert not report["comparison_binding"]
+
+
+def _count_ranks(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(dg_complexes, "rank", counted)
+    return calls
+
+
+def test_homology_ranks_each_differential_once(monkeypatch):
+    pres = a_q(ChromaticParams(2, 2))
+    calls = _count_ranks(monkeypatch)
+    hh_dims(pres, (3, 1))
+    diffs = list(bar_window(pres, (3, 1)).diff.values())
+    assert len(calls) == len(diffs)
+    assert all(sum(m == d for m in calls) == 1 for d in diffs)
+
+
+def test_commutative_model_check_ranks_each_differential_once(monkeypatch):
+    lo, hi = -12, 8
+    calls = _count_ranks(monkeypatch)
+    assert commutative_model_check(2, 2, (lo, hi))["all_ok"]
+    # at most the sub and ambient differentials plus one stacked matrix per degree
+    assert len(calls) <= 3 * (hi - lo + 2)
 
 
 # -- matrix DGA: elements and differential -----------------------------------------

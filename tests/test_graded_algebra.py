@@ -344,6 +344,28 @@ def test_ore_satisfied_on_commutative_table():
     assert report.commutative
 
 
+def test_ore_satisfied_on_graded_commutative_table_with_even_s():
+    pres = make_presentation([("v1", 2, False), ("sigma1", 3, False),
+                              ("delta", -6, False), ("eps", -7, False)])
+    table = table_from_presentation(pres, (-10, 10), caps=2)
+    report = ore_check(table, ["v1"])
+    assert report.verdict == "satisfied"
+    assert not report.commutative  # sigma1 eps = -eps sigma1
+    assert report.notes[-1].startswith("graded-commutative ring, S even")
+
+
+def test_ore_graded_commutative_proof_needs_even_s():
+    # x and y anticommute; x^2 leaves the window, so S = {x} is odd and alive
+    labels = ("1", "x", "y", "z")
+    products = {(a, b): None for a in labels for b in labels}
+    products.update({("1", a): {a: 1} for a in labels})
+    products.update({(a, "1"): {a: 1} for a in labels})
+    products.update({("x", "y"): {"z": 1}, ("y", "x"): {"z": -1}})
+    table = MulTable(labels=labels, degree={"1": 0, "x": 1, "y": 1, "z": 2},
+                     products=products, one={"1": 1}, complete_degrees=False)
+    assert ore_check(table, ["x"]).verdict == "inconclusive"
+
+
 def test_ore_violated_on_matrix_units():
     report = ore_check(matrix_units_table(), ["e11"])
     assert report.verdict == "violated"
