@@ -67,6 +67,8 @@ def _parse_multidegree(pres, text: str):
             name = name.strip()
             if not count:
                 raise ValueError(f"multidegree entries are name:count, got {chunk!r}")
+            if name in weights:
+                raise ValueError(f"generator {name!r} given twice in multidegree")
             try:
                 weights[name] = int(count)
             except ValueError:

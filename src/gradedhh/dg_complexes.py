@@ -466,13 +466,15 @@ def _vn_free(dga: MatrixDGA, mono) -> bool:
     return mono[dga.n - 1] == 0
 
 
-def _cycle_labels(dga: MatrixDGA, k: int) -> list:
-    """Labels of Z in degree k: ("diag", mono) first, then ("upper", mono)."""
+def _cycle_labels(dga: MatrixDGA, labels) -> list:
+    """Labels of Z among one degree's (slot, mono) labels of the matrix DGA:
+    ("diag", mono) for the v_n-free a slot first, then ("upper", mono) for
+    the v_n-free b slot."""
     return [
         (kind, mono)
-        for kind, degree in (("diag", k), ("upper", k + dga.offdiag))
-        for mono in monomial_basis(dga.pres, degree)
-        if _vn_free(dga, mono)
+        for kind, want in (("diag", "a"), ("upper", "b"))
+        for slot, mono in labels
+        if slot == want and _vn_free(dga, mono)
     ]
 
 
@@ -496,7 +498,7 @@ def cycles_subalgebra(dga: MatrixDGA, window):
     return [
         (k, label, MatrixDGAElement.from_terms(dga, k, _cycle_terms(k, label)))
         for k in range(lo, hi + 1)
-        for label in _cycle_labels(dga, k)
+        for label in _cycle_labels(dga, mdga_basis_labels(dga, k))
     ]
 
 
@@ -561,17 +563,21 @@ def quasi_iso_check(sub: ChainWindow, amb: ChainWindow, inclusion: dict, window)
     return QuasiIsoReport(chain_map=True, per_degree=per_degree, all_iso=all_iso)
 
 
-def build_cycles_window(dga: MatrixDGA, window):
-    """Z as a ChainWindow (zero differential) plus its inclusion matrices."""
+def build_cycles_window(dga: MatrixDGA, window, amb: ChainWindow | None = None):
+    """Z as a ChainWindow (zero differential) plus its inclusion matrices.
+
+    Labels and inclusion targets are read off amb, the matrix DGA's window
+    on the same range (built here when not given), so no degree piece is
+    enumerated twice.
+    """
     lo, hi = window
+    if amb is None:
+        amb = build_mdga_window(dga, window)
     degrees = range(lo - 1, hi + 2)
-    basis = {k: _cycle_labels(dga, k) for k in degrees}
+    basis = {k: _cycle_labels(dga, amb.basis[k]) for k in degrees}
     diff = {k: RationalMatrix(len(basis[k - 1]), len(basis[k])) for k in degrees[1:]}
     inclusion = {
-        k: assemble(
-            basis[k], mdga_basis_labels(dga, k),
-            lambda label: _cycle_terms(k, label).items(),
-        )
+        k: assemble(basis[k], amb.basis[k], lambda label: _cycle_terms(k, label).items())
         for k in degrees
     }
     return ChainWindow(basis, diff), inclusion
@@ -591,8 +597,8 @@ def commutative_model_check(p: int, n: int, window) -> dict:
             sign = -1 if (f.k % 2) and (g.k % 2) else 1
             if not (prod - sign * (g * f)).is_zero():
                 commutative = False
-    sub, inclusion = build_cycles_window(dga, window)
     amb = build_mdga_window(dga, window)
+    sub, inclusion = build_cycles_window(dga, window, amb)
     report = quasi_iso_check(sub, amb, inclusion, window)
     return {
         "p": p,

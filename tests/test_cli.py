@@ -1,8 +1,11 @@
 """The command-line interface: JSON output, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedhh.cli import main
 
@@ -63,6 +66,15 @@ def test_hh_unknown_preset_is_usage_error(capsys):
 def test_hh_bad_multidegree_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "hh", "--preset", "bp:2:1", "--multidegree", "v9:1")
     assert code == 2
+
+
+def test_hh_duplicate_generator_in_multidegree_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "hh", "--preset", "a:2:2",
+                             "--multidegree", "v1:1,v1:2")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "'v1'" in err
 
 
 def test_hkr_check_passes(capsys):
@@ -199,3 +211,109 @@ def test_malformed_input_is_one_line_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the contract: every input exits 0, 1 or 2 and never prints a
+# traceback.  Values mix well-formed and malformed text; windows, weights and
+# exponents stay small so that each example runs in milliseconds.
+
+def mostly(valid, malformed):
+    """Draw from valid three times in four, from malformed otherwise."""
+    return st.integers(0, 3).flatmap(lambda k: valid if k else malformed)
+
+
+PRESETS = mostly(
+    st.sampled_from(["a:2:2", "bp:2:2", "hh_a:2:2", "en:2:2", "bp:3:1", "a:3:1",
+                     "hh_a:3:1", "bp:2:3"]),
+    st.one_of(
+        st.builds("{}:{}:{}".format, st.sampled_from(["a", "bp", "en", "hh_a", "zz"]),
+                  st.integers(-1, 5), st.integers(-1, 3)),
+        st.sampled_from(["", "a:2", "bp:2:2:2", "a:x:2", ":::", "bp:2:"]),
+    ),
+)
+NAMES = mostly(st.sampled_from(["v1", "v2", "eps", "delta"]),
+               st.sampled_from(["v3", "sigma1", "zz", "", "v1^2", "v1^-1", "1"]))
+PRIMES = mostly(st.sampled_from(["2", "3"]), st.sampled_from(["0", "1", "-1", "4", "x"]))
+HEIGHTS = mostly(st.sampled_from(["1", "2", "3"]), st.sampled_from(["0", "-1", "x"]))
+CAPS = mostly(st.sampled_from(["0", "1", "2", "3"]), st.sampled_from(["-1", "x", ""]))
+
+
+@st.composite
+def windows(draw):
+    lo = draw(st.integers(-14, 10))
+    hi = lo + draw(st.integers(-2, 8))
+    return draw(mostly(
+        st.just(f"{lo}:{hi}"),
+        st.sampled_from(["", "3", "1:2:3", "a:b", ":", "-2:"]),
+    ))
+
+
+@st.composite
+def multidegrees(draw):
+    counts = mostly(st.sampled_from(["0", "1", "2"]), st.sampled_from(["-1", "x", "", " 1"]))
+    entries = draw(st.lists(st.tuples(NAMES, counts), max_size=3))
+    text = ",".join(f"{name}:{count}" if count else name for name, count in entries)
+    return draw(mostly(st.just(text), st.sampled_from(["0", "", ",", "v1:1,v1:1"])))
+
+
+@st.composite
+def elements(draw):
+    coeff = draw(mostly(st.sampled_from(["", "2 ", "-1/2 "]),
+                        st.sampled_from(["1/0 ", "0 ", "x "])))
+    factors = draw(st.lists(NAMES, max_size=3))
+    tail = draw(mostly(st.just(""), st.sampled_from([" + 1", " -", " ^", " * v1", ","])))
+    return coeff + " ".join(factors) + tail
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(
+        ["hh", "hkr-check", "obstruction", "matrix-dga", "quasi-iso",
+         "ore-check", "cone", "localize", "presets", "nope"]))
+    p, n = ["--p", draw(PRIMES)], ["--n", draw(HEIGHTS)]
+    preset = ["--preset", draw(PRESETS)]
+    table = ["--table", draw(st.sampled_from(["matrix-units", "zz"]))]
+    window = ["--window", draw(windows())]
+    cap = ["--cap", draw(CAPS)]
+    exponents = ["--exponents", draw(mostly(
+        st.sampled_from(["", "1", "4", "5", "4,1"]), st.sampled_from(["x", "1,,2", "-1"])))]
+    max_weight = ["--max-weight", draw(st.sampled_from(["-1", "0", "1", "2", "x"]))]
+    flags = {
+        "hh": [preset, ["--multidegree", draw(multidegrees())]],
+        "hkr-check": [preset, max_weight],
+        "obstruction": [p, n, exponents],
+        "matrix-dga": [p, n, window],
+        "quasi-iso": [p, n, window],
+        "ore-check": [draw(st.sampled_from([preset, table])), ["--s", draw(st.one_of(
+                          elements(), st.sampled_from(["e11", "e12,e22", "e11,"])))],
+                      window, cap],
+        "cone": [preset, ["--element", draw(elements())], window, cap],
+        "localize": [preset, ["--generator", draw(NAMES)]],
+        "presets": [p, n],
+        "nope": [],
+    }[command]
+    kept = [flag for flag in flags if draw(st.integers(0, 9))]  # each kept 9 in 10
+    return [command] + [token for flag in kept for token in flag]
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects malformed flags this way
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(cli_argv())
+def test_cli_fuzz_exits_0_1_or_2_without_traceback(argv):
+    code, out, err = run_captured(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in out + err, argv
+    if code == 2:
+        assert out == "" and err.strip(), argv
+    else:
+        json.loads(out)

@@ -1,5 +1,6 @@
 """The normalized cyclic bar complex in a fixed multidegree."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -291,3 +292,14 @@ def test_D_surjects_onto_one_forms_piece():
     target = v1**2 * kahler_d(eps)
     x = BarChain(pres, 1, {((2, 0), (0, 1)): Fraction(1)})
     assert D_map(x) == target
+
+
+def test_hh_ladder_a22_multidegree_8_1_matches_hkr_within_budget():
+    """The (8, 1) rung of the hh ladder: 686-column differentials."""
+    pres = a_q(ChromaticParams(2, 2))
+    m = multidegree_from_dict(pres, {"v1": 8, "eps": 1})
+    start = time.monotonic()
+    dims = hh_dims(pres, m)
+    elapsed = time.monotonic() - start
+    assert dims == hkr_predicted_dims(pres, m)
+    assert elapsed < 30, f"hh_dims on a:2:2 (8, 1) took {elapsed:.1f}s"

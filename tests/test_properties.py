@@ -1,8 +1,10 @@
-"""Property tests of the sign conventions on random small presentations.
+"""Property tests of the sign conventions and of the exact linear algebra.
 
 Presentations have two exterior generators and one polynomial generator,
 with up to one more of either parity; elements, bar chains and matrix-DGA elements are
-random multi-term combinations with small rational coefficients.
+random multi-term combinations with small rational coefficients.  Matrices
+are small and rational, with zero rows and columns, repeated rows, low rank
+and entries up to 10^6 in size.
 """
 
 from fractions import Fraction
@@ -16,6 +18,7 @@ from gradedhh.dg_complexes import (
     mdga_basis_labels,
     mdga_element,
 )
+from gradedhh.exact_linear import RationalMatrix, _rref, kernel_basis, rank
 from gradedhh.graded_algebra import Element, kahler_d, make_presentation, mono_degree
 from gradedhh.hochschild import BarChain, D_map, bar_basis, bar_window, hochschild_diff
 
@@ -178,3 +181,84 @@ def test_equal_combinations_hash_equal(data):
     for a, b in pairs:
         assert a == b
         assert hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# The integer rank kernel and the integer matrix product.
+
+ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    st.integers(-10**6, 10**6).map(Fraction),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+)
+
+
+def dense(draw, rows, cols):
+    return [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+
+
+def product(a, b, cols):
+    return [[sum((x * row[j] for x, row in zip(r, b)), Fraction(0)) for j in range(cols)]
+            for r in a]
+
+
+@st.composite
+def rational_matrices(draw, max_dim=7):
+    """Dense, or a product through at most 3 dimensions (so of low rank);
+    then scaled copies of some rows, a zero row and a zero column."""
+    rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    if draw(st.booleans()):
+        data = dense(draw, rows, cols)
+    else:
+        inner = draw(st.integers(0, 3))
+        data = product(dense(draw, rows, inner), dense(draw, inner, cols), cols)
+    if data:
+        for _ in range(draw(st.integers(0, 3))):
+            source = data[draw(st.integers(0, len(data) - 1))]
+            data.append([draw(ENTRIES) * x for x in source])
+    if draw(st.booleans()):
+        data.insert(draw(st.integers(0, len(data))), [Fraction(0)] * cols)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, cols))
+        data = [r[:at] + [Fraction(0)] + r[at:] for r in data]
+        cols += 1
+    data = draw(st.permutations(data))
+    return RationalMatrix.from_rows(data, cols=cols)
+
+
+def rows_of(m):
+    return [[m.entries.get((i, j), Fraction(0)) for j in range(m.cols)]
+            for i in range(m.rows)]
+
+
+@PROPERTY
+@given(rational_matrices())
+def test_rank_equals_gauss_jordan_pivot_count(m):
+    pivots, _ = _rref(m.row_dicts(), m.cols)
+    assert rank(m) == len(pivots)
+
+
+@PROPERTY
+@given(rational_matrices())
+def test_rank_is_invariant_under_transpose(m):
+    assert rank(m) == rank(m.transpose())
+
+
+@PROPERTY
+@given(st.data())
+def test_matmul_equals_entrywise_fraction_product(data):
+    a = data.draw(rational_matrices())
+    cols = data.draw(st.integers(0, 6))
+    b = RationalMatrix.from_rows(dense(data.draw, a.cols, cols), cols=cols)
+    ab = a.matmul(b)
+    assert rows_of(ab) == product(rows_of(a), rows_of(b), cols)
+    assert all(type(v) is Fraction and v for v in ab.entries.values())
+
+
+@PROPERTY
+@given(rational_matrices())
+def test_matmul_cancels_to_zero_against_the_kernel(m):
+    kernel = RationalMatrix.from_columns(kernel_basis(m), rows=m.cols)
+    zero = m.matmul(kernel)
+    assert zero.is_zero() and (zero.rows, zero.cols) == (m.rows, kernel.cols)
