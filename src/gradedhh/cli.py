@@ -209,6 +209,8 @@ def cmd_ore_check(args):
     if args.table is not None:
         if args.table != "matrix-units":
             raise ValueError(f"unknown built-in table {args.table!r}")
+        if args.window is not None or args.cap is not None:
+            raise ValueError("--window and --cap apply only with --preset")
         table = matrix_units_table()
         s_elements = [s.strip() for s in args.s.split(",")]
         source = {"table": args.table}

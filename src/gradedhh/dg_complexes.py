@@ -28,13 +28,27 @@ with no v_n in a or b form a genuinely graded-commutative sub-DG-algebra
 with zero differential whose inclusion is a quasi-isomorphism; its basis
 realizes Q[v_1, ..., v_{n-1}] (diagonal classes) together with an exterior
 class eps (the strictly upper classes) one degree above -2p^n.
+
+The product and the differential are generators of (label, coefficient)
+pairs, _product_pairs and _diff_pairs; the element product and dga_diff are
+their linear extensions, and the exhaustive pair checks (the derivation law
+and the closure and commutativity of Z) run on flat (slot, mono) terms
+through them, building no element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .exact_linear import QCombination, RationalMatrix, in_span, kernel_basis, rank
+from .exact_linear import (
+    QCombination,
+    RationalMatrix,
+    combine,
+    in_span,
+    kernel_basis,
+    rank,
+)
 from .graded_algebra import (
     Element,
     Presentation,
@@ -378,20 +392,27 @@ class MatrixDGAElement(QCombination):
         if not isinstance(other, MatrixDGAElement):
             return super().__mul__(other)
         self._require_same(other)
-        pres = self.dga.pres
-        return self._new((
-            ((slot, hit[1]), hit[0] * ca * cb)
-            for (s, ma), ca in self.terms.items()
-            for (t, mb), cb in other.terms.items()
-            if (slot := _PRODUCT_SLOT.get((s, t)))
-            and (hit := koszul_mul(pres, ma, mb)) is not None
-        ), k=self.k + other.k)
+        return self._new(
+            _product_pairs(self.dga.pres, self.terms.items(), other.terms.items()),
+            k=self.k + other.k,
+        )
 
     def __repr__(self):
         return (
             f"MatrixDGAElement(k={self.k}, [[{self.a}, {self.b}], "
             f"[{self.c}, {self.d}]])"
         )
+
+
+def _product_pairs(pres: Presentation, left, right):
+    """(label, coefficient) pairs of the product of two matrices given as
+    ((slot, mono), coefficient) pairs."""
+    right = tuple(right)
+    for (s, ma), ca in left:
+        for (t, mb), cb in right:
+            slot = _PRODUCT_SLOT.get((s, t))
+            if slot and (hit := koszul_mul(pres, ma, mb)) is not None:
+                yield (slot, hit[1]), hit[0] * ca * cb
 
 
 def _diff_pairs(dga: MatrixDGA, k: int, terms):
@@ -502,14 +523,21 @@ def cycles_subalgebra(dga: MatrixDGA, window):
     ]
 
 
+def _vn_free_cycle_shape(dga: MatrixDGA, k: int, terms: dict) -> bool:
+    """Do the {(slot, mono): coefficient} terms of a degree-k matrix have the
+    shape [[a, b], [0, (-1)^k a]] with v_n-free a and b?"""
+    sign = 1 if k % 2 == 0 else -1
+    return all(
+        slot == "b" and _vn_free(dga, mono)
+        or slot == "a" and _vn_free(dga, mono) and terms.get(("d", mono)) == sign * c
+        or slot == "d" and terms.get(("a", mono)) == sign * c
+        for (slot, mono), c in terms.items()
+    )
+
+
 def is_vn_free_cycle_shape(el: MatrixDGAElement) -> bool:
     """Does el look like [[a, b], [0, (-1)^k a]] with v_n-free a and b?"""
-    sign = 1 if el.k % 2 == 0 else -1
-    return (
-        el.c.is_zero()
-        and el.d == el.a * sign
-        and all(_vn_free(el.dga, m) for slot, m in el.terms if slot in ("a", "b"))
-    )
+    return _vn_free_cycle_shape(el.dga, el.k, el.terms)
 
 
 @dataclass
@@ -586,25 +614,36 @@ def build_cycles_window(dga: MatrixDGA, window, amb: ChainWindow | None = None):
 def commutative_model_check(p: int, n: int, window) -> dict:
     """Closure, commutativity, and quasi-isomorphism of Z inside the DGA."""
     dga = matrix_dga(p, n)
-    triples = cycles_subalgebra(dga, window)
-    closed = True
-    commutative = True
-    for _, _, f in triples:
-        for _, _, g in triples:
-            prod = f * g
-            if not (is_vn_free_cycle_shape(prod) and dga_diff(prod).is_zero()):
-                closed = False
-            sign = -1 if (f.k % 2) and (g.k % 2) else 1
-            if not (prod - sign * (g * f)).is_zero():
-                commutative = False
+    pres = dga.pres
+    lo, hi = window
     amb = build_mdga_window(dga, window)
     sub, inclusion = build_cycles_window(dga, window, amb)
+    cycles = [
+        (k, tuple(_cycle_terms(k, label).items()))
+        for k in range(lo, hi + 1)
+        for label in sub.basis[k]
+    ]
+    closed = True
+    commutative = True
+    for kf, f in cycles:
+        for kg, g in cycles:
+            k = kf + kg
+            prod = combine(_product_pairs(pres, f, g))
+            if not (_vn_free_cycle_shape(dga, k, prod)
+                    and not combine(_diff_pairs(dga, k, prod.items()))):
+                closed = False
+            sign = 1 if kf % 2 and kg % 2 else -1  # -(-1)^{|f||g|}
+            if combine(chain(
+                prod.items(),
+                ((label, sign * c) for label, c in _product_pairs(pres, g, f)),
+            )):
+                commutative = False
     report = quasi_iso_check(sub, amb, inclusion, window)
     return {
         "p": p,
         "n": n,
         "window": list(window),
-        "subalgebra_size": len(triples),
+        "subalgebra_size": len(cycles),
         "closed_under_product": closed,
         "graded_commutative": commutative,
         "chain_map": report.chain_map,
@@ -617,22 +656,30 @@ def commutative_model_check(p: int, n: int, window) -> dict:
 
 
 def dga_structure_check(p: int, n: int, window) -> dict:
-    """d compose d = 0 and the derivation law, exhaustively over the window."""
+    """d compose d = 0 and the derivation law, exhaustively over the window.
+
+    Every basis element f of the window is one (slot, mono) term; its
+    differential df is computed once.  For every ordered pair (f, g) the
+    pairs of d(fg) - d(f)g - (-1)^|f| f d(g) are summed by one combine.
+    """
     dga = matrix_dga(p, n)
+    pres = dga.pres
     lo, hi = window
     elements = []
     for k in range(lo, hi + 1):
-        for slot, mono in mdga_basis_labels(dga, k):
-            elements.append(mdga_element(dga, k, slot, mono))
-    d_squared = all(dga_diff(dga_diff(f)).is_zero() for f in elements)
+        for label in mdga_basis_labels(dga, k):
+            f = ((label, 1),)
+            elements.append((k, f, tuple(_diff_pairs(dga, k, f))))
+    d_squared = all(not combine(_diff_pairs(dga, k - 1, df)) for k, _, df in elements)
     derivation = True
-    for f in elements:
-        sign = 1 if f.k % 2 == 0 else -1
-        df = dga_diff(f)
-        for g in elements:
-            lhs = dga_diff(f * g)
-            rhs = df * g + sign * (f * dga_diff(g))
-            if not (lhs - rhs).is_zero():
+    for kf, f, df in elements:
+        sign = -1 if kf % 2 == 0 else 1  # -(-1)^|f|
+        for kg, g, dg in elements:
+            if combine(chain(
+                _diff_pairs(dga, kf + kg, _product_pairs(pres, f, g)),
+                ((label, -c) for label, c in _product_pairs(pres, df, g)),
+                ((label, sign * c) for label, c in _product_pairs(pres, f, dg)),
+            )):
                 derivation = False
     return {
         "p": p,

@@ -263,22 +263,27 @@ _TERM_TOKEN = re.compile(
 
 
 def element_from_string(pres: Presentation, text: str) -> Element:
-    """Parse "4 v1^3 eps - 1/2 v2" style input (also accepts '*' separators)."""
+    """Parse "4 v1^3 eps - 1/2 v2" style input (also accepts '*' separators).
+
+    A sign must be followed by a term: "v2 +", "-" and "v1 - - v2" raise.
+    """
     pos = 0
     terms = {}
-    sign = 1
+    sign = None  # sign of the term being read; None until a sign is read
     coeff = None
     mono = None
 
     def flush():
         nonlocal sign, coeff, mono
         if coeff is None and mono is None:
+            if sign is not None:
+                raise ValueError(f"a sign must be followed by a term in {text!r}")
             return
         m = tuple(mono) if mono is not None else mono_one(pres)
         c = Fraction(coeff) if coeff is not None else Fraction(1)
         _check_mono(pres, m)
-        terms[m] = terms.get(m, Fraction(0)) + sign * c
-        sign, coeff, mono = 1, None, None
+        terms[m] = terms.get(m, Fraction(0)) + (sign or 1) * c
+        sign, coeff, mono = None, None, None
 
     while pos < len(text):
         m = _TERM_TOKEN.match(text, pos)

@@ -205,12 +205,29 @@ def test_output_is_deterministic(capsys):
     ("localize", "--preset", "bp:2:2", "--generator", "zz"),
     ("cone", "--preset", "bp:2:2", "--element", "1/0", "--window", "0:4"),
     ("ore-check", "--preset", "bp:2:2", "--s", "1/0", "--window", "0:4"),
+    ("cone", "--preset", "bp:2:2", "--element", "v2 +", "--window", "0:4"),
+    ("cone", "--preset", "bp:2:2", "--element", "+", "--window", "0:4"),
+    ("cone", "--preset", "bp:2:2", "--element", "-", "--window", "0:4"),
+    ("cone", "--preset", "bp:2:2", "--element", "v1 - - v2", "--window", "0:4"),
 ])
 def test_malformed_input_is_one_line_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra", [
+    ("--window", "1:2:3", "--cap", "5"),
+    ("--window", "0:4"),
+    ("--cap", "2"),
+])
+def test_ore_check_table_rejects_window_and_cap(capsys, extra):
+    code, out, err = run_cli(capsys, "ore-check", "--table", "matrix-units",
+                             "--s", "e11", *extra)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --window and --cap apply only with --preset\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Chain windows, cones, and the two-by-two matrix DG algebra."""
 
+import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,7 +33,7 @@ from gradedhh.dg_complexes import (
     quasi_iso_check,
 )
 import gradedhh.dg_complexes as dg_complexes
-from gradedhh.cli import parse_preset
+from gradedhh.cli import main as cli_main, parse_preset
 from gradedhh.exact_linear import RationalMatrix, rank
 from gradedhh.graded_algebra import (
     Element,
@@ -322,6 +324,161 @@ def test_dga_structure_check_reports():
     assert report["derivation_law"]
     assert report["basis_size"] > 0
     assert report["pairs_checked"] == report["basis_size"] ** 2
+
+
+# -- matrix DGA: the flat pair checks against element-level references ---------------
+
+
+def _reference_structure_check(p, n, window):
+    """dga_structure_check with every product and differential an element."""
+    dga = matrix_dga(p, n)
+    lo, hi = window
+    elements = [mdga_element(dga, k, slot, mono)
+                for k in range(lo, hi + 1) for slot, mono in mdga_basis_labels(dga, k)]
+    derivation = True
+    for f in elements:
+        sign = 1 if f.k % 2 == 0 else -1
+        for g in elements:
+            rhs = dga_diff(f) * g + sign * (f * dga_diff(g))
+            if not (dga_diff(f * g) - rhs).is_zero():
+                derivation = False
+    return {
+        "p": p,
+        "n": n,
+        "window": list(window),
+        "basis_size": len(elements),
+        "pairs_checked": len(elements) ** 2,
+        "d_squared_zero": all(dga_diff(dga_diff(f)).is_zero() for f in elements),
+        "derivation_law": derivation,
+    }
+
+
+def _reference_cycle_shape(el):
+    sign = 1 if el.k % 2 == 0 else -1
+    return (
+        el.c.is_zero()
+        and el.d == el.a * sign
+        and all(m[el.dga.n - 1] == 0 for slot, m in el.terms if slot in ("a", "b"))
+    )
+
+
+def _reference_commutative_model_check(p, n, window):
+    """commutative_model_check with every product and differential an element."""
+    dga = matrix_dga(p, n)
+    triples = cycles_subalgebra(dga, window)
+    closed = commutative = True
+    for _, _, f in triples:
+        for _, _, g in triples:
+            prod = f * g
+            if not (_reference_cycle_shape(prod) and dga_diff(prod).is_zero()):
+                closed = False
+            sign = -1 if (f.k % 2) and (g.k % 2) else 1
+            if not (prod - sign * (g * f)).is_zero():
+                commutative = False
+    amb = build_mdga_window(dga, window)
+    sub, inclusion = build_cycles_window(dga, window, amb)
+    report = quasi_iso_check(sub, amb, inclusion, window)
+    return {
+        "p": p,
+        "n": n,
+        "window": list(window),
+        "subalgebra_size": len(triples),
+        "closed_under_product": closed,
+        "graded_commutative": commutative,
+        "chain_map": report.chain_map,
+        "quasi_iso_per_degree": {
+            str(t): v["iso"] for t, v in sorted(report.per_degree.items())
+        },
+        "all_ok": closed and commutative and report.all_iso,
+        "per_degree": report.per_degree,
+    }
+
+
+FLAT_CHECK_CASES = [
+    (2, 1, (-8, 4)), (2, 2, (-20, 10)), (3, 2, (-40, 20)), (2, 3, (-30, 10)),
+]
+
+
+@pytest.mark.parametrize("p, n, window", FLAT_CHECK_CASES)
+def test_flat_pair_checks_match_element_references(p, n, window):
+    assert dga_structure_check(p, n, window) == _reference_structure_check(p, n, window)
+    assert (commutative_model_check(p, n, window)
+            == _reference_commutative_model_check(p, n, window))
+
+
+def test_vn_free_cycle_shape_matches_element_reference():
+    # every one- and two-term matrix over the degree pieces, with both relative
+    # signs: [[a, 0], [0, +-a]] pairs, stray c terms, terms containing v_n
+    dga = matrix_dga(2, 2)
+    seen = set()
+    for k in range(-9, 9):
+        labels = mdga_basis_labels(dga, k)
+        combos = [{x: 1} for x in labels] + [
+            {x: 1, y: sign} for i, x in enumerate(labels) for y in labels[i + 1:]
+            for sign in (1, -1)
+        ]
+        for terms in combos:
+            el = MatrixDGAElement.from_terms(dga, k, terms)
+            seen.add(is_vn_free_cycle_shape(el))
+            assert is_vn_free_cycle_shape(el) == _reference_cycle_shape(el), (k, terms)
+    assert seen == {True, False}
+
+
+# Each broken rule keeps the window's basis; the pair check must notice.
+BROKEN_DIFF_RULES = {
+    "c loses its right term": {"c": (("a", True),)},
+    "a multiplies from the left": {"a": (("b", True),)},
+    "a and d are cycles": {"a": (), "d": ()},
+}
+
+
+@pytest.mark.parametrize("broken", BROKEN_DIFF_RULES.values(), ids=BROKEN_DIFF_RULES)
+def test_broken_differential_fails_the_derivation_law(monkeypatch, broken):
+    for slot, rule in broken.items():
+        monkeypatch.setitem(dg_complexes._DIFF_RULE, slot, rule)
+    report = dga_structure_check(2, 2, (-12, 8))
+    assert report["derivation_law"] is False
+    assert report["pairs_checked"] == report["basis_size"] ** 2
+
+
+def test_broken_differential_with_zero_square_makes_matrix_dga_exit_one(
+        monkeypatch, capsys):
+    monkeypatch.setitem(dg_complexes._DIFF_RULE, "a", ())
+    monkeypatch.setitem(dg_complexes._DIFF_RULE, "d", ())
+    code = cli_main(["matrix-dga", "--p", "2", "--n", "2", "--window", "-12:8"])
+    structure = json.loads(capsys.readouterr().out)["structure"]
+    assert code == 1
+    assert structure["d_squared_zero"] is True
+    assert structure["derivation_law"] is False
+
+
+def test_broken_product_fails_closure(monkeypatch):
+    monkeypatch.setitem(dg_complexes._PRODUCT_SLOT, ("d", "d"), "c")
+    report = commutative_model_check(2, 2, (-12, 8))
+    assert report["closed_under_product"] is False
+    assert report["all_ok"] is False
+
+
+def test_broken_product_fails_commutativity(monkeypatch):
+    monkeypatch.delitem(dg_complexes._PRODUCT_SLOT, ("b", "d"))
+    report = commutative_model_check(2, 2, (-12, 8))
+    assert report["graded_commutative"] is False
+    assert report["all_ok"] is False
+
+
+def test_matrix_dga_ladder_p2_n2_window_80_40_within_budget(capsys):
+    """The -80:40 rung of the matrix-dga ladder: 333 basis elements."""
+    start = time.monotonic()
+    code = cli_main(["matrix-dga", "--p", "2", "--n", "2", "--window", "-80:40"])
+    elapsed = time.monotonic() - start
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["structure"]["basis_size"] == 333
+    assert doc["structure"]["pairs_checked"] == 333 ** 2
+    assert doc["structure"]["d_squared_zero"] is True
+    assert doc["structure"]["derivation_law"] is True
+    assert doc["homology"]["dims_match"] is True
+    assert elapsed < 6, f"matrix-dga (2, 2) -80:40 took {elapsed:.1f}s"
 
 
 # -- matrix DGA: homology ------------------------------------------------------------

@@ -135,6 +135,16 @@ def test_element_from_string_rejects_unknown_generator():
         element_from_string(poly_ring(), "3 w")
 
 
+def test_element_from_string_sign_needs_a_term():
+    pres = poly_ring()
+    v1, v2 = Element.gen(pres, "v1"), Element.gen(pres, "v2")
+    assert element_from_string(pres, "- v1 + 2 * v2") == 2 * v2 - v1
+    assert element_from_string(pres, "") == Element.zero(pres)
+    for text in ["v2 +", "+", "-", "v1 - - v2", "v1 + * -2"]:
+        with pytest.raises(ValueError, match="sign must be followed by a term"):
+            element_from_string(pres, text)
+
+
 # -- Koszul sign properties (exhaustive over small monomial windows) -----------
 
 
