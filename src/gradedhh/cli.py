@@ -4,7 +4,7 @@ Every subcommand prints one JSON document to stdout (and to --out FILE when
 given) with byte-identical output across runs.  Exit codes: 0 when the
 requested computation verifies (or is a plain computation), 1 when a
 mathematical check is falsified, 2 for usage errors (unknown commands or
-presets, malformed flags, violated preconditions).
+presets, malformed flags, violated preconditions, an unwritable --out FILE).
 """
 
 from __future__ import annotations
@@ -83,12 +83,24 @@ def _dims_json(dims: dict) -> dict:
     return {str(k): dims[k] for k in sorted(dims)}
 
 
+def _parse_element(pres, text: str, flag: str):
+    """element_from_string, but empty text is a usage error here: the library
+    reads it as the zero element."""
+    if not text.strip():
+        raise ValueError(f"empty element in {flag}")
+    return element_from_string(pres, text)
+
+
 def _emit(obj, out_path=None) -> None:
+    """Write --out FILE first, so that an unwritable FILE leaves stdout empty."""
     text = json.dumps(obj, indent=2) + "\n"
-    sys.stdout.write(text)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out file: {exc}") from None
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +234,7 @@ def cmd_ore_check(args):
         table = table_from_presentation(pres, window, caps=args.cap)
         s_elements = []
         for chunk in args.s.split(","):
-            el = element_from_string(pres, chunk.strip())
+            el = _parse_element(pres, chunk.strip(), "--s")
             combo = {}
             for mono, coeff in el.terms.items():
                 combo[graded_algebra.mono_str(pres, mono)] = coeff
@@ -238,7 +250,7 @@ def cmd_ore_check(args):
 def cmd_cone(args):
     pres = parse_preset(args.preset)
     window = _parse_window(args.window)
-    r = element_from_string(pres, args.element)
+    r = _parse_element(pres, args.element, "--element")
     report = dg_complexes.cone_report(pres, r, window, caps=args.cap)
     obj = {
         "preset": args.preset,
@@ -356,10 +368,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_negative_values(argv))
     try:
         obj, code = args.handler(args)
+        _emit(obj, args.out)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    _emit(obj, args.out)
     return code
 
 

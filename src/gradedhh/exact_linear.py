@@ -3,11 +3,13 @@
 Every homology computation in this package reduces to three questions about
 a matrix with rational entries: its rank, a basis of its kernel, and whether
 a vector lies in its column span (with an explicit coefficient witness).
-Ranks use forward-only, fraction-free elimination on integer rows (each row
-scaled by the lcm of its denominators) with a sparsity-aware pivot choice;
-kernels and span witnesses use fraction-exact Gauss-Jordan elimination
-(_rref).  Matrix products run over the integers the same way.  There is
-deliberately no floating point anywhere in this package.
+All three come from one forward-only, fraction-free elimination on integer
+rows (each row scaled by the lcm of its denominators) with a sparsity-aware
+pivot choice (_echelon): the rank counts its pivots, and kernel vectors and
+span witnesses are back-substituted over its pivot rows, then certified
+exactly (m k == 0, m x == v) before they are returned.  Matrix products
+run over the integers the same way.  There is deliberately no floating
+point anywhere in this package.
 
 Matrices are stored sparsely as {(row, col): Fraction}.  Elimination works
 on per-row {col: value} dicts; the differentials the other modules produce
@@ -260,64 +262,28 @@ class SpanResult(NamedTuple):
     coefficients: list | None
 
 
-def _rref(row_dicts, ncols):
-    """Gauss-Jordan on sparse rows.  Returns (pivot column list, reduced rows).
-
-    reduced[k] has a 1 in column pivots[k] and zeros in every other pivot
-    column; pivot order is ascending by column.
-    """
-    work = [dict(r) for r in row_dicts if r]
-    pivots = []
-    reduced = []
-    for col in range(ncols):
-        pivot_row = None
-        for idx, r in enumerate(work):
-            if r.get(col):
-                pivot_row = idx
-                break
-        if pivot_row is None:
-            continue
-        row = work.pop(pivot_row)
-        inv = Fraction(1) / row[col]
-        row = {c: v * inv for c, v in row.items()}
-        for group in (work, reduced):
-            for r in group:
-                f = r.get(col)
-                if not f:
-                    continue
-                for c, v in row.items():
-                    nv = r.get(c, Fraction(0)) - f * v
-                    if nv:
-                        r[c] = nv
-                    else:
-                        r.pop(c, None)
-        work = [r for r in work if r]
-        reduced.append(row)
-        pivots.append(col)
-        if not work:
-            break
-    order = sorted(range(len(pivots)), key=lambda k: pivots[k])
-    return [pivots[k] for k in order], [reduced[k] for k in order]
-
-
 def _integer_row(row: dict):
     """(s, s * row) for s the lcm of the denominators of a nonzero row."""
     scale = lcm(*(v.denominator for v in row.values()))
     return scale, {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
 
 
-def rank(m: RationalMatrix) -> int:
-    """Rank by forward-only, fraction-free elimination on integer rows.
+def _echelon(row_dicts, ncols):
+    """Forward-only, fraction-free elimination; yields (pivot column, pivot row).
 
     Each row is scaled to integers, an invertible row operation, so the row
-    space and the rank are unchanged.  A row r with entry f in the pivot
-    column becomes (p/g) r - (f/g) P, g = gcd(p, f), for the pivot row P
-    with pivot p, and is then divided by the gcd of its entries, so entries
-    stay small.  The pivot is sparsity-aware (Markowitz): the shortest live
-    row, and in it the column that the fewest live rows share, read off a
-    column -> rows index that also names the rows to eliminate.
+    space is unchanged.  A row r with entry f in the pivot column becomes
+    (p/g) r - (f/g) P, g = gcd(p, f), for the pivot row P with pivot p, and
+    is then divided by the gcd of its entries, so entries stay small.  The
+    pivot is sparsity-aware (Markowitz): the shortest live row, and in it the
+    column that the fewest live rows share, read off a column -> rows index
+    that also names the rows to eliminate.  Column ncols, when present (the
+    augmented column of in_span), pivots only in a row with no other entry.
+
+    A yielded row has no entry in any earlier pivot column, so the pivot rows
+    are an echelon form that back-substitution solves last pivot first.
     """
-    rows = {i: _integer_row(r)[1] for i, r in enumerate(m.row_dicts()) if r}
+    rows = {i: _integer_row(r)[1] for i, r in enumerate(row_dicts) if r}
     where = {}
     for i, r in rows.items():
         for c in r:
@@ -329,14 +295,14 @@ def rank(m: RationalMatrix) -> int:
         if not live:
             del where[c]
 
-    found = 0
     while rows:
         _, pid = min(zip(map(len, rows.values()), rows))
-        _, col = min((len(where[c]), c) for c in rows[pid])
+        _, col = min(((len(where[c]), c) for c in rows[pid] if c != ncols),
+                     default=(0, ncols))
         prow = rows.pop(pid)
         for c in prow:
             drop(c, pid)
-        found += 1
+        yield col, prow
         p = prow[col]
         for i in list(where.get(col, ())):
             row = rows[i]
@@ -362,41 +328,56 @@ def rank(m: RationalMatrix) -> int:
             if content != 1:
                 for c in row:
                     row[c] //= content
-    return found
+
+
+def _back_substitute(pivots, ncols, x):
+    """Extend x ({column: Fraction}, absent entries 0) so that every pivot row
+    r of _echelon has sum_c r[c] x[c] == 0; return x[0 .. ncols - 1] dense."""
+    for col, row in reversed(pivots):
+        s = sum(v * x[c] for c, v in row.items() if c in x)
+        if s:
+            x[col] = Fraction(-s, row[col])
+    zero = Fraction(0)
+    return [x.get(c, zero) for c in range(ncols)]
+
+
+def rank(m: RationalMatrix) -> int:
+    """Rank: the number of pivots of _echelon; no pivot row is kept."""
+    return sum(1 for _ in _echelon(m.row_dicts(), m.cols))
 
 
 def kernel_basis(m: RationalMatrix):
-    """Basis of {x : m x = 0}, one vector per free column, ascending."""
-    pivots, reduced = _rref(m.row_dicts(), m.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * m.cols
-        vec[free] = Fraction(1)
-        for p, row in zip(pivots, reduced):
-            c = row.get(free)
-            if c:
-                vec[p] = -c
-        basis.append(vec)
+    """Basis of {x : m x = 0}, one vector per free column, ascending; the
+    vector of free column f is 1 at f and 0 at every other free column."""
+    pivots = list(_echelon(m.row_dicts(), m.cols))
+    pivot_cols = {col for col, _ in pivots}
+    basis = [_back_substitute(pivots, m.cols, {f: Fraction(1)})
+             for f in range(m.cols) if f not in pivot_cols]
+    if not m.matmul(RationalMatrix.from_columns(basis, rows=m.cols)).is_zero():
+        raise ArithmeticError("kernel certificate failed: m k != 0")
     return basis
 
 
 def in_span(m: RationalMatrix, v) -> SpanResult:
-    """Decide v in columnspace(m); on success return x with m x = v."""
+    """Decide v in columnspace(m); on success return x with m x = v.
+
+    Eliminates [m | -v]: v is in the span iff the augmented column never
+    pivots, and then (x, 1) solves the pivot rows with free entries 0.
+    """
     v = [Fraction(x) for x in v]
     if len(v) != m.rows:
         raise ValueError("vector length does not match row count")
-    aug = m.cols  # augmented column index
+    aug = m.cols
     rows = m.row_dicts()
     for i, value in enumerate(v):
         if value:
-            rows[i][aug] = value
-    pivots, reduced = _rref(rows, m.cols + 1)
-    if aug in pivots:
-        return SpanResult(False, None)
-    witness = [Fraction(0)] * m.cols
-    for p, row in zip(pivots, reduced):
-        witness[p] = row.get(aug, Fraction(0))
+            rows[i][aug] = -value
+    pivots = []
+    for col, row in _echelon(rows, aug):
+        if col == aug:
+            return SpanResult(False, None)
+        pivots.append((col, row))
+    witness = _back_substitute(pivots, m.cols, {aug: Fraction(1)})
+    if m.mul_vector(witness) != v:
+        raise ArithmeticError("in_span certificate failed: m x != v")
     return SpanResult(True, witness)

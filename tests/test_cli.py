@@ -190,6 +190,15 @@ def test_out_writes_identical_file(tmp_path, capsys):
     assert path.read_text() == out
 
 
+def test_unwritable_out_is_usage_error_with_empty_stdout(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "presets", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --out file") and err.count("\n") == 1
+    assert not path.exists()
+
+
 def test_output_is_deterministic(capsys):
     args = ("obstruction", "--p", "2", "--n", "2", "--exponents", "4")
     _, first, _ = run_cli(capsys, *args)
@@ -209,6 +218,11 @@ def test_output_is_deterministic(capsys):
     ("cone", "--preset", "bp:2:2", "--element", "+", "--window", "0:4"),
     ("cone", "--preset", "bp:2:2", "--element", "-", "--window", "0:4"),
     ("cone", "--preset", "bp:2:2", "--element", "v1 - - v2", "--window", "0:4"),
+    ("cone", "--preset", "bp:2:2", "--element", "", "--window", "0:4"),
+    ("cone", "--preset", "bp:2:2", "--element", " ", "--window", "0:4"),
+    ("ore-check", "--preset", "bp:2:2", "--s", "v2,", "--window", "0:8"),
+    ("ore-check", "--preset", "bp:2:2", "--s", "", "--window", "0:8"),
+    ("ore-check", "--table", "matrix-units", "--s", "e11,"),
 ])
 def test_malformed_input_is_one_line_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

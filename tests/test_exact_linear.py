@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gradedhh import exact_linear
 from gradedhh.exact_linear import (
     RationalMatrix,
     in_span,
@@ -77,6 +78,16 @@ def test_in_span_of_empty_matrix():
     assert not in_span(m, (Fraction(1), Fraction(0))).in_span
 
 
+def test_in_span_never_pivots_on_v_beside_a_column_of_m():
+    # The first pivot row is (1, 0 | -1): there v's column is shared by fewer
+    # rows than column 0, yet pivoting on it would put (1, 0, 0) outside the
+    # span of (1, 1, 1) and (0, 1, 1).
+    m = RationalMatrix.from_rows([[1, 0], [1, 1], [1, 1]])
+    result = in_span(m, (1, 0, 0))
+    assert result.in_span
+    assert m.mul_vector(result.coefficients) == [1, 0, 0]
+
+
 def test_matmul_and_transpose():
     a = RationalMatrix.from_rows([[1, 2], [3, 4]])
     b = RationalMatrix.from_rows([[0, 1], [1, 0]])
@@ -139,3 +150,14 @@ def test_every_image_vector_is_in_span():
         result = in_span(m, v)
         assert result.in_span
         assert m.mul_vector(result.coefficients) == v
+
+
+def test_a_wrong_back_substitution_fails_the_certificates(monkeypatch):
+    monkeypatch.setattr(exact_linear, "_back_substitute",
+                        lambda pivots, ncols, x: [Fraction(7)] * ncols)
+    m = RationalMatrix.from_rows([[1, 2], [2, 4]])
+    for call in (lambda: in_span(m, (Fraction(3), Fraction(6))),
+                 lambda: kernel_basis(m)):
+        with pytest.raises(ArithmeticError) as info:
+            call()
+        assert not isinstance(info.value, ValueError)

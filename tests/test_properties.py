@@ -18,7 +18,7 @@ from gradedhh.dg_complexes import (
     mdga_basis_labels,
     mdga_element,
 )
-from gradedhh.exact_linear import RationalMatrix, _rref, kernel_basis, rank
+from gradedhh.exact_linear import RationalMatrix, in_span, kernel_basis, rank
 from gradedhh.graded_algebra import Element, kahler_d, make_presentation, mono_degree
 from gradedhh.hochschild import BarChain, D_map, bar_basis, bar_window, hochschild_diff
 
@@ -227,6 +227,47 @@ def rational_matrices(draw, max_dim=7):
     return RationalMatrix.from_rows(data, cols=cols)
 
 
+def _rref(row_dicts, ncols):
+    """Gauss-Jordan on sparse rows, the reference the integer echelon is
+    checked against.  Returns (pivot column list, reduced rows).
+
+    reduced[k] has a 1 in column pivots[k] and zeros in every other pivot
+    column; pivot order is ascending by column.
+    """
+    work = [dict(r) for r in row_dicts if r]
+    pivots = []
+    reduced = []
+    for col in range(ncols):
+        pivot_row = None
+        for idx, r in enumerate(work):
+            if r.get(col):
+                pivot_row = idx
+                break
+        if pivot_row is None:
+            continue
+        row = work.pop(pivot_row)
+        inv = Fraction(1) / row[col]
+        row = {c: v * inv for c, v in row.items()}
+        for group in (work, reduced):
+            for r in group:
+                f = r.get(col)
+                if not f:
+                    continue
+                for c, v in row.items():
+                    nv = r.get(c, Fraction(0)) - f * v
+                    if nv:
+                        r[c] = nv
+                    else:
+                        r.pop(c, None)
+        work = [r for r in work if r]
+        reduced.append(row)
+        pivots.append(col)
+        if not work:
+            break
+    order = sorted(range(len(pivots)), key=lambda k: pivots[k])
+    return [pivots[k] for k in order], [reduced[k] for k in order]
+
+
 def rows_of(m):
     return [[m.entries.get((i, j), Fraction(0)) for j in range(m.cols)]
             for i in range(m.rows)]
@@ -262,3 +303,37 @@ def test_matmul_cancels_to_zero_against_the_kernel(m):
     kernel = RationalMatrix.from_columns(kernel_basis(m), rows=m.cols)
     zero = m.matmul(kernel)
     assert zero.is_zero() and (zero.rows, zero.cols) == (m.rows, kernel.cols)
+
+
+@PROPERTY
+@given(st.data())
+def test_in_span_agrees_with_rank_and_the_witness_reproduces_v(data):
+    m = data.draw(rational_matrices())
+    if m.cols and data.draw(st.booleans()):  # an image vector, so in the span
+        x = data.draw(st.lists(ENTRIES, min_size=m.cols, max_size=m.cols))
+        v = m.mul_vector(x)
+    else:  # arbitrary, in the span or out of it
+        v = data.draw(st.lists(ENTRIES, min_size=m.rows, max_size=m.rows))
+    augmented = m.hstack(RationalMatrix.from_columns([v], rows=m.rows))
+    result = in_span(m, v)
+    assert result.in_span == (rank(augmented) == rank(m))
+    if result.in_span:
+        assert len(result.coefficients) == m.cols
+        assert m.mul_vector(result.coefficients) == v
+    else:
+        assert result.coefficients is None
+
+
+@PROPERTY
+@given(rational_matrices())
+def test_kernel_basis_is_one_unit_vector_per_free_column(m):
+    basis = kernel_basis(m)
+    assert len(basis) == m.cols - rank(m)
+    last = -1
+    for i, k in enumerate(basis):
+        assert m.mul_vector(k) == [Fraction(0)] * m.rows
+        # Its free column: 1 here, 0 in every other vector; ascending.
+        free = [j for j in range(last + 1, m.cols) if k[j] == 1
+                and all(other[j] == 0 for o, other in enumerate(basis) if o != i)]
+        assert free, (m, basis)
+        last = free[0]
