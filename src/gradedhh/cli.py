@@ -237,7 +237,11 @@ def cmd_ore_check(args):
             el = _parse_element(pres, chunk.strip(), "--s")
             combo = {}
             for mono, coeff in el.terms.items():
-                combo[graded_algebra.mono_str(pres, mono)] = coeff
+                label = graded_algebra.mono_str(pres, mono)
+                if label not in table.degree:
+                    raise ValueError(f"--s term {label!r} lies outside the window "
+                                     "{}:{} or is cut off by --cap".format(*window))
+                combo[label] = coeff
             s_elements.append(combo)
         source = {"preset": args.preset, "window": list(window)}
     report = ore_check(table, s_elements)

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact_linear import QCombination, RationalMatrix, combine, in_span
+from .exact_linear import QCombination, RationalMatrix, combine, kernel_basis
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*")
 
@@ -830,6 +830,9 @@ def ore_check(table: MulTable, s_elements, max_closure: int = 64) -> OreReport:
                 continue
             cols.append(vec(prod))
         span = RationalMatrix.from_columns(cols, rows=len(table.labels))
+        # v lies in the span iff the span's left kernel annihilates it
+        annihilator = RationalMatrix.from_rows(kernel_basis(span.transpose()),
+                                               cols=len(table.labels))
         for x in table.labels:
             found = False
             unverifiable_t = False
@@ -838,7 +841,7 @@ def ore_check(table: MulTable, s_elements, max_closure: int = 64) -> OreReport:
                 if xt is None:
                     unverifiable_t = True
                     continue
-                if in_span(span, vec(xt)).in_span:
+                if not any(annihilator.mul_vector(vec(xt))):
                     found = True
                     break
             if found:

@@ -20,6 +20,10 @@ levels are bounded by |m|_1, and every tensor of multidegree m has the same
 internal degree <m, degrees>.  Without Laurent generators a product of
 non-units is a non-unit, so the normalized basis is closed under b.
 
+bar_basis enumerates all levels at once: a level-s tensor is (a_0,) + w,
+a_0 any part <= m (exterior exponents at most 1) and w a composition of
+m - a_0 into s non-unit parts, memoized on the remaining multidegree.
+
 A BarChain is a QCombination (the sparse vector type of exact_linear)
 labelled by tensors.  The faces of one basis tensor are produced by a
 single generator, _faces; hochschild_diff is its linear extension, and
@@ -35,6 +39,7 @@ Kahler differentials and kills boundaries from level 2.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -199,44 +204,29 @@ def bar_basis(pres: Presentation, m) -> dict:
     """
     _require_no_laurent(pres)
     m = check_multidegree(pres, m)
-    n = pres.ngens
-    odd = [pres.is_odd(i) for i in range(n)]
-    top = sum(m)
-    out = {}
-    for level in range(top + 1):
-        tensors = []
-        slots = level + 1
+    odd = [pres.is_odd(i) for i in range(pres.ngens)]
 
-        def candidates(remaining, bar_position):
-            ranges = [
-                range(0, min(remaining[i], 1 if odd[i] else remaining[i]) + 1)
-                for i in range(n)
-            ]
-            for e in itertools.product(*ranges):
-                if bar_position and not any(e):
-                    continue
-                yield e
+    def parts(rest):
+        """Exponent vectors a <= rest; exterior exponents at most 1."""
+        return itertools.product(
+            *(range(min(r, 1) + 1 if o else r + 1) for r, o in zip(rest, odd))
+        )
 
-        stack = []
+    @functools.cache
+    def words(rest):
+        """Tuples of non-unit parts whose exponents sum to rest."""
+        if not any(rest):
+            return [()]
+        return [(a,) + w for a in parts(rest) if any(a)
+                for w in words(tuple(r - x for r, x in zip(rest, a)))]
 
-        def recurse(pos, remaining):
-            if pos == slots - 1:
-                # the last slot takes everything still unassigned
-                e = remaining
-                if any(odd[i] and e[i] > 1 for i in range(n)):
-                    return
-                if pos >= 1 and not any(e):
-                    return
-                tensors.append(tuple(stack) + (e,))
-                return
-            for e in candidates(remaining, pos >= 1):
-                stack.append(e)
-                recurse(pos + 1, tuple(r - x for r, x in zip(remaining, e)))
-                stack.pop()
-
-        recurse(0, m)
+    out = {level: [] for level in range(sum(m) + 1)}
+    for a0 in parts(m):
+        for w in words(tuple(r - x for r, x in zip(m, a0))):
+            out[len(w)].append((a0,) + w)
+    words.cache_clear()  # words refers to itself, a cycle: free the cache now
+    for tensors in out.values():
         tensors.sort()
-        out[level] = tensors
     return out
 
 

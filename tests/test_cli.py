@@ -140,6 +140,20 @@ def test_ore_check_preset_satisfied(capsys):
     assert json.loads(out)["verdict"] == "satisfied"
 
 
+@pytest.mark.parametrize("argv, label, window", [
+    (("--preset", "a:2:2", "--s", "eps", "--window", "-3:3"), "eps", "-3:3"),
+    (("--preset", "bp:2:2", "--s", "v2", "--window", "0:12", "--cap", "0"),
+     "v2", "0:12"),
+])
+def test_ore_check_s_outside_the_table_names_window_and_cap(capsys, argv, label,
+                                                            window):
+    code, out, err = run_cli(capsys, "ore-check", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: --s term {label!r} lies outside the window {window} "
+                   "or is cut off by --cap\n")
+
+
 def test_ore_check_needs_exactly_one_source(capsys):
     code, _, err = run_cli(capsys, "ore-check", "--s", "e11")
     assert code == 2

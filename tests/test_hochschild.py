@@ -303,3 +303,16 @@ def test_hh_ladder_a22_multidegree_8_1_matches_hkr_within_budget():
     elapsed = time.monotonic() - start
     assert dims == hkr_predicted_dims(pres, m)
     assert elapsed < 30, f"hh_dims on a:2:2 (8, 1) took {elapsed:.1f}s"
+
+
+def test_bar_basis_a22_multidegree_12_1_level_sizes_within_budget():
+    """The (12, 1) rung of the hh ladder: 57,344 tensors over 14 levels."""
+    pres = a_q(ChromaticParams(2, 2))
+    m = multidegree_from_dict(pres, {"v1": 12, "eps": 1})
+    start = time.monotonic()
+    basis = bar_basis(pres, m)
+    elapsed = time.monotonic() - start
+    assert {s: len(tensors) for s, tensors in basis.items()} == dict(enumerate([
+        1, 25, 222, 1078, 3355, 7227, 11220, 12804, 10791, 6655, 2926, 870, 157, 13,
+    ]))
+    assert elapsed < 1, f"bar_basis on a:2:2 (12, 1) took {elapsed:.2f}s"

@@ -7,10 +7,13 @@ are small and rational, with zero rows and columns, repeated rows, low rank
 and entries up to 10^6 in size.
 """
 
+import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradedhh.chromatic_presets import ChromaticParams, a_q
 from gradedhh.dg_complexes import (
     MatrixDGAElement,
     dga_diff,
@@ -20,7 +23,14 @@ from gradedhh.dg_complexes import (
 )
 from gradedhh.exact_linear import RationalMatrix, in_span, kernel_basis, rank
 from gradedhh.graded_algebra import Element, kahler_d, make_presentation, mono_degree
-from gradedhh.hochschild import BarChain, D_map, bar_basis, bar_window, hochschild_diff
+from gradedhh.hochschild import (
+    BarChain,
+    D_map,
+    bar_basis,
+    bar_window,
+    hochschild_diff,
+    multidegrees_up_to,
+)
 
 PROPERTY = settings(max_examples=30, deadline=None, database=None)
 
@@ -130,6 +140,70 @@ def test_bar_window_columns_are_the_differential(data):
     assert window.diff[level].mul_vector(coeffs) == [
         image.terms.get(t, Fraction(0)) for t in target
     ]
+
+
+def _bar_basis_reference(pres, m):
+    """Level-by-level recursion over the slots, the reference the memoized
+    bar_basis is checked against: slot 0 takes any part, later slots a
+    non-unit part, and the last slot everything still unassigned."""
+    n = pres.ngens
+    odd = [pres.is_odd(i) for i in range(n)]
+    out = {}
+    for level in range(sum(m) + 1):
+        tensors = []
+        slots = level + 1
+
+        def candidates(remaining, bar_position):
+            ranges = [
+                range(0, min(remaining[i], 1 if odd[i] else remaining[i]) + 1)
+                for i in range(n)
+            ]
+            for e in itertools.product(*ranges):
+                if bar_position and not any(e):
+                    continue
+                yield e
+
+        stack = []
+
+        def recurse(pos, remaining):
+            if pos == slots - 1:
+                e = remaining
+                if any(odd[i] and e[i] > 1 for i in range(n)):
+                    return
+                if pos >= 1 and not any(e):
+                    return
+                tensors.append(tuple(stack) + (e,))
+                return
+            for e in candidates(remaining, pos >= 1):
+                stack.append(e)
+                recurse(pos + 1, tuple(r - x for r, x in zip(remaining, e)))
+                stack.pop()
+
+        recurse(0, tuple(m))
+        tensors.sort()
+        out[level] = tensors
+    return out
+
+
+@PROPERTY
+@given(st.data())
+def test_bar_basis_equals_the_level_by_level_reference(data):
+    degrees = data.draw(st.lists(st.integers(-5, 5), max_size=4))
+    pres = make_presentation([(f"g{i}", d) for i, d in enumerate(degrees)])
+    m = data.draw(st.tuples(*[st.integers(0, 6)] * pres.ngens).filter(
+        lambda m: sum(m) <= 6))
+    assert bar_basis(pres, m) == _bar_basis_reference(pres, m)
+
+
+@pytest.mark.parametrize("pres", [
+    make_presentation([("v", 2, False)]),
+    make_presentation([("y", 3, False)]),
+    a_q(ChromaticParams(2, 2)),
+    a_q(ChromaticParams(3, 2)),
+], ids=["one even", "one odd", "a:2:2", "a:3:2"])
+def test_bar_basis_equals_the_reference_on_the_acceptance_presets(pres):
+    for m in multidegrees_up_to(pres, 4):
+        assert bar_basis(pres, m) == _bar_basis_reference(pres, m), m
 
 
 MDGA_CASES = [(2, 1), (2, 2), (3, 1)]
@@ -317,6 +391,10 @@ def test_in_span_agrees_with_rank_and_the_witness_reproduces_v(data):
     augmented = m.hstack(RationalMatrix.from_columns([v], rows=m.rows))
     result = in_span(m, v)
     assert result.in_span == (rank(augmented) == rank(m))
+    # the membership rule ore_check relies on: the column span of m is the
+    # annihilator of the kernel of m^T
+    assert result.in_span == all(sum(a * b for a, b in zip(k, v)) == 0
+                                 for k in kernel_basis(m.transpose()))
     if result.in_span:
         assert len(result.coefficients) == m.cols
         assert m.mul_vector(result.coefficients) == v
