@@ -30,6 +30,7 @@ from .graded_algebra import (
     MulTable,
     OreReport,
     Presentation,
+    degree_pieces,
     element_from_string,
     kahler_d,
     koszul_mul,
@@ -108,8 +109,9 @@ __version__ = "0.1.0"
 __all__ = [
     "RationalMatrix", "SpanResult", "in_span", "kernel_basis", "rank",
     "Element", "KahlerElement", "MalformedTableError", "MulTable",
-    "OreReport", "Presentation", "element_from_string", "kahler_d",
-    "koszul_mul", "localize", "make_presentation", "matrix_units_table",
+    "OreReport", "Presentation", "degree_pieces", "element_from_string",
+    "kahler_d", "koszul_mul", "localize", "make_presentation",
+    "matrix_units_table",
     "mono_degree", "mono_str", "monomial_basis", "ore_check", "poly_str",
     "presentation_from_json", "presentation_to_json",
     "table_from_presentation",

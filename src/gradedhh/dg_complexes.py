@@ -8,9 +8,11 @@ is checked at construction in both layers.  Every differential and inclusion
 matrix in the package is built by one function, assemble: it indexes the
 target basis and writes the image of each source label as a column.
 
-Each question realizes one window and ranks each of its differentials at
-most once: ChainWindow.rank(t) eliminates diff[t] on first use and keeps
-the result, and homology_dims, quasi_iso_check and cone_report read it.
+Each question realizes one window.  Its bases come from one degree_pieces
+call, which enumerates the base ring's pieces over the hull of every
+shifted degree they read, and it ranks each differential at most once:
+ChainWindow.rank(t) eliminates diff[t] on first use and keeps the result,
+and homology_dims, quasi_iso_check and cone_report read it.
 cone_report takes homology, quotient dimensions and regularity (injectivity
 of r on every source degree the windowed homology depends on) off one cone.
 
@@ -53,18 +55,17 @@ from .graded_algebra import (
     Element,
     Presentation,
     _check_mono,
+    degree_pieces,
     koszul_mul,
     mono_degree,
     mono_one,
-    monomial_basis,
 )
 from .chromatic_presets import ChromaticParams, bp_q, eps_degree
 
 
 def degree_dims(pres: Presentation, window, caps=None) -> dict:
     """Dimension of each degree piece of the free algebra, over a window."""
-    lo, hi = window
-    return {t: len(monomial_basis(pres, t, caps)) for t in range(lo, hi + 1)}
+    return {t: len(piece) for t, piece in degree_pieces(pres, window, caps).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +193,9 @@ class GradedComplex:
         """Concrete bases and matrices on [lo-1, hi+1]; labels (term, mono)."""
         lo, hi = window
         degrees = range(lo - 1, hi + 2)
-        pieces = {
-            s: monomial_basis(self.pres, s, caps)
-            for s in sorted({t - shift for t in degrees for shift in self.shifts})
-        }
+        # the hull of every t - shift the bases below read
+        hull = (lo - 1 - max(self.shifts, default=0), hi + 1 - min(self.shifts, default=0))
+        pieces = degree_pieces(self.pres, hull, caps)
         basis = {
             t: [(i, mono) for i, shift in enumerate(self.shifts)
                 for mono in pieces[t - shift]]
@@ -435,13 +435,20 @@ def dga_diff(f: MatrixDGAElement) -> MatrixDGAElement:
     return f._new(_diff_pairs(f.dga, f.k, f.terms.items()), k=f.k - 1)
 
 
+def mdga_window_labels(dga: MatrixDGA, window) -> dict:
+    """{k: ordered (slot, monomial) labels of the degree-k piece} for every k
+    in window, from one enumeration of the base ring's pieces."""
+    lo, hi = window
+    pieces = degree_pieces(dga.pres, (lo - dga.offdiag, hi + dga.offdiag))
+    return {
+        k: [(slot, mono) for slot in _SLOTS for mono in pieces[dga.slot_degree(slot, k)]]
+        for k in range(lo, hi + 1)
+    }
+
+
 def mdga_basis_labels(dga: MatrixDGA, k: int):
     """Ordered (slot, monomial) labels of the degree-k piece."""
-    return [
-        (slot, mono)
-        for slot in _SLOTS
-        for mono in monomial_basis(dga.pres, dga.slot_degree(slot, k))
-    ]
+    return mdga_window_labels(dga, (k, k))[k]
 
 
 def mdga_element(dga: MatrixDGA, k: int, slot: str, mono, coeff=1) -> MatrixDGAElement:
@@ -451,7 +458,7 @@ def mdga_element(dga: MatrixDGA, k: int, slot: str, mono, coeff=1) -> MatrixDGAE
 def build_mdga_window(dga: MatrixDGA, window) -> ChainWindow:
     """Concrete complex of the matrix DGA on [lo-1, hi+1]."""
     lo, hi = window
-    basis = {k: mdga_basis_labels(dga, k) for k in range(lo - 1, hi + 2)}
+    basis = mdga_window_labels(dga, (lo - 1, hi + 1))
     diff = {
         k: assemble(
             basis[k], basis[k - 1], lambda label: _diff_pairs(dga, k, [(label, 1)])
@@ -515,11 +522,10 @@ def cycles_subalgebra(dga: MatrixDGA, window):
     differential.  Returns ordered (degree, label, element) triples with
     label ("diag", mono) or ("upper", mono).
     """
-    lo, hi = window
     return [
         (k, label, MatrixDGAElement.from_terms(dga, k, _cycle_terms(k, label)))
-        for k in range(lo, hi + 1)
-        for label in _cycle_labels(dga, mdga_basis_labels(dga, k))
+        for k, labels in mdga_window_labels(dga, window).items()
+        for label in _cycle_labels(dga, labels)
     ]
 
 
@@ -664,10 +670,9 @@ def dga_structure_check(p: int, n: int, window) -> dict:
     """
     dga = matrix_dga(p, n)
     pres = dga.pres
-    lo, hi = window
     elements = []
-    for k in range(lo, hi + 1):
-        for label in mdga_basis_labels(dga, k):
+    for k, labels in mdga_window_labels(dga, window).items():
+        for label in labels:
             f = ((label, 1),)
             elements.append((k, f, tuple(_diff_pairs(dga, k, f))))
     d_squared = all(not combine(_diff_pairs(dga, k - 1, df)) for k, _, df in elements)
@@ -711,12 +716,9 @@ def homology_ring_check(p: int, n: int, window) -> dict:
 
     product_pres = a_q(params)
     expected_product = degree_dims(product_pres, window)
-    lower = bp_q(ChromaticParams(p, n - 1))
-    e_deg = eps_degree(p, n)
-    expected_splitting = {
-        t: len(monomial_basis(lower, t)) + len(monomial_basis(lower, t - e_deg))
-        for t in range(lo, hi + 1)
-    }
+    e_deg = eps_degree(p, n)  # negative: t - e_deg runs up to hi - e_deg
+    lower = degree_dims(bp_q(ChromaticParams(p, n - 1)), (lo, hi - e_deg))
+    expected_splitting = {t: lower[t] + lower[t - e_deg] for t in range(lo, hi + 1)}
 
     eps = mdga_eps(dga)
     eps_cycle = dga_diff(eps).is_zero()

@@ -14,9 +14,11 @@ another flips the sign, so ab = (-1)^{|a||b|} ba for homogeneous a, b.
 
 The module also provides the universal derivation into Kahler differentials
 (d(ab) = a d(b) + (-1)^{|a||b|} b d(a), coefficients written on the left),
-deterministic monomial bases per degree, localization at an even generator,
-and a windowed semi-decision procedure for the right Ore condition on a
-finite multiplication table.
+deterministic monomial bases, localization at an even generator, and a
+windowed semi-decision procedure for the right Ore condition on a finite
+multiplication table.  Monomial bases come from one function,
+degree_pieces, which enumerates every degree piece of a window in one pass;
+each basis builder makes one such call per window.
 """
 
 from __future__ import annotations
@@ -316,11 +318,12 @@ def element_from_string(pres: Presentation, text: str) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# Monomial bases per degree.
+# Monomial bases: every degree piece of a window in one enumeration.
 
 
-def _resolve_ranges(pres: Presentation, degree: int, caps):
-    """Per-generator exponent ranges [lo, hi] for basis enumeration."""
+def _resolve_ranges(pres: Presentation, bound: int, caps):
+    """Per-generator exponent ranges [lo, hi] holding every monomial whose
+    degree t has |t| <= bound."""
     cap_map = {}
     if caps is None:
         pass
@@ -335,88 +338,69 @@ def _resolve_ranges(pres: Presentation, degree: int, caps):
                 raise ValueError(f"exponent cap for {name!r} must be a nonnegative integer")
             cap_map[name] = c
 
-    # Auto-derived caps are only sound when every degree piece is finite:
+    # Exterior, capped and laurent generators have fixed ranges.  Auto-derived
+    # ranges for the rest are only sound when every degree piece is finite:
     # no laurent generator without a cap, and the un-capped polynomial
     # generators all push degree strictly in one direction.
-    uncapped = [
-        i
-        for i in range(pres.ngens)
-        if not pres.is_odd(i) and pres.names[i] not in cap_map
-    ]
-    for i in uncapped:
-        if pres.laurent[i]:
-            raise ValueError(f"missing cap on laurent generator {pres.names[i]!r}")
-        if pres.degrees[i] == 0:
-            raise ValueError(f"cap required for degree-0 generator {pres.names[i]!r}")
-    signs = {1 if pres.degrees[i] > 0 else -1 for i in uncapped}
+    fixed = {}
+    for i, name in enumerate(pres.names):
+        if pres.is_odd(i):
+            fixed[i] = (0, min(1, cap_map.get(name, 1)))
+        elif name in cap_map:
+            c = cap_map[name]
+            fixed[i] = (-c, c) if pres.laurent[i] else (0, c)
+        elif pres.laurent[i]:
+            raise ValueError(f"missing cap on laurent generator {name!r}")
+        elif pres.degrees[i] == 0:
+            raise ValueError(f"cap required for degree-0 generator {name!r}")
+    signs = {1 if d > 0 else -1 for i, d in enumerate(pres.degrees) if i not in fixed}
     if len(signs) > 1:
         raise ValueError("caps required: generator degrees of mixed sign")
 
-    slack = abs(degree)
-    for i in range(pres.ngens):
-        name = pres.names[i]
-        if pres.is_odd(i) or name in cap_map:
-            bound = 1 if pres.is_odd(i) else cap_map[name]
-            if pres.is_odd(i) and name in cap_map:
-                bound = min(1, cap_map[name])
-            slack += bound * abs(pres.degrees[i])
-
-    ranges = []
-    for i in range(pres.ngens):
-        name = pres.names[i]
-        if pres.is_odd(i):
-            hi = min(1, cap_map.get(name, 1))
-            ranges.append((0, hi))
-        elif pres.laurent[i]:
-            c = cap_map[name]
-            ranges.append((-c, c))
-        elif name in cap_map:
-            ranges.append((0, cap_map[name]))
-        else:
-            ranges.append((0, slack // abs(pres.degrees[i])))
-    return ranges
+    slack = bound + sum(hi * abs(pres.degrees[i]) for i, (_, hi) in fixed.items())
+    return [
+        fixed.get(i) or (0, slack // abs(d)) for i, d in enumerate(pres.degrees)
+    ]
 
 
-def monomial_basis(pres: Presentation, degree: int, caps=None):
-    """All monomials of the given degree, leading (highest lex) first.
+def degree_pieces(pres: Presentation, window, caps=None) -> dict:
+    """{t: all monomials of degree t, leading (highest lex) first} for every
+    t in window = (lo, hi), from one enumeration.
+
+    Generators are placed last first: each suffix of exponents is extended
+    by every exponent of the next generator, and a partial degree is kept
+    only while the generators not yet placed can still bring it into
+    [lo, hi].  Exponents are tried in decreasing order over suffix lists
+    that are already sorted, so every piece comes out sorted.
 
     caps: None (auto-derived bounds where sound), an int applied to every
     generator, or a {name: cap} mapping.  Laurent generators always require
     an explicit cap: their degree pieces are infinite without one.
     """
-    ranges = _resolve_ranges(pres, degree, caps)
-    n = pres.ngens
-    # Suffix bounds on the achievable remaining degree, for pruning.
-    min_rem = [0] * (n + 1)
-    max_rem = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        lo, hi = ranges[i]
-        d = pres.degrees[i]
-        contrib = (lo * d, hi * d)
-        min_rem[i] = min_rem[i + 1] + min(contrib)
-        max_rem[i] = max_rem[i + 1] + max(contrib)
+    lo, hi = window
+    ranges = _resolve_ranges(pres, max(abs(lo), abs(hi)), caps)
+    # reach[i]: least and greatest degree the generators before i can add
+    reach = [(0, 0)]
+    for (a, b), d in zip(ranges, pres.degrees):
+        least, most = reach[-1]
+        reach.append((least + min(a * d, b * d), most + max(a * d, b * d)))
+    pieces = {0: [()]}
+    for i in reversed(range(pres.ngens)):
+        (a, b), d = ranges[i], pres.degrees[i]
+        least, most = reach[i]
+        grown = {}
+        for e in range(b, a - 1, -1):
+            for s, suffixes in pieces.items():
+                t = s + e * d
+                if lo - most <= t <= hi - least:
+                    grown.setdefault(t, []).extend((e,) + m for m in suffixes)
+        pieces = grown
+    return {t: pieces.get(t, []) for t in range(lo, hi + 1)}
 
-    out = []
-    stack = [0] * n
 
-    def recurse(i, remaining):
-        if i == n:
-            if remaining == 0:
-                out.append(tuple(stack))
-            return
-        lo, hi = ranges[i]
-        d = pres.degrees[i]
-        for e in range(lo, hi + 1):
-            r2 = remaining - e * d
-            if not (min_rem[i + 1] <= r2 <= max_rem[i + 1]):
-                continue
-            stack[i] = e
-            recurse(i + 1, r2)
-        stack[i] = 0
-
-    recurse(0, degree)
-    out.sort(reverse=True)
-    return out
+def monomial_basis(pres: Presentation, degree: int, caps=None):
+    """All monomials of the given degree, leading (highest lex) first."""
+    return degree_pieces(pres, (degree, degree), caps)[degree]
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +601,7 @@ def table_from_presentation(
     lo, hi = window
     if lo > hi:
         raise ValueError("empty degree window")
-    monos = []
-    for t in range(lo, hi + 1):
-        monos.extend(monomial_basis(pres, t, caps))
+    monos = [m for piece in degree_pieces(pres, window, caps).values() for m in piece]
     labels = tuple(mono_str(pres, m) for m in monos)
     if len(set(labels)) != len(labels):
         raise ValueError("label collision in table construction")
@@ -700,7 +682,11 @@ class OreReport:
 
 
 def _canon(combo):
-    return tuple(sorted(combo.items()))
+    """Key of combo up to a nonzero scalar: combo divided by the coefficient
+    of its smallest label.  Scaling t or s by a unit changes neither Ore
+    condition, so the closure of S keeps one multiple of each element."""
+    lead = combo[min(combo)] if combo else 1
+    return tuple(sorted((label, Fraction(c) / lead) for label, c in combo.items()))
 
 
 def _combo_degree(table, combo):
@@ -729,7 +715,7 @@ def ore_check(table: MulTable, s_elements, max_closure: int = 64) -> OreReport:
     Condition (1): for all x in the ring and s in S there exist t in S and
     y with x t = s y.  Condition (2): s x = 0 implies x t = 0 for some t in
     S.  S is the multiplicative closure of the given homogeneous elements,
-    truncated to the window.  Witness searches are complete only when the
+    up to nonzero scalars and truncated to the window.  Witness searches are complete only when the
     table is degreewise complete, so "violated" is reported only then; a
     ring whose reported products all commute satisfies both conditions with
     t = s, y = x, which yields "satisfied".  So does a graded-commutative

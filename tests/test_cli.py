@@ -140,6 +140,21 @@ def test_ore_check_preset_satisfied(capsys):
     assert json.loads(out)["verdict"] == "satisfied"
 
 
+@pytest.mark.parametrize("s, closure, truncated", [
+    ("2", ["1"], False),
+    ("2 v1,v1", ["1", "2 v1", "4 v1^2", "8 v1^3", "16 v1^4"], True),
+])
+def test_ore_check_closure_identifies_scalar_multiples(capsys, s, closure,
+                                                       truncated):
+    code, out, _ = run_cli(capsys, "ore-check", "--preset", "bp:2:2",
+                           "--s", s, "--window", "0:8")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["s_closure"] == closure
+    assert doc["truncated"] is truncated
+    assert doc["verdict"] == "satisfied"
+
+
 @pytest.mark.parametrize("argv, label, window", [
     (("--preset", "a:2:2", "--s", "eps", "--window", "-3:3"), "eps", "-3:3"),
     (("--preset", "bp:2:2", "--s", "v2", "--window", "0:12", "--cap", "0"),

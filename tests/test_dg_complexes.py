@@ -206,6 +206,35 @@ def test_cone_report_matches_multiplication_reference(preset, element, window, c
         assert full["homology_dims"] == homology_dims(cone(pres, r), window, caps)
 
 
+def _count_degree_pieces(monkeypatch):
+    calls = []
+    original = dg_complexes.degree_pieces
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dg_complexes, "degree_pieces", counted)
+    return calls
+
+
+def test_cone_report_enumerates_the_window_once(monkeypatch):
+    calls = _count_degree_pieces(monkeypatch)
+    pres = parse_preset("bp:3:3")
+    report = cone_report(pres, Element.gen(pres, "v3"), (0, 60))
+    assert report["dims_match_quotient"] is True
+    # |v3| = 52: realized on [0, 112], padded by one, shifts 0 and 53
+    assert calls == [(-54, 113)]
+
+
+def test_build_mdga_window_enumerates_the_window_once(monkeypatch):
+    calls = _count_degree_pieces(monkeypatch)
+    dga = matrix_dga(2, 2)
+    win = build_mdga_window(dga, (-12, 8))
+    assert calls == [(-13 - dga.offdiag, 9 + dga.offdiag)]
+    assert win.basis == {k: mdga_basis_labels(dga, k) for k in range(-13, 10)}
+
+
 def test_cone_report_negative_degree_zero_divisor_is_not_regular():
     # |eps| = -7 and eps^2 = 0: homology at -13 depends on eps acting on
     # the degree -7 piece, which lies above the window [-20, -13]

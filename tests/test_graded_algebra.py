@@ -1,15 +1,18 @@
 """Graded-commutative algebras, Kähler differentials, localization, Ore."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 
+from gradedhh.chromatic_presets import parse_preset
 from gradedhh.graded_algebra import (
     Element,
     KahlerElement,
     MalformedTableError,
     MulTable,
+    degree_pieces,
     element_from_string,
     kahler_d,
     koszul_mul,
@@ -237,6 +240,18 @@ def test_monomial_basis_is_sorted_and_duplicate_free():
         assert basis == sorted(set(basis), reverse=True)
         for m in basis:
             assert mono_degree(pres, m) == degree
+
+
+def test_degree_pieces_bp_2_4_window_32_301_within_budget():
+    """The cone bp:2:4 rung's enumeration: every piece of -32..301 at once."""
+    pres = parse_preset("bp:2:4")
+    start = time.monotonic()
+    pieces = degree_pieces(pres, (-32, 301))
+    elapsed = time.monotonic() - start
+    assert sorted(pieces) == list(range(-32, 302))
+    assert sum(map(len, pieces.values())) == 94022
+    assert pieces[300] == monomial_basis(pres, 300)
+    assert elapsed < 1, f"degree_pieces on bp:2:4 -32..301 took {elapsed:.2f}s"
 
 
 # -- Kähler differentials --------------------------------------------------------

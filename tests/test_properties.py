@@ -4,7 +4,8 @@ Presentations have two exterior generators and one polynomial generator,
 with up to one more of either parity; elements, bar chains and matrix-DGA elements are
 random multi-term combinations with small rational coefficients.  Matrices
 are small and rational, with zero rows and columns, repeated rows, low rank
-and entries up to 10^6 in size.
+and entries up to 10^6 in size.  The bar-basis and degree-piece enumerators
+are checked against the simpler enumerations they replaced.
 """
 
 import itertools
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedhh.chromatic_presets import ChromaticParams, a_q
+from gradedhh.chromatic_presets import ChromaticParams, a_q, parse_preset
 from gradedhh.dg_complexes import (
     MatrixDGAElement,
     dga_diff,
@@ -22,7 +23,13 @@ from gradedhh.dg_complexes import (
     mdga_element,
 )
 from gradedhh.exact_linear import RationalMatrix, in_span, kernel_basis, rank
-from gradedhh.graded_algebra import Element, kahler_d, make_presentation, mono_degree
+from gradedhh.graded_algebra import (
+    Element,
+    degree_pieces,
+    kahler_d,
+    make_presentation,
+    mono_degree,
+)
 from gradedhh.hochschild import (
     BarChain,
     D_map,
@@ -204,6 +211,139 @@ def test_bar_basis_equals_the_level_by_level_reference(data):
 def test_bar_basis_equals_the_reference_on_the_acceptance_presets(pres):
     for m in multidegrees_up_to(pres, 4):
         assert bar_basis(pres, m) == _bar_basis_reference(pres, m), m
+
+
+def _monomial_basis_reference(pres, degree, caps=None):
+    """One pruned recursion per degree over exponent ranges derived for
+    that degree alone, the reference degree_pieces is checked against."""
+    cap_map = {}
+    if caps is None:
+        pass
+    elif isinstance(caps, int):
+        if caps < 0:
+            raise ValueError("exponent cap must be nonnegative")
+        cap_map = {name: caps for name in pres.names}
+    else:
+        for name, c in dict(caps).items():
+            pres.index(name)  # raises on unknown name
+            if not isinstance(c, int) or c < 0:
+                raise ValueError(f"exponent cap for {name!r} must be a nonnegative integer")
+            cap_map[name] = c
+    uncapped = [
+        i for i in range(pres.ngens)
+        if not pres.is_odd(i) and pres.names[i] not in cap_map
+    ]
+    for i in uncapped:
+        if pres.laurent[i]:
+            raise ValueError(f"missing cap on laurent generator {pres.names[i]!r}")
+        if pres.degrees[i] == 0:
+            raise ValueError(f"cap required for degree-0 generator {pres.names[i]!r}")
+    if len({1 if pres.degrees[i] > 0 else -1 for i in uncapped}) > 1:
+        raise ValueError("caps required: generator degrees of mixed sign")
+
+    slack = abs(degree)
+    for i, name in enumerate(pres.names):
+        if pres.is_odd(i) or name in cap_map:
+            bound = 1 if pres.is_odd(i) else cap_map[name]
+            if pres.is_odd(i) and name in cap_map:
+                bound = min(1, cap_map[name])
+            slack += bound * abs(pres.degrees[i])
+    ranges = []
+    for i, name in enumerate(pres.names):
+        if pres.is_odd(i):
+            ranges.append((0, min(1, cap_map.get(name, 1))))
+        elif pres.laurent[i]:
+            ranges.append((-cap_map[name], cap_map[name]))
+        elif name in cap_map:
+            ranges.append((0, cap_map[name]))
+        else:
+            ranges.append((0, slack // abs(pres.degrees[i])))
+
+    n = pres.ngens
+    min_rem = [0] * (n + 1)
+    max_rem = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        contrib = (ranges[i][0] * pres.degrees[i], ranges[i][1] * pres.degrees[i])
+        min_rem[i] = min_rem[i + 1] + min(contrib)
+        max_rem[i] = max_rem[i + 1] + max(contrib)
+    out = []
+    stack = [0] * n
+
+    def recurse(i, remaining):
+        if i == n:
+            if remaining == 0:
+                out.append(tuple(stack))
+            return
+        for e in range(ranges[i][0], ranges[i][1] + 1):
+            r2 = remaining - e * pres.degrees[i]
+            if min_rem[i + 1] <= r2 <= max_rem[i + 1]:
+                stack[i] = e
+                recurse(i + 1, r2)
+        stack[i] = 0
+
+    recurse(0, degree)
+    out.sort(reverse=True)
+    return out
+
+
+def _assert_pieces_match_reference(pres, window, caps):
+    lo, hi = window
+    try:
+        want = {t: _monomial_basis_reference(pres, t, caps) for t in range(lo, hi + 1)}
+    except (KeyError, ValueError) as err:
+        with pytest.raises(type(err)) as got:
+            degree_pieces(pres, window, caps)
+        assert str(got.value) == str(err)
+        return
+    assert degree_pieces(pres, window, caps) == want
+
+
+@st.composite
+def enumeration_cases(draw):
+    gens = []
+    for i in range(draw(st.integers(0, 4))):
+        degree = draw(st.integers(-6, 6))
+        laurent = degree % 2 == 0 and draw(st.booleans())
+        gens.append((f"g{i}", degree, laurent))
+    pres = make_presentation(gens)
+    caps = draw(st.one_of(
+        st.none(),
+        st.integers(-1, 3),
+        st.dictionaries(st.sampled_from(list(pres.names) + ["unknown"]),
+                        st.integers(-1, 3)),
+    ))
+    lo = draw(st.integers(-10, 10))
+    return pres, (lo, lo + draw(st.integers(0, 10))), caps
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(enumeration_cases())
+def test_degree_pieces_equal_the_per_degree_reference(case):
+    _assert_pieces_match_reference(*case)
+
+
+@pytest.mark.parametrize("gens, window, caps", [
+    ([("x", 2), ("y", -4), ("e", 3)], (-9, 9), 3),  # mixed signs, int cap
+    ([("x", 2), ("y", -4)], (-9, 9), {"x": 2, "y": 3}),  # mixed signs, dict caps
+    ([("x", 2), ("y", -4)], (-9, 9), {"x": 2}),  # mixed signs, y uncapped
+    ([("u", 2, True), ("x", 4)], (-8, 12), {"u": 2}),  # laurent, dict cap
+    ([("u", 2, True), ("x", 4)], (-8, 12), None),  # laurent, no cap
+    ([("z", 0), ("x", 2), ("e", -1)], (-3, 6), 2),  # degree 0, int cap
+    ([("z", 0), ("x", 2)], (0, 6), None),  # degree 0, no cap
+    ([("e", 1), ("f", -3), ("g", 5)], (-6, 6), None),  # exterior only
+    ([("e", 1), ("f", -3), ("x", 2)], (-6, 10), {"e": 0}),  # exterior capped off
+    ([("x", 2), ("y", 6)], (-4, 20), -1),  # negative cap
+], ids=["mixed-int", "mixed-dict", "mixed-uncapped", "laurent-dict",
+        "laurent-none", "degree0-int", "degree0-none", "exterior", "exterior-cap0",
+        "negative-cap"])
+def test_degree_pieces_equal_the_reference_on_chosen_cases(gens, window, caps):
+    _assert_pieces_match_reference(make_presentation(gens), window, caps)
+
+
+@pytest.mark.parametrize("preset", ["bp:2:3", "en:2:2", "a:3:2", "hh_a:2:2"])
+@pytest.mark.parametrize("caps", [None, 0, 1, 3])
+def test_degree_pieces_equal_the_reference_on_the_presets(preset, caps):
+    _assert_pieces_match_reference(parse_preset(preset), (-40, 40), caps)
 
 
 MDGA_CASES = [(2, 1), (2, 2), (3, 1)]
