@@ -40,6 +40,7 @@ through them, building no element.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import chain
 
@@ -309,7 +310,7 @@ class MatrixDGA:
         """Degree shift of the b slot: 2p^n - 1 (one above |v_n|)."""
         return 2 * self.p**self.n - 1
 
-    @property
+    @functools.cached_property
     def vn_mono(self) -> tuple:
         return tuple(int(i == self.n - 1) for i in range(self.pres.ngens))
 

@@ -526,6 +526,9 @@ def localize(pres: Presentation, name: str) -> Presentation:
 # Right Ore condition, decided on a windowed multiplication table.
 
 
+MAX_CLOSURE = 64  # elements of the S closure kept before it is truncated
+
+
 class MalformedTableError(ValueError):
     pass
 
@@ -539,7 +542,8 @@ class MulTable:
     missing pair is malformed: the table must say when a product escapes.
     complete_degrees records whether every in-window degree piece of the
     underlying ring is fully present; "violated" verdicts are only sound
-    on complete tables.
+    on complete tables.  Products respect degrees (|xy| = |x| + |y|) and
+    the unit, if given, lies in degree 0.
     """
 
     labels: tuple
@@ -547,7 +551,6 @@ class MulTable:
     products: dict
     one: dict | None = None
     complete_degrees: bool = True
-    name: str = "table"
 
     def validate(self):
         for x in self.labels:
@@ -559,13 +562,26 @@ class MulTable:
                         f"product ({x!r}, {y!r}) missing from table"
                     )
         for pair, combo in self.products.items():
-            if combo is None:
-                continue
-            for label in combo:
+            for label in combo or ():
                 if label not in self.degree:
                     raise MalformedTableError(
                         f"product {pair!r} mentions unknown label {label!r}"
                     )
+        for x, y in itertools.product(self.labels, repeat=2):
+            want = self.degree[x] + self.degree[y]
+            for label in self.products[(x, y)] or ():
+                if self.degree[label] != want:
+                    raise MalformedTableError(
+                        f"product {(x, y)!r} mentions {label!r} of degree "
+                        f"{self.degree[label]}, not {want}"
+                    )
+        for label in self.one or ():
+            if label not in self.degree:
+                raise MalformedTableError(f"unit mentions unknown label {label!r}")
+            if self.degree[label] != 0:
+                raise MalformedTableError(
+                    f"unit mentions {label!r} of nonzero degree {self.degree[label]}"
+                )
 
     def combo_mul(self, u: dict, v: dict):
         """Bilinear product of label combinations; None if any part escapes."""
@@ -594,9 +610,7 @@ def combo_str(combo) -> str:
     return _signed_sum(terms)
 
 
-def table_from_presentation(
-    pres: Presentation, window, caps=None, name=None
-) -> MulTable:
+def table_from_presentation(pres: Presentation, window, caps=None) -> MulTable:
     """Multiplication table of all monomials whose degree lies in window."""
     lo, hi = window
     if lo > hi:
@@ -638,7 +652,6 @@ def table_from_presentation(
         products=products,
         one=one,
         complete_degrees=complete,
-        name=name or "presentation table",
     )
 
 
@@ -656,7 +669,6 @@ def matrix_units_table() -> MulTable:
         products=products,
         one={"e11": Fraction(1), "e22": Fraction(1)},
         complete_degrees=True,
-        name="2x2 matrix units",
     )
 
 
@@ -709,195 +721,145 @@ def _commutes(table, koszul: bool) -> bool:
     return True
 
 
-def ore_check(table: MulTable, s_elements, max_closure: int = 64) -> OreReport:
-    """Windowed semi-decision for the right Ore condition.
-
-    Condition (1): for all x in the ring and s in S there exist t in S and
-    y with x t = s y.  Condition (2): s x = 0 implies x t = 0 for some t in
-    S.  S is the multiplicative closure of the given homogeneous elements,
-    up to nonzero scalars and truncated to the window.  Witness searches are complete only when the
-    table is degreewise complete, so "violated" is reported only then; a
-    ring whose reported products all commute satisfies both conditions with
-    t = s, y = x, which yields "satisfied".  So does a graded-commutative
-    ring (p(x, y) = (-1)^{|x||y|} p(y, x)) whose S lies in even degrees;
-    the "commutative" field stays literal.  Everything else is honestly
-    "inconclusive".  S reaching 0 makes the localization the zero ring,
-    reported as "degenerate".
-    """
-    table.validate()
+def _s_generators(table, s_elements):
+    """The given S elements as homogeneous {label: Fraction} combinations."""
     gens = []
     for s in s_elements:
         if isinstance(s, str):
-            if s not in table.degree:
-                raise ValueError(f"unknown table label {s!r}")
             combo = {s: Fraction(1)}
         else:
             combo = {l: Fraction(c) for l, c in dict(s).items() if Fraction(c)}
-            for l in combo:
-                if l not in table.degree:
-                    raise ValueError(f"unknown table label {l!r}")
+        for l in combo:
+            if l not in table.degree:
+                raise ValueError(f"unknown table label {l!r}")
         _combo_degree(table, combo)  # homogeneity check
         gens.append(combo)
     if not gens:
         raise ValueError("S needs at least one generator")
+    return gens
 
-    notes = []
-    truncated = False
 
-    # Multiplicative closure of S within the window (right products by the
-    # generators reach every word).
-    closure = []
-    seen = set()
+def _s_closure(table, gens):
+    """Multiplicative closure of S within the window, up to nonzero scalars.
+
+    Breadth first by right products with the generators, which reach every
+    word; it stops once 0 is reached.  Returns (closure, truncated, notes).
+    """
+    closure, seen = [], set()
+
+    def add(combo):
+        key = _canon(combo)
+        if key in seen:
+            return False
+        seen.add(key)
+        closure.append(combo)
+        return True
+
     if table.one is not None:
-        closure.append(dict(table.one))
-        seen.add(_canon(table.one))
-    queue = []
-    for g in gens:
-        key = _canon(g)
-        if key not in seen:
-            seen.add(key)
-            closure.append(dict(g))
-            queue.append(dict(g))
-    degenerate = any(not c for c in closure if c is not None) or any(
-        not g for g in gens
-    )
-    while queue and not degenerate:
+        add(dict(table.one))
+    queue = [g for g in gens if add(dict(g))]
+    if not all(closure):
+        queue = []
+    truncated = False
+    while queue:
         u = queue.pop(0)
         for g in gens:
             prod = table.combo_mul(u, g)
             if prod is None:
                 truncated = True
+            elif _canon(prod) in seen:
                 continue
-            key = _canon(prod)
-            if key in seen:
-                continue
-            if len(closure) >= max_closure:
-                truncated = True
-                notes.append("closure truncated at max_closure")
-                queue = []
-                break
-            seen.add(key)
-            closure.append(prod)
-            queue.append(prod)
-            if not prod:
-                degenerate = True
-                break
-    closure_strs = [combo_str(c) for c in closure]
-    if degenerate or any(not c for c in closure):
-        return OreReport(
-            verdict="degenerate",
-            commutative=False,
-            truncated=truncated,
-            closure=closure_strs,
-            notes=notes + ["S contains 0: the localization is the zero ring"],
-        )
-
-    commutative = _commutes(table, koszul=False)
-
-    label_index = {l: i for i, l in enumerate(table.labels)}
-
-    def vec(combo):
-        v = [Fraction(0)] * len(table.labels)
-        for l, c in combo.items():
-            v[label_index[l]] = c
-        return v
-
-    violated = None
-    any_unverifiable = not table.complete_degrees
-
-    for s in closure:
-        # span of s * (window basis), for the right-hand side s y
-        cols = []
-        unverifiable_y = False
-        for b in table.labels:
-            prod = table.combo_mul(s, {b: Fraction(1)})
-            if prod is None:
-                unverifiable_y = True
-                continue
-            cols.append(vec(prod))
-        span = RationalMatrix.from_columns(cols, rows=len(table.labels))
-        # v lies in the span iff the span's left kernel annihilates it
-        annihilator = RationalMatrix.from_rows(kernel_basis(span.transpose()),
-                                               cols=len(table.labels))
-        for x in table.labels:
-            found = False
-            unverifiable_t = False
-            for t in closure:
-                xt = table.combo_mul({x: Fraction(1)}, t)
-                if xt is None:
-                    unverifiable_t = True
-                    continue
-                if not any(annihilator.mul_vector(vec(xt))):
-                    found = True
-                    break
-            if found:
-                continue
-            if unverifiable_t or unverifiable_y or not table.complete_degrees:
-                any_unverifiable = True
+            elif len(closure) >= MAX_CLOSURE:
+                return closure, True, ["closure truncated at max_closure"]
             else:
-                violated = (1, (x, combo_str(s)))
-                break
-        if violated:
-            break
+                add(prod)
+                if not prod:
+                    return closure, truncated, []
+                queue.append(prod)
+    return closure, truncated, []
 
-    if not violated:
-        # Condition (2): reported left-annihilation must have a right witness.
-        for s in closure:
-            for x in table.labels:
-                sx = table.combo_mul(s, {x: Fraction(1)})
-                if sx != {}:
-                    continue
-                found = False
-                unverifiable_t = False
-                for t in closure:
-                    xt = table.combo_mul({x: Fraction(1)}, t)
-                    if xt is None:
-                        unverifiable_t = True
-                    elif not xt:
-                        found = True
-                        break
-                if found:
-                    continue
-                if unverifiable_t or not table.complete_degrees:
-                    any_unverifiable = True
-                else:
-                    violated = (2, (x, combo_str(s)))
-                    break
-            if violated:
-                break
 
-    if violated:
-        condition, witness = violated
-        return OreReport(
-            verdict="violated",
-            condition=condition,
-            witness=witness,
-            commutative=commutative,
-            truncated=truncated,
-            closure=closure_strs,
-            notes=notes,
-        )
-    if commutative:
-        return OreReport(
-            verdict="satisfied",
-            commutative=True,
-            truncated=truncated,
-            closure=closure_strs,
-            notes=notes + ["commutative ring: t = s, y = x witnesses both conditions"],
-        )
-    s_even = all(_combo_degree(table, s) % 2 == 0 for s in closure)
-    if s_even and _commutes(table, koszul=True):
-        return OreReport(
-            verdict="satisfied",
-            truncated=truncated,
-            closure=closure_strs,
-            notes=notes + ["graded-commutative ring, S even: "
-                           "t = s, y = x witnesses both conditions"],
-        )
-    return OreReport(
-        verdict="inconclusive",
-        commutative=False,
-        truncated=truncated or any_unverifiable,
-        closure=closure_strs,
-        notes=notes + ["window search found no violation and no structural proof"],
-    )
+def _witness_scan(table, closure):
+    """Search the table for witnesses t (and y) for each (s, x) in S x labels.
+
+    Returns (violation, unverifiable).  violation is (condition, (x, s)) for
+    the first condition (1) failure in (closure, label) order, else the
+    first condition (2) failure, else None.  A failure counts only on a
+    complete table where every product the pair needs stays in the window;
+    unverifiable says whether a failure was seen that did not count.
+    """
+    index = {l: i for i, l in enumerate(table.labels)}
+    one = Fraction(1)
+    x_times = {x: [table.combo_mul({x: one}, t) for t in closure] for x in table.labels}
+    violation = None
+    unverifiable = not table.complete_degrees
+    for s in closure:
+        s_times = [table.combo_mul(s, {x: one}) for x in table.labels]
+        rows = [sx for sx in s_times if sx is not None]
+        # v lies in the span of the s y iff the span's left kernel annihilates it
+        kernel = kernel_basis(RationalMatrix(len(rows), len(index), {
+            (j, index[l]): c for j, sx in enumerate(rows) for l, c in sx.items()}))
+
+        def in_span(v):
+            return not any(sum(k[index[l]] * c for l, c in v.items()) for k in kernel)
+
+        for x, sx in zip(table.labels, s_times):
+            xts = x_times[x]
+            # (1): x t = s y for some t.  (2): s x = 0 implies x t = 0 for some t.
+            for condition, holds, escaped in (
+                (1, any(xt is not None and in_span(xt) for xt in xts),
+                 None in xts or None in s_times),
+                (2, sx != {} or {} in xts, None in xts),
+            ):
+                if holds:
+                    continue
+                if escaped or not table.complete_degrees:
+                    unverifiable = True
+                elif condition == 1:
+                    return (1, (x, combo_str(s))), unverifiable
+                elif violation is None:
+                    violation = (2, (x, combo_str(s)))
+    return violation, unverifiable
+
+
+def ore_check(table: MulTable, s_elements) -> OreReport:
+    """Windowed semi-decision for the right Ore condition.
+
+    Condition (1): for all x in the ring and s in S there exist t in S and
+    y with x t = s y.  Condition (2): s x = 0 implies x t = 0 for some t in
+    S.  S is the multiplicative closure of the given homogeneous elements,
+    up to nonzero scalars and truncated to the window.
+
+    The decision runs in a fixed order: validate the table, build the S
+    generators, close S, report "degenerate" when S reaches 0 (the
+    localization is the zero ring), try two structural proofs, and only
+    then scan for witnesses.  A ring whose reported products all commute
+    gives "satisfied", and so does a graded-commutative ring
+    (p(x, y) = (-1)^{|x||y|} p(y, x)) whose S lies in even degrees; the
+    "commutative" field stays literal.  The proofs may come first because
+    when either holds, t = s and y = x witness both conditions for every
+    (x, s), so the scan could never report a violation.  The scan is
+    complete only when the table is degreewise complete, so "violated" is
+    reported only then; everything else is honestly "inconclusive".
+    """
+    table.validate()
+    gens = _s_generators(table, s_elements)
+    closure, truncated, notes = _s_closure(table, gens)
+    report = functools.partial(OreReport, truncated=truncated,
+                               closure=[combo_str(c) for c in closure])
+    if not all(closure):
+        return report("degenerate",
+                      notes=notes + ["S contains 0: the localization is the zero ring"])
+    if _commutes(table, koszul=False):
+        return report("satisfied", commutative=True, notes=notes + [
+            "commutative ring: t = s, y = x witnesses both conditions"])
+    if (all(_combo_degree(table, s) % 2 == 0 for s in closure)
+            and _commutes(table, koszul=True)):
+        return report("satisfied", notes=notes + [
+            "graded-commutative ring, S even: t = s, y = x witnesses both conditions"])
+    violation, unverifiable = _witness_scan(table, closure)
+    if violation:
+        condition, witness = violation
+        return report("violated", condition=condition, witness=witness, notes=notes)
+    return report("inconclusive", truncated=truncated or unverifiable, notes=notes + [
+        "window search found no violation and no structural proof"])

@@ -3,10 +3,12 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradedhh import graded_algebra
 from gradedhh.cli import main
 
 
@@ -138,6 +140,47 @@ def test_ore_check_preset_satisfied(capsys):
                            "--s", "v2", "--window", "0:12", "--cap", "3")
     assert code == 0
     assert json.loads(out)["verdict"] == "satisfied"
+
+
+def _count_kernel_bases(monkeypatch):
+    calls = []
+    original = graded_algebra.kernel_basis
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(graded_algebra, "kernel_basis", counted)
+    return calls
+
+
+def test_ore_check_structural_proof_needs_no_elimination(capsys, monkeypatch):
+    calls = _count_kernel_bases(monkeypatch)
+    code, out, _ = run_cli(capsys, "ore-check", "--preset", "bp:2:2", "--s", "v2",
+                           "--window", "0:40", "--cap", "6")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "satisfied"
+    assert calls == []
+    # matrix units have no structural proof: one elimination per closure element
+    code, out, _ = run_cli(capsys, "ore-check", "--table", "matrix-units",
+                           "--s", "e11")
+    assert code == 1
+    assert len(calls) == len(json.loads(out)["s_closure"]) == 2
+
+
+def test_ore_check_bp_2_3_two_generators_within_budget(capsys):
+    """bp:2:3 with S = <v1, v3> on 0:60: a 31-element closure, decided by proof."""
+    start = time.monotonic()
+    code, out, _ = run_cli(capsys, "ore-check", "--preset", "bp:2:3", "--s", "v1,v3",
+                           "--window", "0:60", "--cap", "6")
+    elapsed = time.monotonic() - start
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "satisfied"
+    assert doc["commutative"] is True
+    assert doc["truncated"] is True
+    assert len(doc["s_closure"]) == 31
+    assert elapsed < 0.5, f"ore-check on bp:2:3 0:60 took {elapsed:.2f}s"
 
 
 @pytest.mark.parametrize("s, closure, truncated", [

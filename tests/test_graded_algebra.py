@@ -361,6 +361,33 @@ def test_mul_table_validation():
         worse.validate()
 
 
+def test_mul_table_validation_rejects_a_product_of_the_wrong_degree():
+    # x x = y, but |y| = 1 is not |x| + |x| = 0; unchecked, S = {x} would
+    # close to {x, y, 0} and read "degenerate"
+    table = MulTable(("x", "y"), {"x": 0, "y": 1},
+                     {("x", "x"): {"y": 1}, ("x", "y"): {}, ("y", "x"): {},
+                      ("y", "y"): None})
+    with pytest.raises(MalformedTableError, match="of degree 1, not 0"):
+        table.validate()
+    with pytest.raises(MalformedTableError):
+        ore_check(table, ["x"])
+
+
+def test_mul_table_validation_rejects_a_unit_with_an_unknown_label():
+    table = MulTable(("x0",), {"x0": 0}, {("x0", "x0"): {"x0": 1}}, one={"u": 1})
+    with pytest.raises(MalformedTableError, match="unit mentions unknown label 'u'"):
+        ore_check(table, ["x0"])
+
+
+def test_mul_table_validation_rejects_a_unit_of_nonzero_degree():
+    table = MulTable(("x0", "x2"), {"x0": 0, "x2": 2},
+                     {("x0", "x0"): {"x0": 1}, ("x0", "x2"): {"x2": 1},
+                      ("x2", "x0"): {"x2": 1}, ("x2", "x2"): None},
+                     one={"x2": 1})
+    with pytest.raises(MalformedTableError, match="nonzero degree 2"):
+        table.validate()
+
+
 def test_ore_satisfied_on_commutative_table():
     pres = poly_ring()
     table = table_from_presentation(pres, (0, 12), caps=3)
@@ -396,6 +423,18 @@ def test_ore_violated_on_matrix_units():
     assert report.verdict == "violated"
     assert report.condition == 1
     assert report.witness == ("e21", "e11")
+
+
+def test_ore_violated_on_condition_2():
+    # x1 x0 = x0 and x0 x0 = x0, so no t in S = {x0} ever kills x1, while
+    # x0 x1 = 0.  Not associative; the checker reads only the table.
+    table = MulTable(("x0", "x1"), {"x0": 0, "x1": 0},
+                     {("x0", "x0"): {"x0": 1}, ("x0", "x1"): {},
+                      ("x1", "x0"): {"x0": 1}, ("x1", "x1"): {}})
+    report = ore_check(table, ["x0"])
+    assert report.verdict == "violated"
+    assert report.condition == 2
+    assert report.witness == ("x1", "x0")
 
 
 def test_ore_degenerate_when_closure_hits_zero():

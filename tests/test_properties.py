@@ -5,7 +5,9 @@ with up to one more of either parity; elements, bar chains and matrix-DGA elemen
 random multi-term combinations with small rational coefficients.  Matrices
 are small and rational, with zero rows and columns, repeated rows, low rank
 and entries up to 10^6 in size.  The bar-basis and degree-piece enumerators
-are checked against the simpler enumerations they replaced.
+are checked against the simpler enumerations they replaced, and the Ore
+checker against the search-first decision it replaced, on random tables
+whose products respect degrees.
 """
 
 import itertools
@@ -25,10 +27,19 @@ from gradedhh.dg_complexes import (
 from gradedhh.exact_linear import RationalMatrix, in_span, kernel_basis, rank
 from gradedhh.graded_algebra import (
     Element,
+    MulTable,
+    OreReport,
+    _canon,
+    _combo_degree,
+    _commutes,
+    combo_str,
     degree_pieces,
     kahler_d,
     make_presentation,
+    matrix_units_table,
     mono_degree,
+    ore_check,
+    table_from_presentation,
 )
 from gradedhh.hochschild import (
     BarChain,
@@ -555,3 +566,278 @@ def test_kernel_basis_is_one_unit_vector_per_free_column(m):
                 and all(other[j] == 0 for o, other in enumerate(basis) if o != i)]
         assert free, (m, basis)
         last = free[0]
+
+
+# ---------------------------------------------------------------------------
+# The Ore checker against the search-first decision it replaced.
+
+
+def _ore_check_reference(table, s_elements, max_closure=64):
+    """ore_check as it was: the witness searches for both conditions run
+    over every (s, x) before the structural proofs are tried."""
+    table.validate()
+    gens = []
+    for s in s_elements:
+        if isinstance(s, str):
+            if s not in table.degree:
+                raise ValueError(f"unknown table label {s!r}")
+            combo = {s: Fraction(1)}
+        else:
+            combo = {l: Fraction(c) for l, c in dict(s).items() if Fraction(c)}
+            for l in combo:
+                if l not in table.degree:
+                    raise ValueError(f"unknown table label {l!r}")
+        _combo_degree(table, combo)  # homogeneity check
+        gens.append(combo)
+    if not gens:
+        raise ValueError("S needs at least one generator")
+
+    notes = []
+    truncated = False
+
+    closure = []
+    seen = set()
+    if table.one is not None:
+        closure.append(dict(table.one))
+        seen.add(_canon(table.one))
+    queue = []
+    for g in gens:
+        key = _canon(g)
+        if key not in seen:
+            seen.add(key)
+            closure.append(dict(g))
+            queue.append(dict(g))
+    degenerate = any(not c for c in closure if c is not None) or any(
+        not g for g in gens
+    )
+    while queue and not degenerate:
+        u = queue.pop(0)
+        for g in gens:
+            prod = table.combo_mul(u, g)
+            if prod is None:
+                truncated = True
+                continue
+            key = _canon(prod)
+            if key in seen:
+                continue
+            if len(closure) >= max_closure:
+                truncated = True
+                notes.append("closure truncated at max_closure")
+                queue = []
+                break
+            seen.add(key)
+            closure.append(prod)
+            queue.append(prod)
+            if not prod:
+                degenerate = True
+                break
+    closure_strs = [combo_str(c) for c in closure]
+    if degenerate or any(not c for c in closure):
+        return OreReport(
+            verdict="degenerate",
+            commutative=False,
+            truncated=truncated,
+            closure=closure_strs,
+            notes=notes + ["S contains 0: the localization is the zero ring"],
+        )
+
+    commutative = _commutes(table, koszul=False)
+
+    label_index = {l: i for i, l in enumerate(table.labels)}
+
+    def vec(combo):
+        v = [Fraction(0)] * len(table.labels)
+        for l, c in combo.items():
+            v[label_index[l]] = c
+        return v
+
+    violated = None
+    any_unverifiable = not table.complete_degrees
+
+    for s in closure:
+        cols = []
+        unverifiable_y = False
+        for b in table.labels:
+            prod = table.combo_mul(s, {b: Fraction(1)})
+            if prod is None:
+                unverifiable_y = True
+                continue
+            cols.append(vec(prod))
+        span = RationalMatrix.from_columns(cols, rows=len(table.labels))
+        annihilator = RationalMatrix.from_rows(kernel_basis(span.transpose()),
+                                               cols=len(table.labels))
+        for x in table.labels:
+            found = False
+            unverifiable_t = False
+            for t in closure:
+                xt = table.combo_mul({x: Fraction(1)}, t)
+                if xt is None:
+                    unverifiable_t = True
+                    continue
+                if not any(annihilator.mul_vector(vec(xt))):
+                    found = True
+                    break
+            if found:
+                continue
+            if unverifiable_t or unverifiable_y or not table.complete_degrees:
+                any_unverifiable = True
+            else:
+                violated = (1, (x, combo_str(s)))
+                break
+        if violated:
+            break
+
+    if not violated:
+        for s in closure:
+            for x in table.labels:
+                sx = table.combo_mul(s, {x: Fraction(1)})
+                if sx != {}:
+                    continue
+                found = False
+                unverifiable_t = False
+                for t in closure:
+                    xt = table.combo_mul({x: Fraction(1)}, t)
+                    if xt is None:
+                        unverifiable_t = True
+                    elif not xt:
+                        found = True
+                        break
+                if found:
+                    continue
+                if unverifiable_t or not table.complete_degrees:
+                    any_unverifiable = True
+                else:
+                    violated = (2, (x, combo_str(s)))
+                    break
+            if violated:
+                break
+
+    if violated:
+        condition, witness = violated
+        return OreReport(
+            verdict="violated",
+            condition=condition,
+            witness=witness,
+            commutative=commutative,
+            truncated=truncated,
+            closure=closure_strs,
+            notes=notes,
+        )
+    if commutative:
+        return OreReport(
+            verdict="satisfied",
+            commutative=True,
+            truncated=truncated,
+            closure=closure_strs,
+            notes=notes + ["commutative ring: t = s, y = x witnesses both conditions"],
+        )
+    s_even = all(_combo_degree(table, s) % 2 == 0 for s in closure)
+    if s_even and _commutes(table, koszul=True):
+        return OreReport(
+            verdict="satisfied",
+            truncated=truncated,
+            closure=closure_strs,
+            notes=notes + ["graded-commutative ring, S even: "
+                           "t = s, y = x witnesses both conditions"],
+        )
+    return OreReport(
+        verdict="inconclusive",
+        commutative=False,
+        truncated=truncated or any_unverifiable,
+        closure=closure_strs,
+        notes=notes + ["window search found no violation and no structural proof"],
+    )
+
+
+def _ore_outcome(check, table, s_elements):
+    try:
+        return check(table, s_elements)
+    except (ValueError, ArithmeticError) as e:  # the two must fail alike, too
+        return type(e), str(e)
+
+
+def _assert_ore_matches_reference(table, s_elements):
+    got = _ore_outcome(ore_check, table, s_elements)
+    assert got == _ore_outcome(_ore_check_reference, table, s_elements)
+    return got
+
+
+ORE_COEFFS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)])
+
+
+@st.composite
+def ore_cases(draw):
+    """A random table whose products respect degrees, and generators of S."""
+    labels = tuple(f"x{i}" for i in range(draw(st.integers(1, 5))))
+    degree = {l: draw(st.integers(0, 2)) for l in labels}
+    of_degree = {d: [l for l in labels if degree[l] == d] for d in range(3)}
+
+    escapes = draw(st.booleans())  # products may escape inside the window too
+
+    def product(d):
+        if d > 2:
+            return None  # leaves the window 0..2
+        kinds = ["escape"] * escapes + ["zero"] + ["hit"] * 3 * bool(of_degree[d])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "hit":
+            return draw(st.dictionaries(st.sampled_from(of_degree[d]), ORE_COEFFS,
+                                        min_size=1, max_size=2))
+        return None if kind == "escape" else {}
+
+    products = {(x, y): product(degree[x] + degree[y]) for x in labels for y in labels}
+    symmetry = draw(st.sampled_from([None, None, "literal", "koszul"]))
+    if symmetry:
+        for x, y in itertools.combinations(labels, 2):
+            pxy = products[(x, y)]
+            odd = symmetry == "koszul" and degree[x] % 2 and degree[y] % 2
+            products[(y, x)] = None if pxy is None else {
+                l: -c if odd else c for l, c in pxy.items()}
+    one = None
+    if of_degree[0] and draw(st.booleans()):
+        one = {draw(st.sampled_from(of_degree[0])): Fraction(1)}
+    table = MulTable(labels, degree, products, one, draw(st.booleans()))
+    s_degree = draw(st.sampled_from(sorted(set(degree.values()))))
+    s_elements = draw(st.one_of(
+        st.lists(st.sampled_from(labels), min_size=1, max_size=2),
+        st.dictionaries(st.sampled_from(of_degree[s_degree]), ORE_COEFFS,
+                        min_size=1).map(lambda combo: [combo]),
+    ))
+    return table, s_elements
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(ore_cases())
+def test_ore_check_equals_the_search_first_reference(case):
+    table, s_elements = case
+    table.validate()
+    _assert_ore_matches_reference(table, s_elements)
+
+
+def _ore_requests():
+    for preset in ["bp:2:2", "en:2:2", "a:2:2", "hh_a:2:2"]:
+        pres = parse_preset(preset)
+        for caps in [None, 1, 2, 3]:
+            if caps is None and preset in ("en:2:2", "hh_a:2:2"):
+                continue  # Laurent or mixed-sign generators need caps
+            table = table_from_presentation(pres, (-12, 12), caps)
+            gens = [g for g in pres.names if g in table.degree]
+            s_lists = [[g] for g in gens] + [list(pair)
+                                             for pair in itertools.combinations(gens, 2)]
+            for d in sorted(set(table.degree.values())):
+                piece = [l for l in table.labels if table.degree[l] == d]
+                if len(piece) > 1:
+                    s_lists.append([{piece[0]: 1, piece[1]: 2}])
+            for s_elements in s_lists:
+                yield f"{preset}/{caps}/{s_elements}", table, s_elements
+    units = matrix_units_table()
+    for s_elements in [["e11"], ["e12"], ["e21"], ["e11", "e22"],
+                       [{"e11": 1, "e22": 1}], [{"e11": 1, "e12": 1}], ["e33"]]:
+        yield f"matrix-units/{s_elements}", units, s_elements
+
+
+def test_ore_check_equals_the_reference_on_presets_and_matrix_units():
+    verdicts = set()
+    for name, table, s_elements in _ore_requests():
+        got = _assert_ore_matches_reference(table, s_elements)
+        verdicts.add(getattr(got, "verdict", "error"))
+    assert verdicts == {"satisfied", "degenerate", "violated", "inconclusive", "error"}
