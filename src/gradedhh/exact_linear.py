@@ -5,11 +5,12 @@ a matrix with rational entries: its rank, a basis of its kernel, and whether
 a vector lies in its column span (with an explicit coefficient witness).
 All three come from one forward-only, fraction-free elimination on integer
 rows (each row scaled by the lcm of its denominators) with a sparsity-aware
-pivot choice (_echelon): the rank counts its pivots, and kernel vectors and
-span witnesses are back-substituted over its pivot rows, then certified
-exactly (m k == 0, m x == v) before they are returned.  Matrix products
-run over the integers the same way.  There is deliberately no floating
-point anywhere in this package.
+pivot choice (_echelon; its pivot row, the shortest live row, comes off a
+heap with lazy deletion, not from a scan over all rows): the rank counts
+its pivots, and kernel vectors and span witnesses are back-substituted over
+its pivot rows, then certified exactly (m k == 0, m x == v) before they are
+returned.  Matrix products run over the integers the same way.  There is
+deliberately no floating point anywhere in this package.
 
 Matrices are stored sparsely as {(row, col): Fraction}.  Elimination works
 on per-row {col: value} dicts; the differentials the other modules produce
@@ -24,6 +25,7 @@ that differ only in what their labels are.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -280,6 +282,13 @@ def _echelon(row_dicts, ncols):
     that also names the rows to eliminate.  Column ncols, when present (the
     augmented column of in_span), pivots only in a row with no other entry.
 
+    The shortest live row, ties to the lowest row id, comes off a heap of
+    (length, row id) with lazy deletion: a row is pushed again whenever
+    elimination changes its length, and a popped entry whose row is gone or
+    has another length is skipped.  Every live row has an entry with its
+    current length, so the heap pops the pivots a scan over all live rows
+    would pick, in the same order.
+
     A yielded row has no entry in any earlier pivot column, so the pivot rows
     are an echelon form that back-substitution solves last pivot first.
     """
@@ -295,8 +304,12 @@ def _echelon(row_dicts, ncols):
         if not live:
             del where[c]
 
+    heap = [(len(r), i) for i, r in rows.items()]
+    heapq.heapify(heap)
     while rows:
-        _, pid = min(zip(map(len, rows.values()), rows))
+        length, pid = heapq.heappop(heap)
+        if len(rows.get(pid, ())) != length:
+            continue
         _, col = min(((len(where[c]), c) for c in rows[pid] if c != ncols),
                      default=(0, ncols))
         prow = rows.pop(pid)
@@ -306,6 +319,7 @@ def _echelon(row_dicts, ncols):
         p = prow[col]
         for i in list(where.get(col, ())):
             row = rows[i]
+            before = len(row)
             f = row[col]
             g = gcd(p, f)
             a, b = p // g, f // g
@@ -324,6 +338,8 @@ def _echelon(row_dicts, ncols):
             if not row:
                 del rows[i]
                 continue
+            if len(row) != before:
+                heapq.heappush(heap, (len(row), i))
             content = gcd(*row.values())
             if content != 1:
                 for c in row:

@@ -230,14 +230,24 @@ def bar_basis(pres: Presentation, m) -> dict:
     return out
 
 
-def bar_window(pres: Presentation, m) -> ChainWindow:
-    """The finite normalized complex of one multidegree, levels as degrees."""
+def bar_window(pres: Presentation, m, top=None) -> ChainWindow:
+    """The finite normalized complex of one multidegree, levels as degrees.
+
+    The window holds levels -1..top and the differentials out of levels
+    0..top; ChainWindow checks d compose d on every pair of them, and levels
+    above top are neither assembled nor checked.  top=None builds the whole
+    complex, levels -1..|m|_1 + 1 with an empty level at each end, so that
+    homology is available at every level 0..|m|_1.  A capped window answers
+    questions below top, such as cycles and boundaries at level 1 with
+    top=2.
+    """
     basis = bar_basis(pres, m)
-    top = max(basis)
-    basis[-1] = basis[top + 1] = []
+    if top is None:
+        top = max(basis) + 1
+    basis = {s: basis.get(s, []) for s in range(-1, top + 1)}
     diff = {
         s: assemble(basis[s], basis[s - 1], lambda tensor: _faces(pres, tensor))
-        for s in range(top + 2)
+        for s in range(top + 1)
     }
     return ChainWindow(basis, diff)
 

@@ -259,7 +259,7 @@ def obstruction_report(p: int, n: int, exponents) -> ObstructionReport:
     normalized = trace.normalized
 
     multidegree = mono  # one factor, so per-generator totals are the exponents
-    window = bar_window(pres, multidegree)
+    window = bar_window(pres, multidegree, top=2)  # reads levels 1 and 2 only
     is_cycle = hochschild_diff(normalized).is_zero()
     vec = coordinates(normalized, window.basis[1])
     boundaries = window.boundary_span(1)

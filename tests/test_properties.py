@@ -5,13 +5,15 @@ with up to one more of either parity; elements, bar chains and matrix-DGA elemen
 random multi-term combinations with small rational coefficients.  Matrices
 are small and rational, with zero rows and columns, repeated rows, low rank
 and entries up to 10^6 in size.  The bar-basis and degree-piece enumerators
-are checked against the simpler enumerations they replaced, and the Ore
+are checked against the simpler enumerations they replaced, the heap
+pivot order of the elimination against the scan it replaced, and the Ore
 checker against the search-first decision it replaced, on random tables
 whose products respect degrees.
 """
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,14 @@ from gradedhh.dg_complexes import (
     mdga_basis_labels,
     mdga_element,
 )
-from gradedhh.exact_linear import RationalMatrix, in_span, kernel_basis, rank
+from gradedhh.exact_linear import (
+    RationalMatrix,
+    _echelon,
+    _integer_row,
+    in_span,
+    kernel_basis,
+    rank,
+)
 from gradedhh.graded_algebra import (
     Element,
     MulTable,
@@ -566,6 +575,107 @@ def test_kernel_basis_is_one_unit_vector_per_free_column(m):
                 and all(other[j] == 0 for o, other in enumerate(basis) if o != i)]
         assert free, (m, basis)
         last = free[0]
+
+
+def _echelon_reference(row_dicts, ncols):
+    """_echelon with the pivot row found by a scan over all live rows, the
+    reference the heap of (length, row id) is checked against."""
+    rows = {i: _integer_row(r)[1] for i, r in enumerate(row_dicts) if r}
+    where = {}
+    for i, r in rows.items():
+        for c in r:
+            where.setdefault(c, set()).add(i)
+
+    def drop(c, i):
+        live = where[c]
+        live.discard(i)
+        if not live:
+            del where[c]
+
+    while rows:
+        _, pid = min(zip(map(len, rows.values()), rows))
+        _, col = min(((len(where[c]), c) for c in rows[pid] if c != ncols),
+                     default=(0, ncols))
+        prow = rows.pop(pid)
+        for c in prow:
+            drop(c, pid)
+        yield col, prow
+        p = prow[col]
+        for i in list(where.get(col, ())):
+            row = rows[i]
+            f = row[col]
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                for c in row:
+                    row[c] *= a
+            for c, v in prow.items():
+                nv = row.get(c, 0) - b * v
+                if nv:
+                    if c not in row:
+                        where.setdefault(c, set()).add(i)
+                    row[c] = nv
+                else:
+                    del row[c]
+                    drop(c, i)
+            if not row:
+                del rows[i]
+                continue
+            content = gcd(*row.values())
+            if content != 1:
+                for c in row:
+                    row[c] //= content
+
+
+SPARSE_ENTRIES = st.sampled_from(
+    [Fraction(1), Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(5, 3)]
+)
+
+
+@st.composite
+def sparse_rows(draw):
+    """(rows, ncols): sparse rows with at most 4 entries from a few values,
+    so that lengths tie, optionally with entries in the augmented column
+    ncols that in_span adds; then scaled copies and sums of drawn rows,
+    which cancel to empty during elimination."""
+    ncols = draw(st.integers(1, 9))
+    width = ncols + draw(st.integers(0, 1))
+    rows = draw(st.lists(
+        st.dictionaries(st.integers(0, width - 1), SPARSE_ENTRIES, max_size=4),
+        max_size=12,
+    ))
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        r = rows[draw(st.integers(0, len(rows) - 1))]
+        q = rows[draw(st.integers(0, len(rows) - 1))]
+        k = draw(SPARSE_ENTRIES)
+        summed = {c: k * r.get(c, 0) + q.get(c, 0) for c in {*r, *q}}
+        rows.append({c: v for c, v in summed.items() if v})
+    return draw(st.permutations(rows)), ncols
+
+
+def _pivot_sequence(echelon, rows, ncols):
+    return [(col, list(row.items())) for col, row in echelon(rows, ncols)]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(sparse_rows())
+def test_echelon_pops_the_pivots_of_the_min_scan_in_order(case):
+    rows, ncols = case
+    assert (_pivot_sequence(_echelon, rows, ncols)
+            == _pivot_sequence(_echelon_reference, rows, ncols))
+
+
+def test_echelon_pivot_order_on_bar_and_augmented_differentials():
+    window = bar_window(a_q(ChromaticParams(2, 2)), (6, 1))
+    for t, m in window.diff.items():
+        rows = m.row_dicts()
+        assert (_pivot_sequence(_echelon, rows, m.cols)
+                == _pivot_sequence(_echelon_reference, rows, m.cols)), t
+        for i, row in enumerate(rows):  # an augmented column, as in in_span
+            if i % 3:
+                row[m.cols] = Fraction((-1) ** i)
+        assert (_pivot_sequence(_echelon, rows, m.cols)
+                == _pivot_sequence(_echelon_reference, rows, m.cols)), t
 
 
 # ---------------------------------------------------------------------------

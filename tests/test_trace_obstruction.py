@@ -1,9 +1,11 @@
 """Trace classes of algebra elements and the one-form obstruction report."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
+from gradedhh import hochschild
 from gradedhh.chromatic_presets import ChromaticParams, a_q
 from gradedhh.graded_algebra import Element, kahler_d, make_presentation
 from gradedhh.hochschild import BarChain, D_map, hochschild_diff
@@ -176,6 +178,31 @@ def test_obstruction_validates_exponent_shape():
         obstruction_report(2, 2, [-1])
     with pytest.raises(ValueError):
         obstruction_report(2, 0, [])
+
+
+def test_obstruction_assembles_bar_levels_up_to_two_only(monkeypatch):
+    # the report reads level-1 cycles and the boundaries from level 2
+    levels = []
+    assemble = hochschild.assemble
+
+    def recorded(source, target, image):
+        levels.append(len(source[0]) - 1 if source else None)
+        return assemble(source, target, image)
+
+    monkeypatch.setattr(hochschild, "assemble", recorded)
+    assert obstruction_report(2, 2, [8]).all_ok
+    # level 0 maps to the empty level -1; nothing above level 2 is built
+    assert levels == [0, 1, 2]
+
+
+def test_obstruction_exponent_12_within_budget():
+    """The exponent-12 rung: a bar complex of 57,344 cells, levels 0-2 read."""
+    start = time.monotonic()
+    report = obstruction_report(2, 2, [12])
+    elapsed = time.monotonic() - start
+    assert report.all_ok and report.is_cycle and report.nonzero_in_HH
+    assert report.to_json()["class"] == "v1^12 eps"
+    assert elapsed < 1, f"obstruction_report(2, 2, [12]) took {elapsed:.2f}s"
 
 
 def test_obstruction_report_higher_height():
