@@ -41,7 +41,9 @@ through them, building no element.
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 
 from .exact_linear import (
@@ -128,29 +130,36 @@ class ChainWindow:
         return self.diff[t + 1]
 
 
+_ESCAPED = "image escaped the enumerated basis; supplied caps are too tight for this window"
+
+
 def assemble(source_labels, target_labels, image) -> RationalMatrix:
     """Matrix whose column j is image(source_labels[j]) in target coordinates.
 
     image(label) yields (target label, coefficient) pairs; pairs with equal
     target labels add up.  A target label outside target_labels raises.
+    The sums accumulate straight into the matrix's {row: {col: value}}
+    rows; every index is in range by construction, so the rows go to
+    RationalMatrix._new unchecked, which drops the zeros and stores
+    integral values as ints.
     """
-    row = {label: i for i, label in enumerate(target_labels)}
-    entries = {}
+    index = {label: i for i, label in enumerate(target_labels)}
+    rows = defaultdict(dict)
     for col, label in enumerate(source_labels):
         for out, coeff in image(label):
-            i = row.get(out)
+            i = index.get(out)
             if i is None:
-                raise ValueError(
-                    "image escaped the enumerated basis; "
-                    "supplied caps are too tight for this window"
-                )
-            entries[(i, col)] = entries.get((i, col), 0) + coeff
-    return RationalMatrix(len(target_labels), len(source_labels), entries)
+                raise ValueError(_ESCAPED)
+            row = rows[i]
+            row[col] = row.get(col, 0) + coeff
+    return RationalMatrix._new(len(target_labels), len(source_labels), rows.items())
 
 
 def coordinates(x: QCombination, labels) -> list:
     """Coefficients of x on an ordered basis; x must lie in its span."""
-    return assemble([x], labels, lambda c: c.terms.items()).column(0)
+    if not x.terms.keys() <= set(labels):
+        raise ValueError(_ESCAPED)
+    return [x.terms.get(label, Fraction(0)) for label in labels]
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,16 @@ pivot choice (_echelon; its pivot row, the shortest live row, comes off a
 heap with lazy deletion, not from a scan over all rows): the rank counts
 its pivots, and kernel vectors and span witnesses are back-substituted over
 its pivot rows, then certified exactly (m k == 0, m x == v) before they are
-returned.  Matrix products run over the integers the same way.  There is
-deliberately no floating point anywhere in this package.
+returned.  There is deliberately no floating point anywhere in this
+package.
 
-Matrices are stored sparsely as {(row, col): Fraction}.  Elimination works
-on per-row {col: value} dicts; the differentials the other modules produce
-are sign-structured and sparse, and the largest ranked in practice have a
-few thousand columns (2982 for the (10, 1) bar complex of a:2:2).
+Matrices are stored sparsely as rows {row: {col: value}}, nonempty rows
+only, with an integral value stored as an int and any other as a Fraction.
+The differentials the other modules produce have integer entries, so they
+are pure-int rows from assembly through the d compose d product to
+elimination, which reads the rows as stored.  They are sign-structured and
+sparse, and the largest ranked in practice have tens of thousands of
+columns (the (12, 1) bar complex of a:2:2).
 
 The module also owns the one sparse vector type over Q: QCombination, a
 finite Q-linear combination of hashable labels.  Polynomials, Kahler
@@ -130,23 +133,46 @@ class QCombination:
 
 
 class RationalMatrix:
-    """Sparse matrix over Q.  Zero entries are never stored."""
+    """Sparse matrix over Q, stored as data = {row: {col: value}}.
 
-    __slots__ = ("rows", "cols", "entries")
+    Only nonempty rows are stored and never a zero value; an integral value
+    is an int and any other a Fraction, so integer matrices are pure-int
+    rows.  The constructor checks input from outside the program; _new
+    builds results that are valid by construction without checking again.
+    """
+
+    __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        self.rows = rows
-        self.cols = cols
-        clean = {}
+        data = {}
         for (i, j), value in (entries or {}).items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i}, {j}) out of bounds for {rows}x{cols}")
-            q = Fraction(value)
-            if q:
-                clean[(i, j)] = q
-        self.entries = clean
+            data.setdefault(i, {})[j] = Fraction(value)
+        self._set(rows, cols, data.items())
+
+    @classmethod
+    def _new(cls, rows: int, cols: int, row_pairs):
+        """Matrix from (row, {col: int or Fraction}) pairs whose indices are
+        in range; zeros and empty rows are dropped, integral values become
+        ints."""
+        out = object.__new__(cls)
+        out._set(rows, cols, row_pairs)
+        return out
+
+    def _set(self, rows, cols, row_pairs):
+        self.rows, self.cols, self.data = rows, cols, {}
+        for i, row in row_pairs:
+            row = {j: v.numerator if v.denominator == 1 else v for j, v in row.items() if v}
+            if row:
+                self.data[i] = row
+
+    @property
+    def entries(self) -> dict:
+        """Read-only view {(row, col): Fraction} of the nonzero entries."""
+        return {(i, j): Fraction(v) for i, row in self.data.items() for j, v in row.items()}
 
     @classmethod
     def from_rows(cls, rows_data, cols=None):
@@ -158,100 +184,60 @@ class RationalMatrix:
             if len(row) != cols:
                 raise ValueError("ragged rows")
             for j, value in enumerate(row):
-                if value:
-                    entries[(i, j)] = Fraction(value)
+                entries[(i, j)] = value
         return cls(len(rows_data), cols, entries)
 
     @classmethod
     def from_columns(cls, columns, rows=None):
-        columns = [list(c) for c in columns]
-        if rows is None:
-            rows = len(columns[0]) if columns else 0
-        entries = {}
-        for j, col in enumerate(columns):
-            if len(col) != rows:
-                raise ValueError("ragged columns")
-            for i, value in enumerate(col):
-                if value:
-                    entries[(i, j)] = Fraction(value)
-        return cls(rows, len(columns), entries)
-
-    @classmethod
-    def identity(cls, n: int):
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return cls.from_rows(columns, cols=rows).transpose()
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
-        )
-
-    def row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
-    def column(self, j: int):
-        if not 0 <= j < self.cols:
-            raise ValueError("column index out of range")
-        return [self.entries.get((i, j), Fraction(0)) for i in range(self.rows)]
+        out = {}
+        for i, row in self.data.items():
+            for j, v in row.items():
+                out.setdefault(j, {})[i] = v
+        return RationalMatrix._new(self.cols, self.rows, out.items())
 
     def mul_vector(self, vec):
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
         out = [Fraction(0)] * self.rows
-        for (i, j), v in self.entries.items():
-            if vec[j]:
-                out[i] += v * Fraction(vec[j])
+        for i, row in self.data.items():
+            out[i] += sum(v * vec[j] for j, v in row.items())
         return out
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        """Product over the integers: rows of self and columns of other are
-        scaled by the lcm of their denominators, and the scales are divided
-        back out of the nonzero results only."""
+        """Sparse product, row by row; int arithmetic when both are integral."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        col_scale = [1] * other.cols
-        for (_, j), w in other.entries.items():
-            col_scale[j] = lcm(col_scale[j], w.denominator)
-        other_rows = [dict() for _ in range(other.rows)]
-        for (k, j), w in other.entries.items():
-            other_rows[k][j] = w.numerator * (col_scale[j] // w.denominator)
-        entries = {}
-        for i, row in enumerate(self.row_dicts()):
-            if not row:
-                continue
-            scale, ints = _integer_row(row)
+        right = other.data
+        out = []
+        for i, row in self.data.items():
             acc = {}
-            for k, a in ints.items():
-                for j, w in other_rows[k].items():
+            for k, a in row.items():
+                for j, w in right.get(k, {}).items():
                     acc[j] = acc.get(j, 0) + a * w
-            for j, total in acc.items():
-                if total:
-                    entries[(i, j)] = Fraction(total, scale * col_scale[j])
-        return RationalMatrix(self.rows, other.cols, entries)
+            out.append((i, acc))
+        return RationalMatrix._new(self.rows, other.cols, out)
 
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        entries = dict(self.entries)
+        entries = self.entries
         for (i, j), v in other.entries.items():
             entries[(i, j + self.cols)] = v
         return RationalMatrix(self.rows, self.cols + other.cols, entries)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.data
 
     def __eq__(self, other):
         return (
             isinstance(other, RationalMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.data == other.data
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
 
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
@@ -264,23 +250,25 @@ class SpanResult(NamedTuple):
     coefficients: list | None
 
 
-def _integer_row(row: dict):
-    """(s, s * row) for s the lcm of the denominators of a nonzero row."""
+def _integer_row(row: dict) -> dict:
+    """s * row for s the lcm of the denominators of a nonzero row."""
     scale = lcm(*(v.denominator for v in row.values()))
-    return scale, {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+    return {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
 
 
-def _echelon(row_dicts, ncols):
+def _echelon(rows, ncols):
     """Forward-only, fraction-free elimination; yields (pivot column, pivot row).
 
-    Each row is scaled to integers, an invertible row operation, so the row
-    space is unchanged.  A row r with entry f in the pivot column becomes
-    (p/g) r - (f/g) P, g = gcd(p, f), for the pivot row P with pivot p, and
-    is then divided by the gcd of its entries, so entries stay small.  The
-    pivot is sparsity-aware (Markowitz): the shortest live row, and in it the
-    column that the fewest live rows share, read off a column -> rows index
-    that also names the rows to eliminate.  Column ncols, when present (the
-    augmented column of in_span), pivots only in a row with no other entry.
+    rows is {row id: nonzero row {col: int or Fraction}}, as RationalMatrix
+    stores it, and is left unchanged.  Each row is scaled to integers, an
+    invertible row operation, so the row space is unchanged.  A row r with
+    entry f in the pivot column becomes (p/g) r - (f/g) P, g = gcd(p, f), for
+    the pivot row P with pivot p, and is then divided by the gcd of its
+    entries, so entries stay small.  The pivot is sparsity-aware (Markowitz):
+    the shortest live row, and in it the column that the fewest live rows
+    share, read off a column -> rows index that also names the rows to
+    eliminate.  Column ncols, when present (the augmented column of in_span),
+    pivots only in a row with no other entry.
 
     The shortest live row, ties to the lowest row id, comes off a heap of
     (length, row id) with lazy deletion: a row is pushed again whenever
@@ -292,7 +280,7 @@ def _echelon(row_dicts, ncols):
     A yielded row has no entry in any earlier pivot column, so the pivot rows
     are an echelon form that back-substitution solves last pivot first.
     """
-    rows = {i: _integer_row(r)[1] for i, r in enumerate(row_dicts) if r}
+    rows = {i: _integer_row(r) for i, r in rows.items()}
     where = {}
     for i, r in rows.items():
         for c in r:
@@ -359,13 +347,13 @@ def _back_substitute(pivots, ncols, x):
 
 def rank(m: RationalMatrix) -> int:
     """Rank: the number of pivots of _echelon; no pivot row is kept."""
-    return sum(1 for _ in _echelon(m.row_dicts(), m.cols))
+    return sum(1 for _ in _echelon(m.data, m.cols))
 
 
 def kernel_basis(m: RationalMatrix):
     """Basis of {x : m x = 0}, one vector per free column, ascending; the
     vector of free column f is 1 at f and 0 at every other free column."""
-    pivots = list(_echelon(m.row_dicts(), m.cols))
+    pivots = list(_echelon(m.data, m.cols))
     pivot_cols = {col for col, _ in pivots}
     basis = [_back_substitute(pivots, m.cols, {f: Fraction(1)})
              for f in range(m.cols) if f not in pivot_cols]
@@ -384,10 +372,10 @@ def in_span(m: RationalMatrix, v) -> SpanResult:
     if len(v) != m.rows:
         raise ValueError("vector length does not match row count")
     aug = m.cols
-    rows = m.row_dicts()
+    rows = dict(m.data)
     for i, value in enumerate(v):
         if value:
-            rows[i][aug] = -value
+            rows[i] = {**rows.get(i, {}), aug: -value}
     pivots = []
     for col, row in _echelon(rows, aug):
         if col == aug:

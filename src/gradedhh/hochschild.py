@@ -176,9 +176,10 @@ def _faces(pres: Presentation, tensor):
             yield tensor[:i] + (hit[1],) + tensor[i + 2:], hit[0] * (-1) ** i
     hit = koszul_mul(pres, tensor[s], tensor[0]) if s else None
     if hit is not None:
+        # the Koszul sign needs the degree a_s passes only when |a_s| is odd
         moved = mono_degree(pres, tensor[s]) % 2
-        passed = sum(mono_degree(pres, m) for m in tensor[:s]) % 2
-        yield (hit[1],) + tensor[1:s], hit[0] * (-1) ** (moved * passed + s)
+        passed = moved and sum(mono_degree(pres, m) for m in tensor[:s]) % 2
+        yield (hit[1],) + tensor[1:s], hit[0] * (-1) ** (passed + s)
 
 
 def hochschild_diff(x: BarChain) -> BarChain:

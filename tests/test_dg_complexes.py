@@ -175,7 +175,8 @@ def _outcome(report, *args):
 CONE_REFERENCE_CASES = [
     (preset, element, window, caps)
     for preset, elements, windows, cap_values in [
-        ("bp:2:2", ["v2", "v1^2", "v1 v2", "0", "1"], [(-4, 12)], [None, 3]),
+        ("bp:2:2", ["v2", "v1^2", "v1 v2", "0", "1", "1/2 v2 + 2/3 v1^3"],
+         [(-4, 12)], [None, 3]),
         ("a:2:2", ["eps", "v1^4 eps", "v1", "0", "1"],
          [(-20, -13), (-16, 6)], [None, 3]),
         ("hh_a:2:2", ["sigma1", "delta", "eps", "v1^4 eps", "0", "1"],

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gradedhh import exact_linear
+from gradedhh.dg_complexes import assemble
 from gradedhh.exact_linear import (
     RationalMatrix,
     in_span,
@@ -20,7 +21,8 @@ def test_rank_of_dependent_rows():
 
 
 def test_rank_of_identity():
-    assert rank(RationalMatrix.identity(4)) == 4
+    identity = RationalMatrix.from_rows([[int(i == j) for j in range(4)] for i in range(4)])
+    assert rank(identity) == 4
 
 
 def test_rank_of_zero_matrix():
@@ -113,6 +115,16 @@ def test_zero_entries_are_never_stored():
     assert set(m.entries) == {(0, 0)}
     n = RationalMatrix(2, 2, {(0, 1): Fraction(0)})
     assert n.entries == {}
+    # integral values are stored as ints, any other value as a Fraction
+    q = RationalMatrix(2, 2, {(1, 0): Fraction(4, 2), (1, 1): Fraction(1, 2)})
+    assert q.data == {1: {0: 2, 1: Fraction(1, 2)}}
+    assert type(q.data[1][0]) is int and type(q.data[1][1]) is Fraction
+    # assembled sums: row "a" cancels and is not stored; (b, x) sums to 2
+    images = {"x": [("a", 1), ("b", Fraction(1, 2)), ("a", -1), ("b", Fraction(3, 2))],
+              "y": [("b", Fraction(1, 2))]}
+    m = assemble(["x", "y"], ["a", "b"], images.get)
+    assert m.data == {1: {0: 2, 1: Fraction(1, 2)}}
+    assert type(m.data[1][0]) is int
 
 
 def _random_matrix(rng, rows, cols, density=0.5):

@@ -510,7 +510,7 @@ def rows_of(m):
 @PROPERTY
 @given(rational_matrices())
 def test_rank_equals_gauss_jordan_pivot_count(m):
-    pivots, _ = _rref(m.row_dicts(), m.cols)
+    pivots, _ = _rref(m.data.values(), m.cols)
     assert rank(m) == len(pivots)
 
 
@@ -577,10 +577,10 @@ def test_kernel_basis_is_one_unit_vector_per_free_column(m):
         last = free[0]
 
 
-def _echelon_reference(row_dicts, ncols):
+def _echelon_reference(rows, ncols):
     """_echelon with the pivot row found by a scan over all live rows, the
     reference the heap of (length, row id) is checked against."""
-    rows = {i: _integer_row(r)[1] for i, r in enumerate(row_dicts) if r}
+    rows = {i: _integer_row(r) for i, r in rows.items()}
     where = {}
     for i, r in rows.items():
         for c in r:
@@ -634,10 +634,10 @@ SPARSE_ENTRIES = st.sampled_from(
 
 @st.composite
 def sparse_rows(draw):
-    """(rows, ncols): sparse rows with at most 4 entries from a few values,
-    so that lengths tie, optionally with entries in the augmented column
-    ncols that in_span adds; then scaled copies and sums of drawn rows,
-    which cancel to empty during elimination."""
+    """({row id: row}, ncols): nonempty sparse rows with at most 4 entries
+    from a few values, so that lengths tie, optionally with entries in the
+    augmented column ncols that in_span adds; then scaled copies and sums of
+    drawn rows, which cancel to empty during elimination."""
     ncols = draw(st.integers(1, 9))
     width = ncols + draw(st.integers(0, 1))
     rows = draw(st.lists(
@@ -650,7 +650,8 @@ def sparse_rows(draw):
         k = draw(SPARSE_ENTRIES)
         summed = {c: k * r.get(c, 0) + q.get(c, 0) for c in {*r, *q}}
         rows.append({c: v for c, v in summed.items() if v})
-    return draw(st.permutations(rows)), ncols
+    rows = draw(st.permutations(rows))
+    return {i: r for i, r in enumerate(rows) if r}, ncols
 
 
 def _pivot_sequence(echelon, rows, ncols):
@@ -668,12 +669,13 @@ def test_echelon_pops_the_pivots_of_the_min_scan_in_order(case):
 def test_echelon_pivot_order_on_bar_and_augmented_differentials():
     window = bar_window(a_q(ChromaticParams(2, 2)), (6, 1))
     for t, m in window.diff.items():
-        rows = m.row_dicts()
+        rows = m.data
         assert (_pivot_sequence(_echelon, rows, m.cols)
                 == _pivot_sequence(_echelon_reference, rows, m.cols)), t
-        for i, row in enumerate(rows):  # an augmented column, as in in_span
+        rows = {i: dict(row) for i, row in rows.items()}
+        for i in range(m.rows):  # an augmented column, as in in_span
             if i % 3:
-                row[m.cols] = Fraction((-1) ** i)
+                rows.setdefault(i, {})[m.cols] = Fraction((-1) ** i)
         assert (_pivot_sequence(_echelon, rows, m.cols)
                 == _pivot_sequence(_echelon_reference, rows, m.cols)), t
 
