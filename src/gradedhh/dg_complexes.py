@@ -11,8 +11,12 @@ target basis and writes the image of each source label as a column.
 Each question realizes one window.  Its bases come from one degree_pieces
 call, which enumerates the base ring's pieces over the hull of every
 shifted degree they read, and it ranks each differential at most once:
-ChainWindow.rank(t) eliminates diff[t] on first use and keeps the result,
-and homology_dims, quasi_iso_check and cone_report read it.
+ChainWindow.rank(t) eliminates diff[t] on first use and keeps its pivot
+columns, and homology_dims, quasi_iso_check and cone_report read it.  The
+ranks are taken with clearing: once diff[t - 1] is ranked, diff[t] is
+eliminated without the rows of its pivot columns (ChainWindow.rank gives
+the proof that the rank stays the same), so asking in ascending order, as
+homology_dims does, eliminates each differential on fewer rows.
 cone_report takes homology, quotient dimensions and regularity (injectivity
 of r on every source degree the windowed homology depends on) off one cone.
 
@@ -52,6 +56,7 @@ from .exact_linear import (
     combine,
     in_span,
     kernel_basis,
+    pivot_columns,
     rank,
 )
 from .graded_algebra import (
@@ -92,7 +97,7 @@ class ChainWindow:
         if degrees != list(range(self.lo, self.hi + 1)):
             raise ValueError("chain window degrees must be contiguous")
         self.basis = {t: list(basis[t]) for t in degrees}
-        self._ranks = {}
+        self._pivots = {}
         self.diff = {}
         for t in range(self.lo + 1, self.hi + 1):
             m = diff.get(t)
@@ -109,10 +114,24 @@ class ChainWindow:
         return {label: i for i, label in enumerate(self.basis[t])}
 
     def rank(self, t: int) -> int:
-        """Rank of diff[t], eliminated on first use and kept."""
-        if t not in self._ranks:
-            self._ranks[t] = rank(self.diff[t])
-        return self._ranks[t]
+        """Rank of diff[t], eliminated on first use; its pivot columns are kept.
+
+        Clearing: when the pivot columns P of diff[t - 1] are known, diff[t]
+        is eliminated without the rows P.  P is a basis of the column space
+        of diff[t - 1], so a vector in ker diff[t - 1] is fixed by its
+        entries outside P; every column of diff[t] lies in that kernel (d
+        compose d = 0, checked at construction on the full matrices), so
+        leaving out the rows P changes no rank, and the pivot columns found
+        are again a basis of the column space of the whole diff[t].  When P
+        is not known yet, the full matrix is eliminated.
+        """
+        if t not in self._pivots:
+            m = self.diff[t]
+            cleared = self._pivots.get(t - 1)
+            if cleared:
+                m = m.without_rows(cleared)
+            self._pivots[t] = pivot_columns(m)
+        return len(self._pivots[t])
 
     def homology_dims(self, window) -> dict:
         lo, hi = window
@@ -212,13 +231,20 @@ class GradedComplex:
             for t in degrees
         }
 
+        # each map's coefficients as an int when integral, so that integer
+        # maps give integer entries with no Fraction arithmetic
+        maps = [
+            [(m, c.numerator if c.denominator == 1 else c) for m, c in r.terms.items()]
+            for r in self.maps
+        ]
+
         def image(label):
             term, mono = label
             if term == 0:
                 return ()
             return (
                 ((term - 1, hit[1]), hit[0] * c)
-                for m, c in self.maps[term - 1].terms.items()
+                for m, c in maps[term - 1]
                 if (hit := koszul_mul(self.pres, m, mono)) is not None
             )
 

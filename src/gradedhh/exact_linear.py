@@ -4,13 +4,20 @@ Every homology computation in this package reduces to three questions about
 a matrix with rational entries: its rank, a basis of its kernel, and whether
 a vector lies in its column span (with an explicit coefficient witness).
 All three come from one forward-only, fraction-free elimination on integer
-rows (each row scaled by the lcm of its denominators) with a sparsity-aware
-pivot choice (_echelon; its pivot row, the shortest live row, comes off a
-heap with lazy deletion, not from a scan over all rows): the rank counts
-its pivots, and kernel vectors and span witnesses are back-substituted over
-its pivot rows, then certified exactly (m k == 0, m x == v) before they are
-returned.  There is deliberately no floating point anywhere in this
-package.
+rows (each row scaled by the lcm of its denominators; an all-int row is
+copied as it is) with a sparsity-aware pivot choice (_echelon; its pivot
+row, the shortest live row, comes off a heap with lazy deletion, not from a
+scan over all rows): pivot_columns collects its pivot columns and rank
+counts them, and kernel vectors and span witnesses are back-substituted
+over its pivot rows, then certified exactly (m k == 0, m x == v) before
+they are returned.  There is deliberately no floating point anywhere in
+this package.
+
+The pivot columns of a matrix are a basis of its column space (see
+_echelon).  ChainWindow.rank rests on that to rank the differentials of a
+chain complex with clearing, the "twist" of persistent-homology codes (Chen
+and Kerber, "Persistent homology computation with a twist", EuroCG 2011):
+it eliminates d_{t+1} without the rows (without_rows) that d_t pivoted.
 
 Matrices are stored sparsely as rows {row: {col: value}}, nonempty rows
 only, with an integral value stored as an int and any other as a Fraction.
@@ -220,6 +227,14 @@ class RationalMatrix:
             out.append((i, acc))
         return RationalMatrix._new(self.rows, other.cols, out)
 
+    def without_rows(self, drop) -> "RationalMatrix":
+        """The same shape with the rows in drop zeroed; the other rows are
+        shared with self, not copied (a matrix is never changed in place)."""
+        out = object.__new__(RationalMatrix)
+        out.rows, out.cols = self.rows, self.cols
+        out.data = {i: r for i, r in self.data.items() if i not in drop}
+        return out
+
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
@@ -251,9 +266,13 @@ class SpanResult(NamedTuple):
 
 
 def _integer_row(row: dict) -> dict:
-    """s * row for s the lcm of the denominators of a nonzero row."""
-    scale = lcm(*(v.denominator for v in row.values()))
-    return {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+    """s * row for s the lcm of the denominators of a nonzero row: a plain
+    copy when every entry is an int, as in every differential."""
+    for v in row.values():
+        if type(v) is not int:
+            scale = lcm(*(v.denominator for v in row.values()))
+            return {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+    return dict(row)
 
 
 def _echelon(rows, ncols):
@@ -278,7 +297,11 @@ def _echelon(rows, ncols):
     would pick, in the same order.
 
     A yielded row has no entry in any earlier pivot column, so the pivot rows
-    are an echelon form that back-substitution solves last pivot first.
+    are an echelon form that back-substitution solves last pivot first.  Its
+    square block on the pivot columns is then triangular with a nonzero
+    diagonal, and the row operations keep every linear relation among the
+    columns, so the pivot columns of the input are a basis of its column
+    space.
     """
     rows = {i: _integer_row(r) for i, r in rows.items()}
     where = {}
@@ -345,9 +368,15 @@ def _back_substitute(pivots, ncols, x):
     return [x.get(c, zero) for c in range(ncols)]
 
 
+def pivot_columns(m: RationalMatrix) -> frozenset:
+    """The pivot columns of _echelon on m, a basis of its column space; no
+    pivot row is kept."""
+    return frozenset(col for col, _ in _echelon(m.data, m.cols))
+
+
 def rank(m: RationalMatrix) -> int:
-    """Rank: the number of pivots of _echelon; no pivot row is kept."""
-    return sum(1 for _ in _echelon(m.data, m.cols))
+    """Rank: the number of pivot columns."""
+    return len(pivot_columns(m))
 
 
 def kernel_basis(m: RationalMatrix):
@@ -375,6 +404,7 @@ def in_span(m: RationalMatrix, v) -> SpanResult:
     rows = dict(m.data)
     for i, value in enumerate(v):
         if value:
+            value = value.numerator if value.denominator == 1 else value
             rows[i] = {**rows.get(i, {}), aug: -value}
     pivots = []
     for col, row in _echelon(rows, aug):

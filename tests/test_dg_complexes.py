@@ -34,7 +34,7 @@ from gradedhh.dg_complexes import (
 )
 import gradedhh.dg_complexes as dg_complexes
 from gradedhh.cli import main as cli_main, parse_preset
-from gradedhh.exact_linear import RationalMatrix, rank
+from gradedhh.exact_linear import RationalMatrix, pivot_columns, rank
 from gradedhh.graded_algebra import (
     Element,
     element_from_string,
@@ -42,7 +42,7 @@ from gradedhh.graded_algebra import (
     make_presentation,
     monomial_basis,
 )
-from gradedhh.hochschild import bar_window, hh_dims
+from gradedhh.hochschild import bar_window, hh_dims, multidegrees_up_to
 
 
 def poly_ring():
@@ -248,13 +248,15 @@ def test_cone_report_negative_degree_zero_divisor_is_not_regular():
 
 
 def _count_ranks(monkeypatch):
+    """Record the matrix of every elimination dg_complexes asks for, through
+    either entry point: rank or pivot_columns."""
     calls = []
+    for name, original in (("rank", rank), ("pivot_columns", pivot_columns)):
+        def counted(m, original=original):
+            calls.append(m)
+            return original(m)
 
-    def counted(m):
-        calls.append(m)
-        return rank(m)
-
-    monkeypatch.setattr(dg_complexes, "rank", counted)
+        monkeypatch.setattr(dg_complexes, name, counted)
     return calls
 
 
@@ -262,9 +264,16 @@ def test_homology_ranks_each_differential_once(monkeypatch):
     pres = a_q(ChromaticParams(2, 2))
     calls = _count_ranks(monkeypatch)
     hh_dims(pres, (3, 1))
-    diffs = list(bar_window(pres, (3, 1)).diff.values())
-    assert len(calls) == len(diffs)
-    assert all(sum(m == d for m in calls) == 1 for d in diffs)
+    diff = bar_window(pres, (3, 1)).diff
+    assert len(calls) == len(diff)
+    # in ascending order, each without the rows of the pivots of the one below
+    below = frozenset()
+    for m, t in zip(calls, sorted(diff)):
+        assert m == diff[t].without_rows(below), t
+        below = pivot_columns(m)
+        assert len(below) == rank(diff[t]), t
+    # clearing left rows out
+    assert sum(len(m.data) for m in calls) < sum(len(d.data) for d in diff.values())
 
 
 def test_commutative_model_check_ranks_each_differential_once(monkeypatch):
@@ -273,6 +282,68 @@ def test_commutative_model_check_ranks_each_differential_once(monkeypatch):
     assert commutative_model_check(2, 2, (lo, hi))["all_ok"]
     # at most the sub and ambient differentials plus one stacked matrix per degree
     assert len(calls) <= 3 * (hi - lo + 2)
+
+
+# -- clearing: every differential ranked without the rows pivoted below ---------------
+
+
+def _bar_windows():
+    """The bar complexes of acceptance criterion 1: weight <= 5 on its presets."""
+    presets = [
+        make_presentation([("v", 2, False)]),
+        make_presentation([("y", 3, False)]),
+        a_q(ChromaticParams(2, 2)),
+        a_q(ChromaticParams(3, 2)),
+    ]
+    return [bar_window(pres, m) for pres in presets for m in multidegrees_up_to(pres, 5)]
+
+
+def _cone_windows():
+    """The cones of the cone reference cases, realized as cone_report does."""
+    out = []
+    for preset, element, (lo, hi), caps in CONE_REFERENCE_CASES:
+        pres = parse_preset(preset)
+        c = cone(pres, element_from_string(pres, element))
+        try:
+            out.append(c.realize((lo, hi + max(0, c.shifts[1] - 1)), caps))
+        except ValueError:  # caps too tight for the window
+            pass
+    return out
+
+
+def _mdga_windows():
+    """The matrix-DGA windows and their Z windows of the acceptance and flat
+    pair-check cases."""
+    out = []
+    for p, n, window in [(2, 2, (-12, 8)), (3, 1, (-10, 6)), *FLAT_CHECK_CASES]:
+        dga = matrix_dga(p, n)
+        amb = build_mdga_window(dga, window)
+        out += [amb, build_cycles_window(dga, window, amb)[0]]
+    return out
+
+
+@pytest.mark.parametrize("windows", [_bar_windows, _cone_windows, _mdga_windows],
+                         ids=["bar", "cone", "matrix-dga"])
+def test_cleared_ranks_equal_full_ranks(windows):
+    for win in windows():
+        for t in sorted(win.diff):
+            assert win.rank(t) == rank(win.diff[t]), (win.basis[t][:3], t)
+
+
+def test_rank_out_of_order_takes_the_full_matrix(monkeypatch):
+    pres = a_q(ChromaticParams(2, 2))
+    ascending = bar_window(pres, (4, 1))
+    want = {t: ascending.rank(t) for t in sorted(ascending.diff)}
+    win = bar_window(pres, (4, 1))
+    calls = _count_ranks(monkeypatch)
+    assert win.rank(3) == want[3]
+    assert win.rank(2) == want[2]
+    assert calls == [win.diff[3], win.diff[2]]
+    # degree 3 is kept, and degree 4 is cleared by the pivots of degree 3
+    assert win.rank(3) == want[3] and len(calls) == 2
+    assert win.rank(4) == want[4]
+    assert calls[2] == win.diff[4].without_rows(pivot_columns(win.diff[3]))
+    assert calls[2] != win.diff[4]
 
 
 # -- matrix DGA: elements and differential -----------------------------------------

@@ -6,20 +6,24 @@ random multi-term combinations with small rational coefficients.  Matrices
 are small and rational, with zero rows and columns, repeated rows, low rank
 and entries up to 10^6 in size.  The bar-basis and degree-piece enumerators
 are checked against the simpler enumerations they replaced, the heap
-pivot order of the elimination against the scan it replaced, and the Ore
-checker against the search-first decision it replaced, on random tables
-whose products respect degrees.
+pivot order of the elimination against the scan it replaced, the cleared
+ranks of a chain window against full ranks on random complexes, and the
+Ore checker against the search-first decision it replaced, on random
+tables whose products respect degrees.
 """
 
 import itertools
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedhh.chromatic_presets import ChromaticParams, a_q, parse_preset
+import gradedhh.dg_complexes as dg_complexes
 from gradedhh.dg_complexes import (
+    ChainWindow,
     MatrixDGAElement,
     dga_diff,
     matrix_dga,
@@ -32,6 +36,7 @@ from gradedhh.exact_linear import (
     _integer_row,
     in_span,
     kernel_basis,
+    pivot_columns,
     rank,
 )
 from gradedhh.graded_algebra import (
@@ -575,6 +580,49 @@ def test_kernel_basis_is_one_unit_vector_per_free_column(m):
                 and all(other[j] == 0 for o, other in enumerate(basis) if o != i)]
         assert free, (m, basis)
         last = free[0]
+
+
+@st.composite
+def chain_complexes(draw):
+    """Differentials d_1, ..., d_k, k = 3 or 4, with d_t d_{t+1} = 0: d_1 is
+    a random matrix and every column of d_{t+1} a random combination of the
+    kernel basis of d_t, so ranks run from 0 to full."""
+    diffs = [draw(rational_matrices(max_dim=6))]
+    for _ in range(draw(st.integers(2, 3))):
+        kernel = kernel_basis(diffs[-1])
+        columns = []
+        for _ in range(draw(st.integers(0, 6))):
+            coeffs = draw(st.lists(ENTRIES, min_size=len(kernel), max_size=len(kernel)))
+            columns.append([sum((c * k[j] for c, k in zip(coeffs, kernel)), Fraction(0))
+                            for j in range(diffs[-1].cols)])
+        diffs.append(RationalMatrix.from_columns(columns, rows=diffs[-1].cols))
+    return diffs
+
+
+@PROPERTY
+@given(chain_complexes())
+def test_cleared_ranks_equal_full_ranks_and_chain_across_degrees(diffs):
+    basis = {0: range(diffs[0].rows)}
+    basis.update((t, range(d.cols)) for t, d in enumerate(diffs, 1))
+    window = ChainWindow(basis, dict(enumerate(diffs, 1)))
+    calls = []
+
+    def recorded(m):
+        calls.append((m, pivot_columns(m)))
+        return calls[-1][1]
+
+    with mock.patch.object(dg_complexes, "pivot_columns", recorded):
+        ranks = [window.rank(t) for t in range(1, len(diffs) + 1)]
+    assert ranks == [rank(d) for d in diffs]
+    below = frozenset()
+    for d, (m, pivots) in zip(diffs, calls, strict=True):
+        # each eliminated without the rows the degree below pivoted, and its
+        # pivots a column basis of the whole differential: the next clearing
+        # rests on that
+        assert m == d.without_rows(below)
+        others = set(range(d.cols)) - pivots
+        assert len(pivots) == rank(d.transpose().without_rows(others)) == rank(d)
+        below = pivots
 
 
 def _echelon_reference(rows, ncols):
