@@ -11,8 +11,8 @@ target basis and writes the image of each source label as a column.
 Each question realizes one window.  Its bases come from one degree_pieces
 call, which enumerates the base ring's pieces over the hull of every
 shifted degree they read, and it ranks each differential at most once:
-ChainWindow.rank(t) eliminates diff[t] on first use and keeps its pivot
-columns, and homology_dims, quasi_iso_check and cone_report read it.  The
+ChainWindow.rank(t) eliminates diff[t] on first use and keeps its rank,
+and homology_dims, quasi_iso_check and cone_report read it.  The
 ranks are taken with clearing: once diff[t - 1] is ranked, diff[t] is
 eliminated without the rows of its pivot columns (ChainWindow.rank gives
 the proof that the rank stays the same), so asking in ascending order, as
@@ -36,10 +36,15 @@ realizes Q[v_1, ..., v_{n-1}] (diagonal classes) together with an exterior
 class eps (the strictly upper classes) one degree above -2p^n.
 
 The product and the differential are generators of (label, coefficient)
-pairs, _product_pairs and _diff_pairs; the element product and dga_diff are
-their linear extensions, and the exhaustive pair checks (the derivation law
-and the closure and commutativity of Z) run on flat (slot, mono) terms
-through them, building no element.
+pairs over packed labels (slot, code): slot is a position in _SLOTS and
+code an int that packs one monomial of the base ring (_packing), so that
+multiplying monomials is adding codes and multiplying by v_n is adding
+v_n's code.  _product_pairs and _diff_pairs are the only product and
+differential rules.  The exhaustive pair checks (the derivation law, and
+the closure and commutativity of Z) pack each basis label once and sum the
+terms of every ordered pair in one small dict, building no element; the
+element product, dga_diff and build_mdga_window pack at their boundary and
+decode what they return, so public labels stay (slot, exponent tuple).
 """
 
 from __future__ import annotations
@@ -97,6 +102,7 @@ class ChainWindow:
         if degrees != list(range(self.lo, self.hi + 1)):
             raise ValueError("chain window degrees must be contiguous")
         self.basis = {t: list(basis[t]) for t in degrees}
+        self._ranks = {}
         self._pivots = {}
         self.diff = {}
         for t in range(self.lo + 1, self.hi + 1):
@@ -114,7 +120,7 @@ class ChainWindow:
         return {label: i for i, label in enumerate(self.basis[t])}
 
     def rank(self, t: int) -> int:
-        """Rank of diff[t], eliminated on first use; its pivot columns are kept.
+        """Rank of diff[t], eliminated on first use and kept as an int.
 
         Clearing: when the pivot columns P of diff[t - 1] are known, diff[t]
         is eliminated without the rows P.  P is a basis of the column space
@@ -123,15 +129,19 @@ class ChainWindow:
         compose d = 0, checked at construction on the full matrices), so
         leaving out the rows P changes no rank, and the pivot columns found
         are again a basis of the column space of the whole diff[t].  When P
-        is not known yet, the full matrix is eliminated.
+        is not known yet, the full matrix is eliminated.  Only rank(t) reads
+        P again, so it drops P; diff[t]'s pivot columns are kept for
+        rank(t + 1).
         """
-        if t not in self._pivots:
+        if t not in self._ranks:
             m = self.diff[t]
-            cleared = self._pivots.get(t - 1)
+            cleared = self._pivots.pop(t - 1, None)
             if cleared:
                 m = m.without_rows(cleared)
-            self._pivots[t] = pivot_columns(m)
-        return len(self._pivots[t])
+            pivots = pivot_columns(m)
+            self._ranks[t] = len(pivots)
+            self._pivots[t] = pivots
+        return self._ranks[t]
 
     def homology_dims(self, window) -> dict:
         lo, hi = window
@@ -333,6 +343,28 @@ _DIFF_RULE = {
     "d": (("b", True),),
 }
 
+_SLOT_INDEX = {slot: i for i, slot in enumerate(_SLOTS)}
+
+
+def _slot_tables():
+    """_PRODUCT_SLOT and _DIFF_RULE over slot indices (positions in _SLOTS).
+
+    product[s][t] is the index of the product slot, or None; rules[k % 2][s]
+    lists the (target slot, sign) terms of d on slot s in degree k, each
+    target monomial being the source one times v_n.  The tables are read
+    off the two dicts on every call, so the dicts stay the one definition
+    of the rules.
+    """
+    product = [[None] * len(_SLOTS) for _ in _SLOTS]
+    for (s, t), u in _PRODUCT_SLOT.items():
+        product[_SLOT_INDEX[s]][_SLOT_INDEX[t]] = _SLOT_INDEX[u]
+    rules = tuple(
+        [tuple((_SLOT_INDEX[target], 1 if left else twist)
+               for target, left in _DIFF_RULE[slot]) for slot in _SLOTS]
+        for twist in (-1, 1)  # -(-1)^k for even, then odd k
+    )
+    return product, rules
+
 
 @dataclass(frozen=True)
 class MatrixDGA:
@@ -428,10 +460,12 @@ class MatrixDGAElement(QCombination):
         if not isinstance(other, MatrixDGAElement):
             return super().__mul__(other)
         self._require_same(other)
-        return self._new(
-            _product_pairs(self.dga.pres, self.terms.items(), other.terms.items()),
-            k=self.k + other.k,
+        pack, unpack = _packing(self.dga, [m for _, m in chain(self.terms, other.terms)])
+        product, _ = _slot_tables()
+        pairs = _product_pairs(
+            product, _packed_terms(pack, self.terms), _packed_terms(pack, other.terms)
         )
+        return self._new(_unpacked_pairs(unpack, pairs), k=self.k + other.k)
 
     def __repr__(self):
         return (
@@ -440,35 +474,102 @@ class MatrixDGAElement(QCombination):
         )
 
 
-def _product_pairs(pres: Presentation, left, right):
+def _packing(dga: MatrixDGA, monos):
+    """pack, unpack: monomials of the base ring as ints, and back, for monos.
+
+    Generator i gets the radix r_i = 2 top_i + 2, where top_i is the largest
+    exponent of generator i in monos, and pack(m) = sum_i m_i R_i with place
+    values R_0 = 1, R_{i+1} = R_i r_i.  pack is additive on exponents, and
+    the base ring is polynomial (no sign, no product vanishes), so the
+    product of two monomials packs to the sum of their codes and
+    multiplying by v_n adds pack(v_n).
+
+    Nothing carries.  For f and g each in monos or 1, digit i of
+    pack(f) + pack(g) + pack(v_n) is at most top_i + top_i + 1 = r_i - 1, so
+    every digit of the sum is the exponent of generator i in f g v_n, and
+    unpack reads it back.  v_n is the last generator of the base ring, and
+    unpack leaves the last digit unreduced, so that digit may exceed its
+    radix: d(d(f)) = v_n f v_n decodes exactly too.
+
+    An odd generator (a sign, and squares that vanish) or a Laurent one
+    (negative exponents) has no such code: ValueError.
+    """
+    pres = dga.pres
+    if any(pres.is_odd(i) or pres.laurent[i] for i in range(pres.ngens)):
+        raise ValueError("packed monomials need a polynomial ring: no odd or laurent generator")
+    monos = list(monos)
+    tops = [max(exps) for exps in zip(*monos)] if monos else [0] * pres.ngens
+    places = []
+    place = 1
+    for top in tops:
+        places.append(place)
+        place *= 2 * top + 2
+
+    def pack(mono) -> int:
+        return sum(e * r for e, r in zip(mono, places))
+
+    def unpack(code: int) -> tuple:
+        mono = []
+        for r in reversed(places):
+            e, code = divmod(code, r)
+            mono.append(e)
+        return tuple(reversed(mono))
+
+    return pack, unpack
+
+
+def _pack_label(pack, label) -> tuple:
+    """(slot, mono) -> (slot index, code)."""
+    slot, mono = label
+    return _SLOT_INDEX[slot], pack(mono)
+
+
+def _packed_terms(pack, terms: dict) -> tuple:
+    """((slot index, code), coefficient) pairs of {(slot, mono): coefficient}."""
+    return tuple((_pack_label(pack, label), c) for label, c in terms.items())
+
+
+def _unpacked_pairs(unpack, pairs):
+    """((slot, mono), coefficient) pairs of packed (label, coefficient) pairs."""
+    return (((_SLOTS[s], unpack(code)), c) for (s, code), c in pairs)
+
+
+def _product_pairs(product, left, right):
     """(label, coefficient) pairs of the product of two matrices given as
-    ((slot, mono), coefficient) pairs."""
-    right = tuple(right)
-    for (s, ma), ca in left:
-        for (t, mb), cb in right:
-            slot = _PRODUCT_SLOT.get((s, t))
-            if slot and (hit := koszul_mul(pres, ma, mb)) is not None:
-                yield (slot, hit[1]), hit[0] * ca * cb
+    packed (label, coefficient) pairs, right a sequence; product is
+    _slot_tables()[0]."""
+    for (s, a), ca in left:
+        row = product[s]
+        for (t, b), cb in right:
+            slot = row[t]
+            if slot is not None:
+                yield (slot, a + b), ca * cb
 
 
-def _diff_pairs(dga: MatrixDGA, k: int, terms):
-    """(label, coefficient) pairs of d on degree-k (label, coefficient) pairs."""
-    twist = 1 if k % 2 else -1  # -(-1)^k
-    vn = dga.vn_mono
-    for (slot, mono), coeff in terms:
-        for target, left in _DIFF_RULE[slot]:
-            # the entries are even, so these products never vanish
-            if left:
-                sign, moved = koszul_mul(dga.pres, vn, mono)
-            else:
-                sign, moved = koszul_mul(dga.pres, mono, vn)
-                sign *= twist
-            yield (target, moved), sign * coeff
+def _diff_pairs(rules, vn: int, k: int, terms):
+    """(label, coefficient) pairs of d on degree-k packed (label, coefficient)
+    pairs; rules is _slot_tables()[1] and vn the code of v_n."""
+    rule = rules[k % 2]
+    for (slot, code), coeff in terms:
+        for target, sign in rule[slot]:
+            yield (target, code + vn), sign * coeff
+
+
+def _vanishes(*pair_streams) -> bool:
+    """Do the (label, coefficient) pairs of all the streams sum to zero?"""
+    acc = {}
+    for pairs in pair_streams:
+        for label, c in pairs:
+            acc[label] = acc.get(label, 0) + c
+    return not any(acc.values())
 
 
 def dga_diff(f: MatrixDGAElement) -> MatrixDGAElement:
     """The differential d(f) = d_cone f - (-1)^k f d_cone, slot by slot."""
-    return f._new(_diff_pairs(f.dga, f.k, f.terms.items()), k=f.k - 1)
+    pack, unpack = _packing(f.dga, [m for _, m in f.terms])
+    _, rules = _slot_tables()
+    pairs = _diff_pairs(rules, pack(f.dga.vn_mono), f.k, _packed_terms(pack, f.terms))
+    return f._new(_unpacked_pairs(unpack, pairs), k=f.k - 1)
 
 
 def mdga_window_labels(dga: MatrixDGA, window) -> dict:
@@ -495,9 +596,13 @@ def build_mdga_window(dga: MatrixDGA, window) -> ChainWindow:
     """Concrete complex of the matrix DGA on [lo-1, hi+1]."""
     lo, hi = window
     basis = mdga_window_labels(dga, (lo - 1, hi + 1))
+    pack, _ = _packing(dga, [mono for labels in basis.values() for _, mono in labels])
+    _, rules = _slot_tables()
+    vn = pack(dga.vn_mono)
+    packed = {k: [_pack_label(pack, label) for label in labels] for k, labels in basis.items()}
     diff = {
         k: assemble(
-            basis[k], basis[k - 1], lambda label: _diff_pairs(dga, k, [(label, 1)])
+            packed[k], packed[k - 1], lambda label: _diff_pairs(rules, vn, k, ((label, 1),))
         )
         for k in range(lo, hi + 2)
     }
@@ -565,21 +670,29 @@ def cycles_subalgebra(dga: MatrixDGA, window):
     ]
 
 
-def _vn_free_cycle_shape(dga: MatrixDGA, k: int, terms: dict) -> bool:
-    """Do the {(slot, mono): coefficient} terms of a degree-k matrix have the
-    shape [[a, b], [0, (-1)^k a]] with v_n-free a and b?"""
+def _vn_free_cycle_shape(k: int, vn: int, terms: dict) -> bool:
+    """Do the {(slot, code): coefficient} packed terms of a degree-k matrix
+    have the shape [[a, b], [0, (-1)^k a]] with v_n-free a and b?
+
+    vn is the code of v_n, the place value of the last digit (_packing), so
+    a code is v_n-free exactly when it is below vn.
+    """
+    a, b, d = (_SLOT_INDEX[slot] for slot in "abd")
     sign = 1 if k % 2 == 0 else -1
     return all(
-        slot == "b" and _vn_free(dga, mono)
-        or slot == "a" and _vn_free(dga, mono) and terms.get(("d", mono)) == sign * c
-        or slot == "d" and terms.get(("a", mono)) == sign * c
-        for (slot, mono), c in terms.items()
+        slot == b and code < vn
+        or slot == a and code < vn and terms.get((d, code)) == sign * c
+        or slot == d and terms.get((a, code)) == sign * c
+        for (slot, code), c in terms.items()
     )
 
 
 def is_vn_free_cycle_shape(el: MatrixDGAElement) -> bool:
     """Does el look like [[a, b], [0, (-1)^k a]] with v_n-free a and b?"""
-    return _vn_free_cycle_shape(el.dga, el.k, el.terms)
+    pack, _ = _packing(el.dga, [m for _, m in el.terms])
+    return _vn_free_cycle_shape(
+        el.k, pack(el.dga.vn_mono), dict(_packed_terms(pack, el.terms))
+    )
 
 
 @dataclass
@@ -656,29 +769,30 @@ def build_cycles_window(dga: MatrixDGA, window, amb: ChainWindow | None = None):
 def commutative_model_check(p: int, n: int, window) -> dict:
     """Closure, commutativity, and quasi-isomorphism of Z inside the DGA."""
     dga = matrix_dga(p, n)
-    pres = dga.pres
     lo, hi = window
     amb = build_mdga_window(dga, window)
     sub, inclusion = build_cycles_window(dga, window, amb)
-    cycles = [
-        (k, tuple(_cycle_terms(k, label).items()))
-        for k in range(lo, hi + 1)
-        for label in sub.basis[k]
+    unpacked = [
+        (k, _cycle_terms(k, label)) for k in range(lo, hi + 1) for label in sub.basis[k]
     ]
+    pack, _ = _packing(dga, [mono for _, terms in unpacked for _, mono in terms])
+    product, rules = _slot_tables()
+    vn = pack(dga.vn_mono)
+    cycles = [(k, _packed_terms(pack, terms)) for k, terms in unpacked]
     closed = True
     commutative = True
     for kf, f in cycles:
         for kg, g in cycles:
             k = kf + kg
-            prod = combine(_product_pairs(pres, f, g))
-            if not (_vn_free_cycle_shape(dga, k, prod)
-                    and not combine(_diff_pairs(dga, k, prod.items()))):
+            prod = combine(_product_pairs(product, f, g))
+            if not (_vn_free_cycle_shape(k, vn, prod)
+                    and _vanishes(_diff_pairs(rules, vn, k, prod.items()))):
                 closed = False
             sign = 1 if kf % 2 and kg % 2 else -1  # -(-1)^{|f||g|}
-            if combine(chain(
+            if not _vanishes(
                 prod.items(),
-                ((label, sign * c) for label, c in _product_pairs(pres, g, f)),
-            )):
+                ((label, sign * c) for label, c in _product_pairs(product, g, f)),
+            ):
                 commutative = False
     report = quasi_iso_check(sub, amb, inclusion, window)
     return {
@@ -700,27 +814,34 @@ def commutative_model_check(p: int, n: int, window) -> dict:
 def dga_structure_check(p: int, n: int, window) -> dict:
     """d compose d = 0 and the derivation law, exhaustively over the window.
 
-    Every basis element f of the window is one (slot, mono) term; its
-    differential df is computed once.  For every ordered pair (f, g) the
-    pairs of d(fg) - d(f)g - (-1)^|f| f d(g) are summed by one combine.
+    Every basis element f of the window is one packed term ((slot, code),
+    1), with the code from one _packing of the window's monomials; its
+    differential df is computed once, and -df and -(-1)^|f| f once per f.
+    For every ordered pair (f, g) the terms of
+    d(fg) - d(f)g - (-1)^|f| f d(g) are summed in one small dict, and the
+    pair passes when every sum is zero.  Every term's code is that of
+    f g v_n, which _packing proves carries no digit, so the check is exact.
     """
     dga = matrix_dga(p, n)
-    pres = dga.pres
+    labels = [(k, label) for k, ls in mdga_window_labels(dga, window).items() for label in ls]
+    pack, _ = _packing(dga, [mono for _, (_, mono) in labels])
+    product, rules = _slot_tables()
+    vn = pack(dga.vn_mono)
     elements = []
-    for k, labels in mdga_window_labels(dga, window).items():
-        for label in labels:
-            f = ((label, 1),)
-            elements.append((k, f, tuple(_diff_pairs(dga, k, f))))
-    d_squared = all(not combine(_diff_pairs(dga, k - 1, df)) for k, _, df in elements)
+    for k, label in labels:
+        f = ((_pack_label(pack, label), 1),)
+        elements.append((k, f, tuple(_diff_pairs(rules, vn, k, f))))
+    d_squared = all(_vanishes(_diff_pairs(rules, vn, k - 1, df)) for k, _, df in elements)
     derivation = True
     for kf, f, df in elements:
-        sign = -1 if kf % 2 == 0 else 1  # -(-1)^|f|
+        minus_df = tuple((label, -c) for label, c in df)
+        twisted_f = ((f[0][0], -1 if kf % 2 == 0 else 1),)  # -(-1)^|f| f
         for kg, g, dg in elements:
-            if combine(chain(
-                _diff_pairs(dga, kf + kg, _product_pairs(pres, f, g)),
-                ((label, -c) for label, c in _product_pairs(pres, df, g)),
-                ((label, sign * c) for label, c in _product_pairs(pres, f, dg)),
-            )):
+            if not _vanishes(
+                _diff_pairs(rules, vn, kf + kg, _product_pairs(product, f, g)),
+                _product_pairs(product, minus_df, g),
+                _product_pairs(product, twisted_f, dg),
+            ):
                 derivation = False
     return {
         "p": p,

@@ -346,6 +346,20 @@ def test_rank_out_of_order_takes_the_full_matrix(monkeypatch):
     assert calls[2] != win.diff[4]
 
 
+def test_homology_keeps_ranks_and_at_most_one_pivot_set():
+    # rank(t) drops the pivot set of degree t - 1 once it has cleared with it
+    dga = matrix_dga(2, 2)
+    for win in [
+        bar_window(a_q(ChromaticParams(2, 2)), (4, 1)),
+        build_mdga_window(dga, (-12, 8)),
+        cone(dga.pres, Element.gen(dga.pres, "v2")).realize((0, 40)),
+    ]:
+        lo, hi = win.lo + 1, win.hi - 1
+        win.homology_dims((lo, hi))
+        assert len(win._pivots) <= 1
+        assert win._ranks == {t: rank(win.diff[t]) for t in range(lo, hi + 2)}
+
+
 # -- matrix DGA: elements and differential -----------------------------------------
 
 
@@ -537,6 +551,27 @@ BROKEN_DIFF_RULES = {
 def test_broken_differential_fails_the_derivation_law(monkeypatch, broken):
     for slot, rule in broken.items():
         monkeypatch.setitem(dg_complexes._DIFF_RULE, slot, rule)
+    report = dga_structure_check(2, 2, (-12, 8))
+    assert report["derivation_law"] is False
+    assert report["pairs_checked"] == report["basis_size"] ** 2
+
+
+# Each broken product keeps the window's basis and the differential; the
+# derivation law must notice.
+BROKEN_PRODUCTS = {
+    "b c lands in d": {("b", "c"): "d"},
+    "d d lands in c": {("d", "d"): "c"},
+    "a b is lost": {("a", "b"): None},
+}
+
+
+@pytest.mark.parametrize("broken", BROKEN_PRODUCTS.values(), ids=BROKEN_PRODUCTS)
+def test_broken_product_fails_the_derivation_law(monkeypatch, broken):
+    for pair, slot in broken.items():
+        if slot is None:
+            monkeypatch.delitem(dg_complexes._PRODUCT_SLOT, pair)
+        else:
+            monkeypatch.setitem(dg_complexes._PRODUCT_SLOT, pair, slot)
     report = dga_structure_check(2, 2, (-12, 8))
     assert report["derivation_law"] is False
     assert report["pairs_checked"] == report["basis_size"] ** 2

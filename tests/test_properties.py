@@ -7,9 +7,10 @@ are small and rational, with zero rows and columns, repeated rows, low rank
 and entries up to 10^6 in size.  The bar-basis and degree-piece enumerators
 are checked against the simpler enumerations they replaced, the heap
 pivot order of the elimination against the scan it replaced, the cleared
-ranks of a chain window against full ranks on random complexes, and the
-Ore checker against the search-first decision it replaced, on random
-tables whose products respect degrees.
+ranks of a chain window against full ranks on random complexes, the
+packed matrix-DGA monomials against koszul_mul, and the Ore checker
+against the search-first decision it replaced, on random tables whose
+products respect degrees.
 """
 
 import itertools
@@ -20,11 +21,13 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedhh.chromatic_presets import ChromaticParams, a_q, parse_preset
+from gradedhh.chromatic_presets import ChromaticParams, a_q, en_q, parse_preset
 import gradedhh.dg_complexes as dg_complexes
 from gradedhh.dg_complexes import (
     ChainWindow,
+    MatrixDGA,
     MatrixDGAElement,
+    _packing,
     dga_diff,
     matrix_dga,
     mdga_basis_labels,
@@ -49,6 +52,7 @@ from gradedhh.graded_algebra import (
     combo_str,
     degree_pieces,
     kahler_d,
+    koszul_mul,
     make_presentation,
     matrix_units_table,
     mono_degree,
@@ -399,6 +403,38 @@ def test_matrix_dga_differential_is_a_square_zero_derivation(data):
     # the per-slot rule is the graded commutator with d_cone = [[0, v_n], [0, 0]]
     d_cone = mdga_element(dga, -1, "b", dga.vn_mono)
     assert dga_diff(f) == d_cone * f - sign * (f * d_cone)
+
+
+@PROPERTY
+@given(st.data())
+def test_packed_monomials_multiply_as_koszul_mul(data):
+    p, n = data.draw(st.sampled_from([(2, 1), (2, 2), (3, 2), (2, 3)]))
+    dga = matrix_dga(p, n)
+    pres, vn = dga.pres, dga.vn_mono
+    monos = data.draw(st.lists(st.tuples(*[st.integers(0, 5)] * n), min_size=1, max_size=6))
+    pack, unpack = _packing(dga, monos)
+    # the window corner: every generator at its largest exponent in monos
+    corner = tuple(max(exps) for exps in zip(*monos))
+    for f in [*monos, corner]:
+        assert unpack(pack(f)) == f
+        assert (1, unpack(pack(f) + pack(vn))) == koszul_mul(pres, f, vn)
+        for g in [*monos, corner]:
+            sign, fg = koszul_mul(pres, f, g)
+            assert (sign, unpack(pack(f) + pack(g))) == (1, fg)
+            assert (1, unpack(pack(f) + pack(g) + pack(vn))) == koszul_mul(pres, fg, vn)
+    # d(d(f)) multiplies by v_n twice
+    assert unpack(pack(corner) + 2 * pack(vn)) == koszul_mul(pres, corner, (0,) * (n - 1) + (2,))[1]
+
+
+@pytest.mark.parametrize("pres", [
+    a_q(ChromaticParams(2, 2)),  # eps is odd
+    en_q(ChromaticParams(2, 2)),  # v2 is inverted
+], ids=["odd", "laurent"])
+def test_packing_refuses_odd_and_laurent_generators(pres):
+    with pytest.raises(ValueError):
+        _packing(MatrixDGA(2, 2, pres), [(0,) * pres.ngens])
+    with pytest.raises(ValueError):
+        _packing(MatrixDGA(2, 2, pres), [])
 
 
 @PROPERTY
