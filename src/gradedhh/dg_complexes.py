@@ -72,6 +72,7 @@ from .graded_algebra import (
     koszul_mul,
     mono_degree,
     mono_one,
+    mono_packing,
 )
 from .chromatic_presets import ChromaticParams, bp_q, eps_degree
 
@@ -477,20 +478,14 @@ class MatrixDGAElement(QCombination):
 def _packing(dga: MatrixDGA, monos):
     """pack, unpack: monomials of the base ring as ints, and back, for monos.
 
-    Generator i gets the radix r_i = 2 top_i + 2, where top_i is the largest
-    exponent of generator i in monos, and pack(m) = sum_i m_i R_i with place
-    values R_0 = 1, R_{i+1} = R_i r_i.  pack is additive on exponents, and
-    the base ring is polynomial (no sign, no product vanishes), so the
-    product of two monomials packs to the sum of their codes and
-    multiplying by v_n adds pack(v_n).
-
-    Nothing carries.  For f and g each in monos or 1, digit i of
-    pack(f) + pack(g) + pack(v_n) is at most top_i + top_i + 1 = r_i - 1, so
-    every digit of the sum is the exponent of generator i in f g v_n, and
-    unpack reads it back.  v_n is the last generator of the base ring, and
-    unpack leaves the last digit unreduced, so that digit may exceed its
-    radix: d(d(f)) = v_n f v_n decodes exactly too.
-
+    mono_packing with the radix r_i = 2 top_i + 2 for generator i, top_i the
+    largest exponent of generator i in monos.  The base ring is polynomial
+    (no sign, no product vanishes), so a product of monomials packs to the
+    sum of their codes and multiplying by v_n adds pack(v_n).  Nothing
+    carries: for f and g each in monos or 1, digit i of pack(f) + pack(g) +
+    pack(v_n) is at most top_i + top_i + 1 = r_i - 1, the exponent of
+    generator i in f g v_n.  v_n is the last generator, the top digit, which
+    unpack leaves unreduced, so d(d(f)) = v_n f v_n decodes exactly too.
     An odd generator (a sign, and squares that vanish) or a Laurent one
     (negative exponents) has no such code: ValueError.
     """
@@ -499,23 +494,7 @@ def _packing(dga: MatrixDGA, monos):
         raise ValueError("packed monomials need a polynomial ring: no odd or laurent generator")
     monos = list(monos)
     tops = [max(exps) for exps in zip(*monos)] if monos else [0] * pres.ngens
-    places = []
-    place = 1
-    for top in tops:
-        places.append(place)
-        place *= 2 * top + 2
-
-    def pack(mono) -> int:
-        return sum(e * r for e, r in zip(mono, places))
-
-    def unpack(code: int) -> tuple:
-        mono = []
-        for r in reversed(places):
-            e, code = divmod(code, r)
-            mono.append(e)
-        return tuple(reversed(mono))
-
-    return pack, unpack
+    return mono_packing(pres, [2 * top + 2 for top in tops])
 
 
 def _pack_label(pack, label) -> tuple:
@@ -600,13 +579,9 @@ def build_mdga_window(dga: MatrixDGA, window) -> ChainWindow:
     _, rules = _slot_tables()
     vn = pack(dga.vn_mono)
     packed = {k: [_pack_label(pack, label) for label in labels] for k, labels in basis.items()}
-    diff = {
-        k: assemble(
-            packed[k], packed[k - 1], lambda label: _diff_pairs(rules, vn, k, ((label, 1),))
-        )
-        for k in range(lo, hi + 2)
-    }
-    return ChainWindow(basis, diff)
+    return ChainWindow(basis, {
+        k: assemble(packed[k], packed[k - 1], lambda l: _diff_pairs(rules, vn, k, ((l, 1),)))
+        for k in range(lo, hi + 2)})
 
 
 def mdga_identity(dga: MatrixDGA) -> MatrixDGAElement:
@@ -690,9 +665,7 @@ def _vn_free_cycle_shape(k: int, vn: int, terms: dict) -> bool:
 def is_vn_free_cycle_shape(el: MatrixDGAElement) -> bool:
     """Does el look like [[a, b], [0, (-1)^k a]] with v_n-free a and b?"""
     pack, _ = _packing(el.dga, [m for _, m in el.terms])
-    return _vn_free_cycle_shape(
-        el.k, pack(el.dga.vn_mono), dict(_packed_terms(pack, el.terms))
-    )
+    return _vn_free_cycle_shape(el.k, pack(el.dga.vn_mono), dict(_packed_terms(pack, el.terms)))
 
 
 @dataclass

@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact_linear import QCombination, RationalMatrix, combine, kernel_basis
+from .exact_linear import QCombination, RationalMatrix, combine, in_span, kernel_basis
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*")
 
@@ -151,6 +151,29 @@ def koszul_mul(pres: Presentation, a, b):
             if j > i and a[j]:
                 sign = -sign
     return sign, tuple(x + y for x, y in zip(a, b))
+
+
+def mono_packing(pres: Presentation, radices):
+    """pack, unpack: monomials as ints with digit i in radix radices[i], and back.
+
+    Odd generators take the lowest digits, then the even ones, each group in
+    generator order.  pack is additive while no digit overflows, which each
+    caller proves for its radices; unpack leaves the top digit unreduced."""
+    order = sorted(range(pres.ngens), key=lambda i: not pres.is_odd(i))
+    places, place = [0] * pres.ngens, 1
+    for i in order:
+        places[i], place = place, place * radices[i]
+
+    def pack(mono) -> int:
+        return sum(e * r for e, r in zip(mono, places))
+
+    def unpack(code: int) -> tuple:
+        mono = [0] * len(places)
+        for i in reversed(order):
+            mono[i], code = divmod(code, places[i])
+        return tuple(mono)
+
+    return pack, unpack
 
 
 def mono_str(pres: Presentation, mono) -> str:
@@ -629,18 +652,13 @@ def table_from_presentation(pres: Presentation, window, caps=None) -> MulTable:
             hit = koszul_mul(pres, mx, my)
             if hit is None:
                 products[(lx, ly)] = {}
-                continue
-            sign, mono = hit
-            d = mono_degree(pres, mono)
-            if not lo <= d <= hi:
-                products[(lx, ly)] = None
-            elif mono in label_of:
-                products[(lx, ly)] = {label_of[mono]: Fraction(sign)}
+            elif hit[1] in label_of:
+                products[(lx, ly)] = {label_of[hit[1]]: Fraction(hit[0])}
             else:
-                # the product degree is in window but user caps clipped the
-                # basis: report an escape and remember the incompleteness
+                # an escape; one of in-window degree means user caps clipped
+                # the basis, and the table is incomplete
                 products[(lx, ly)] = None
-                complete = False
+                complete = complete and not lo <= mono_degree(pres, hit[1]) <= hi
     one = None
     if lo <= 0 <= hi:
         unit = mono_str(pres, mono_one(pres))
@@ -779,6 +797,32 @@ def _s_closure(table, gens):
     return closure, truncated, []
 
 
+def _unit_witnesses(table, s) -> bool:
+    """Is s a unit whose witnesses t = s, y = u x s hold on every label x?
+
+    u solves s u = 1 over the labels of degree -|s|.  Every product is read
+    off the table, so nothing assumes associativity: s u = u s = 1, s y = x s
+    and (s x = 0 only where x s = 0) are each checked exactly."""
+    mul, one = table.combo_mul, Fraction(1)
+    labels = [l for l in table.labels if table.degree[l] == -_combo_degree(table, s)]
+    columns = [mul(s, {l: one}) for l in labels]
+    if table.one is None or None in columns:
+        return False
+    rows = sorted(set(table.one).union(*columns))
+    found = in_span(RationalMatrix(len(rows), len(labels), {
+        (rows.index(r), j): c for j, col in enumerate(columns) for r, c in col.items()}),
+        [table.one.get(r, 0) for r in rows])
+    u = found.in_span and {l: c for l, c in zip(labels, found.coefficients) if c}
+    if not u or not mul(s, u) == mul(u, s) == table.one:
+        return False
+    for x in table.labels:
+        xs = mul({x: one}, s)
+        y = None if xs is None else mul(u, xs)
+        if y is None or mul(s, y) != xs or (xs and mul(s, {x: one}) == {}):
+            return False
+    return True
+
+
 def _witness_scan(table, closure):
     """Search the table for witnesses t (and y) for each (s, x) in S x labels.
 
@@ -832,14 +876,14 @@ def ore_check(table: MulTable, s_elements) -> OreReport:
 
     The decision runs in a fixed order: validate the table, build the S
     generators, close S, report "degenerate" when S reaches 0 (the
-    localization is the zero ring), try two structural proofs, and only
-    then scan for witnesses.  A ring whose reported products all commute
-    gives "satisfied", and so does a graded-commutative ring
-    (p(x, y) = (-1)^{|x||y|} p(y, x)) whose S lies in even degrees; the
-    "commutative" field stays literal.  The proofs may come first because
-    when either holds, t = s and y = x witness both conditions for every
-    (x, s), so the scan could never report a violation.  The scan is
-    complete only when the table is degreewise complete, so "violated" is
+    localization is the zero ring), try three structural proofs, and only
+    then scan for witnesses.  "satisfied" comes from a ring whose reported
+    products all commute, a graded-commutative ring (p(x, y) =
+    (-1)^{|x||y|} p(y, x)) whose S lies in even degrees, or an S of units
+    (_unit_witnesses); the "commutative" field stays literal.  The proofs
+    may come first because each gives t and y that witness both conditions
+    for every (x, s), so the scan could never report a violation.  The scan
+    is complete only when the table is degreewise complete, so "violated" is
     reported only then; everything else is honestly "inconclusive".
     """
     table.validate()
@@ -857,6 +901,9 @@ def ore_check(table: MulTable, s_elements) -> OreReport:
             and _commutes(table, koszul=True)):
         return report("satisfied", notes=notes + [
             "graded-commutative ring, S even: t = s, y = x witnesses both conditions"])
+    if all(_unit_witnesses(table, s) for s in closure):
+        return report("satisfied", notes=notes + [
+            "S consists of units: t = s, y = s^-1 x s witnesses both conditions"])
     violation, unverifiable = _witness_scan(table, closure)
     if violation:
         condition, witness = violation

@@ -25,10 +25,19 @@ a_0 any part <= m (exterior exponents at most 1) and w a composition of
 m - a_0 into s non-unit parts, memoized on the remaining multidegree.
 
 A BarChain is a QCombination (the sparse vector type of exact_linear)
-labelled by tensors.  The faces of one basis tensor are produced by a
-single generator, _faces; hochschild_diff is its linear extension, and
-bar_window writes the same face sums straight into matrix columns through
-dg_complexes.assemble, without building a chain per basis tensor.
+labelled by tensors.  One rule, _faces, gives the faces of a packed tensor:
+each monomial is an int (mono_packing) with a radix-2 digit per odd
+generator, those digits lowest, and the radix m_i + 1 for even generator i.
+A face multiplies two factors of one tensor, so even exponents stay at most
+m_i, and a product survives only when its odd digits are disjoint: nothing
+carries, and a product's code is the sum a + b.  With ODD the mask of the odd
+digits, a & b & ODD is the exterior square test, the crossing sign of a b is
+a table over mask pairs, and the rotation face's Koszul parity is c (t - c),
+c the popcount of the moved factor's mask and t the tensor's total of odd
+exponents.  bar_window packs its basis a level at a time, holding only the
+source and target levels packed, and sums the faces into matrix columns
+(dg_complexes.assemble); hochschild_diff packs at its boundary, by the
+componentwise largest multidegree of its tensors, and decodes the faces.
 
 Homology is compared against the polynomial/exterior prediction: for every
 generator g a companion class in degree |g| + 1 with flipped parity (the
@@ -41,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .dg_complexes import ChainWindow, assemble
@@ -51,9 +61,9 @@ from .graded_algebra import (
     Presentation,
     _check_mono,
     kahler_d,
-    koszul_mul,
     mono_degree,
     mono_one,
+    mono_packing,
     mono_str,
 )
 
@@ -66,9 +76,8 @@ def check_multidegree(pres: Presentation, m) -> tuple:
     m = tuple(m)
     if len(m) != pres.ngens:
         raise ValueError("multidegree length does not match generator count")
-    for e in m:
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("multidegree entries must be nonnegative integers")
+    if not all(isinstance(e, int) and e >= 0 for e in m):
+        raise ValueError("multidegree entries must be nonnegative integers")
     return m
 
 
@@ -92,13 +101,8 @@ def multidegrees_up_to(pres: Presentation, weight: int):
     """All multidegrees with |m|_1 <= weight, ordered by (total, lex)."""
     if weight < 0:
         raise ValueError("weight bound must be nonnegative")
-    out = [
-        m
-        for m in itertools.product(range(weight + 1), repeat=pres.ngens)
-        if sum(m) <= weight
-    ]
-    out.sort(key=lambda m: (sum(m), m))
-    return out
+    return sorted((m for m in itertools.product(range(weight + 1), repeat=pres.ngens)
+                   if sum(m) <= weight), key=lambda m: (sum(m), m))
 
 
 def _require_no_laurent(pres: Presentation):
@@ -110,10 +114,6 @@ def _require_no_laurent(pres: Presentation):
 
 # ---------------------------------------------------------------------------
 # Chains.
-
-
-def tensor_str(pres: Presentation, tensor) -> str:
-    return " | ".join(mono_str(pres, m) for m in tensor)
 
 
 class BarChain(QCombination):
@@ -155,41 +155,53 @@ class BarChain(QCombination):
         ]
 
     def __repr__(self):
-        if not self.terms:
-            return f"BarChain(level={self.level}, 0)"
-        parts = []
-        for t in sorted(self.terms):
-            parts.append(f"{self.terms[t]}*[{tensor_str(self.pres, t)}]")
-        return f"BarChain(level={self.level}, " + " + ".join(parts) + ")"
+        parts = [f"{self.terms[t]}*[{' | '.join(mono_str(self.pres, m) for m in t)}]"
+                 for t in sorted(self.terms)]
+        return f"BarChain(level={self.level}, {' + '.join(parts) or 0})"
 
 
-def _faces(pres: Presentation, tensor):
-    """(face, sign) pairs of b on one tensor; equal faces are to be summed.
+def _packing(pres: Presentation, m):
+    """pack, unpack, the odd mask and the crossing signs for multidegree m:
+    signs[a][b] is (-1)^(odd-odd crossings of a b) for odd masks a, b, where
+    every odd digit of b moves left past each higher one of a."""
+    _require_no_laurent(pres)  # a negative exponent has no digit
+    k = sum(map(pres.is_odd, range(pres.ngens)))
+    signs = [[(-1) ** sum((a >> p + 1).bit_count() for p in range(k) if b >> p & 1)
+              for b in range(1 << k)] for a in range(1 << k)]
+    radices = [2 if pres.is_odd(i) else e + 1 for i, e in enumerate(m)]
+    return (*mono_packing(pres, radices), (1 << k) - 1, signs)
 
-    Face i < s merges slots i and i+1 with sign (-1)^i; the last face
-    rotates a_s to the front with its Koszul sign, times (-1)^s.
-    """
+
+def _faces(tensor, odd, signs, total):
+    """(face, sign) pairs of b on one packed tensor with total odd exponents;
+    equal faces are to be summed.  Face i < s merges slots i and i+1 with sign
+    (-1)^i; the last face rotates a_s to the front with its Koszul sign, times
+    (-1)^s."""
     s = len(tensor) - 1
+    sign = 1
     for i in range(s):
-        hit = koszul_mul(pres, tensor[i], tensor[i + 1])
-        if hit is not None:
-            yield tensor[:i] + (hit[1],) + tensor[i + 2:], hit[0] * (-1) ** i
-    hit = koszul_mul(pres, tensor[s], tensor[0]) if s else None
-    if hit is not None:
-        # the Koszul sign needs the degree a_s passes only when |a_s| is odd
-        moved = mono_degree(pres, tensor[s]) % 2
-        passed = moved and sum(mono_degree(pres, m) for m in tensor[:s]) % 2
-        yield (hit[1],) + tensor[1:s], hit[0] * (-1) ** (passed + s)
+        a, b = tensor[i], tensor[i + 1]
+        if not a & b & odd:
+            yield tensor[:i] + (a + b,) + tensor[i + 2:], sign * signs[a & odd][b & odd]
+        sign = -sign
+    a, b = tensor[s], tensor[0]
+    if s and not a & b & odd:
+        c = (a & odd).bit_count()
+        sign *= signs[a & odd][b & odd]
+        yield (a + b,) + tensor[1:s], -sign if c * (total - c) & 1 else sign
 
 
 def hochschild_diff(x: BarChain) -> BarChain:
     """Alternating face sum; the last face rotates with its Koszul sign."""
-    return x._new(
-        ((face, sign * coeff)
-         for tensor, coeff in x.terms.items()
-         for face, sign in _faces(x.pres, tensor)),
-        level=max(x.level - 1, 0),
-    )
+    m = tuple(map(max, zip(mono_one(x.pres), *(map(sum, zip(*t)) for t in x.terms))))
+    pack, unpack, odd, signs = _packing(x.pres, m)
+    pairs = []
+    for tensor, coeff in x.terms.items():
+        packed = tuple(map(pack, tensor))
+        total = sum((a & odd).bit_count() for a in packed)
+        pairs += ((tuple(map(unpack, face)), sign * coeff)
+                  for face, sign in _faces(packed, odd, signs, total))
+    return x._new(pairs, level=max(x.level - 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +238,7 @@ def bar_basis(pres: Presentation, m) -> dict:
         for w in words(tuple(r - x for r, x in zip(m, a0))):
             out[len(w)].append((a0,) + w)
     words.cache_clear()  # words refers to itself, a cycle: free the cache now
-    for tensors in out.values():
-        tensors.sort()
-    return out
+    return {level: sorted(tensors) for level, tensors in out.items()}
 
 
 def bar_window(pres: Presentation, m, top=None) -> ChainWindow:
@@ -246,21 +256,22 @@ def bar_window(pres: Presentation, m, top=None) -> ChainWindow:
     if top is None:
         top = max(basis) + 1
     basis = {s: basis.get(s, []) for s in range(-1, top + 1)}
-    diff = {
-        s: assemble(basis[s], basis[s - 1], lambda tensor: _faces(pres, tensor))
-        for s in range(top + 1)
-    }
+    pack, _, odd, signs = _packing(pres, m)
+    pack = functools.cache(pack)
+    total = sum(e for i, e in enumerate(m) if pres.is_odd(i))
+    diff, target = {}, []
+    for s in range(top + 1):
+        source = [tuple(map(pack, tensor)) for tensor in basis[s]]
+        diff[s] = assemble(source, target, lambda t: _faces(t, odd, signs, total))
+        target = source
     return ChainWindow(basis, diff)
 
 
 def hh_dims(pres: Presentation, m) -> dict:
     """Hochschild homology dimensions by total degree for one multidegree."""
     m = check_multidegree(pres, m)
-    top = sum(m)
-    window = bar_window(pres, m)
-    by_level = window.homology_dims((0, top))
-    base = internal_degree(pres, m)
-    return {base + s: dim for s, dim in sorted(by_level.items()) if dim}
+    by_level = bar_window(pres, m).homology_dims((0, sum(m)))
+    return {internal_degree(pres, m) + s: d for s, d in sorted(by_level.items()) if d}
 
 
 def hkr_predicted_dims(pres: Presentation, m) -> dict:
@@ -273,27 +284,11 @@ def hkr_predicted_dims(pres: Presentation, m) -> dict:
     """
     _require_no_laurent(pres)
     m = check_multidegree(pres, m)
-    per_gen = []
-    for i in range(pres.ngens):
-        pairs = []
-        for f in range(m[i] + 1):
-            e = m[i] - f
-            if pres.is_odd(i):
-                if e > 1:
-                    continue
-            else:
-                if f > 1:
-                    continue
-            pairs.append((e, f))
-        per_gen.append(pairs)
-    counts = {}
-    for combo in itertools.product(*per_gen):
-        degree = sum(
-            e * d + f * (d + 1)
-            for (e, f), d in zip(combo, pres.degrees)
-        )
-        counts[degree] = counts.get(degree, 0) + 1
-    return {d: c for d, c in sorted(counts.items())}
+    per_gen = [[(w - f, f) for f in range(w + 1) if (w - f if pres.is_odd(i) else f) <= 1]
+               for i, w in enumerate(m)]
+    counts = Counter(sum(e * d + f * (d + 1) for (e, f), d in zip(combo, pres.degrees))
+                     for combo in itertools.product(*per_gen))
+    return dict(sorted(counts.items()))
 
 
 @dataclass
@@ -304,29 +299,17 @@ class HkrReport:
 
     def add(self, m, computed, predicted):
         equal = computed == predicted
-        self.rows.append(
-            {
-                "multidegree": multidegree_to_dict(self.pres, m),
-                "computed": computed,
-                "predicted": predicted,
-                "equal": equal,
-            }
-        )
+        self.rows.append({"multidegree": multidegree_to_dict(self.pres, m),
+                          "computed": computed, "predicted": predicted, "equal": equal})
         self.all_equal = self.all_equal and equal
 
     def to_json(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "multidegree": row["multidegree"],
-                    "computed": {str(k): v for k, v in sorted(row["computed"].items())},
-                    "predicted": {str(k): v for k, v in sorted(row["predicted"].items())},
-                    "equal": row["equal"],
-                }
-                for row in self.rows
-            ],
-            "all_equal": self.all_equal,
-        }
+        def dims(d):
+            return {str(k): v for k, v in sorted(d.items())}
+
+        return {"rows": [{**row, "computed": dims(row["computed"]),
+                          "predicted": dims(row["predicted"])} for row in self.rows],
+                "all_equal": self.all_equal}
 
 
 def hkr_check(pres: Presentation, multidegrees) -> HkrReport:

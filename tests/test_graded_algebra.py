@@ -425,6 +425,24 @@ def test_ore_violated_on_matrix_units():
     assert report.witness == ("e21", "e11")
 
 
+@pytest.mark.parametrize("s", [{"e11": 1, "e22": 1}, {"e11": 1, "e21": 1, "e22": 1}],
+                         ids=["unit", "unipotent"])
+def test_ore_satisfied_when_s_consists_of_units(s):
+    report = ore_check(matrix_units_table(), [s])
+    assert report.verdict == "satisfied"
+    assert report.notes[-1].startswith("S consists of units")
+
+
+def test_ore_unit_proof_checks_every_product():
+    # x0 x0 = x0 (the table's unit is its own inverse), but x1 x0 = x1 while
+    # x0 x1 = 0: x1 x0 is no x0 y, in this table that is no algebra
+    table = MulTable(("x0", "x1"), {"x0": 0, "x1": 0},
+                     {("x0", "x0"): {"x0": 1}, ("x0", "x1"): {},
+                      ("x1", "x0"): {"x1": 1}, ("x1", "x1"): {}}, one={"x0": 1})
+    report = ore_check(table, ["x0"])
+    assert (report.verdict, report.condition, report.witness) == ("violated", 1, ("x1", "x0"))
+
+
 def test_ore_violated_on_condition_2():
     # x1 x0 = x0 and x0 x0 = x0, so no t in S = {x0} ever kills x1, while
     # x0 x1 = 0.  Not associative; the checker reads only the table.

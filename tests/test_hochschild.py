@@ -1,5 +1,6 @@
 """The normalized cyclic bar complex in a fixed multidegree."""
 
+import functools
 import time
 from fractions import Fraction
 
@@ -7,12 +8,15 @@ import pytest
 
 from gradedhh import hochschild
 from gradedhh.chromatic_presets import ChromaticParams, a_q
+from gradedhh.dg_complexes import assemble
+from gradedhh.exact_linear import combine
 from gradedhh.graded_algebra import (
     Element,
     kahler_d,
     koszul_mul,
     localize,
     make_presentation,
+    mono_degree,
 )
 from gradedhh.hochschild import (
     BarChain,
@@ -73,6 +77,8 @@ def test_laurent_generators_are_rejected():
         bar_basis(pres, (1,))
     with pytest.raises(ValueError):
         hh_dims(pres, (1,))
+    with pytest.raises(ValueError):
+        hochschild_diff(BarChain(pres, 1, {((1,), (-1,)): Fraction(1)}))
 
 
 # -- bar bases -------------------------------------------------------------------
@@ -231,9 +237,9 @@ def _rotation_flipped_at(level):
     """_faces with the sign of the rotation face flipped on one level."""
     faces = hochschild._faces
 
-    def broken(pres, tensor):
-        out = list(faces(pres, tensor))
-        if len(tensor) - 1 == level and koszul_mul(pres, tensor[-1], tensor[0]):
+    def broken(tensor, odd, signs, total):
+        out = list(faces(tensor, odd, signs, total))
+        if len(tensor) - 1 == level and not tensor[-1] & tensor[0] & odd:
             face, sign = out[-1]
             out[-1] = face, -sign
         return out
@@ -358,3 +364,93 @@ def test_bar_basis_a22_multidegree_12_1_level_sizes_within_budget():
         1, 25, 222, 1078, 3355, 7227, 11220, 12804, 10791, 6655, 2926, 870, 157, 13,
     ]))
     assert elapsed < 1, f"bar_basis on a:2:2 (12, 1) took {elapsed:.2f}s"
+
+
+# -- packed faces against the tuple rule ---------------------------------------------
+
+
+def _reference_faces(pres, tensor):
+    """(face, sign) pairs of b on one tensor of exponent tuples, through
+    koszul_mul: the face rule the packed _faces is checked against."""
+    s = len(tensor) - 1
+    for i in range(s):
+        hit = koszul_mul(pres, tensor[i], tensor[i + 1])
+        if hit is not None:
+            yield tensor[:i] + (hit[1],) + tensor[i + 2:], hit[0] * (-1) ** i
+    hit = koszul_mul(pres, tensor[s], tensor[0]) if s else None
+    if hit is not None:
+        moved = mono_degree(pres, tensor[s]) % 2
+        passed = moved and sum(mono_degree(pres, m) for m in tensor[:s]) % 2
+        yield (hit[1],) + tensor[1:s], hit[0] * (-1) ** (passed + s)
+
+
+def _packed_faces(pres, m, tensor):
+    """The packed _faces of one tensor of multidegree m, summed and decoded."""
+    pack, unpack, odd, signs = hochschild._packing(pres, m)
+    total = sum(e for i, e in enumerate(m) if pres.is_odd(i))
+    faces = hochschild._faces(tuple(map(pack, tensor)), odd, signs, total)
+    return combine((tuple(map(unpack, face)), sign) for face, sign in faces)
+
+
+def _odd_presets():
+    """Presentations with 0, 1, 2 and 3 odd generators, odd and even
+    interleaved, odd degrees of both signs."""
+    return [
+        make_presentation([("a", 2), ("b", 4)]),
+        a_q(ChromaticParams(2, 2)),
+        make_presentation([("x", 1), ("v", 2), ("y", -3)]),
+        make_presentation([("x", 3), ("v", 2), ("y", -5), ("w", -4), ("z", 1)]),
+    ]
+
+
+FACE_CASES = list(zip(_odd_presets(), [
+    [(3, 0), (2, 2), (1, 3)],
+    [(4, 1), (2, 3), (0, 4)],
+    [(1, 2, 1), (2, 1, 2), (1, 0, 3)],
+    [(1, 1, 1, 0, 1), (2, 0, 1, 1, 1), (1, 1, 2, 0, 1)],
+]))
+
+
+@pytest.mark.parametrize("pres, ms", FACE_CASES, ids=["0 odd", "1 odd", "2 odd", "3 odd"])
+def test_packed_faces_equal_the_tuple_rule_on_every_basis_tensor(pres, ms):
+    for m in ms:
+        for tensor in (t for tensors in bar_basis(pres, m).values() for t in tensors):
+            want = combine(_reference_faces(pres, tensor))
+            assert _packed_faces(pres, m, tensor) == want, (m, tensor)
+
+
+def test_hochschild_diff_equals_the_tuple_rule_on_mixed_multidegrees():
+    pres = _odd_presets()[3]
+    ms = [(1, 1, 1, 0, 1), (2, 0, 1, 1, 1), (0, 2, 1, 1, 0), (1, 3, 0, 0, 1)]
+    for level in (1, 2, 3):
+        tensors = [t for m in ms for t in bar_basis(pres, m).get(level, [])]
+        x = BarChain(pres, level, {t: Fraction(j % 5 - 2 or 3) for j, t in enumerate(tensors)})
+        assert x.multidegree() is None  # mixed
+        want = combine((face, sign * c) for t, c in x.terms.items()
+                       for face, sign in _reference_faces(pres, t))
+        assert hochschild_diff(x).terms == want, level
+
+
+def test_hh_dims_match_hkr_with_three_odd_generators_up_to_weight_4():
+    pres = make_presentation([("x", 1), ("v", 2), ("y", -3), ("z", 5)])
+    for m in multidegrees_up_to(pres, 4):
+        assert hh_dims(pres, m) == hkr_predicted_dims(pres, m), m
+
+
+def _criterion_1_presets():
+    return [
+        make_presentation([("v", 2, False)]),
+        make_presentation([("y", 3, False)]),
+        a_q(ChromaticParams(2, 2)),
+        a_q(ChromaticParams(3, 2)),
+    ]
+
+
+@pytest.mark.parametrize("pres", _criterion_1_presets(),
+                         ids=["one even", "one odd", "a:2:2", "a:3:2"])
+def test_bar_window_matrices_equal_the_tuple_rule_on_criterion_1_windows(pres):
+    faces = functools.partial(_reference_faces, pres)
+    for m in multidegrees_up_to(pres, 5):
+        window = bar_window(pres, m)
+        for s, matrix in window.diff.items():
+            assert matrix == assemble(window.basis[s], window.basis[s - 1], faces), (m, s)

@@ -49,6 +49,7 @@ from gradedhh.graded_algebra import (
     _canon,
     _combo_degree,
     _commutes,
+    _unit_witnesses,
     combo_str,
     degree_pieces,
     kahler_d,
@@ -935,6 +936,13 @@ def _ore_check_reference(table, s_elements, max_closure=64):
             closure=closure_strs,
             notes=notes + ["graded-commutative ring, S even: "
                            "t = s, y = x witnesses both conditions"],
+        )
+    if all(_unit_witnesses(table, s) for s in closure):
+        return OreReport(
+            verdict="satisfied",
+            truncated=truncated,
+            closure=closure_strs,
+            notes=notes + ["S consists of units: t = s, y = s^-1 x s witnesses both conditions"],
         )
     return OreReport(
         verdict="inconclusive",
