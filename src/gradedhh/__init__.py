@@ -12,8 +12,9 @@ The package provides:
 - bounded chain-complex windows, cones on multiplication maps, and the
   two-by-two matrix DG algebra modelling the cone on the top generator,
   with its commutative cycle model and homology checks (``dg_complexes``),
-- the normalized cyclic bar complex in a fixed multidegree, its homology,
-  the symmetric-algebra prediction, and the level-one derivation map
+- the normalized cyclic bar complex in a fixed multidegree, its homology
+  (read from the Morse complex of an algebraic Morse matching), the
+  symmetric-algebra prediction, and the level-one derivation map
   (``hochschild``),
 - trace classes of algebra elements and the obstruction report showing
   certain one-form classes are not hit from the even subring
@@ -89,6 +90,7 @@ from .hochschild import (
     hkr_predicted_dims,
     hochschild_diff,
     internal_degree,
+    morse_window,
     multidegree_from_dict,
     multidegree_to_dict,
     multidegrees_up_to,
@@ -124,7 +126,8 @@ __all__ = [
     "mdga_eps", "mdga_identity", "quasi_iso_check",
     "BarChain", "D_map", "HkrReport", "bar_basis", "bar_window", "hh_dims",
     "hkr_check", "hkr_predicted_dims", "hochschild_diff", "internal_degree",
-    "multidegree_from_dict", "multidegree_to_dict", "multidegrees_up_to",
+    "morse_window", "multidegree_from_dict", "multidegree_to_dict",
+    "multidegrees_up_to",
     "MembershipResult", "ObstructionReport", "TraceClass",
     "constant_loops_chain", "displayed_obstruction_class", "membership_test",
     "obstruction_report", "trace_class",

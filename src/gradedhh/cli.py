@@ -3,7 +3,9 @@
 Every subcommand prints one JSON document to stdout (and to --out FILE when
 given) with byte-identical output across runs.  Exit codes: 0 when the
 requested computation verifies (or is a plain computation), 1 when a
-mathematical check is falsified, 2 for usage errors (unknown commands or
+mathematical check is falsified (a report's own check, or an exact
+certificate or Morse-matching guard that raises ArithmeticError, reported
+as one "error: ..." line on stderr), 2 for usage errors (unknown commands or
 presets, malformed flags, violated preconditions, an unwritable --out FILE).
 """
 
@@ -376,6 +378,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except (ZeroDivisionError, OverflowError):
+        raise  # a fault in the program, not a falsified check
+    except ArithmeticError as exc:  # a failed exact certificate or Morse guard
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     return code
 
 

@@ -39,6 +39,45 @@ source and target levels packed, and sums the faces into matrix columns
 (dg_complexes.assemble); hochschild_diff packs at its boundary, by the
 componentwise largest multidegree of its tensors, and decodes the faces.
 
+hh_dims reads homology from morse_window, the Morse complex of an algebraic
+Morse matching on that complex (Skoldberg, "Morse theory from an algebraic
+viewpoint", Trans. AMS 358 (2006); Jollenbeck-Welker, Mem. AMS 197 (2009),
+ch. 5, the normalized bar / Anick matching).  Generators are ranked in digit
+order, odd first.  Walk a cell a_0 (x) ... (x) a_s from position 1, with g
+the rank of the last chain generator, and let x_h be the lowest generator
+of a_j:
+  - if j = 1, or h < g, or h = g with x_h odd: a_j = x_h extends the chain;
+    any other a_j makes the cell lower, its partner splitting a_j into
+    x_h (x) a_j/x_h at positions j, j+1;
+  - otherwise (h > g, or h = g even) the cell is upper, its partner merging
+    positions j-1 and j.
+A cell whose positions 1..s all extend the chain is critical (so is every
+level-0 cell): a_0 (x) x_{g_1} (x) ... (x) x_{g_s} with g_1 >= g_2 >= ...,
+strictly on even generators.  An upper merge is never zero (x_g odd dividing
+a_j would make h = g odd), and a split leaves at position j+1 a lowest
+generator above h, or h itself when even, so the rules are inverse.  The
+faces of one tensor are distinct tensors, so a matched coefficient is one
+face sign, +-1.
+
+The matching is acyclic: a zig-zag l -> u -> l', u the partner of the lower
+cell l and l' != l a lower face of u, never returns to l.  The outer faces
+(d_0 and the rotation) multiply a non-unit into a_0, while inner faces and
+splits leave it, so on a cycle every face is inner.  Key a lower cell by
+(g_1, ..., g_{j-1}, h): its chain, then the rank of the lowest generator at
+its first non-chain position j.  In u the chain is g_1, ..., g_{j-1}, h.
+Merging u's positions i, i+1 with i < j keys l' by (g_1, ..., g_{i-1},
+g_{i+1}) with g_{i+1} < g_i (equal ranks are an odd square: the face is 0);
+merging j, j+1 gives l back; merging j+1, j+2 gives a lower cell only
+keyed by an extension (..., h, h'); later merges keep position j+1 upper.
+So the key strictly falls in the lex order that ranks a proper extension
+below its prefix, and no zig-zag path closes up.  At run time
+morse_window also refuses a partner that does not classify back, a matched
+coefficient other than +-1 and a cycle met in the flow (ArithmeticError).
+The trade-off: hh_dims never builds the unreduced complex, so it does not
+check d compose d there, and a wrong face sign at levels >= 3 can leave it
+equal to the prediction; the tests of bar_window's d compose d and of the
+Morse complex against bar_window are what catch such a fault.
+
 Homology is compared against the polynomial/exterior prediction: for every
 generator g a companion class in degree |g| + 1 with flipped parity (the
 suspension of g), carrying the same multidegree weight as g.  The level-1
@@ -54,7 +93,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .dg_complexes import ChainWindow, assemble
-from .exact_linear import QCombination
+from .exact_linear import QCombination, combine
 from .graded_algebra import (
     Element,
     KahlerElement,
@@ -267,10 +306,119 @@ def bar_window(pres: Presentation, m, top=None) -> ChainWindow:
     return ChainWindow(basis, diff)
 
 
+_LOWER, _CRITICAL, _UPPER = -1, 0, 1  # a matching pairs lower with upper: kinds sum to 0
+
+
+def _matching(pres: Presentation, m, pack):
+    """classify(t) -> (kind, partner) on the packed tensors of multidegree m.
+
+    Generators are ranked in digit order (odd first).  A per-code table
+    gives the rank h of a code's lowest digit, whether that generator is
+    odd, and the code minus that generator's, 0 exactly when the code is
+    the generator itself."""
+    order = sorted(range(pres.ngens), key=lambda i: not pres.is_odd(i))
+    low = {}
+    for mono in itertools.product(*(range(min(e, 1) + 1 if pres.is_odd(i) else e + 1)
+                                    for i, e in enumerate(m))):
+        h = next((r for r, i in enumerate(order) if mono[i]), None)
+        if h is not None:
+            gen = tuple(int(i == order[h]) for i in range(pres.ngens))
+            low[pack(mono)] = h, pres.is_odd(order[h]), pack(mono) - pack(gen)
+
+    def classify(t):
+        g = len(order)  # the walk starts at position 1 with no chain yet
+        for j in range(1, len(t)):
+            h, odd_h, rest = low[t[j]]
+            if not (h < g or h == g and odd_h):
+                return _UPPER, t[:j - 1] + (t[j - 1] + t[j],) + t[j + 1:]
+            if rest:
+                return _LOWER, t[:j] + (t[j] - rest, rest) + t[j + 1:]
+            g = h
+        return _CRITICAL, None
+
+    return classify
+
+
+def morse_window(pres: Presentation, m) -> ChainWindow:
+    """The Morse complex of one multidegree: the critical cells, levels as
+    degrees, padded like bar_window(pres, m) so that homology is available
+    at every level 0..|m|_1, labelled by their bar tensors.
+
+    Every cell of bar_basis is classified (see the module docstring): each
+    lower cell's partner must classify back to it, and the lower cells must
+    be as many as the upper ones, so the pairs are the whole matching.  The
+    Morse differential of a critical cell is Phi summed over its faces:
+    Phi(l) is l for a critical l, 0 for an upper l, and for a lower l with
+    partner u, -<du, l>^-1 sum_{l' != l} <du, l'> Phi(l'), every coefficient
+    read from _faces.  Phi is memoized and computed with an explicit stack.
+    A failed guard raises ArithmeticError; ChainWindow checks d compose d
+    on the Morse complex.
+    """
+    basis = bar_basis(pres, m)
+    pack, _, odd, signs = _packing(pres, m)
+    pack = functools.cache(pack)
+    total = sum(e for i, e in enumerate(m) if pres.is_odd(i))
+    classify = _matching(pres, m, pack)
+    critical, balance = {}, 0
+    for s, tensors in basis.items():
+        critical[s] = []
+        for tensor in tensors:
+            t = tuple(map(pack, tensor))
+            kind, partner = classify(t)
+            balance += kind
+            if kind == _CRITICAL:
+                critical[s].append((tensor, t))
+            elif kind == _LOWER and classify(partner) != (_UPPER, t):
+                raise ArithmeticError(f"Morse partner of {tensor} does not match back")
+    if balance:
+        raise ArithmeticError("Morse matching leaves lower and upper cells unequal")
+
+    flow, pending = {}, {}
+
+    def phi(root):
+        stack = [root]
+        while stack:
+            cell = stack[-1]
+            if cell in pending:  # every cell it flows to is done
+                stack.pop()
+                unit, edges = pending.pop(cell)
+                flow[cell] = combine((crit, -unit * e * c) for face, e in edges.items()
+                                     for crit, c in flow[face].items())
+            elif cell in flow:
+                stack.pop()
+            else:
+                kind, partner = classify(cell)
+                if kind != _LOWER:
+                    flow[cell] = {cell: 1} if kind == _CRITICAL else {}
+                    continue
+                edges = combine(_faces(partner, odd, signs, total))
+                unit = edges.pop(cell, 0)
+                if unit not in (1, -1):
+                    raise ArithmeticError(f"Morse coefficient {unit} is not a unit")
+                pending[cell] = unit, edges
+                for face in edges:
+                    if face in pending:
+                        raise ArithmeticError("Morse flow meets a cycle")
+                    if face not in flow:
+                        stack.append(face)
+        return flow[root]
+
+    def image(t):
+        return ((crit, e * c) for face, e in _faces(t, odd, signs, total)
+                for crit, c in phi(face).items())
+
+    levels = {s: critical.get(s, []) for s in range(-1, max(basis) + 2)}
+    diff = {s: assemble([t for _, t in levels[s]], [t for _, t in levels[s - 1]], image)
+            for s in range(max(basis) + 2)}
+    return ChainWindow({s: [tensor for tensor, _ in cells] for s, cells in levels.items()},
+                       diff)
+
+
 def hh_dims(pres: Presentation, m) -> dict:
-    """Hochschild homology dimensions by total degree for one multidegree."""
+    """Hochschild homology dimensions by total degree for one multidegree,
+    read from the Morse complex (morse_window)."""
     m = check_multidegree(pres, m)
-    by_level = bar_window(pres, m).homology_dims((0, sum(m)))
+    by_level = morse_window(pres, m).homology_dims((0, sum(m)))
     return {internal_degree(pres, m) + s: d for s, d in sorted(by_level.items()) if d}
 
 

@@ -4,11 +4,12 @@ import contextlib
 import io
 import json
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedhh import graded_algebra
+from gradedhh import dg_complexes, exact_linear, graded_algebra, hochschild
 from gradedhh.cli import main
 
 
@@ -314,6 +315,33 @@ def test_ore_check_table_rejects_window_and_cap(capsys, extra):
     assert code == 2
     assert out == ""
     assert err == "error: --window and --cap apply only with --preset\n"
+
+
+def test_a_failed_kernel_certificate_under_quasi_iso_exits_1(capsys, monkeypatch):
+    def failed(m):
+        raise ArithmeticError("kernel certificate failed: m k != 0")
+
+    monkeypatch.setattr(dg_complexes, "kernel_basis", failed)
+    code, out, err = run_cli(capsys, "quasi-iso", "--p", "2", "--n", "2", "--window", "-8:4")
+    assert (code, out) == (1, "")
+    assert err == "error: kernel certificate failed: m k != 0\n"
+
+
+def test_a_failed_in_span_certificate_under_ore_check_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(exact_linear, "_back_substitute",
+                        lambda pivots, ncols, x: [Fraction(7)] * ncols)
+    code, out, err = run_cli(capsys, "ore-check", "--table", "matrix-units", "--s", "e11")
+    assert (code, out) == (1, "")
+    assert err == "error: in_span certificate failed: m x != v\n"
+
+
+def test_a_tripped_morse_guard_exits_1_with_one_error_line(capsys, monkeypatch):
+    faces = hochschild._faces
+    monkeypatch.setattr(hochschild, "_faces", lambda *args: (
+        (face, 2 * sign) for face, sign in faces(*args)))
+    code, out, err = run_cli(capsys, "hh", "--preset", "a:2:2", "--multidegree", "v1:2,eps:1")
+    assert (code, out) == (1, "")
+    assert err == "error: Morse coefficient -2 is not a unit\n"
 
 
 # ---------------------------------------------------------------------------
