@@ -20,10 +20,6 @@ levels are bounded by |m|_1, and every tensor of multidegree m has the same
 internal degree <m, degrees>.  Without Laurent generators a product of
 non-units is a non-unit, so the normalized basis is closed under b.
 
-bar_basis enumerates all levels at once: a level-s tensor is (a_0,) + w,
-a_0 any part <= m (exterior exponents at most 1) and w a composition of
-m - a_0 into s non-unit parts, memoized on the remaining multidegree.
-
 A BarChain is a QCombination (the sparse vector type of exact_linear)
 labelled by tensors.  One rule, _faces, gives the faces of a packed tensor:
 each monomial is an int (mono_packing) with a radix-2 digit per odd
@@ -70,13 +66,9 @@ g_{i+1}) with g_{i+1} < g_i (equal ranks are an odd square: the face is 0);
 merging j, j+1 gives l back; merging j+1, j+2 gives a lower cell only
 keyed by an extension (..., h, h'); later merges keep position j+1 upper.
 So the key strictly falls in the lex order that ranks a proper extension
-below its prefix, and no zig-zag path closes up.  At run time
-morse_window also refuses a partner that does not classify back, a matched
-coefficient other than +-1 and a cycle met in the flow (ArithmeticError).
-The trade-off: hh_dims never builds the unreduced complex, so it does not
-check d compose d there, and a wrong face sign at levels >= 3 can leave it
-equal to the prediction; the tests of bar_window's d compose d and of the
-Morse complex against bar_window are what catch such a fault.
+below its prefix, and no zig-zag path closes up.  morse_window builds only
+the critical cells and checks the matching where its flow goes; the tests
+check it on every cell, d compose d on bar_window, and Morse against bar_window.
 
 Homology is compared against the polynomial/exterior prediction: for every
 generator g a companion class in degree |g| + 1 with flipped parity (the
@@ -247,34 +239,35 @@ def hochschild_diff(x: BarChain) -> BarChain:
 # Normalized bases per multidegree and homology.
 
 
-def bar_basis(pres: Presentation, m) -> dict:
+def bar_basis(pres: Presentation, m, top=None) -> dict:
     """Normalized tensor basis per level for one multidegree.
 
-    Returns {level: ordered tensor list} for levels 0..|m|_1.  Every tensor
-    of multidegree m shares the internal degree <m, degrees>, so the pair
-    (level, internal degree) is determined by the level alone here.
+    Returns {level: ordered tensor list} for levels 0..|m|_1, cut at top if
+    given.  A level-s tensor is (a_0,) + w: a_0 <= m, w a word of s non-unit
+    parts, memoized on (rest, room), none longer than top.
     """
     _require_no_laurent(pres)
     m = check_multidegree(pres, m)
     odd = [pres.is_odd(i) for i in range(pres.ngens)]
+    top = sum(m) if top is None else min(top, sum(m))
 
-    def parts(rest):
-        """Exponent vectors a <= rest; exterior exponents at most 1."""
-        return itertools.product(
-            *(range(min(r, 1) + 1 if o else r + 1) for r, o in zip(rest, odd))
-        )
+    def cuts(rest):
+        """(a, rest - a) for exponent vectors a <= rest; exterior exponents at most 1."""
+        for a in itertools.product(*(range(min(r, 1) + 1 if o else r + 1)
+                                     for r, o in zip(rest, odd))):
+            yield a, tuple(r - x for r, x in zip(rest, a))
 
     @functools.cache
-    def words(rest):
-        """Tuples of non-unit parts whose exponents sum to rest."""
+    def words(rest, room):
+        """Non-unit words summing to rest, of at most room <= |rest|_1 parts."""
         if not any(rest):
             return [()]
-        return [(a,) + w for a in parts(rest) if any(a)
-                for w in words(tuple(r - x for r, x in zip(rest, a)))]
+        return [(a,) + w for a, left in (cuts(rest) if room else ()) if any(a)
+                for w in words(left, min(room - 1, sum(left)))]
 
-    out = {level: [] for level in range(sum(m) + 1)}
-    for a0 in parts(m):
-        for w in words(tuple(r - x for r, x in zip(m, a0))):
+    out = {level: [] for level in range(top + 1)}
+    for a0, rest in cuts(m) if top >= 0 else ():
+        for w in words(rest, min(top, sum(rest))):
             out[len(w)].append((a0,) + w)
     words.cache_clear()  # words refers to itself, a cycle: free the cache now
     return {level: sorted(tensors) for level, tensors in out.items()}
@@ -291,7 +284,7 @@ def bar_window(pres: Presentation, m, top=None) -> ChainWindow:
     questions below top, such as cycles and boundaries at level 1 with
     top=2.
     """
-    basis = bar_basis(pres, m)
+    basis = bar_basis(pres, m, top)
     if top is None:
         top = max(basis) + 1
     basis = {s: basis.get(s, []) for s in range(-1, top + 1)}
@@ -339,39 +332,46 @@ def _matching(pres: Presentation, m, pack):
     return classify
 
 
-def morse_window(pres: Presentation, m) -> ChainWindow:
-    """The Morse complex of one multidegree: the critical cells, levels as
-    degrees, padded like bar_window(pres, m) so that homology is available
-    at every level 0..|m|_1, labelled by their bar tensors.
+def _critical_cells(pres: Presentation, m) -> dict:
+    """The critical cells, sorted, at levels -1..|m|_1 + 1: a_0 = m - c, then
+    c_i copies of each generator i in falling rank, c_i <= min(1, m_i) if even,
+    c_i in {m_i - 1, m_i} and >= 0 if odd (a_0 holds an odd one at most once)."""
+    order = sorted(range(pres.ngens), key=lambda i: not pres.is_odd(i))[::-1]
+    cells = {s: [] for s in range(-1, sum(m) + 2)}
+    for c in itertools.product(*(range(max(e - 1, 0), e + 1) if pres.is_odd(i)
+                                 else range(min(e, 1) + 1) for i, e in enumerate(m))):
+        chain = [tuple(int(i == j) for j in range(pres.ngens)) for i in order
+                 for _ in range(c[i])]
+        cells[len(chain)].append((tuple(e - k for e, k in zip(m, c)), *chain))
+    return {s: sorted(tensors) for s, tensors in cells.items()}
 
-    Every cell of bar_basis is classified (see the module docstring): each
-    lower cell's partner must classify back to it, and the lower cells must
-    be as many as the upper ones, so the pairs are the whole matching.  The
-    Morse differential of a critical cell is Phi summed over its faces:
-    Phi(l) is l for a critical l, 0 for an upper l, and for a lower l with
-    partner u, -<du, l>^-1 sum_{l' != l} <du, l'> Phi(l'), every coefficient
-    read from _faces.  Phi is memoized and computed with an explicit stack.
-    A failed guard raises ArithmeticError; ChainWindow checks d compose d
-    on the Morse complex.
+
+def morse_window(pres: Presentation, m) -> ChainWindow:
+    """The Morse complex of one multidegree, levels as degrees, padded like
+    bar_window(pres, m): the critical cells, built from their shape alone by
+    _critical_cells and labelled by their bar tensors.
+
+    The differential of a critical cell is Phi summed over its faces: Phi(l)
+    is l for a critical l, 0 for an upper l, and for a lower l with partner
+    u, -<du, l>^-1 sum_{l' != l} <du, l'> Phi(l'), coefficients from _faces.
+    Guards (ArithmeticError): each enumerated cell is critical; each lower
+    cell Phi expands has a partner that classifies back, with coefficient
+    +-1, and Phi meets no cycle; the critical cells count to the Euler
+    characteristic [m = 0], which a perfect acyclic matching keeps (Forman
+    1998) and signed words of non-unit parts give (they invert the Hilbert
+    series).  That count catches cells dropped or added unevenly across
+    parities, not a matching fault on a cell the flow never reaches.
     """
-    basis = bar_basis(pres, m)
-    pack, _, odd, signs = _packing(pres, m)
-    pack = functools.cache(pack)
+    m = check_multidegree(pres, m)
+    pack, unpack, odd, signs = _packing(pres, m)  # refuses laurent generators
     total = sum(e for i, e in enumerate(m) if pres.is_odd(i))
     classify = _matching(pres, m, pack)
-    critical, balance = {}, 0
-    for s, tensors in basis.items():
-        critical[s] = []
-        for tensor in tensors:
-            t = tuple(map(pack, tensor))
-            kind, partner = classify(t)
-            balance += kind
-            if kind == _CRITICAL:
-                critical[s].append((tensor, t))
-            elif kind == _LOWER and classify(partner) != (_UPPER, t):
-                raise ArithmeticError(f"Morse partner of {tensor} does not match back")
-    if balance:
-        raise ArithmeticError("Morse matching leaves lower and upper cells unequal")
+    basis = _critical_cells(pres, m)
+    packed = {s: [tuple(map(pack, tensor)) for tensor in cells] for s, cells in basis.items()}
+    if any(classify(t)[0] != _CRITICAL for t in itertools.chain(*packed.values())):
+        raise ArithmeticError("an enumerated cell is not critical")
+    if sum((-1) ** (s % 2) * len(cells) for s, cells in basis.items()) != (not any(m)):
+        raise ArithmeticError("critical cells break the Euler characteristic")
 
     flow, pending = {}, {}
 
@@ -391,6 +391,9 @@ def morse_window(pres: Presentation, m) -> ChainWindow:
                 if kind != _LOWER:
                     flow[cell] = {cell: 1} if kind == _CRITICAL else {}
                     continue
+                if classify(partner) != (_UPPER, cell):
+                    raise ArithmeticError(f"Morse partner of {[*map(unpack, cell)]} "
+                                          "does not match back")
                 edges = combine(_faces(partner, odd, signs, total))
                 unit = edges.pop(cell, 0)
                 if unit not in (1, -1):
@@ -407,11 +410,8 @@ def morse_window(pres: Presentation, m) -> ChainWindow:
         return ((crit, e * c) for face, e in _faces(t, odd, signs, total)
                 for crit, c in phi(face).items())
 
-    levels = {s: critical.get(s, []) for s in range(-1, max(basis) + 2)}
-    diff = {s: assemble([t for _, t in levels[s]], [t for _, t in levels[s - 1]], image)
-            for s in range(max(basis) + 2)}
-    return ChainWindow({s: [tensor for tensor, _ in cells] for s, cells in levels.items()},
-                       diff)
+    return ChainWindow(basis, {s: assemble(packed[s], packed[s - 1], image)
+                               for s in range(sum(m) + 2)})
 
 
 def hh_dims(pres: Presentation, m) -> dict:

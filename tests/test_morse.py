@@ -4,10 +4,11 @@ import time
 from graphlib import TopologicalSorter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from gradedhh import hochschild
-from gradedhh.chromatic_presets import ChromaticParams, a_q
+from gradedhh import cli, hochschild
+from gradedhh.chromatic_presets import ChromaticParams, a_q, parse_preset
+from gradedhh.dg_complexes import ChainWindow, assemble
 from gradedhh.exact_linear import combine
 from gradedhh.graded_algebra import make_presentation
 from gradedhh.hochschild import (
@@ -57,6 +58,77 @@ def _assert_morse_equals_unreduced(pres, m):
         bar_window(pres, m).homology_dims(window), m
 
 
+def _classify_everything_window(pres, m):
+    """The reference morse_window is checked against: classify every cell of
+    bar_basis, require each lower cell's partner to classify back and the
+    lower cells to be as many as the upper ones, then run the same zig-zag
+    flow from the critical cells."""
+    basis = bar_basis(pres, m)
+    pack, _, odd, signs = hochschild._packing(pres, m)
+    total = sum(e for i, e in enumerate(m) if pres.is_odd(i))
+    classify = hochschild._matching(pres, m, pack)
+    critical, balance = {}, 0
+    for s, tensors in basis.items():
+        critical[s] = []
+        for tensor in tensors:
+            t = tuple(map(pack, tensor))
+            kind, partner = classify(t)
+            balance += kind
+            if kind == CRITICAL:
+                critical[s].append((tensor, t))
+            elif kind == LOWER and classify(partner) != (UPPER, t):
+                raise ArithmeticError(f"Morse partner of {tensor} does not match back")
+    if balance:
+        raise ArithmeticError("Morse matching leaves lower and upper cells unequal")
+
+    flow, pending = {}, {}
+
+    def phi(root):
+        stack = [root]
+        while stack:
+            cell = stack[-1]
+            if cell in pending:
+                stack.pop()
+                unit, edges = pending.pop(cell)
+                flow[cell] = combine((crit, -unit * e * c) for face, e in edges.items()
+                                     for crit, c in flow[face].items())
+            elif cell in flow:
+                stack.pop()
+            else:
+                kind, partner = classify(cell)
+                if kind != LOWER:
+                    flow[cell] = {cell: 1} if kind == CRITICAL else {}
+                    continue
+                edges = combine(hochschild._faces(partner, odd, signs, total))
+                unit = edges.pop(cell, 0)
+                if unit not in (1, -1):
+                    raise ArithmeticError(f"Morse coefficient {unit} is not a unit")
+                pending[cell] = unit, edges
+                for face in edges:
+                    if face in pending:
+                        raise ArithmeticError("Morse flow meets a cycle")
+                    if face not in flow:
+                        stack.append(face)
+        return flow[root]
+
+    def image(t):
+        return ((crit, e * c) for face, e in hochschild._faces(t, odd, signs, total)
+                for crit, c in phi(face).items())
+
+    levels = {s: critical.get(s, []) for s in range(-1, max(basis) + 2)}
+    diff = {s: assemble([t for _, t in levels[s]], [t for _, t in levels[s - 1]], image)
+            for s in range(max(basis) + 2)}
+    return ChainWindow({s: [tensor for tensor, _ in cells] for s, cells in levels.items()},
+                       diff)
+
+
+def _assert_morse_equals_reference(pres, m):
+    """The same basis in the same order, and equal differentials."""
+    got, want = morse_window(pres, m), _classify_everything_window(pres, m)
+    assert list(got.basis.items()) == list(want.basis.items()), m
+    assert got.diff == want.diff, m
+
+
 @st.composite
 def matching_cases(draw):
     degrees = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=3))
@@ -71,6 +143,54 @@ def test_matching_is_an_acyclic_unit_involution_and_keeps_homology(case):
     pres, m = case
     _check_matching(pres, m)
     _assert_morse_equals_unreduced(pres, m)
+
+
+# The cases a hypothesis draw may miss: m = 0, and odd generators of weight
+# at least 2, where the chain repeats them.
+EDGE_CASES = [
+    (make_presentation([("x", 1), ("v", 2)]), (0, 0)),
+    (make_presentation([("y", 3)]), (4,)),
+    (make_presentation([("x", 1), ("v", 2), ("y", -3)]), (3, 1, 2)),
+    (a_q(ChromaticParams(2, 2)), (2, 3)),
+]
+
+
+def _with_edge_cases(test):
+    for case in EDGE_CASES:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@_with_edge_cases
+@given(matching_cases())
+def test_enumerated_critical_cells_are_the_classified_ones(case):
+    pres, m = case
+    pack = hochschild._packing(pres, m)[0]
+    classify = hochschild._matching(pres, m, pack)
+    basis = bar_basis(pres, m)
+
+    def is_critical(tensor):
+        return classify(tuple(map(pack, tensor)))[0] == CRITICAL
+
+    classified = {s: list(filter(is_critical, basis.get(s, []))) for s in range(-1, sum(m) + 2)}
+    assert hochschild._critical_cells(pres, m) == classified
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@_with_edge_cases
+@given(matching_cases())
+def test_morse_window_equals_the_classify_everything_reference(case):
+    _assert_morse_equals_reference(*case)
+
+
+@pytest.mark.parametrize("preset, m", [
+    ("a:2:2", (10, 1)),
+    ("a:2:3", (3, 3, 1)),
+    ("hh_a:2:3", (2, 1, 1, 1, 1, 1)),
+])
+def test_morse_window_equals_the_reference_at_size(preset, m):
+    _assert_morse_equals_reference(parse_preset(preset), m)
 
 
 def _criterion_1_presets():
@@ -115,6 +235,16 @@ def test_hh_ladder_a22_multidegree_12_1_matches_hkr_within_budget():
     assert elapsed < 10, f"hh_dims on a:2:2 (12, 1) took {elapsed:.1f}s"
 
 
+def test_hh_a23_multidegree_6_6_1_matches_hkr_within_budget():
+    """A complex of 9,456,896 cells, of which 8 are critical."""
+    pres = a_q(ChromaticParams(2, 3))
+    start = time.monotonic()
+    dims = hh_dims(pres, (6, 6, 1))
+    elapsed = time.monotonic() - start
+    assert dims == hkr_predicted_dims(pres, (6, 6, 1)) == {33: 1, 34: 3, 35: 3, 36: 1}
+    assert elapsed < 5, f"hh_dims on a:2:3 (6, 6, 1) took {elapsed:.1f}s"
+
+
 # -- the runtime guards --------------------------------------------------------------
 
 
@@ -155,3 +285,28 @@ def test_a_cycle_in_the_flow_raises(monkeypatch):
     monkeypatch.setattr(hochschild, "_faces", with_fake_faces)
     with pytest.raises(ArithmeticError, match="cycle"):
         morse_window(pres, m)
+
+
+def _drop_a_cell(pres, m, cells):
+    top = max(s for s, tensors in cells.items() if tensors)
+    return {**cells, top: cells[top][:-1]}
+
+
+def _add_a_matched_cell(pres, m, cells):
+    extra = next(t for t in bar_basis(pres, m)[2] if t not in cells[2])
+    return {**cells, 2: sorted(cells[2] + [extra])}
+
+
+@pytest.mark.parametrize("mutant, message", [
+    (_drop_a_cell, "critical cells break the Euler characteristic"),
+    (_add_a_matched_cell, "an enumerated cell is not critical"),
+], ids=["drop a cell", "add a matched cell"])
+def test_a_faulty_critical_cell_enumerator_raises(monkeypatch, capsys, mutant, message):
+    real = hochschild._critical_cells
+    monkeypatch.setattr(hochschild, "_critical_cells",
+                        lambda pres, m: mutant(pres, m, real(pres, m)))
+    with pytest.raises(ArithmeticError, match=message):
+        morse_window(a_q(ChromaticParams(2, 2)), (2, 1))
+    code = cli.main(["hh", "--preset", "a:2:2", "--multidegree", "v1:2,eps:1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")

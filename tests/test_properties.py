@@ -232,6 +232,33 @@ def test_bar_basis_equals_the_level_by_level_reference(data):
     assert bar_basis(pres, m) == _bar_basis_reference(pres, m)
 
 
+@st.composite
+def bar_basis_cases(draw):
+    degrees = draw(st.lists(st.integers(-5, 5), max_size=3))
+    pres = make_presentation([(f"g{i}", d) for i, d in enumerate(degrees)])
+    m = draw(st.tuples(*[st.integers(0, 5)] * pres.ngens).filter(lambda m: sum(m) <= 5))
+    return pres, m
+
+
+@PROPERTY
+@given(bar_basis_cases())
+def test_capped_bar_basis_is_the_full_basis_cut_at_top(case):
+    pres, m = case
+    full = bar_basis(pres, m)
+    for top in range(-1, sum(m) + 2):
+        assert bar_basis(pres, m, top) == {s: b for s, b in full.items() if s <= top}, top
+
+
+@PROPERTY
+@given(bar_basis_cases())
+def test_bar_basis_euler_characteristic_is_one_exactly_at_m_zero(case):
+    """sum_s (-1)^s |B_s| = [m = 0]: the count morse_window requires of its
+    critical cells, since a perfect acyclic matching keeps it."""
+    pres, m = case
+    chi = sum((-1) ** s * len(tensors) for s, tensors in bar_basis(pres, m).items())
+    assert chi == (not any(m)), m
+
+
 @pytest.mark.parametrize("pres", [
     make_presentation([("v", 2, False)]),
     make_presentation([("y", 3, False)]),

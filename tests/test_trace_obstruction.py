@@ -205,6 +205,16 @@ def test_obstruction_exponent_12_within_budget():
     assert elapsed < 1, f"obstruction_report(2, 2, [12]) took {elapsed:.2f}s"
 
 
+def test_obstruction_exponent_40_within_budget():
+    """The capped bar basis builds levels 0-2 only: 2,502 of about 4.6 * 10^13 cells."""
+    start = time.monotonic()
+    report = obstruction_report(2, 2, [40])
+    elapsed = time.monotonic() - start
+    assert report.all_ok and report.is_cycle and report.nonzero_in_HH
+    assert report.to_json()["class"] == "v1^40 eps"
+    assert elapsed < 2, f"obstruction_report(2, 2, [40]) took {elapsed:.2f}s"
+
+
 def test_obstruction_report_higher_height():
     # v1^5 eps for p = 3: degree 5.4 - 17 = 3 > 0
     report = obstruction_report(3, 2, [5])
