@@ -11,6 +11,15 @@ from gradedhh.dg_complexes import (
     ChainWindow,
     GradedComplex,
     MatrixDGAElement,
+    _cycle_terms,
+    _diff_pairs,
+    _pack_label,
+    _packed_terms,
+    _packing,
+    _product_pairs,
+    _slot_tables,
+    _vanishes,
+    _vn_free_cycle_shape,
     assemble,
     build_cycles_window,
     build_mdga_window,
@@ -30,11 +39,12 @@ from gradedhh.dg_complexes import (
     mdga_element,
     mdga_eps,
     mdga_identity,
+    mdga_window_labels,
     quasi_iso_check,
 )
 import gradedhh.dg_complexes as dg_complexes
 from gradedhh.cli import main as cli_main, parse_preset
-from gradedhh.exact_linear import RationalMatrix, pivot_columns, rank
+from gradedhh.exact_linear import RationalMatrix, combine, pivot_columns, rank
 from gradedhh.graded_algebra import (
     Element,
     element_from_string,
@@ -521,6 +531,124 @@ def test_flat_pair_checks_match_element_references(p, n, window):
             == _reference_commutative_model_check(p, n, window))
 
 
+# -- matrix DGA: the class-decided pair checks against the exhaustive loops ---------
+
+
+def _exhaustive_structure_check(p, n, window):
+    """dga_structure_check deciding every ordered pair of basis elements."""
+    dga = matrix_dga(p, n)
+    labels = [(k, label) for k, ls in mdga_window_labels(dga, window).items() for label in ls]
+    pack, _ = _packing(dga, [mono for _, (_, mono) in labels])
+    product, rules = _slot_tables()
+    vn = pack(dga.vn_mono)
+    elements = []
+    for k, label in labels:
+        f = ((_pack_label(pack, label), 1),)
+        elements.append((k, f, tuple(_diff_pairs(rules, vn, k, f))))
+    d_squared = all(_vanishes(_diff_pairs(rules, vn, k - 1, df)) for k, _, df in elements)
+    derivation = True
+    for kf, f, df in elements:
+        minus_df = tuple((label, -c) for label, c in df)
+        twisted_f = ((f[0][0], -1 if kf % 2 == 0 else 1),)  # -(-1)^|f| f
+        for kg, g, dg in elements:
+            if not _vanishes(
+                _diff_pairs(rules, vn, kf + kg, _product_pairs(product, f, g)),
+                _product_pairs(product, minus_df, g),
+                _product_pairs(product, twisted_f, dg),
+            ):
+                derivation = False
+    return {
+        "p": p,
+        "n": n,
+        "window": list(window),
+        "basis_size": len(elements),
+        "pairs_checked": len(elements) ** 2,
+        "d_squared_zero": d_squared,
+        "derivation_law": derivation,
+    }
+
+
+def _exhaustive_model_check(p, n, window):
+    """commutative_model_check deciding every ordered pair of Z's basis."""
+    dga = matrix_dga(p, n)
+    lo, hi = window
+    amb = build_mdga_window(dga, window)
+    sub, inclusion = build_cycles_window(dga, window, amb)
+    unpacked = [
+        (k, _cycle_terms(k, label)) for k in range(lo, hi + 1) for label in sub.basis[k]
+    ]
+    pack, _ = _packing(dga, [mono for _, terms in unpacked for _, mono in terms])
+    product, rules = _slot_tables()
+    vn = pack(dga.vn_mono)
+    cycles = [(k, _packed_terms(pack, terms)) for k, terms in unpacked]
+    closed = True
+    commutative = True
+    for kf, f in cycles:
+        for kg, g in cycles:
+            k = kf + kg
+            prod = combine(_product_pairs(product, f, g))
+            if not (_vn_free_cycle_shape(k, vn, prod)
+                    and _vanishes(_diff_pairs(rules, vn, k, prod.items()))):
+                closed = False
+            sign = 1 if kf % 2 and kg % 2 else -1  # -(-1)^{|f||g|}
+            if not _vanishes(
+                prod.items(),
+                ((label, sign * c) for label, c in _product_pairs(product, g, f)),
+            ):
+                commutative = False
+    report = quasi_iso_check(sub, amb, inclusion, window)
+    return {
+        "p": p,
+        "n": n,
+        "window": list(window),
+        "subalgebra_size": len(cycles),
+        "closed_under_product": closed,
+        "graded_commutative": commutative,
+        "chain_map": report.chain_map,
+        "quasi_iso_per_degree": {
+            str(t): v["iso"] for t, v in sorted(report.per_degree.items())
+        },
+        "all_ok": closed and commutative and report.all_iso,
+        "per_degree": report.per_degree,
+    }
+
+
+@pytest.mark.parametrize("p, n, window", [
+    *FLAT_CHECK_CASES, (2, 3, (-40, 20)), (3, 2, (-60, 30)), (2, 2, (-30, 30)),
+])
+def test_class_decided_pair_checks_match_exhaustive_loops(p, n, window):
+    assert dga_structure_check(p, n, window) == _exhaustive_structure_check(p, n, window)
+    assert commutative_model_check(p, n, window) == _exhaustive_model_check(p, n, window)
+
+
+def test_pair_rules_are_translation_equivariant():
+    """The hypothesis of the class proof in dga_structure_check: shifting the
+    left code by c and the right one by c2 shifts every code _product_pairs
+    yields by c + c2, and shifting a code by c shifts every code _diff_pairs
+    yields by c, with the same slots and coefficients."""
+    dga = matrix_dga(2, 2)
+    labels = [(k, label) for k, ls in mdga_window_labels(dga, (-12, 8)).items() for label in ls]
+    pack, _ = _packing(dga, [mono for _, (_, mono) in labels])
+    product, rules = _slot_tables()
+    vn = pack(dga.vn_mono)
+    terms = [(k, ((_pack_label(pack, label), 1),)) for k, label in labels]
+
+    def shifted(pairs, c):
+        return [((slot, code + c), coeff) for (slot, code), coeff in pairs]
+
+    shifts = (0, 1, 2, vn, 1 + vn)
+    for k, f in terms:
+        df = list(_diff_pairs(rules, vn, k, f))
+        for c in shifts:
+            assert list(_diff_pairs(rules, vn, k, shifted(f, c))) == shifted(df, c)
+        for _, g in terms:
+            fg = list(_product_pairs(product, f, g))
+            for c in shifts:
+                for c2 in shifts:
+                    got = _product_pairs(product, shifted(f, c), shifted(g, c2))
+                    assert list(got) == shifted(fg, c + c2)
+
+
 def test_vn_free_cycle_shape_matches_element_reference():
     # every one- and two-term matrix over the degree pieces, with both relative
     # signs: [[a, 0], [0, +-a]] pairs, stray c terms, terms containing v_n
@@ -615,6 +743,31 @@ def test_matrix_dga_ladder_p2_n2_window_80_40_within_budget(capsys):
     assert doc["structure"]["derivation_law"] is True
     assert doc["homology"]["dims_match"] is True
     assert elapsed < 6, f"matrix-dga (2, 2) -80:40 took {elapsed:.1f}s"
+
+
+def test_matrix_dga_ladder_p2_n3_window_120_60_within_budget(capsys):
+    """The -120:60 rung at (2, 3): 1529 basis elements, 1529^2 ordered pairs
+    covered through their classes."""
+    start = time.monotonic()
+    code = cli_main(["matrix-dga", "--p", "2", "--n", "3", "--window", "-120:60"])
+    elapsed = time.monotonic() - start
+    structure = json.loads(capsys.readouterr().out)["structure"]
+    assert code == 0
+    assert structure["basis_size"] == 1529
+    assert structure["pairs_checked"] == 1529 ** 2
+    assert structure["d_squared_zero"] is True
+    assert structure["derivation_law"] is True
+    assert elapsed < 3, f"matrix-dga (2, 3) -120:60 took {elapsed:.1f}s"
+
+
+def test_quasi_iso_p2_n3_window_120_60_within_budget(capsys):
+    start = time.monotonic()
+    code = cli_main(["quasi-iso", "--p", "2", "--n", "3", "--window", "-120:60"])
+    elapsed = time.monotonic() - start
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["all_ok"] is True
+    assert elapsed < 3, f"quasi-iso (2, 3) -120:60 took {elapsed:.1f}s"
 
 
 # -- matrix DGA: homology ------------------------------------------------------------

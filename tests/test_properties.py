@@ -8,7 +8,9 @@ and entries up to 10^6 in size.  The bar-basis and degree-piece enumerators
 are checked against the simpler enumerations they replaced, the heap
 pivot order of the elimination against the scan it replaced, the cleared
 ranks of a chain window against full ranks on random complexes, the
-packed matrix-DGA monomials against koszul_mul, and the Ore checker
+packed matrix-DGA monomials against koszul_mul, the class-decided
+matrix-DGA pair checks against the exhaustive loops they replaced, on
+random slot-level product and differential rules, and the Ore checker
 against the search-first decision it replaced, on random tables whose
 products respect degrees.
 """
@@ -28,7 +30,9 @@ from gradedhh.dg_complexes import (
     MatrixDGA,
     MatrixDGAElement,
     _packing,
+    commutative_model_check,
     dga_diff,
+    dga_structure_check,
     matrix_dga,
     mdga_basis_labels,
     mdga_element,
@@ -68,6 +72,7 @@ from gradedhh.hochschild import (
     hochschild_diff,
     multidegrees_up_to,
 )
+from test_dg_complexes import _exhaustive_model_check, _exhaustive_structure_check
 
 PROPERTY = settings(max_examples=30, deadline=None, database=None)
 
@@ -463,6 +468,40 @@ def test_packing_refuses_odd_and_laurent_generators(pres):
         _packing(MatrixDGA(2, 2, pres), [(0,) * pres.ngens])
     with pytest.raises(ValueError):
         _packing(MatrixDGA(2, 2, pres), [])
+
+
+SLOTS = dg_complexes._SLOTS
+# Slot-level rules: each product slot and each slot's differential is either
+# the true one or redrawn, so that draws both keep and break the laws.
+PRODUCT_TABLES = st.fixed_dictionaries({
+    pair: st.one_of(st.just(dg_complexes._PRODUCT_SLOT.get(pair)),
+                    st.sampled_from((None, *SLOTS)))
+    for pair in itertools.product(SLOTS, SLOTS)
+}).map(lambda table: {pair: slot for pair, slot in table.items() if slot is not None})
+DIFF_RULES = st.fixed_dictionaries({
+    slot: st.one_of(st.just(rule), st.lists(
+        st.tuples(st.sampled_from(SLOTS), st.booleans()), max_size=2).map(tuple))
+    for slot, rule in dg_complexes._DIFF_RULE.items()
+})
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:  # a broken differential fails a window's checks
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(PRODUCT_TABLES, DIFF_RULES)
+def test_class_decided_pair_checks_equal_the_exhaustive_loops_on_any_rules(product, diff):
+    """The class proof of dga_structure_check holds for any slot-level rules."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dg_complexes, "_PRODUCT_SLOT", product)
+        mp.setattr(dg_complexes, "_DIFF_RULE", diff)
+        for check, exhaustive in [(dga_structure_check, _exhaustive_structure_check),
+                                  (commutative_model_check, _exhaustive_model_check)]:
+            assert _outcome(check, 2, 2, (-12, 8)) == _outcome(exhaustive, 2, 2, (-12, 8))
 
 
 @PROPERTY
