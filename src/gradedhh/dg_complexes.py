@@ -35,16 +35,13 @@ with zero differential whose inclusion is a quasi-isomorphism; its basis
 realizes Q[v_1, ..., v_{n-1}] (diagonal classes) together with an exterior
 class eps (the strictly upper classes) one degree above -2p^n.
 
-The product and the differential are generators of (label, coefficient)
-pairs over packed labels (slot, code): slot is a position in _SLOTS and
-code an int that packs one monomial of the base ring (_packing), so that
-multiplying monomials is adding codes and multiplying by v_n is adding
-v_n's code.  _product_pairs and _diff_pairs are the only product and
-differential rules.  The pair checks (the derivation law, and the closure
-and commutativity of Z) decide each ordered pair through one representative
-of its class, building no element (proof in dga_structure_check); the
-element product, dga_diff and build_mdga_window pack at their boundary and
-decode what they return, so public labels stay (slot, exponent tuple).
+The product and the differential are generators of ((slot, monomial),
+coefficient) pairs, _product_pairs and _diff_pairs, the only product and
+differential rules: the base ring is polynomial, so monomials multiply by
+adding exponent tuples, with no sign.  The pair checks (the derivation law,
+and the closure and commutativity of Z) decide each ordered pair through one
+representative of its class, building no element (proof in
+dga_structure_check).
 """
 
 from __future__ import annotations
@@ -54,6 +51,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import add
 
 from .exact_linear import (
     QCombination,
@@ -72,7 +70,6 @@ from .graded_algebra import (
     koszul_mul,
     mono_degree,
     mono_one,
-    mono_packing,
 )
 from .chromatic_presets import ChromaticParams, bp_q, eps_degree
 
@@ -344,34 +341,18 @@ _DIFF_RULE = {
     "d": (("b", True),),
 }
 
-_SLOT_INDEX = {slot: i for i, slot in enumerate(_SLOTS)}
-
-
-def _slot_tables():
-    """_PRODUCT_SLOT and _DIFF_RULE over slot indices (positions in _SLOTS).
-
-    product[s][t] is the index of the product slot, or None; rules[k % 2][s]
-    lists the (target slot, sign) terms of d on slot s in degree k, each
-    target monomial being the source one times v_n.  The tables are read
-    off the two dicts on every call, so the dicts stay the one definition
-    of the rules.
-    """
-    product = [[None] * len(_SLOTS) for _ in _SLOTS]
-    for (s, t), u in _PRODUCT_SLOT.items():
-        product[_SLOT_INDEX[s]][_SLOT_INDEX[t]] = _SLOT_INDEX[u]
-    rules = tuple(
-        [tuple((_SLOT_INDEX[target], 1 if left else twist)
-               for target, left in _DIFF_RULE[slot]) for slot in _SLOTS]
-        for twist in (-1, 1)  # -(-1)^k for even, then odd k
-    )
-    return product, rules
-
 
 @dataclass(frozen=True)
 class MatrixDGA:
     p: int
     n: int
     pres: Presentation
+
+    def __post_init__(self):
+        pres = self.pres
+        if any(pres.is_odd(i) or pres.laurent[i] for i in range(pres.ngens)):
+            raise ValueError("the matrix DGA needs a polynomial base ring: "
+                             "no odd or laurent generator")
 
     @property
     def offdiag(self) -> int:
@@ -461,12 +442,8 @@ class MatrixDGAElement(QCombination):
         if not isinstance(other, MatrixDGAElement):
             return super().__mul__(other)
         self._require_same(other)
-        pack, unpack = _packing(self.dga, [m for _, m in chain(self.terms, other.terms)])
-        product, _ = _slot_tables()
-        pairs = _product_pairs(
-            product, _packed_terms(pack, self.terms), _packed_terms(pack, other.terms)
-        )
-        return self._new(_unpacked_pairs(unpack, pairs), k=self.k + other.k)
+        pairs = _product_pairs(self.terms.items(), other.terms.items())
+        return self._new(pairs, k=self.k + other.k)
 
     def __repr__(self):
         return (
@@ -475,80 +452,34 @@ class MatrixDGAElement(QCombination):
         )
 
 
-def _packing(dga: MatrixDGA, monos):
-    """pack, unpack: monomials of the base ring as ints, and back, for monos.
-
-    mono_packing with the radix r_i = 2 top_i + 2 for generator i, top_i the
-    largest exponent of generator i in monos.  The base ring is polynomial
-    (no sign, no product vanishes), so a product of monomials packs to the
-    sum of their codes and multiplying by v_n adds pack(v_n).  Nothing
-    carries: for f and g each in monos or 1, digit i of pack(f) + pack(g) +
-    pack(v_n) is at most top_i + top_i + 1 = r_i - 1, the exponent of
-    generator i in f g v_n.  v_n is the last generator, the top digit, which
-    unpack leaves unreduced, so d(d(f)) = v_n f v_n decodes exactly too.
-    An odd generator (a sign, and squares that vanish) or a Laurent one
-    (negative exponents) has no such code: ValueError.
-    """
-    pres = dga.pres
-    if any(pres.is_odd(i) or pres.laurent[i] for i in range(pres.ngens)):
-        raise ValueError("packed monomials need a polynomial ring: no odd or laurent generator")
-    monos = list(monos)
-    tops = [max(exps) for exps in zip(*monos)] if monos else [0] * pres.ngens
-    return mono_packing(pres, [2 * top + 2 for top in tops])
-
-
-def _pack_label(pack, label) -> tuple:
-    """(slot, mono) -> (slot index, code)."""
-    slot, mono = label
-    return _SLOT_INDEX[slot], pack(mono)
-
-
-def _packed_terms(pack, terms: dict) -> tuple:
-    """((slot index, code), coefficient) pairs of {(slot, mono): coefficient}."""
-    return tuple((_pack_label(pack, label), c) for label, c in terms.items())
-
-
-def _unpacked_pairs(unpack, pairs):
-    """((slot, mono), coefficient) pairs of packed (label, coefficient) pairs."""
-    return (((_SLOTS[s], unpack(code)), c) for (s, code), c in pairs)
-
-
-def _product_pairs(product, left, right):
+def _product_pairs(left, right):
     """(label, coefficient) pairs of the product of two matrices given as
-    packed (label, coefficient) pairs, right a sequence; product is
-    _slot_tables()[0]."""
+    (label, coefficient) pairs, right a reusable iterable."""
     for (s, a), ca in left:
-        row = product[s]
         for (t, b), cb in right:
-            slot = row[t]
+            slot = _PRODUCT_SLOT.get((s, t))
             if slot is not None:
-                yield (slot, a + b), ca * cb
+                yield (slot, tuple(map(add, a, b))), ca * cb
 
 
-def _diff_pairs(rules, vn: int, k: int, terms):
-    """(label, coefficient) pairs of d on degree-k packed (label, coefficient)
-    pairs; rules is _slot_tables()[1] and vn the code of v_n."""
-    rule = rules[k % 2]
-    for (slot, code), coeff in terms:
-        for target, sign in rule[slot]:
-            yield (target, code + vn), sign * coeff
+def _diff_pairs(vn, k: int, terms):
+    """(label, coefficient) pairs of d on degree-k (label, coefficient)
+    pairs; vn is the monomial v_n."""
+    twist = 1 if k % 2 else -1  # -(-1)^k
+    for (slot, mono), coeff in terms:
+        target_mono = tuple(map(add, mono, vn))
+        for target, left in _DIFF_RULE[slot]:
+            yield (target, target_mono), coeff if left else twist * coeff
 
 
 def _vanishes(*pair_streams) -> bool:
     """Do the (label, coefficient) pairs of all the streams sum to zero?"""
-    acc = {}
-    for pairs in pair_streams:
-        for label, c in pairs:
-            acc[label] = acc.get(label, 0) + c
-    return not any(acc.values())
+    return not combine(chain(*pair_streams))
 
 
 def dga_diff(f: MatrixDGAElement) -> MatrixDGAElement:
     """The differential d(f) = d_cone f - (-1)^k f d_cone, slot by slot."""
-    pack, unpack = _packing(f.dga, [m for _, m in f.terms])
-    _, rules = _slot_tables()
-    pairs = _diff_pairs(rules, pack(f.dga.vn_mono), f.k, _packed_terms(pack, f.terms))
-    return f._new(_unpacked_pairs(unpack, pairs), k=f.k - 1)
+    return f._new(_diff_pairs(f.dga.vn_mono, f.k, f.terms.items()), k=f.k - 1)
 
 
 def mdga_window_labels(dga: MatrixDGA, window) -> dict:
@@ -575,12 +506,9 @@ def build_mdga_window(dga: MatrixDGA, window) -> ChainWindow:
     """Concrete complex of the matrix DGA on [lo-1, hi+1]."""
     lo, hi = window
     basis = mdga_window_labels(dga, (lo - 1, hi + 1))
-    pack, _ = _packing(dga, [mono for labels in basis.values() for _, mono in labels])
-    _, rules = _slot_tables()
-    vn = pack(dga.vn_mono)
-    packed = {k: [_pack_label(pack, label) for label in labels] for k, labels in basis.items()}
+    vn = dga.vn_mono
     return ChainWindow(basis, {
-        k: assemble(packed[k], packed[k - 1], lambda l: _diff_pairs(rules, vn, k, ((l, 1),)))
+        k: assemble(basis[k], basis[k - 1], lambda l: _diff_pairs(vn, k, ((l, 1),)))
         for k in range(lo, hi + 2)})
 
 
@@ -641,27 +569,22 @@ def cycles_subalgebra(dga: MatrixDGA, window):
     ]
 
 
-def _vn_free_cycle_shape(k: int, vn: int, terms: dict) -> bool:
-    """Do the {(slot, code): coefficient} packed terms of a degree-k matrix
-    have the shape [[a, b], [0, (-1)^k a]] with v_n-free a and b?
-
-    vn is the code of v_n, the place value of the last digit (_packing), so
-    a code is v_n-free exactly when it is below vn.
-    """
-    a, b, d = (_SLOT_INDEX[slot] for slot in "abd")
+def _vn_free_cycle_shape(k: int, n: int, terms: dict) -> bool:
+    """Do the {(slot, monomial): coefficient} terms of a degree-k matrix over
+    Q[v_1, ..., v_n] have the shape [[a, b], [0, (-1)^k a]] with v_n-free a
+    and b?"""
     sign = 1 if k % 2 == 0 else -1
     return all(
-        slot == b and code < vn
-        or slot == a and code < vn and terms.get((d, code)) == sign * c
-        or slot == d and terms.get((a, code)) == sign * c
-        for (slot, code), c in terms.items()
+        slot == "b" and mono[n - 1] == 0
+        or slot == "a" and mono[n - 1] == 0 and terms.get(("d", mono)) == sign * c
+        or slot == "d" and terms.get(("a", mono)) == sign * c
+        for (slot, mono), c in terms.items()
     )
 
 
 def is_vn_free_cycle_shape(el: MatrixDGAElement) -> bool:
     """Does el look like [[a, b], [0, (-1)^k a]] with v_n-free a and b?"""
-    pack, _ = _packing(el.dga, [m for _, m in el.terms])
-    return _vn_free_cycle_shape(el.k, pack(el.dga.vn_mono), dict(_packed_terms(pack, el.terms)))
+    return _vn_free_cycle_shape(el.k, el.dga.n, el.terms)
 
 
 @dataclass
@@ -740,8 +663,9 @@ def commutative_model_check(p: int, n: int, window) -> dict:
 
     Closure and commutativity are decided on one representative of each
     class (kind, k mod 2) of Z's basis.  As in dga_structure_check, for f, g
-    at codes a, b the terms of fg, gf and d(fg) sit at a + b and a + b + v_n
-    with slots and signs read off the classes; a + b < vn, as nothing carries.
+    at monomials a, b the terms of fg, gf and d(fg) sit at a + b and
+    a + b + v_n with slots and signs read off the classes; a + b is v_n-free
+    because a and b are.
     """
     dga = matrix_dga(p, n)
     lo, hi = window
@@ -749,23 +673,21 @@ def commutative_model_check(p: int, n: int, window) -> dict:
     sub, inclusion = build_cycles_window(dga, window, amb)
     labels = [(k, label) for k in range(lo, hi + 1) for label in sub.basis[k]]
     reps = {(label[0], k % 2): (k, _cycle_terms(k, label)) for k, label in labels}.values()
-    pack, _ = _packing(dga, [mono for _, terms in reps for _, mono in terms])
-    product, rules = _slot_tables()
-    vn = pack(dga.vn_mono)
-    cycles = [(k, _packed_terms(pack, terms)) for k, terms in reps]
+    vn = dga.vn_mono
+    cycles = [(k, tuple(terms.items())) for k, terms in reps]
     closed = True
     commutative = True
     for kf, f in cycles:
         for kg, g in cycles:
             k = kf + kg
-            prod = combine(_product_pairs(product, f, g))
-            if not (_vn_free_cycle_shape(k, vn, prod)
-                    and _vanishes(_diff_pairs(rules, vn, k, prod.items()))):
+            prod = combine(_product_pairs(f, g))
+            if not (_vn_free_cycle_shape(k, n, prod)
+                    and _vanishes(_diff_pairs(vn, k, prod.items()))):
                 closed = False
             sign = 1 if kf % 2 and kg % 2 else -1  # -(-1)^{|f||g|}
             if not _vanishes(
                 prod.items(),
-                ((label, sign * c) for label, c in _product_pairs(product, g, f)),
+                ((label, sign * c) for label, c in _product_pairs(g, f)),
             ):
                 commutative = False
     report = quasi_iso_check(sub, amb, inclusion, window)
@@ -788,31 +710,28 @@ def commutative_model_check(p: int, n: int, window) -> dict:
 def dga_structure_check(p: int, n: int, window) -> dict:
     """d compose d = 0 and the derivation law over the window, by class.
 
-    A basis element f = (s, a) of degree k (slot s, code a) is in class
+    A basis element f = (s, a) of degree k (slot s, monomial a) is in class
     (s, k mod 2), and a pair (f, g), g = (t, b), in class (s, t, |f| mod 2,
     |g| mod 2): at most 64 classes.  The proof rests on one hypothesis:
     _product_pairs and _diff_pairs read only slots and k mod 2, and add
-    codes (the product) or v_n's code (d).  Then every term of
-    d(fg) - d(f)g - (-1)^|f| f d(g) sits at the one code a + b + v_n (no
-    digit carries, by _packing) with slots and signs fixed by the class, so
-    the verdict depends on the class alone; so does d(d(f)), at a + 2 v_n.
+    exponent vectors: a + b (the product) or a + v_n (d).  Then every term
+    of d(fg) - d(f)g - (-1)^|f| f d(g) sits at the one monomial a + b + v_n
+    with slots and signs fixed by the class, so the verdict depends on the
+    class alone; so does d(d(f)), at a + 2 v_n.
     pairs_checked = basis_size ** 2 counts the ordered pairs covered, each
     decided through the one representative of its class.
     """
     dga = matrix_dga(p, n)
     labels = [(k, label) for k, ls in mdga_window_labels(dga, window).items() for label in ls]
     reps = {(label[0], k % 2): (k, label) for k, label in labels}.values()
-    pack, _ = _packing(dga, [mono for _, (_, mono) in reps])
-    product, rules = _slot_tables()
-    vn = pack(dga.vn_mono)
-    elements = [(k, f, tuple(_diff_pairs(rules, vn, k, f)))
-                for k, label in reps for f in [((_pack_label(pack, label), 1),)]]
-    d_squared = all(_vanishes(_diff_pairs(rules, vn, k - 1, df)) for k, _, df in elements)
+    vn = dga.vn_mono
+    elements = [(k, f, tuple(_diff_pairs(vn, k, f))) for k, label in reps for f in [((label, 1),)]]
+    d_squared = all(_vanishes(_diff_pairs(vn, k - 1, df)) for k, _, df in elements)
     derivation = all(  # d(fg) - d(f) g + (-(-1)^|f| f) d(g) vanishes
         _vanishes(
-            _diff_pairs(rules, vn, kf + kg, _product_pairs(product, f, g)),
-            _product_pairs(product, ((label, -c) for label, c in df), g),
-            _product_pairs(product, ((f[0][0], -1 if kf % 2 == 0 else 1),), dg),
+            _diff_pairs(vn, kf + kg, _product_pairs(f, g)),
+            _product_pairs(((label, -c) for label, c in df), g),
+            _product_pairs(((f[0][0], -1 if kf % 2 == 0 else 1),), dg),
         )
         for kf, f, df in elements for kg, g, dg in elements
     )

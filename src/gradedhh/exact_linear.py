@@ -238,10 +238,10 @@ class RationalMatrix:
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        entries = self.entries
-        for (i, j), v in other.entries.items():
-            entries[(i, j + self.cols)] = v
-        return RationalMatrix(self.rows, self.cols + other.cols, entries)
+        rows = {i: dict(row) for i, row in self.data.items()}
+        for i, row in other.data.items():
+            rows.setdefault(i, {}).update((j + self.cols, v) for j, v in row.items())
+        return RationalMatrix._new(self.rows, self.cols + other.cols, rows.items())
 
     def is_zero(self) -> bool:
         return not self.data

@@ -157,8 +157,9 @@ def mono_packing(pres: Presentation, radices):
     """pack, unpack: monomials as ints with digit i in radix radices[i], and back.
 
     Odd generators take the lowest digits, then the even ones, each group in
-    generator order.  pack is additive while no digit overflows, which each
-    caller proves for its radices; unpack leaves the top digit unreduced."""
+    generator order.  pack is additive while no digit overflows, which the
+    caller, hochschild._packing, proves for its radices; unpack leaves the
+    top digit unreduced."""
     order = sorted(range(pres.ngens), key=lambda i: not pres.is_odd(i))
     places, place = [0] * pres.ngens, 1
     for i in order:

@@ -13,11 +13,7 @@ from gradedhh.dg_complexes import (
     MatrixDGAElement,
     _cycle_terms,
     _diff_pairs,
-    _pack_label,
-    _packed_terms,
-    _packing,
     _product_pairs,
-    _slot_tables,
     _vanishes,
     _vn_free_cycle_shape,
     assemble,
@@ -538,23 +534,21 @@ def _exhaustive_structure_check(p, n, window):
     """dga_structure_check deciding every ordered pair of basis elements."""
     dga = matrix_dga(p, n)
     labels = [(k, label) for k, ls in mdga_window_labels(dga, window).items() for label in ls]
-    pack, _ = _packing(dga, [mono for _, (_, mono) in labels])
-    product, rules = _slot_tables()
-    vn = pack(dga.vn_mono)
+    vn = dga.vn_mono
     elements = []
     for k, label in labels:
-        f = ((_pack_label(pack, label), 1),)
-        elements.append((k, f, tuple(_diff_pairs(rules, vn, k, f))))
-    d_squared = all(_vanishes(_diff_pairs(rules, vn, k - 1, df)) for k, _, df in elements)
+        f = ((label, 1),)
+        elements.append((k, f, tuple(_diff_pairs(vn, k, f))))
+    d_squared = all(_vanishes(_diff_pairs(vn, k - 1, df)) for k, _, df in elements)
     derivation = True
     for kf, f, df in elements:
         minus_df = tuple((label, -c) for label, c in df)
         twisted_f = ((f[0][0], -1 if kf % 2 == 0 else 1),)  # -(-1)^|f| f
         for kg, g, dg in elements:
             if not _vanishes(
-                _diff_pairs(rules, vn, kf + kg, _product_pairs(product, f, g)),
-                _product_pairs(product, minus_df, g),
-                _product_pairs(product, twisted_f, dg),
+                _diff_pairs(vn, kf + kg, _product_pairs(f, g)),
+                _product_pairs(minus_df, g),
+                _product_pairs(twisted_f, dg),
             ):
                 derivation = False
     return {
@@ -574,26 +568,24 @@ def _exhaustive_model_check(p, n, window):
     lo, hi = window
     amb = build_mdga_window(dga, window)
     sub, inclusion = build_cycles_window(dga, window, amb)
-    unpacked = [
-        (k, _cycle_terms(k, label)) for k in range(lo, hi + 1) for label in sub.basis[k]
+    vn = dga.vn_mono
+    cycles = [
+        (k, tuple(_cycle_terms(k, label).items()))
+        for k in range(lo, hi + 1) for label in sub.basis[k]
     ]
-    pack, _ = _packing(dga, [mono for _, terms in unpacked for _, mono in terms])
-    product, rules = _slot_tables()
-    vn = pack(dga.vn_mono)
-    cycles = [(k, _packed_terms(pack, terms)) for k, terms in unpacked]
     closed = True
     commutative = True
     for kf, f in cycles:
         for kg, g in cycles:
             k = kf + kg
-            prod = combine(_product_pairs(product, f, g))
-            if not (_vn_free_cycle_shape(k, vn, prod)
-                    and _vanishes(_diff_pairs(rules, vn, k, prod.items()))):
+            prod = combine(_product_pairs(f, g))
+            if not (_vn_free_cycle_shape(k, n, prod)
+                    and _vanishes(_diff_pairs(vn, k, prod.items()))):
                 closed = False
             sign = 1 if kf % 2 and kg % 2 else -1  # -(-1)^{|f||g|}
             if not _vanishes(
                 prod.items(),
-                ((label, sign * c) for label, c in _product_pairs(product, g, f)),
+                ((label, sign * c) for label, c in _product_pairs(g, f)),
             ):
                 commutative = False
     report = quasi_iso_check(sub, amb, inclusion, window)
@@ -622,31 +614,31 @@ def test_class_decided_pair_checks_match_exhaustive_loops(p, n, window):
 
 
 def test_pair_rules_are_translation_equivariant():
-    """The hypothesis of the class proof in dga_structure_check: shifting the
-    left code by c and the right one by c2 shifts every code _product_pairs
-    yields by c + c2, and shifting a code by c shifts every code _diff_pairs
-    yields by c, with the same slots and coefficients."""
+    """The hypothesis of the class proof in dga_structure_check: multiplying
+    the left monomial by c and the right one by c2 multiplies every monomial
+    _product_pairs yields by c c2, and multiplying a monomial by c multiplies
+    every monomial _diff_pairs yields by c, with the same slots and
+    coefficients."""
     dga = matrix_dga(2, 2)
     labels = [(k, label) for k, ls in mdga_window_labels(dga, (-12, 8)).items() for label in ls]
-    pack, _ = _packing(dga, [mono for _, (_, mono) in labels])
-    product, rules = _slot_tables()
-    vn = pack(dga.vn_mono)
-    terms = [(k, ((_pack_label(pack, label), 1),)) for k, label in labels]
+    vn = dga.vn_mono
+    terms = [(k, ((label, 1),)) for k, label in labels]
 
     def shifted(pairs, c):
-        return [((slot, code + c), coeff) for (slot, code), coeff in pairs]
+        return [((slot, tuple(e + s for e, s in zip(mono, c))), coeff)
+                for (slot, mono), coeff in pairs]
 
-    shifts = (0, 1, 2, vn, 1 + vn)
+    shifts = ((0, 0), (1, 0), (2, 0), vn, (1, 1))  # 1, v_1, v_1^2, v_n, v_1 v_n
     for k, f in terms:
-        df = list(_diff_pairs(rules, vn, k, f))
+        df = list(_diff_pairs(vn, k, f))
         for c in shifts:
-            assert list(_diff_pairs(rules, vn, k, shifted(f, c))) == shifted(df, c)
+            assert list(_diff_pairs(vn, k, shifted(f, c))) == shifted(df, c)
         for _, g in terms:
-            fg = list(_product_pairs(product, f, g))
+            fg = list(_product_pairs(f, g))
             for c in shifts:
                 for c2 in shifts:
-                    got = _product_pairs(product, shifted(f, c), shifted(g, c2))
-                    assert list(got) == shifted(fg, c + c2)
+                    got = _product_pairs(shifted(f, c), shifted(g, c2))
+                    assert list(got) == shifted(shifted(fg, c), c2)
 
 
 def test_vn_free_cycle_shape_matches_element_reference():

@@ -108,6 +108,17 @@ def test_hstack():
     a = RationalMatrix.from_rows([[1], [2]])
     b = RationalMatrix.from_rows([[3], [4]])
     assert a.hstack(b) == RationalMatrix.from_rows([[1, 3], [2, 4]])
+    # Fraction entries, a row empty on one side or both, and no self entries
+    c = RationalMatrix.from_rows([[Fraction(1, 2), 0], [0, 0], [0, 0]])
+    d = RationalMatrix.from_rows([[0], [Fraction(4, 2)], [0]])
+    cd = c.hstack(d)
+    assert cd == RationalMatrix.from_rows(
+        [[Fraction(1, 2), 0, 0], [0, 0, 2], [0, 0, 0]])
+    assert cd.data == {0: {0: Fraction(1, 2)}, 1: {2: 2}}
+    assert type(cd.data[1][2]) is int
+    assert RationalMatrix(3, 0).hstack(d) == d
+    with pytest.raises(ValueError, match="row count mismatch"):
+        a.hstack(d)
 
 
 def test_zero_entries_are_never_stored():

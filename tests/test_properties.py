@@ -8,9 +8,10 @@ and entries up to 10^6 in size.  The bar-basis and degree-piece enumerators
 are checked against the simpler enumerations they replaced, the heap
 pivot order of the elimination against the scan it replaced, the cleared
 ranks of a chain window against full ranks on random complexes, the
-packed matrix-DGA monomials against koszul_mul, the class-decided
-matrix-DGA pair checks against the exhaustive loops they replaced, on
-random slot-level product and differential rules, and the Ore checker
+matrix-DGA product and differential against the entrywise 2x2 formulas in
+Element arithmetic, the class-decided matrix-DGA pair checks against the
+exhaustive loops they replaced, on random slot-level product and
+differential rules, and the Ore checker
 against the search-first decision it replaced, on random tables whose
 products respect degrees.
 """
@@ -29,7 +30,6 @@ from gradedhh.dg_complexes import (
     ChainWindow,
     MatrixDGA,
     MatrixDGAElement,
-    _packing,
     commutative_model_check,
     dga_diff,
     dga_structure_check,
@@ -57,7 +57,6 @@ from gradedhh.graded_algebra import (
     combo_str,
     degree_pieces,
     kahler_d,
-    koszul_mul,
     make_presentation,
     matrix_units_table,
     mono_degree,
@@ -440,34 +439,33 @@ def test_matrix_dga_differential_is_a_square_zero_derivation(data):
 
 @PROPERTY
 @given(st.data())
-def test_packed_monomials_multiply_as_koszul_mul(data):
-    p, n = data.draw(st.sampled_from([(2, 1), (2, 2), (3, 2), (2, 3)]))
-    dga = matrix_dga(p, n)
-    pres, vn = dga.pres, dga.vn_mono
-    monos = data.draw(st.lists(st.tuples(*[st.integers(0, 5)] * n), min_size=1, max_size=6))
-    pack, unpack = _packing(dga, monos)
-    # the window corner: every generator at its largest exponent in monos
-    corner = tuple(max(exps) for exps in zip(*monos))
-    for f in [*monos, corner]:
-        assert unpack(pack(f)) == f
-        assert (1, unpack(pack(f) + pack(vn))) == koszul_mul(pres, f, vn)
-        for g in [*monos, corner]:
-            sign, fg = koszul_mul(pres, f, g)
-            assert (sign, unpack(pack(f) + pack(g))) == (1, fg)
-            assert (1, unpack(pack(f) + pack(g) + pack(vn))) == koszul_mul(pres, fg, vn)
-    # d(d(f)) multiplies by v_n twice
-    assert unpack(pack(corner) + 2 * pack(vn)) == koszul_mul(pres, corner, (0,) * (n - 1) + (2,))[1]
+def test_matrix_dga_product_and_differential_are_the_entrywise_formulas(data):
+    """f g and d(f) are the 2x2 matrix formulas, entry by entry in Element
+    arithmetic (koszul_mul): the pair rules' tuple addition multiplies
+    monomials."""
+    dga = matrix_dga(*data.draw(st.sampled_from(MDGA_CASES)))
+    f, g = data.draw(mdga_elements(dga)), data.draw(mdga_elements(dga))
+    assert f * g == MatrixDGAElement(
+        dga, f.k + g.k,
+        f.a * g.a + f.b * g.c, f.a * g.b + f.b * g.d,
+        f.c * g.a + f.d * g.c, f.c * g.b + f.d * g.d,
+    )
+    vn = Element(dga.pres, {dga.vn_mono: 1})
+    twist = 1 if f.k % 2 else -1  # -(-1)^k
+    assert dga_diff(f) == MatrixDGAElement(
+        dga, f.k - 1,
+        vn * f.c, vn * f.d + twist * (f.a * vn),
+        Element.zero(dga.pres), twist * (f.c * vn),
+    )
 
 
 @pytest.mark.parametrize("pres", [
     a_q(ChromaticParams(2, 2)),  # eps is odd
     en_q(ChromaticParams(2, 2)),  # v2 is inverted
 ], ids=["odd", "laurent"])
-def test_packing_refuses_odd_and_laurent_generators(pres):
-    with pytest.raises(ValueError):
-        _packing(MatrixDGA(2, 2, pres), [(0,) * pres.ngens])
-    with pytest.raises(ValueError):
-        _packing(MatrixDGA(2, 2, pres), [])
+def test_matrix_dga_refuses_odd_and_laurent_generators(pres):
+    with pytest.raises(ValueError, match="polynomial base ring"):
+        MatrixDGA(2, 2, pres)
 
 
 SLOTS = dg_complexes._SLOTS
