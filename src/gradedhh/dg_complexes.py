@@ -4,9 +4,9 @@ Two layers.  A GradedComplex is symbolic: a chain of shifted free modules
 over one presentation with differentials given by left multiplication
 (cone(r) is the two-term case).  A ChainWindow is concrete: explicit bases
 and exact differential matrices over a finite degree range.  d compose d = 0
-is checked at construction in both layers.  Every differential and inclusion
-matrix in the package is built by one function, assemble: it indexes the
-target basis and writes the image of each source label as a column.
+is checked at construction in both layers.  assemble, which writes the image
+of each source label as a column, builds every differential and inclusion
+matrix but GradedComplex.realize's, assembled block by block.
 
 Each question realizes one window.  Its bases come from one degree_pieces
 call, which enumerates the base ring's pieces over the hull of every
@@ -47,6 +47,7 @@ dga_structure_check).
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,7 +68,7 @@ from .graded_algebra import (
     Presentation,
     _check_mono,
     degree_pieces,
-    koszul_mul,
+    koszul_multiplier,
     mono_degree,
     mono_one,
 )
@@ -227,36 +228,40 @@ class GradedComplex:
                 raise ValueError("consecutive differentials do not compose to zero")
 
     def realize(self, window, caps=None) -> ChainWindow:
-        """Concrete bases and matrices on [lo-1, hi+1]; labels (term, mono)."""
+        """Concrete bases and matrices on [lo-1, hi+1]; labels (term, mono).
+
+        The degree-t basis lists pieces[t - shifts[i]] for each term i in turn,
+        so diff[t] is a sum of blocks at known offsets: block i multiplies term
+        i + 1's piece by maps[i], one koszul_multiplier per map monomial, into
+        term i's piece of degree t - 1, indexed by bare monomial.
+        """
         lo, hi = window
         degrees = range(lo - 1, hi + 2)
+        shifts = self.shifts
         # the hull of every t - shift the bases below read
-        hull = (lo - 1 - max(self.shifts, default=0), hi + 1 - min(self.shifts, default=0))
+        hull = (lo - 1 - max(shifts, default=0), hi + 1 - min(shifts, default=0))
         pieces = degree_pieces(self.pres, hull, caps)
         basis = {
-            t: [(i, mono) for i, shift in enumerate(self.shifts)
-                for mono in pieces[t - shift]]
+            t: [(i, mono) for i, shift in enumerate(shifts) for mono in pieces[t - shift]]
             for t in degrees
         }
-
-        # each map's coefficients as an int when integral, so that integer
-        # maps give integer entries with no Fraction arithmetic
-        maps = [
-            [(m, c.numerator if c.denominator == 1 else c) for m, c in r.terms.items()]
-            for r in self.maps
-        ]
-
-        def image(label):
-            term, mono = label
-            if term == 0:
-                return ()
-            return (
-                ((term - 1, hit[1]), hit[0] * c)
-                for m, c in maps[term - 1]
-                if (hit := koszul_mul(self.pres, m, mono)) is not None
-            )
-
-        diff = {t: assemble(basis[t], basis[t - 1], image) for t in degrees[1:]}
+        # coefficients as ints when integral: integer maps give integer entries
+        maps = [[(koszul_multiplier(self.pres, m), c.numerator if c.denominator == 1 else c)
+                 for m, c in r.terms.items()] for r in self.maps]
+        diff = {}
+        for t in degrees[1:]:
+            rows, row_at, col_at = defaultdict(dict), 0, len(pieces[t - shifts[0]])
+            for i, mults in enumerate(maps):
+                target, source = pieces[t - 1 - shifts[i]], pieces[t - shifts[i + 1]]
+                index = dict(zip(target, range(row_at, row_at + len(target))))
+                for col, mono in enumerate(source, col_at):
+                    for mul, c in mults:
+                        if (hit := mul(mono)) is not None:
+                            if (row := index.get(hit[1])) is None:
+                                raise ValueError(_ESCAPED)
+                            rows[row][col] = hit[0] * c  # one hit per (row, col)
+                row_at, col_at = row_at + len(target), col_at + len(source)
+            diff[t] = RationalMatrix._new(len(basis[t - 1]), len(basis[t]), rows.items())
         return ChainWindow(basis, diff)
 
 
@@ -289,24 +294,20 @@ def cone_report(pres: Presentation, r: Element, window, caps=None) -> dict:
 
     All three are read off one cone realized on [lo, hi + max(0, d)], d = |r|:
     its differential at t is multiplication by r from the shifted labels
-    (1, mono) into the unshifted (0, mono).  quotient_dims[t] is the count of
-    unshifted labels at t minus rank(t + 1).  r is regular when every
-    differential has full rank on the shifted labels, i.e. r is injective on
-    the source degrees [lo - d - 1, max(hi, hi - d)]: every degree homology in
-    [lo, hi] depends on, for either sign of d.
+    (1, mono) into the unshifted (0, mono), which sort first, so bisect
+    counts them.  quotient_dims[t] is that count minus rank(t + 1).  r is
+    regular when every differential has full rank on the shifted labels, i.e.
+    r is injective on the source degrees [lo - d - 1, max(hi, hi - d)]: every
+    degree homology in [lo, hi] depends on, for either sign of d.
     """
     lo, hi = window
     c = cone(pres, r)
     d = c.shifts[1] - 1
     win = c.realize((lo, hi + max(0, d)), caps)
     computed = win.homology_dims(window)
-    quotient = {
-        t: sum(term == 0 for term, _ in win.basis[t]) - win.rank(t + 1)
-        for t in range(lo, hi + 1)
-    }
-    regular = all(
-        win.rank(t) == sum(term == 1 for term, _ in win.basis[t]) for t in win.diff
-    )
+    unshifted = {t: bisect_left(labels, (1,)) for t, labels in win.basis.items()}
+    quotient = {t: unshifted[t] - win.rank(t + 1) for t in range(lo, hi + 1)}
+    regular = all(win.rank(t) == len(win.basis[t]) - unshifted[t] for t in win.diff)
     return {
         "window": [lo, hi],
         "homology_dims": computed,
@@ -790,13 +791,8 @@ def homology_ring_check(p: int, n: int, window) -> dict:
                 v_classes_nonzero = False
 
     dims_ok = computed == expected_product == expected_splitting
-    checks_ok = (
-        eps_cycle
-        and (eps_nonzero is not False)
-        and eps_square_zero
-        and central
-        and v_classes_nonzero
-    )
+    checks_ok = (eps_cycle and eps_nonzero is not False and eps_square_zero
+                 and central and v_classes_nonzero)
     return {
         "p": p,
         "n": n,

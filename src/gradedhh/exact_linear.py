@@ -222,9 +222,11 @@ class RationalMatrix:
         for i, row in self.data.items():
             acc = {}
             for k, a in row.items():
-                for j, w in right.get(k, {}).items():
-                    acc[j] = acc.get(j, 0) + a * w
-            out.append((i, acc))
+                if k in right:
+                    for j, w in right[k].items():
+                        acc[j] = acc.get(j, 0) + a * w
+            if acc:
+                out.append((i, acc))
         return RationalMatrix._new(self.rows, other.cols, out)
 
     def without_rows(self, drop) -> "RationalMatrix":

@@ -28,6 +28,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .exact_linear import QCombination, RationalMatrix, combine, in_span, kernel_basis
 
@@ -151,6 +152,23 @@ def koszul_mul(pres: Presentation, a, b):
             if j > i and a[j]:
                 sign = -sign
     return sign, tuple(x + y for x, y in zip(a, b))
+
+
+def koszul_multiplier(pres: Presentation, m):
+    """mono -> koszul_mul(pres, m, mono), reading m's odd generators once:
+    the product dies when mono has one of them (kill), and each odd
+    generator of mono with an odd count of them after it flips the sign."""
+    kill = tuple(i for i in _odd_indices(pres) if m[i])
+    flip = tuple(i for i in _odd_indices(pres) if sum(j > i for j in kill) % 2)
+    if not kill:
+        return lambda mono: (1, tuple(map(add, m, mono)))
+
+    def mul(mono):
+        if any(mono[i] for i in kill):
+            return None
+        return (-1) ** sum(1 for i in flip if mono[i]), tuple(map(add, m, mono))
+
+    return mul
 
 
 def mono_packing(pres: Presentation, radices):

@@ -271,13 +271,7 @@ def obstruction_report(p: int, n: int, exponents) -> ObstructionReport:
     eps_count = multidegree[pres.ngens - 1]
     eps_excludes = bool(eps_count >= 1 and nonzero_in_hh)
     agree = eps_excludes == (not membership.in_image)
-    all_ok = (
-        is_cycle
-        and nonzero_in_hh
-        and not membership.in_image
-        and matches
-        and agree
-    )
+    all_ok = is_cycle and nonzero_in_hh and not membership.in_image and matches and agree
     return ObstructionReport(
         p=p,
         n=n,

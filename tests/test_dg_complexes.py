@@ -43,6 +43,7 @@ from gradedhh.cli import main as cli_main, parse_preset
 from gradedhh.exact_linear import RationalMatrix, combine, pivot_columns, rank
 from gradedhh.graded_algebra import (
     Element,
+    degree_pieces,
     element_from_string,
     koszul_mul,
     make_presentation,
@@ -211,6 +212,117 @@ def test_cone_report_matches_multiplication_reference(preset, element, window, c
     if not isinstance(got, str):
         full = cone_report(pres, r, window, caps)
         assert full["homology_dims"] == homology_dims(cone(pres, r), window, caps)
+
+
+def _labelwise_realize(c, window, caps=None):
+    """GradedComplex.realize label by label, the reference of the blockwise
+    one: one assemble per differential, each (term, mono) label's image
+    built by koszul_mul."""
+    lo, hi = window
+    degrees = range(lo - 1, hi + 2)
+    hull = (lo - 1 - max(c.shifts, default=0), hi + 1 - min(c.shifts, default=0))
+    pieces = degree_pieces(c.pres, hull, caps)
+    basis = {
+        t: [(i, mono) for i, shift in enumerate(c.shifts) for mono in pieces[t - shift]]
+        for t in degrees
+    }
+    maps = [
+        [(m, q.numerator if q.denominator == 1 else q) for m, q in r.terms.items()]
+        for r in c.maps
+    ]
+
+    def image(label):
+        term, mono = label
+        if term == 0:
+            return ()
+        return (
+            ((term - 1, hit[1]), hit[0] * coeff)
+            for m, coeff in maps[term - 1]
+            if (hit := koszul_mul(c.pres, m, mono)) is not None
+        )
+
+    diff = {t: assemble(basis[t], basis[t - 1], image) for t in degrees[1:]}
+    return ChainWindow(basis, diff)
+
+
+def _multi_term_complexes():
+    """(pres, shifts, maps, window, caps) of complexes of three and four
+    terms whose maps square to zero through odd generators."""
+    pres = make_presentation([("x", 3), ("y", 3), ("v", 2)])
+    x, y, v = (Element.gen(pres, g) for g in ("x", "y", "v"))
+    half = Fraction(1, 2)
+    return [
+        (pres, (0, 4, 8), (x, x), (-2, 16), None),
+        (pres, (0, 4, 8, 12), (x, x, x), (-2, 20), None),
+        (pres, (0, 4, 10), (x + y, half * v * x + half * v * y), (0, 18), None),
+        (pres, (0, 4, 10), (x - y, v * (y - x)), (0, 18), 2),  # caps too tight
+    ]
+
+
+REALIZE_CASES = [
+    (f"cone-{p}-{e}-{w[0]}:{w[1]}-caps{caps}", "cone", (p, e, w, caps))
+    for p, e, w, caps in CONE_REFERENCE_CASES
+] + [(f"terms{len(shifts)}-{i}", "multi", i)
+     for i, (_, shifts, *_) in enumerate(_multi_term_complexes())]
+
+
+def _realize_case(kind, case):
+    if kind == "cone":
+        preset, element, (lo, hi), caps = case
+        pres = parse_preset(preset)
+        c = cone(pres, element_from_string(pres, element))
+        # the window cone_report realizes
+        return c, (lo, hi + max(0, c.shifts[1] - 1)), caps
+    pres, shifts, maps, window, caps = _multi_term_complexes()[case]
+    return GradedComplex(pres, shifts, maps), window, caps
+
+
+@pytest.mark.parametrize("kind, case", [(k, c) for _, k, c in REALIZE_CASES],
+                         ids=[name for name, _, _ in REALIZE_CASES])
+def test_realize_equals_the_labelwise_reference(kind, case):
+    c, window, caps = _realize_case(kind, case)
+    want = _outcome(_labelwise_realize, c, window, caps)
+    got = _outcome(c.realize, window, caps)
+    if isinstance(want, str):
+        assert got == want == dg_complexes._ESCAPED
+        return
+    assert got.basis == want.basis
+    assert got.diff == want.diff
+    for t, m in got.diff.items():
+        assert list(m.data.items()) == list(want.diff[t].data.items()), t
+
+
+def test_realize_reference_cases_raise_escapes_and_meet_odd_signs():
+    outcomes = [_outcome(_labelwise_realize, *_realize_case(k, c))
+                for _, k, c in REALIZE_CASES]
+    escaped = [o for o in outcomes if isinstance(o, str)]
+    assert escaped and set(escaped) == {dg_complexes._ESCAPED}
+    # some differential has a -1 entry: an odd map met an odd monomial
+    assert any(v == -1 for win in outcomes if not isinstance(win, str)
+               for m in win.diff.values() for row in m.data.values()
+               for v in row.values())
+
+
+@pytest.mark.parametrize(
+    "preset, element, window, caps", CONE_REFERENCE_CASES,
+    ids=[f"{p}-{e}-{w[0]}:{w[1]}-caps{c}" for p, e, w, c in CONE_REFERENCE_CASES],
+)
+def test_cone_report_counts_equal_the_per_label_scan(preset, element, window, caps):
+    pres = parse_preset(preset)
+    r = element_from_string(pres, element)
+    c, padded, _ = _realize_case("cone", (preset, element, window, caps))
+    win = _outcome(c.realize, padded, caps)
+    if isinstance(win, str):
+        assert _outcome(cone_report, pres, r, window, caps) == win
+        return
+    unshifted = {t: sum(term == 0 for term, _ in labels) for t, labels in win.basis.items()}
+    shifted = {t: sum(term == 1 for term, _ in labels) for t, labels in win.basis.items()}
+    assert all(unshifted[t] + shifted[t] == len(win.basis[t]) for t in win.basis)
+    lo, hi = window
+    report = cone_report(pres, r, window, caps)
+    assert report["quotient_dims"] == {
+        t: unshifted[t] - win.rank(t + 1) for t in range(lo, hi + 1)}
+    assert report["regular"] == all(win.rank(t) == shifted[t] for t in win.diff)
 
 
 def _count_degree_pieces(monkeypatch):

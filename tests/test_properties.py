@@ -4,14 +4,15 @@ Presentations have two exterior generators and one polynomial generator,
 with up to one more of either parity; elements, bar chains and matrix-DGA elements are
 random multi-term combinations with small rational coefficients.  Matrices
 are small and rational, with zero rows and columns, repeated rows, low rank
-and entries up to 10^6 in size.  The bar-basis and degree-piece enumerators
-are checked against the simpler enumerations they replaced, the heap
-pivot order of the elimination against the scan it replaced, the cleared
-ranks of a chain window against full ranks on random complexes, the
-matrix-DGA product and differential against the entrywise 2x2 formulas in
-Element arithmetic, the class-decided matrix-DGA pair checks against the
-exhaustive loops they replaced, on random slot-level product and
-differential rules, and the Ore checker
+and entries up to 10^6 in size.  The per-monomial Koszul multiplier is
+checked against koszul_mul, the sparse product on disjoint supports too.
+The bar-basis and degree-piece enumerators are checked against the simpler
+enumerations they replaced, the heap pivot order of the elimination against
+the scan it replaced, the cleared ranks of a chain window against full
+ranks on random complexes, the matrix-DGA product and differential against
+the entrywise 2x2 formulas in Element arithmetic, the class-decided
+matrix-DGA pair checks against the exhaustive loops they replaced, on
+random slot-level product and differential rules, and the Ore checker
 against the search-first decision it replaced, on random tables whose
 products respect degrees.
 """
@@ -57,6 +58,8 @@ from gradedhh.graded_algebra import (
     combo_str,
     degree_pieces,
     kahler_d,
+    koszul_mul,
+    koszul_multiplier,
     make_presentation,
     matrix_units_table,
     mono_degree,
@@ -129,6 +132,17 @@ def test_graded_commutativity_with_koszul_sign(data):
         for q, yq in homogeneous_parts(y):
             swapped = swapped + koszul_sign(p, q) * (yq * xp)
     assert x * y == swapped
+
+
+@PROPERTY
+@given(st.data())
+def test_koszul_multiplier_equals_koszul_mul(data):
+    pres = data.draw(presentations())
+    monos = data.draw(st.lists(monomials(pres), min_size=1, max_size=8))
+    for m in monos:
+        mul = koszul_multiplier(pres, m)
+        for mono in monos:
+            assert mul(mono) == koszul_mul(pres, m, mono), (m, mono)
 
 
 @PROPERTY
@@ -635,6 +649,22 @@ def test_matmul_equals_entrywise_fraction_product(data):
     ab = a.matmul(b)
     assert rows_of(ab) == product(rows_of(a), rows_of(b), cols)
     assert all(type(v) is Fraction and v for v in ab.entries.values())
+
+
+@PROPERTY
+@given(st.data())
+def test_matmul_of_disjoint_supports_is_zero(data):
+    # b's rows are zero wherever a has a column, and some of a's other
+    # columns meet stored rows of b: every row accumulator stays empty
+    a = data.draw(rational_matrices())
+    used = {k for row in a.data.values() for k in row}
+    cols = data.draw(st.integers(0, 6))
+    rows = [[Fraction(0)] * cols if k in used else row
+            for k, row in enumerate(dense(data.draw, a.cols, cols))]
+    b = RationalMatrix.from_rows(rows, cols=cols)
+    ab = a.matmul(b)
+    assert ab.is_zero() and (ab.rows, ab.cols) == (a.rows, cols)
+    assert rows_of(ab) == product(rows_of(a), rows_of(b), cols)
 
 
 @PROPERTY
