@@ -245,7 +245,7 @@ class GradedComplex:
             t: [(i, mono) for i, shift in enumerate(shifts) for mono in pieces[t - shift]]
             for t in degrees
         }
-        # coefficients as ints when integral: integer maps give integer entries
+        # ints when integral, so that +-1 times one is in the stored form (_trusted)
         maps = [[(koszul_multiplier(self.pres, m), c.numerator if c.denominator == 1 else c)
                  for m, c in r.terms.items()] for r in self.maps]
         diff = {}
@@ -261,7 +261,7 @@ class GradedComplex:
                                 raise ValueError(_ESCAPED)
                             rows[row][col] = hit[0] * c  # one hit per (row, col)
                 row_at, col_at = row_at + len(target), col_at + len(source)
-            diff[t] = RationalMatrix._new(len(basis[t - 1]), len(basis[t]), rows.items())
+            diff[t] = RationalMatrix._trusted(len(basis[t - 1]), len(basis[t]), dict(rows))
         return ChainWindow(basis, diff)
 
 

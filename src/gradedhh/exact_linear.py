@@ -4,14 +4,11 @@ Every homology computation in this package reduces to three questions about
 a matrix with rational entries: its rank, a basis of its kernel, and whether
 a vector lies in its column span (with an explicit coefficient witness).
 All three come from one forward-only, fraction-free elimination on integer
-rows (each row scaled by the lcm of its denominators; an all-int row is
-copied as it is) with a sparsity-aware pivot choice (_echelon; its pivot
-row, the shortest live row, comes off a heap with lazy deletion, not from a
-scan over all rows): pivot_columns collects its pivot columns and rank
-counts them, and kernel vectors and span witnesses are back-substituted
-over its pivot rows, then certified exactly (m k == 0, m x == v) before
-they are returned.  There is deliberately no floating point anywhere in
-this package.
+rows (_echelon: the isolated rows first, then sparsity-aware pivots off a
+heap): pivot_columns collects its pivot columns and rank counts them, and
+kernel vectors and span witnesses are back-substituted over its pivot rows,
+then certified exactly (m k == 0, m x == v) before they are returned.
+There is deliberately no floating point anywhere in this package.
 
 The pivot columns of a matrix are a basis of its column space (see
 _echelon).  ChainWindow.rank rests on that to rank the differentials of a
@@ -23,9 +20,8 @@ Matrices are stored sparsely as rows {row: {col: value}}, nonempty rows
 only, with an integral value stored as an int and any other as a Fraction.
 The differentials the other modules produce have integer entries, so they
 are pure-int rows from assembly through the d compose d product to
-elimination, which reads the rows as stored.  They are sign-structured and
-sparse, and the largest ranked in practice have tens of thousands of
-columns (the (12, 1) bar complex of a:2:2).
+elimination, which reads them in place.  They are sign-structured and
+sparse: a cone on a monomial has one entry per row and per column.
 
 The module also owns the one sparse vector type over Q: QCombination, a
 finite Q-linear combination of hashable labels.  Polynomials, Kahler
@@ -144,8 +140,8 @@ class RationalMatrix:
 
     Only nonempty rows are stored and never a zero value; an integral value
     is an int and any other a Fraction, so integer matrices are pure-int
-    rows.  The constructor checks input from outside the program; _new
-    builds results that are valid by construction without checking again.
+    rows.  The constructor checks input from outside the program; _new and
+    _trusted build results that are valid by construction unchecked.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -158,23 +154,25 @@ class RationalMatrix:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i}, {j}) out of bounds for {rows}x{cols}")
             data.setdefault(i, {})[j] = Fraction(value)
-        self._set(rows, cols, data.items())
+        self.rows, self.cols, self.data = rows, cols, self._new(rows, cols, data.items()).data
 
     @classmethod
     def _new(cls, rows: int, cols: int, row_pairs):
-        """Matrix from (row, {col: int or Fraction}) pairs whose indices are
-        in range; zeros and empty rows are dropped, integral values become
-        ints."""
-        out = object.__new__(cls)
-        out._set(rows, cols, row_pairs)
-        return out
-
-    def _set(self, rows, cols, row_pairs):
-        self.rows, self.cols, self.data = rows, cols, {}
+        """Matrix from (row, {col: int or Fraction}) pairs, indices in range,
+        in the stored form: zeros and empty rows dropped, integers as ints."""
+        data = {}
         for i, row in row_pairs:
             row = {j: v.numerator if v.denominator == 1 else v for j, v in row.items() if v}
             if row:
-                self.data[i] = row
+                data[i] = row
+        return cls._trusted(rows, cols, data)
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, data: dict):
+        """Matrix storing data, in range and in the stored form, as it is."""
+        out = object.__new__(cls)
+        out.rows, out.cols, out.data = rows, cols, data
+        return out
 
     @property
     def entries(self) -> dict:
@@ -232,10 +230,8 @@ class RationalMatrix:
     def without_rows(self, drop) -> "RationalMatrix":
         """The same shape with the rows in drop zeroed; the other rows are
         shared with self, not copied (a matrix is never changed in place)."""
-        out = object.__new__(RationalMatrix)
-        out.rows, out.cols = self.rows, self.cols
-        out.data = {i: r for i, r in self.data.items() if i not in drop}
-        return out
+        return RationalMatrix._trusted(
+            self.rows, self.cols, {i: r for i, r in self.data.items() if i not in drop})
 
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows:
@@ -268,55 +264,56 @@ class SpanResult(NamedTuple):
 
 
 def _integer_row(row: dict) -> dict:
-    """s * row for s the lcm of the denominators of a nonzero row: a plain
-    copy when every entry is an int, as in every differential."""
+    """s * row for s the lcm of the denominators of a nonzero row; an all-int row itself."""
     for v in row.values():
         if type(v) is not int:
             scale = lcm(*(v.denominator for v in row.values()))
             return {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
-    return dict(row)
+    return row
 
 
 def _echelon(rows, ncols):
     """Forward-only, fraction-free elimination; yields (pivot column, pivot row).
 
     rows is {row id: nonzero row {col: int or Fraction}}, as RationalMatrix
-    stores it, and is left unchanged.  Each row is scaled to integers, an
-    invertible row operation, so the row space is unchanged.  A row r with
-    entry f in the pivot column becomes (p/g) r - (f/g) P, g = gcd(p, f), for
-    the pivot row P with pivot p, and is then divided by the gcd of its
-    entries, so entries stay small.  The pivot is sparsity-aware (Markowitz):
-    the shortest live row, and in it the column that the fewest live rows
-    share, read off a column -> rows index that also names the rows to
-    eliminate.  Column ncols, when present (the augmented column of in_span),
-    pivots only in a row with no other entry.
+    stores it, and is left as it is: each row is scaled to integers, which
+    keeps the row space, and copied only when elimination first changes it,
+    so a yielded row may be the caller's, only to be read.
 
-    The shortest live row, ties to the lowest row id, comes off a heap of
-    (length, row id) with lazy deletion: a row is pushed again whenever
-    elimination changes its length, and a popped entry whose row is gone or
-    has another length is skipped.  Every live row has an entry with its
-    current length, so the heap pops the pivots a scan over all live rows
-    would pick, in the same order.
+    Isolated rows (one entry, in a column no other row uses) come first, in
+    input order, each in its column, as structured Gaussian elimination peels
+    weight-1 columns.  The rest pivot sparsity-aware (Markowitz): the shortest
+    live row, ties to the lowest row id, and in it the column the fewest live
+    rows share, read off a column -> rows index that also names the rows to
+    eliminate.  The row comes off a heap of (length, row id), pushed again
+    when a row's length changes, stale entries skipped: it pops what a scan
+    would.  A row r with entry f in the pivot column becomes (p/g) r - (f/g) P,
+    g = gcd(p, f), for the pivot row P with pivot p, then divided by the gcd
+    of its entries.  Column ncols (in_span's augmented column) pivots only in
+    a row with no other entry.  No elimination reaches an isolated row, so
+    the scan would pivot it in its column too, and the peel moves no other
+    row's length or column count: the pivots are the scan's, in its order but
+    for the isolated ones.  Back-substitution leaves their columns 0 in any
+    order, and in_span meets the augmented column or not either way.
 
     A yielded row has no entry in any earlier pivot column, so the pivot rows
     are an echelon form that back-substitution solves last pivot first.  Its
     square block on the pivot columns is then triangular with a nonzero
     diagonal, and the row operations keep every linear relation among the
-    columns, so the pivot columns of the input are a basis of its column
-    space.
+    columns, so the pivot columns of the input are a basis of its column space.
     """
-    rows = {i: _integer_row(r) for i, r in rows.items()}
-    where = {}
-    for i, r in rows.items():
+    given, rows, where, uses = rows, {}, {}, {}
+    for r in given.values():
+        for c in r:
+            uses[c] = uses.get(c, 0) + 1
+    for i, r in given.items():
+        r = _integer_row(r)
+        if len(r) == 1 and uses[c := next(iter(r))] == 1:
+            yield c, r
+            continue
+        rows[i] = r
         for c in r:
             where.setdefault(c, set()).add(i)
-
-    def drop(c, i):
-        live = where[c]
-        live.discard(i)
-        if not live:
-            del where[c]
-
     heap = [(len(r), i) for i, r in rows.items()]
     heapq.heapify(heap)
     while rows:
@@ -327,11 +324,13 @@ def _echelon(rows, ncols):
                      default=(0, ncols))
         prow = rows.pop(pid)
         for c in prow:
-            drop(c, pid)
+            where[c].discard(pid)
         yield col, prow
         p = prow[col]
-        for i in list(where.get(col, ())):
+        for i in list(where[col]):
             row = rows[i]
+            if row is given[i]:
+                row = rows[i] = dict(row)
             before = len(row)
             f = row[col]
             g = gcd(p, f)
@@ -343,11 +342,11 @@ def _echelon(rows, ncols):
                 nv = row.get(c, 0) - b * v
                 if nv:
                     if c not in row:
-                        where.setdefault(c, set()).add(i)
+                        where[c].add(i)
                     row[c] = nv
                 else:
                     del row[c]
-                    drop(c, i)
+                    where[c].discard(i)
             if not row:
                 del rows[i]
                 continue

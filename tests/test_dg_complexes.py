@@ -290,6 +290,9 @@ def test_realize_equals_the_labelwise_reference(kind, case):
     assert got.diff == want.diff
     for t, m in got.diff.items():
         assert list(m.data.items()) == list(want.diff[t].data.items()), t
+        # the stored form, which == cannot tell from Fraction(2, 1) and the like
+        assert all(type(v) is int and v or type(v) is Fraction and v.denominator != 1
+                   for row in m.data.values() for v in row.values()), t
 
 
 def test_realize_reference_cases_raise_escapes_and_meet_odd_signs():

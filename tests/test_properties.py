@@ -8,7 +8,8 @@ and entries up to 10^6 in size.  The per-monomial Koszul multiplier is
 checked against koszul_mul, the sparse product on disjoint supports too.
 The bar-basis and degree-piece enumerators are checked against the simpler
 enumerations they replaced, the heap pivot order of the elimination against
-the scan it replaced, the cleared ranks of a chain window against full
+the scan it replaced, its answers against the heap elimination without the
+isolated-row peel, the cleared ranks of a chain window against full
 ranks on random complexes, the matrix-DGA product and differential against
 the entrywise 2x2 formulas in Element arithmetic, the class-decided
 matrix-DGA pair checks against the exhaustive loops they replaced, on
@@ -17,7 +18,10 @@ against the search-first decision it replaced, on random tables whose
 products respect degrees.
 """
 
+import copy
+import heapq
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -27,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradedhh.chromatic_presets import ChromaticParams, a_q, en_q, parse_preset
 import gradedhh.dg_complexes as dg_complexes
+import gradedhh.exact_linear as exact_linear
 from gradedhh.dg_complexes import (
     ChainWindow,
     MatrixDGA,
@@ -758,8 +763,13 @@ def test_cleared_ranks_equal_full_ranks_and_chain_across_degrees(diffs):
 
 def _echelon_reference(rows, ncols):
     """_echelon with the pivot row found by a scan over all live rows, the
-    reference the heap of (length, row id) is checked against."""
-    rows = {i: _integer_row(r) for i, r in rows.items()}
+    reference the heap of (length, row id) is checked against: the isolated
+    rows first, in input order, then the scan."""
+    uses = Counter(c for r in rows.values() for c in r)
+    isolated = {i: r for i, r in rows.items() if len(r) == 1 and uses[next(iter(r))] == 1}
+    for r in isolated.values():
+        yield next(iter(r)), _integer_row(r)
+    rows = {i: dict(_integer_row(r)) for i, r in rows.items() if i not in isolated}
     where = {}
     for i, r in rows.items():
         for c in r:
@@ -804,6 +814,87 @@ def _echelon_reference(rows, ncols):
             if content != 1:
                 for c in row:
                     row[c] //= content
+
+
+def _echelon_heap_reference(rows, ncols):
+    """_echelon without the isolated-row peel, every row copied up front: the
+    heap elimination whose pivots, kernel vectors and span witnesses the peel
+    must keep."""
+    rows = {i: dict(_integer_row(r)) for i, r in rows.items()}
+    where = {}
+    for i, r in rows.items():
+        for c in r:
+            where.setdefault(c, set()).add(i)
+
+    def drop(c, i):
+        live = where[c]
+        live.discard(i)
+        if not live:
+            del where[c]
+
+    heap = [(len(r), i) for i, r in rows.items()]
+    heapq.heapify(heap)
+    while rows:
+        length, pid = heapq.heappop(heap)
+        if len(rows.get(pid, ())) != length:
+            continue
+        _, col = min(((len(where[c]), c) for c in rows[pid] if c != ncols),
+                     default=(0, ncols))
+        prow = rows.pop(pid)
+        for c in prow:
+            drop(c, pid)
+        yield col, prow
+        p = prow[col]
+        for i in list(where.get(col, ())):
+            row = rows[i]
+            before = len(row)
+            f = row[col]
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                for c in row:
+                    row[c] *= a
+            for c, v in prow.items():
+                nv = row.get(c, 0) - b * v
+                if nv:
+                    if c not in row:
+                        where.setdefault(c, set()).add(i)
+                    row[c] = nv
+                else:
+                    del row[c]
+                    drop(c, i)
+            if not row:
+                del rows[i]
+                continue
+            if len(row) != before:
+                heapq.heappush(heap, (len(row), i))
+            content = gcd(*row.values())
+            if content != 1:
+                for c in row:
+                    row[c] //= content
+
+
+def assert_peel_keeps_the_heap_answers(rows, ncols):
+    """Split rows at column ncols into m and an augmented column -v, as
+    in_span builds [m | -v]; assert that pivot_columns(m), kernel_basis(m)
+    and in_span(m, v) with its witness equal their answers with
+    _echelon_heap_reference in place of _echelon, and that _echelon leaves
+    its input rows unchanged."""
+    nrows = max(rows, default=-1) + 1
+    m = RationalMatrix._new(nrows, ncols, (
+        (i, {c: v for c, v in r.items() if c < ncols}) for i, r in rows.items()))
+    v = [-Fraction(rows.get(i, {}).get(ncols, 0)) for i in range(nrows)]
+    before = copy.deepcopy((rows, m.data))
+
+    def answers():
+        return pivot_columns(m), kernel_basis(m), in_span(m, v)
+
+    got = answers()
+    with mock.patch.object(exact_linear, "_echelon", _echelon_heap_reference):
+        assert got == answers()
+    for _ in _echelon(rows, ncols):
+        pass
+    assert (rows, m.data) == before
 
 
 SPARSE_ENTRIES = st.sampled_from(
@@ -851,12 +942,40 @@ def test_echelon_pivot_order_on_bar_and_augmented_differentials():
         rows = m.data
         assert (_pivot_sequence(_echelon, rows, m.cols)
                 == _pivot_sequence(_echelon_reference, rows, m.cols)), t
-        rows = {i: dict(row) for i, row in rows.items()}
-        for i in range(m.rows):  # an augmented column, as in in_span
-            if i % 3:
-                rows.setdefault(i, {})[m.cols] = Fraction((-1) ** i)
+        rows = _augmented(m)
         assert (_pivot_sequence(_echelon, rows, m.cols)
                 == _pivot_sequence(_echelon_reference, rows, m.cols)), t
+
+
+def _augmented(m):
+    """m's rows with an augmented column, as in_span adds, in two of every
+    three rows."""
+    rows = {i: dict(row) for i, row in m.data.items()}
+    for i in range(m.rows):
+        if i % 3:
+            rows.setdefault(i, {})[m.cols] = Fraction((-1) ** i)
+    return rows
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(sparse_rows())
+def test_isolated_row_peel_keeps_the_heap_answers(case):
+    assert_peel_keeps_the_heap_answers(*case)
+
+
+def test_isolated_row_peel_keeps_the_heap_answers_on_bar_differentials():
+    window = bar_window(a_q(ChromaticParams(2, 2)), (6, 1))
+    for m in window.diff.values():
+        assert_peel_keeps_the_heap_answers(m.data, m.cols)
+        assert_peel_keeps_the_heap_answers(_augmented(m), m.cols)
+
+
+def test_integer_row_returns_an_all_int_row_itself_and_scales_a_copy_otherwise():
+    row = {0: 2, 3: -1}
+    assert _integer_row(row) is row
+    fractional = {0: Fraction(1, 2), 3: Fraction(-1, 3)}
+    assert _integer_row(fractional) == {0: 3, 3: -2}
+    assert fractional == {0: Fraction(1, 2), 3: Fraction(-1, 3)}
 
 
 # ---------------------------------------------------------------------------
