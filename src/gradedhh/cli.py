@@ -32,20 +32,11 @@ _NEGATIVE_VALUE_FLAGS = ("--window", "--element", "--s")
 def _merge_negative_values(argv):
     """Let "--window -10:4" parse: argparse treats "-10:4" as a flag."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (
-            tok in _NEGATIVE_VALUE_FLAGS
-            and i + 1 < len(argv)
-            and argv[i + 1].startswith("-")
-            and len(argv[i + 1]) > 1
-        ):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in _NEGATIVE_VALUE_FLAGS and tok.startswith("-") and len(tok) > 1:
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 

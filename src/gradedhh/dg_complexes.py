@@ -6,19 +6,14 @@ over one presentation with differentials given by left multiplication
 and exact differential matrices over a finite degree range.  d compose d = 0
 is checked at construction in both layers.  assemble, which writes the image
 of each source label as a column, builds every differential and inclusion
-matrix but GradedComplex.realize's, assembled block by block.
+matrix but the multiplication blocks of realize and cone_report.
 
-Each question realizes one window.  Its bases come from one degree_pieces
-call, which enumerates the base ring's pieces over the hull of every
-shifted degree they read, and it ranks each differential at most once:
-ChainWindow.rank(t) eliminates diff[t] on first use and keeps its rank,
-and homology_dims, quasi_iso_check and cone_report read it.  The
-ranks are taken with clearing: once diff[t - 1] is ranked, diff[t] is
-eliminated without the rows of its pivot columns (ChainWindow.rank gives
-the proof that the rank stays the same), so asking in ascending order, as
-homology_dims does, eliminates each differential on fewer rows.
-cone_report takes homology, quotient dimensions and regularity (injectivity
-of r on every source degree the windowed homology depends on) off one cone.
+Each bar-complex and matrix-DGA question realizes one window, its bases
+from one degree_pieces call over the hull of every shifted degree they read.
+ChainWindow.rank(t) eliminates diff[t] once, on fewer rows by clearing
+(proof there), and homology_dims and quasi_iso_check read it.  cone_report
+realizes no window: it ranks one multiplication block per degree, drops it,
+and reads all it reports off the ranks and the piece sizes (proof there).
 
 The matrix DG algebra models the endomorphisms of the cone on v_n over
 Q[v_1, ..., v_n].  A degree-k element is a 2x2 matrix [[a, b], [c, d]] with
@@ -47,7 +42,6 @@ dga_structure_check).
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -232,8 +226,7 @@ class GradedComplex:
 
         The degree-t basis lists pieces[t - shifts[i]] for each term i in turn,
         so diff[t] is a sum of blocks at known offsets: block i multiplies term
-        i + 1's piece by maps[i], one koszul_multiplier per map monomial, into
-        term i's piece of degree t - 1, indexed by bare monomial.
+        i + 1's piece by maps[i] into term i's piece of degree t - 1.
         """
         lo, hi = window
         degrees = range(lo - 1, hi + 2)
@@ -245,24 +238,35 @@ class GradedComplex:
             t: [(i, mono) for i, shift in enumerate(shifts) for mono in pieces[t - shift]]
             for t in degrees
         }
-        # ints when integral, so that +-1 times one is in the stored form (_trusted)
-        maps = [[(koszul_multiplier(self.pres, m), c.numerator if c.denominator == 1 else c)
-                 for m, c in r.terms.items()] for r in self.maps]
+        maps = [_multipliers(r) for r in self.maps]
         diff = {}
         for t in degrees[1:]:
             rows, row_at, col_at = defaultdict(dict), 0, len(pieces[t - shifts[0]])
             for i, mults in enumerate(maps):
                 target, source = pieces[t - 1 - shifts[i]], pieces[t - shifts[i + 1]]
-                index = dict(zip(target, range(row_at, row_at + len(target))))
-                for col, mono in enumerate(source, col_at):
-                    for mul, c in mults:
-                        if (hit := mul(mono)) is not None:
-                            if (row := index.get(hit[1])) is None:
-                                raise ValueError(_ESCAPED)
-                            rows[row][col] = hit[0] * c  # one hit per (row, col)
+                _multiply_block(rows, mults, source, target, col_at, row_at)
                 row_at, col_at = row_at + len(target), col_at + len(source)
             diff[t] = RationalMatrix._trusted(len(basis[t - 1]), len(basis[t]), dict(rows))
         return ChainWindow(basis, diff)
+
+
+def _multipliers(r: Element) -> list:
+    """(koszul_multiplier, coefficient) per term of r; ints when integral, as _trusted stores."""
+    return [(koszul_multiplier(r.pres, m), c.numerator if c.denominator == 1 else c)
+            for m, c in r.terms.items()]
+
+
+def _multiply_block(rows, mults, source, target, col_at=0, row_at=0):
+    """Write into rows, a defaultdict(dict), left multiplication by a map's
+    _multipliers mults from source's monomials (columns from col_at) into
+    target's (rows from row_at); distinct terms give distinct products."""
+    index = dict(zip(target, range(row_at, row_at + len(target))))
+    for col, mono in enumerate(source, col_at):
+        for mul, c in mults:
+            if (hit := mul(mono)) is not None:
+                if (row := index.get(hit[1])) is None:
+                    raise ValueError(_ESCAPED)
+                rows[row][col] = hit[0] * c
 
 
 def cone(pres: Presentation, r: Element, degree: int | None = None) -> GradedComplex:
@@ -292,30 +296,33 @@ def homology_dims(complex_or_window, window, caps=None) -> dict:
 def cone_report(pres: Presentation, r: Element, window, caps=None) -> dict:
     """Cone homology vs. quotient-ring dimensions, with a regularity test.
 
-    All three are read off one cone realized on [lo, hi + max(0, d)], d = |r|:
-    its differential at t is multiplication by r from the shifted labels
-    (1, mono) into the unshifted (0, mono), which sort first, so bisect
-    counts them.  quotient_dims[t] is that count minus rank(t + 1).  r is
-    regular when every differential has full rank on the shifted labels, i.e.
-    r is injective on the source degrees [lo - d - 1, max(hi, hi - d)]: every
-    degree homology in [lo, hi] depends on, for either sign of d.
+    Streamed: for t in [lo, top + 1], top = hi + max(0, d), d = |r|, the
+    cone's differential at t is only multiplication by r from P_{t-d-1}
+    into P_{t-1} (so d compose d = 0 by structure).  Its block is built over
+    realize's pieces, ranked to R(t) and dropped.  Homology at t is |P_t| +
+    |P_{t-d-1}| - R(t) - R(t + 1), quotient_dims[t] = |P_t| - R(t + 1), and
+    r is regular when every R(t) = |P_{t-d-1}|: r is injective on the source
+    degrees [lo - d - 1, max(hi, hi - d)] homology in [lo, hi] depends on.
+    For one term, r = c m, R(t) is the number of rows hit: the column of a
+    source monomial u is 0 or +-c times the unit vector of the row m u, so
+    the unit vectors of the hit rows span the column space.
     """
     lo, hi = window
-    c = cone(pres, r)
-    d = c.shifts[1] - 1
-    win = c.realize((lo, hi + max(0, d)), caps)
-    computed = win.homology_dims(window)
-    unshifted = {t: bisect_left(labels, (1,)) for t, labels in win.basis.items()}
-    quotient = {t: unshifted[t] - win.rank(t + 1) for t in range(lo, hi + 1)}
-    regular = all(win.rank(t) == len(win.basis[t]) - unshifted[t] for t in win.diff)
-    return {
-        "window": [lo, hi],
-        "homology_dims": computed,
-        "quotient_dims": quotient,
-        "regular": regular,
-        "dims_match_quotient": computed == quotient,
-        "comparison_binding": regular,
-    }
+    d = cone(pres, r).shifts[1] - 1
+    top = hi + max(0, d)
+    pieces = degree_pieces(pres, (lo - 1 - max(0, d + 1), top + 1 - min(0, d + 1)), caps)
+    mults, ranks = _multipliers(r), {}
+    for t in range(lo, top + 2):
+        rows, source, target = defaultdict(dict), pieces[t - d - 1], pieces[t - 1]
+        _multiply_block(rows, mults, source, target)
+        ranks[t] = len(rows) if len(mults) < 2 else rank(
+            RationalMatrix._trusted(len(target), len(source), dict(rows)))
+    quotient = {t: len(pieces[t]) - ranks[t + 1] for t in range(lo, hi + 1)}
+    computed = {t: q + len(pieces[t - d - 1]) - ranks[t] for t, q in quotient.items()}
+    regular = all(ranks[t] == len(pieces[t - d - 1]) for t in ranks)
+    return {"window": [lo, hi], "homology_dims": computed, "quotient_dims": quotient,
+            "regular": regular, "dims_match_quotient": computed == quotient,
+            "comparison_binding": regular}
 
 
 # ---------------------------------------------------------------------------

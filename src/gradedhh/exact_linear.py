@@ -371,7 +371,9 @@ def _back_substitute(pivots, ncols, x):
 
 def pivot_columns(m: RationalMatrix) -> frozenset:
     """The pivot columns of _echelon on m, a basis of its column space; no
-    pivot row is kept."""
+    pivot row is kept.  A zero matrix has none and is not eliminated."""
+    if not m.data:
+        return frozenset()
     return frozenset(col for col, _ in _echelon(m.data, m.cols))
 
 

@@ -214,6 +214,19 @@ def test_cone_report_matches_multiplication_reference(preset, element, window, c
         assert full["homology_dims"] == homology_dims(cone(pres, r), window, caps)
 
 
+def test_cone_report_builds_no_chain_window(monkeypatch):
+    cases = [(parse_preset(p), e, w, caps) for p, e, w, caps in CONE_REFERENCE_CASES]
+    cases = [(pres, element_from_string(pres, e), w, caps) for pres, e, w, caps in cases]
+    want = [_outcome(cone_report, *case) for case in cases]
+
+    def refuse(self, *args):
+        raise AssertionError("cone_report built a ChainWindow")
+
+    monkeypatch.setattr(ChainWindow, "__init__", refuse)
+    assert [_outcome(cone_report, *case) for case in cases] == want
+    assert dg_complexes._ESCAPED in want and any(isinstance(o, dict) for o in want)
+
+
 def _labelwise_realize(c, window, caps=None):
     """GradedComplex.realize label by label, the reference of the blockwise
     one: one assemble per differential, each (term, mono) label's image
@@ -271,7 +284,7 @@ def _realize_case(kind, case):
         preset, element, (lo, hi), caps = case
         pres = parse_preset(preset)
         c = cone(pres, element_from_string(pres, element))
-        # the window cone_report realizes
+        # the degrees cone_report ranks: its blocks are this window's differentials
         return c, (lo, hi + max(0, c.shifts[1] - 1)), caps
     pres, shifts, maps, window, caps = _multi_term_complexes()[case]
     return GradedComplex(pres, shifts, maps), window, caps
@@ -368,6 +381,20 @@ def test_cone_report_negative_degree_zero_divisor_is_not_regular():
     assert not report["comparison_binding"]
 
 
+def test_cone_report_regularity_reads_both_end_source_degrees():
+    # |eps| = -7, so degree t reads the source P_{t+6}; eps kills P_{-7} = {eps}
+    # and the pieces next to it, P_{-8} and P_{-6}, are 0
+    pres = a_q(ChromaticParams(2, 2))
+    eps = Element.gen(pres, "eps")
+    low = cone_report(pres, eps, (-13, -13))  # sources P_{-7}, P_{-6}
+    assert low["homology_dims"] == {-13: 1}
+    assert low["quotient_dims"] == {-13: 0}
+    assert not low["regular"]
+    high = cone_report(pres, eps, (-14, -14))  # sources P_{-8}, P_{-7}
+    assert high["homology_dims"] == high["quotient_dims"] == {-14: 0}
+    assert not high["regular"]
+
+
 def _count_ranks(monkeypatch):
     """Record the matrix of every elimination dg_complexes asks for, through
     either entry point: rank or pivot_columns."""
@@ -420,7 +447,8 @@ def _bar_windows():
 
 
 def _cone_windows():
-    """The cones of the cone reference cases, realized as cone_report does."""
+    """The cones of the cone reference cases, realized on the degrees
+    cone_report ranks."""
     out = []
     for preset, element, (lo, hi), caps in CONE_REFERENCE_CASES:
         pres = parse_preset(preset)

@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 
 from gradedhh import exact_linear
-from gradedhh.dg_complexes import assemble
+from gradedhh.dg_complexes import ChainWindow, assemble
 from gradedhh.exact_linear import (
     RationalMatrix,
     in_span,
     kernel_basis,
+    pivot_columns,
     rank,
 )
 
@@ -27,6 +28,24 @@ def test_rank_of_identity():
 
 def test_rank_of_zero_matrix():
     assert rank(RationalMatrix(3, 5)) == 0
+
+
+def test_zero_matrices_skip_elimination(monkeypatch):
+    def refuse(rows, ncols):
+        raise AssertionError("_echelon was entered")
+
+    monkeypatch.setattr(exact_linear, "_echelon", refuse)
+    zeros = [RationalMatrix(0, 0), RationalMatrix(0, 3), RationalMatrix(4, 0),
+             RationalMatrix(3, 5), RationalMatrix(2, 2, {(0, 1): 0, (1, 0): Fraction(0)})]
+    for m in zeros:
+        assert pivot_columns(m) == frozenset()
+        assert rank(m) == 0
+    window = ChainWindow({0: ["x", "y"], 1: ["z"], 2: []},
+                         {1: RationalMatrix(2, 1), 2: RationalMatrix(1, 0)})
+    assert window.rank(1) == window.rank(2) == 0
+    # a nonzero matrix still goes through elimination
+    with pytest.raises(AssertionError, match="_echelon"):
+        rank(RationalMatrix(1, 1, {(0, 0): 1}))
 
 
 def test_rank_with_fractional_entries():

@@ -5,7 +5,9 @@ with up to one more of either parity; elements, bar chains and matrix-DGA elemen
 random multi-term combinations with small rational coefficients.  Matrices
 are small and rational, with zero rows and columns, repeated rows, low rank
 and entries up to 10^6 in size.  The per-monomial Koszul multiplier is
-checked against koszul_mul, the sparse product on disjoint supports too.
+checked against koszul_mul, the sparse product on disjoint supports too,
+and the hit-row count that ranks a one-term cone block against the rank of
+the block assembled through koszul_mul.
 The bar-basis and degree-piece enumerators are checked against the simpler
 enumerations they replaced, the heap pivot order of the elimination against
 the scan it replaced, its answers against the heap elimination without the
@@ -21,7 +23,7 @@ products respect degrees.
 import copy
 import heapq
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -36,6 +38,7 @@ from gradedhh.dg_complexes import (
     ChainWindow,
     MatrixDGA,
     MatrixDGAElement,
+    assemble,
     commutative_model_check,
     dga_diff,
     dga_structure_check,
@@ -148,6 +151,25 @@ def test_koszul_multiplier_equals_koszul_mul(data):
         mul = koszul_multiplier(pres, m)
         for mono in monos:
             assert mul(mono) == koszul_mul(pres, m, mono), (m, mono)
+
+
+@PROPERTY
+@given(st.data())
+def test_one_term_block_rank_is_its_hit_row_count(data):
+    pres = data.draw(presentations())
+    m, u = data.draw(monomials(pres)), data.draw(monomials(pres))
+    c = data.draw(COEFFS.filter(bool))
+    s, d = mono_degree(pres, u), mono_degree(pres, m)
+    # exponents up to 3 on both sides: every product lies within caps 6
+    source = degree_pieces(pres, (s, s), 3)[s]
+    target = degree_pieces(pres, (s + d, s + d), 6)[s + d]
+    rows = defaultdict(dict)
+    mults = dg_complexes._multipliers(Element(pres, {m: c}))
+    dg_complexes._multiply_block(rows, mults, source, target)
+    block = assemble(source, target, lambda mono: [
+        (hit[1], hit[0] * c) for hit in [koszul_mul(pres, m, mono)] if hit is not None])
+    assert block == RationalMatrix._trusted(len(target), len(source), dict(rows))
+    assert len(rows) == rank(block)
 
 
 @PROPERTY
