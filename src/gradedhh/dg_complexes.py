@@ -44,7 +44,6 @@ from __future__ import annotations
 import functools
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from operator import add
 
@@ -177,11 +176,12 @@ def assemble(source_labels, target_labels, image) -> RationalMatrix:
     return RationalMatrix._new(len(target_labels), len(source_labels), rows.items())
 
 
-def coordinates(x: QCombination, labels) -> list:
-    """Coefficients of x on an ordered basis; x must lie in its span."""
-    if not x.terms.keys() <= set(labels):
+def coordinates(x: QCombination, labels) -> dict:
+    """Coefficients {row: value} of x on an ordered basis; x must lie in its span."""
+    index = {label: i for i, label in enumerate(labels)}
+    if not x.terms.keys() <= index.keys():
         raise ValueError(_ESCAPED)
-    return [x.terms.get(label, Fraction(0)) for label in labels]
+    return {index[label]: c for label, c in x.terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -634,11 +634,8 @@ def quasi_iso_check(sub: ChainWindow, amb: ChainWindow, inclusion: dict, window)
     h_sub, h_amb = sub.homology_dims(window), amb.homology_dims(window)
     per_degree = {}
     for t in range(lo, hi + 1):
-        cycles = kernel_basis(sub.diff[t])
-        mapped = [inclusion[t].mul_vector(z) for z in cycles]
-        stacked = amb.diff[t + 1].hstack(
-            RationalMatrix.from_columns(mapped, rows=len(amb.basis[t]))
-        )
+        cycles = RationalMatrix.from_columns(kernel_basis(sub.diff[t]), sub.diff[t].cols)
+        stacked = amb.diff[t + 1].hstack(inclusion[t].matmul(cycles))
         induced = rank(stacked) - amb.rank(t + 1)
         per_degree[t] = {"sub": h_sub[t], "amb": h_amb[t], "induced_rank": induced,
                          "iso": h_sub[t] == h_amb[t] == induced}

@@ -23,6 +23,11 @@ are pure-int rows from assembly through the d compose d product to
 elimination, which reads them in place.  They are sign-structured and
 sparse: a cone on a monomial has one entry per row and per column.
 
+A vector has one form, {index: value}, the form of a stored row: absent
+indices are 0.  in_span reads v as {row: value}; kernel vectors and span
+witnesses are {col: Fraction} with no zero stored, and from_columns makes
+a matrix of such columns.
+
 The module also owns the one sparse vector type over Q: QCombination, a
 finite Q-linear combination of hashable labels.  Polynomials, Kahler
 differentials, bar chains and matrix-DGA elements are all QCombinations
@@ -193,8 +198,10 @@ class RationalMatrix:
         return cls(len(rows_data), cols, entries)
 
     @classmethod
-    def from_columns(cls, columns, rows=None):
-        return cls.from_rows(columns, cols=rows).transpose()
+    def from_columns(cls, columns, rows: int):
+        """Matrix whose column j is the sparse vector columns[j], {row: value}."""
+        return cls(rows, len(columns), {
+            (i, j): v for j, column in enumerate(columns) for i, v in column.items()})
 
     def transpose(self) -> "RationalMatrix":
         out = {}
@@ -202,14 +209,6 @@ class RationalMatrix:
             for j, v in row.items():
                 out.setdefault(j, {})[i] = v
         return RationalMatrix._new(self.cols, self.rows, out.items())
-
-    def mul_vector(self, vec):
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        out = [Fraction(0)] * self.rows
-        for i, row in self.data.items():
-            out[i] += sum(v * vec[j] for j, v in row.items())
-        return out
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         """Sparse product, row by row; int arithmetic when both are integral."""
@@ -253,14 +252,15 @@ class RationalMatrix:
         )
 
     def __repr__(self):
-        return f"RationalMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
+        nonzero = sum(map(len, self.data.values()))
+        return f"RationalMatrix({self.rows}x{self.cols}, {nonzero} nonzero)"
 
 
 class SpanResult(NamedTuple):
     """Answer to "is v in the column span?", with a certificate when it is."""
 
     in_span: bool
-    coefficients: list | None
+    coefficients: dict | None
 
 
 def _integer_row(row: dict) -> dict:
@@ -358,15 +358,14 @@ def _echelon(rows, ncols):
                     row[c] //= content
 
 
-def _back_substitute(pivots, ncols, x):
+def _back_substitute(pivots, x):
     """Extend x ({column: Fraction}, absent entries 0) so that every pivot row
-    r of _echelon has sum_c r[c] x[c] == 0; return x[0 .. ncols - 1] dense."""
+    r of _echelon has sum_c r[c] x[c] == 0; return x, still with no zeros."""
     for col, row in reversed(pivots):
         s = sum(v * x[c] for c, v in row.items() if c in x)
         if s:
             x[col] = Fraction(-s, row[col])
-    zero = Fraction(0)
-    return [x.get(c, zero) for c in range(ncols)]
+    return x
 
 
 def pivot_columns(m: RationalMatrix) -> frozenset:
@@ -383,38 +382,37 @@ def rank(m: RationalMatrix) -> int:
 
 
 def kernel_basis(m: RationalMatrix):
-    """Basis of {x : m x = 0}, one vector per free column, ascending; the
-    vector of free column f is 1 at f and 0 at every other free column."""
+    """Basis of {x : m x = 0}, one sparse vector per free column, ascending;
+    the vector of free column f is 1 at f and 0 at every other free column."""
     pivots = list(_echelon(m.data, m.cols))
     pivot_cols = {col for col, _ in pivots}
-    basis = [_back_substitute(pivots, m.cols, {f: Fraction(1)})
+    basis = [_back_substitute(pivots, {f: Fraction(1)})
              for f in range(m.cols) if f not in pivot_cols]
-    if not m.matmul(RationalMatrix.from_columns(basis, rows=m.cols)).is_zero():
+    if not m.matmul(RationalMatrix.from_columns(basis, m.cols)).is_zero():
         raise ArithmeticError("kernel certificate failed: m k != 0")
     return basis
 
 
 def in_span(m: RationalMatrix, v) -> SpanResult:
-    """Decide v in columnspace(m); on success return x with m x = v.
+    """Decide v ({row: value}) in columnspace(m); on success return x with m x = v.
 
     Eliminates [m | -v]: v is in the span iff the augmented column never
     pivots, and then (x, 1) solves the pivot rows with free entries 0.
     """
-    v = [Fraction(x) for x in v]
-    if len(v) != m.rows:
-        raise ValueError("vector length does not match row count")
+    if not all(type(i) is int and 0 <= i < m.rows for i in v):
+        raise ValueError(f"vector index out of range for {m.rows} rows")
+    target = RationalMatrix.from_columns([v], m.rows)
     aug = m.cols
     rows = dict(m.data)
-    for i, value in enumerate(v):
-        if value:
-            value = value.numerator if value.denominator == 1 else value
-            rows[i] = {**rows.get(i, {}), aug: -value}
+    for i, row in target.data.items():
+        rows[i] = {**rows.get(i, {}), aug: -row[0]}
     pivots = []
     for col, row in _echelon(rows, aug):
         if col == aug:
             return SpanResult(False, None)
         pivots.append((col, row))
-    witness = _back_substitute(pivots, m.cols, {aug: Fraction(1)})
-    if m.mul_vector(witness) != v:
+    witness = _back_substitute(pivots, {aug: Fraction(1)})
+    witness.pop(aug, None)
+    if m.matmul(RationalMatrix.from_columns([witness], m.cols)) != target:
         raise ArithmeticError("in_span certificate failed: m x != v")
     return SpanResult(True, witness)

@@ -827,11 +827,11 @@ def _unit_witnesses(table, s) -> bool:
     columns = [mul(s, {l: one}) for l in labels]
     if table.one is None or None in columns:
         return False
-    rows = sorted(set(table.one).union(*columns))
-    found = in_span(RationalMatrix(len(rows), len(labels), {
-        (rows.index(r), j): c for j, col in enumerate(columns) for r, c in col.items()}),
-        [table.one.get(r, 0) for r in rows])
-    u = found.in_span and {l: c for l, c in zip(labels, found.coefficients) if c}
+    row = {r: i for i, r in enumerate(sorted(set(table.one).union(*columns)))}
+    found = in_span(RationalMatrix(len(row), len(labels), {
+        (row[r], j): c for j, col in enumerate(columns) for r, c in col.items()}),
+        {row[r]: c for r, c in table.one.items()})
+    u = found.in_span and {labels[j]: c for j, c in found.coefficients.items()}
     if not u or not mul(s, u) == mul(u, s) == table.one:
         return False
     for x in table.labels:
@@ -864,7 +864,7 @@ def _witness_scan(table, closure):
             (j, index[l]): c for j, sx in enumerate(rows) for l, c in sx.items()}))
 
         def in_span(v):
-            return not any(sum(k[index[l]] * c for l, c in v.items()) for k in kernel)
+            return not any(sum(k.get(index[l], 0) * c for l, c in v.items()) for k in kernel)
 
         for x, sx in zip(table.labels, s_times):
             xts = x_times[x]

@@ -23,7 +23,7 @@ from gradedhh.dg_complexes import (
     mdga_basis_labels,
     quasi_iso_check,
 )
-from gradedhh.exact_linear import in_span
+from gradedhh.exact_linear import RationalMatrix, in_span
 from gradedhh.graded_algebra import (
     Element,
     kahler_d,
@@ -133,11 +133,9 @@ def test_criterion_4_obstruction_classes():
     chain = trace_class(v1**4 * eps).normalized
     window = bar_window(pres, (4, 1))
     index = window.index(1)
-    vec = [Fraction(0)] * len(window.basis[1])
-    for tensor, coeff in chain.terms.items():
-        vec[index[tensor]] = coeff
-    boundary_vec = window.diff[1].mul_vector(vec)
-    ok &= all(c == 0 for c in boundary_vec)
+    vec = {index[tensor]: coeff for tensor, coeff in chain.terms.items()}
+    column = RationalMatrix.from_columns([vec], len(window.basis[1]))
+    ok &= window.diff[1].matmul(column).is_zero()
     ok &= not in_span(window.boundary_span(1), vec).in_span
 
     second = obstruction_report(3, 2, [5]).to_json()

@@ -16,6 +16,11 @@ from gradedhh.exact_linear import (
 )
 
 
+def times(m, x):
+    """m x as {row: value}, x a sparse vector {col: value}."""
+    return m.matmul(RationalMatrix.from_columns([x], m.cols)).transpose().data.get(0, {})
+
+
 def test_rank_of_dependent_rows():
     m = RationalMatrix.from_rows([[1, 2], [2, 4]])
     assert rank(m) == 1
@@ -63,7 +68,7 @@ def test_kernel_of_dependent_columns():
     m = RationalMatrix.from_rows([[1, 2], [2, 4]])
     basis = kernel_basis(m)
     assert len(basis) == 1
-    assert basis[0] == [Fraction(-2), Fraction(1)]
+    assert basis[0] == {0: Fraction(-2), 1: Fraction(1)}
 
 
 def test_kernel_of_injective_map_is_empty():
@@ -74,29 +79,28 @@ def test_kernel_of_injective_map_is_empty():
 def test_kernel_of_zero_map_is_full():
     m = RationalMatrix(2, 3)
     basis = kernel_basis(m)
-    assert len(basis) == 3
-    for i, vec in enumerate(basis):
-        assert vec[i] == 1
+    assert basis == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_in_span_with_witness():
     m = RationalMatrix.from_rows([[1, 2], [2, 4]])
-    result = in_span(m, (Fraction(3), Fraction(6)))
+    result = in_span(m, {0: Fraction(3), 1: Fraction(6)})
     assert result.in_span
-    assert m.mul_vector(result.coefficients) == [Fraction(3), Fraction(6)]
+    assert times(m, result.coefficients) == {0: 3, 1: 6}
 
 
 def test_not_in_span():
     m = RationalMatrix.from_rows([[1, 2], [2, 4]])
-    result = in_span(m, (Fraction(1), Fraction(0)))
+    result = in_span(m, {0: Fraction(1)})
     assert not result.in_span
     assert result.coefficients is None
 
 
 def test_in_span_of_empty_matrix():
     m = RationalMatrix(2, 0)
-    assert in_span(m, (Fraction(0), Fraction(0))).in_span
-    assert not in_span(m, (Fraction(1), Fraction(0))).in_span
+    assert in_span(m, {}).in_span
+    assert in_span(m, {0: Fraction(0), 1: 0}).in_span
+    assert not in_span(m, {0: Fraction(1)}).in_span
 
 
 def test_in_span_never_pivots_on_v_beside_a_column_of_m():
@@ -104,9 +108,9 @@ def test_in_span_never_pivots_on_v_beside_a_column_of_m():
     # rows than column 0, yet pivoting on it would put (1, 0, 0) outside the
     # span of (1, 1, 1) and (0, 1, 1).
     m = RationalMatrix.from_rows([[1, 0], [1, 1], [1, 1]])
-    result = in_span(m, (1, 0, 0))
+    result = in_span(m, {0: 1})
     assert result.in_span
-    assert m.mul_vector(result.coefficients) == [1, 0, 0]
+    assert times(m, result.coefficients) == {0: 1}
 
 
 def test_matmul_and_transpose():
@@ -114,6 +118,11 @@ def test_matmul_and_transpose():
     b = RationalMatrix.from_rows([[0, 1], [1, 0]])
     assert a.matmul(b) == RationalMatrix.from_rows([[2, 1], [4, 3]])
     assert a.transpose() == RationalMatrix.from_rows([[1, 3], [2, 4]])
+    # columns are sparse vectors {row: value}
+    assert RationalMatrix.from_columns([{0: 1, 1: 3}, {0: 2, 1: Fraction(8, 2)}], 2) == a
+    assert RationalMatrix.from_columns([], 3) == RationalMatrix(3, 0)
+    with pytest.raises(ValueError, match="out of bounds"):
+        RationalMatrix.from_columns([{2: 1}], 2)
 
 
 def test_matmul_shape_mismatch():
@@ -121,6 +130,10 @@ def test_matmul_shape_mismatch():
     b = RationalMatrix.from_rows([[1, 2]])
     with pytest.raises(ValueError):
         a.matmul(b)
+    # in_span's vector is {row: value}: an index outside the rows is refused
+    for v in ({1: 1}, {-1: 1}, {"0": 1}, {0.0: 1}, {True: 1}):
+        with pytest.raises(ValueError, match="out of range"):
+            in_span(a, v)
 
 
 def test_hstack():
@@ -180,25 +193,25 @@ def test_kernel_vectors_map_to_zero_and_count_matches_rank():
         basis = kernel_basis(m)
         assert len(basis) == m.cols - rank(m)
         for vec in basis:
-            assert m.mul_vector(vec) == [Fraction(0)] * m.rows
+            assert times(m, vec) == {}
 
 
 def test_every_image_vector_is_in_span():
     rng = random.Random(1234)
     for _ in range(25):
         m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        x = [Fraction(rng.randint(-3, 3)) for _ in range(m.cols)]
-        v = m.mul_vector(x)
+        x = {j: Fraction(rng.randint(-3, 3)) for j in range(m.cols)}
+        v = times(m, x)
         result = in_span(m, v)
         assert result.in_span
-        assert m.mul_vector(result.coefficients) == v
+        assert times(m, result.coefficients) == v
 
 
 def test_a_wrong_back_substitution_fails_the_certificates(monkeypatch):
     monkeypatch.setattr(exact_linear, "_back_substitute",
-                        lambda pivots, ncols, x: [Fraction(7)] * ncols)
+                        lambda pivots, x: {0: Fraction(7), 1: Fraction(7)})
     m = RationalMatrix.from_rows([[1, 2], [2, 4]])
-    for call in (lambda: in_span(m, (Fraction(3), Fraction(6))),
+    for call in (lambda: in_span(m, {0: Fraction(3), 1: Fraction(6)}),
                  lambda: kernel_basis(m)):
         with pytest.raises(ArithmeticError) as info:
             call()

@@ -219,7 +219,7 @@ def test_bar_window_columns_are_the_differential(data):
         assert image.is_zero()
         return
     target = window.basis[level - 1]
-    assert window.diff[level].mul_vector(coeffs) == [
+    assert mul_dense(window.diff[level], coeffs) == [
         image.terms.get(t, Fraction(0)) for t in target
     ]
 
@@ -654,6 +654,58 @@ def rows_of(m):
             for i in range(m.rows)]
 
 
+def mul_dense(m, x):
+    """m x for a dense list x, as a dense list."""
+    return [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows_of(m)]
+
+
+def sparse(x):
+    """The sparse vector {index: value} of a dense list."""
+    return {i: c for i, c in enumerate(x) if c}
+
+
+def densify(x, n):
+    """The dense list of length n of a sparse vector, checked to be in the
+    stored form: int indices in range(n), no zero values."""
+    assert all(type(i) is int and 0 <= i < n and c for i, c in x.items()), x
+    return [Fraction(x.get(i, 0)) for i in range(n)]
+
+
+def _back_substitute_dense(pivots, ncols, x):
+    """Back-substitution into a dense list of length ncols, the reference
+    the sparse _back_substitute is checked against."""
+    for col, row in reversed(pivots):
+        s = sum(v * x[c] for c, v in row.items() if c in x)
+        if s:
+            x[col] = Fraction(-s, row[col])
+    zero = Fraction(0)
+    return [x.get(c, zero) for c in range(ncols)]
+
+
+def _kernel_basis_dense(m):
+    """kernel_basis with dense vectors and no certificate, the reference."""
+    pivots = list(_echelon(m.data, m.cols))
+    pivot_cols = {col for col, _ in pivots}
+    return [_back_substitute_dense(pivots, m.cols, {f: Fraction(1)})
+            for f in range(m.cols) if f not in pivot_cols]
+
+
+def _in_span_dense(m, v):
+    """in_span's witness for a dense v as a dense list, None when v is not in
+    the span; no certificate, the reference."""
+    aug = m.cols
+    rows = dict(m.data)
+    for i, value in enumerate(v):
+        if value:
+            rows[i] = {**rows.get(i, {}), aug: -value}
+    pivots = []
+    for col, row in _echelon(rows, aug):
+        if col == aug:
+            return None
+        pivots.append((col, row))
+    return _back_substitute_dense(pivots, m.cols, {aug: Fraction(1)})
+
+
 @PROPERTY
 @given(rational_matrices())
 def test_rank_equals_gauss_jordan_pivot_count(m):
@@ -708,21 +760,24 @@ def test_in_span_agrees_with_rank_and_the_witness_reproduces_v(data):
     m = data.draw(rational_matrices())
     if m.cols and data.draw(st.booleans()):  # an image vector, so in the span
         x = data.draw(st.lists(ENTRIES, min_size=m.cols, max_size=m.cols))
-        v = m.mul_vector(x)
+        v = mul_dense(m, x)
     else:  # arbitrary, in the span or out of it
         v = data.draw(st.lists(ENTRIES, min_size=m.rows, max_size=m.rows))
-    augmented = m.hstack(RationalMatrix.from_columns([v], rows=m.rows))
-    result = in_span(m, v)
+    augmented = m.hstack(RationalMatrix.from_columns([sparse(v)], rows=m.rows))
+    # v as {row: value}, with or without its zero entries
+    result = in_span(m, dict(enumerate(v)) if data.draw(st.booleans()) else sparse(v))
     assert result.in_span == (rank(augmented) == rank(m))
     # the membership rule ore_check relies on: the column span of m is the
     # annihilator of the kernel of m^T
-    assert result.in_span == all(sum(a * b for a, b in zip(k, v)) == 0
+    assert result.in_span == all(sum(c * v[i] for i, c in k.items()) == 0
                                  for k in kernel_basis(m.transpose()))
     if result.in_span:
-        assert len(result.coefficients) == m.cols
-        assert m.mul_vector(result.coefficients) == v
+        witness = densify(result.coefficients, m.cols)
+        assert mul_dense(m, witness) == v
+        assert witness == _in_span_dense(m, v)
     else:
         assert result.coefficients is None
+        assert _in_span_dense(m, v) is None
 
 
 @PROPERTY
@@ -730,12 +785,13 @@ def test_in_span_agrees_with_rank_and_the_witness_reproduces_v(data):
 def test_kernel_basis_is_one_unit_vector_per_free_column(m):
     basis = kernel_basis(m)
     assert len(basis) == m.cols - rank(m)
+    assert [densify(k, m.cols) for k in basis] == _kernel_basis_dense(m)
     last = -1
     for i, k in enumerate(basis):
-        assert m.mul_vector(k) == [Fraction(0)] * m.rows
+        assert mul_dense(m, densify(k, m.cols)) == [Fraction(0)] * m.rows
         # Its free column: 1 here, 0 in every other vector; ascending.
-        free = [j for j in range(last + 1, m.cols) if k[j] == 1
-                and all(other[j] == 0 for o, other in enumerate(basis) if o != i)]
+        free = [j for j in range(last + 1, m.cols) if k.get(j) == 1
+                and all(j not in other for o, other in enumerate(basis) if o != i)]
         assert free, (m, basis)
         last = free[0]
 
@@ -751,8 +807,8 @@ def chain_complexes(draw):
         columns = []
         for _ in range(draw(st.integers(0, 6))):
             coeffs = draw(st.lists(ENTRIES, min_size=len(kernel), max_size=len(kernel)))
-            columns.append([sum((c * k[j] for c, k in zip(coeffs, kernel)), Fraction(0))
-                            for j in range(diffs[-1].cols)])
+            columns.append(sparse([sum((c * k.get(j, 0) for c, k in zip(coeffs, kernel)),
+                                       Fraction(0)) for j in range(diffs[-1].cols)]))
         diffs.append(RationalMatrix.from_columns(columns, rows=diffs[-1].cols))
     return diffs
 
@@ -781,6 +837,23 @@ def test_cleared_ranks_equal_full_ranks_and_chain_across_degrees(diffs):
         others = set(range(d.cols)) - pivots
         assert len(pivots) == rank(d.transpose().without_rows(others)) == rank(d)
         below = pivots
+
+
+@PROPERTY
+@given(chain_complexes())
+def test_kernels_and_boundary_witnesses_equal_the_dense_reference(diffs):
+    # each cycle of d_t tested against the boundaries of d_{t+1}, as the
+    # homology reports ask, so the witnesses are both found and refused
+    for d, boundaries in zip(diffs, diffs[1:] + [RationalMatrix(diffs[-1].cols, 0)]):
+        kernel = kernel_basis(d)
+        assert [densify(k, d.cols) for k in kernel] == _kernel_basis_dense(d)
+        for k in kernel:
+            result = in_span(boundaries, k)
+            reference = _in_span_dense(boundaries, densify(k, d.cols))
+            if result.in_span:
+                assert densify(result.coefficients, boundaries.cols) == reference
+            else:
+                assert result.coefficients is reference is None
 
 
 def _echelon_reference(rows, ncols):
@@ -905,7 +978,7 @@ def assert_peel_keeps_the_heap_answers(rows, ncols):
     nrows = max(rows, default=-1) + 1
     m = RationalMatrix._new(nrows, ncols, (
         (i, {c: v for c, v in r.items() if c < ncols}) for i, r in rows.items()))
-    v = [-Fraction(rows.get(i, {}).get(ncols, 0)) for i in range(nrows)]
+    v = {i: -Fraction(r[ncols]) for i, r in rows.items() if ncols in r}
     before = copy.deepcopy((rows, m.data))
 
     def answers():
@@ -1078,10 +1151,7 @@ def _ore_check_reference(table, s_elements, max_closure=64):
     label_index = {l: i for i, l in enumerate(table.labels)}
 
     def vec(combo):
-        v = [Fraction(0)] * len(table.labels)
-        for l, c in combo.items():
-            v[label_index[l]] = c
-        return v
+        return {label_index[l]: c for l, c in combo.items()}
 
     violated = None
     any_unverifiable = not table.complete_degrees
@@ -1096,8 +1166,8 @@ def _ore_check_reference(table, s_elements, max_closure=64):
                 continue
             cols.append(vec(prod))
         span = RationalMatrix.from_columns(cols, rows=len(table.labels))
-        annihilator = RationalMatrix.from_rows(kernel_basis(span.transpose()),
-                                               cols=len(table.labels))
+        annihilator = RationalMatrix.from_columns(kernel_basis(span.transpose()),
+                                                  rows=len(table.labels)).transpose()
         for x in table.labels:
             found = False
             unverifiable_t = False
@@ -1106,7 +1176,8 @@ def _ore_check_reference(table, s_elements, max_closure=64):
                 if xt is None:
                     unverifiable_t = True
                     continue
-                if not any(annihilator.mul_vector(vec(xt))):
+                column = RationalMatrix.from_columns([vec(xt)], rows=len(table.labels))
+                if annihilator.matmul(column).is_zero():
                     found = True
                     break
             if found:
