@@ -11,7 +11,9 @@ matrix but the multiplication blocks of realize and cone_report.
 Each bar-complex and matrix-DGA question realizes one window, its bases
 from one degree_pieces call over the hull of every shifted degree they read.
 ChainWindow.rank(t) eliminates diff[t] once, on fewer rows by clearing
-(proof there), and homology_dims and quasi_iso_check read it.  cone_report
+(proof there), and homology_dims reads it.  quasi_iso_check reads the rank
+of the induced map off one more block per degree, the mapping cone's
+differential, less two ranks the windows hold (proof there).  cone_report
 realizes no window: it ranks one multiplication block per degree, drops it,
 and reads all it reports off the ranks and the piece sizes (proof there).
 
@@ -52,7 +54,6 @@ from .exact_linear import (
     RationalMatrix,
     combine,
     in_span,
-    kernel_basis,
     pivot_columns,
     rank,
 )
@@ -601,15 +602,6 @@ class QuasiIsoReport:
     per_degree: dict
     all_iso: bool
 
-    def to_json(self) -> dict:
-        return {
-            "chain_map": self.chain_map,
-            "per_degree": {
-                str(t): dict(v) for t, v in sorted(self.per_degree.items())
-            },
-            "all_iso": self.all_iso,
-        }
-
 
 def quasi_iso_check(sub: ChainWindow, amb: ChainWindow, inclusion: dict, window):
     """Does a chain-map inclusion induce isomorphisms on windowed homology?
@@ -617,6 +609,15 @@ def quasi_iso_check(sub: ChainWindow, amb: ChainWindow, inclusion: dict, window)
     inclusion[t] is the matrix of the inclusion on the degree-t bases.  The
     chain-map identity is verified first and a failure raises: the rest of
     the computation would be meaningless.
+
+    The induced map on H_t has rank rank N - sub.rank(t) - amb.rank(t + 1),
+    N = [[d, 0], [i, B]] for d = sub.diff[t], i = inclusion[t] and
+    B = amb.diff[t + 1]: the mapping cone's differential into degree t up to
+    the sign of d, which rank ignores.  N (x, y) = (d x, i x + B y), so
+    ker N = {(x, y): x in K = ker d, i x + B y = 0} has dimension
+    dim K + B.cols - rank [B | i K], and rank N = rank d + rank [B | i K].
+    i is a chain map, so the image of H_t(sub) is (i K + im B) / im B, of
+    dimension rank [B | i K] - rank B.  N is d's rows above [i | B]'s.
     """
     lo, hi = window
     for t in range(lo - 1, hi + 2):
@@ -634,25 +635,23 @@ def quasi_iso_check(sub: ChainWindow, amb: ChainWindow, inclusion: dict, window)
     h_sub, h_amb = sub.homology_dims(window), amb.homology_dims(window)
     per_degree = {}
     for t in range(lo, hi + 1):
-        cycles = RationalMatrix.from_columns(kernel_basis(sub.diff[t]), sub.diff[t].cols)
-        stacked = amb.diff[t + 1].hstack(inclusion[t].matmul(cycles))
-        induced = rank(stacked) - amb.rank(t + 1)
+        d, lower = sub.diff[t], inclusion[t].hstack(amb.diff[t + 1])
+        block = RationalMatrix._trusted(d.rows + lower.rows, lower.cols, {
+            **d.data, **{d.rows + i: row for i, row in lower.data.items()}})
+        induced = rank(block) - sub.rank(t) - amb.rank(t + 1)
         per_degree[t] = {"sub": h_sub[t], "amb": h_amb[t], "induced_rank": induced,
                          "iso": h_sub[t] == h_amb[t] == induced}
     all_iso = all(v["iso"] for v in per_degree.values())
     return QuasiIsoReport(chain_map=True, per_degree=per_degree, all_iso=all_iso)
 
 
-def build_cycles_window(dga: MatrixDGA, window, amb: ChainWindow | None = None):
+def build_cycles_window(dga: MatrixDGA, window, amb: ChainWindow):
     """Z as a ChainWindow (zero differential) plus its inclusion matrices.
 
     Labels and inclusion targets are read off amb, the matrix DGA's window
-    on the same range (built here when not given), so no degree piece is
-    enumerated twice.
+    on the same range, so no degree piece is enumerated twice.
     """
     lo, hi = window
-    if amb is None:
-        amb = build_mdga_window(dga, window)
     degrees = range(lo - 1, hi + 2)
     basis = {k: _cycle_labels(dga, amb.basis[k]) for k in degrees}
     diff = {k: RationalMatrix(len(basis[k - 1]), len(basis[k])) for k in degrees[1:]}

@@ -863,14 +863,14 @@ def _witness_scan(table, closure):
         kernel = kernel_basis(RationalMatrix(len(rows), len(index), {
             (j, index[l]): c for j, sx in enumerate(rows) for l, c in sx.items()}))
 
-        def in_span(v):
+        def spanned(v):
             return not any(sum(k.get(index[l], 0) * c for l, c in v.items()) for k in kernel)
 
         for x, sx in zip(table.labels, s_times):
             xts = x_times[x]
             # (1): x t = s y for some t.  (2): s x = 0 implies x t = 0 for some t.
             for condition, holds, escaped in (
-                (1, any(xt is not None and in_span(xt) for xt in xts),
+                (1, any(xt is not None and spanned(xt) for xt in xts),
                  None in xts or None in s_times),
                 (2, sx != {} or {} in xts, None in xts),
             ):

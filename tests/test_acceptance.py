@@ -10,18 +10,13 @@ import itertools
 import time
 from fractions import Fraction
 
-import pytest
-
 from gradedhh.chromatic_presets import ChromaticParams, a_q, bp_q, en_q
 from gradedhh.dg_complexes import (
-    build_cycles_window,
-    build_mdga_window,
     commutative_model_check,
     dga_structure_check,
     homology_ring_check,
     matrix_dga,
     mdga_basis_labels,
-    quasi_iso_check,
 )
 from gradedhh.exact_linear import RationalMatrix, in_span
 from gradedhh.graded_algebra import (

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedhh import dg_complexes, exact_linear, graded_algebra, hochschild
+from gradedhh import exact_linear, graded_algebra, hochschild
 from gradedhh.cli import main
 
 
@@ -317,12 +317,12 @@ def test_ore_check_table_rejects_window_and_cap(capsys, extra):
     assert err == "error: --window and --cap apply only with --preset\n"
 
 
-def test_a_failed_kernel_certificate_under_quasi_iso_exits_1(capsys, monkeypatch):
+def test_a_failed_kernel_certificate_under_ore_check_exits_1(capsys, monkeypatch):
     def failed(m):
         raise ArithmeticError("kernel certificate failed: m k != 0")
 
-    monkeypatch.setattr(dg_complexes, "kernel_basis", failed)
-    code, out, err = run_cli(capsys, "quasi-iso", "--p", "2", "--n", "2", "--window", "-8:4")
+    monkeypatch.setattr(graded_algebra, "kernel_basis", failed)
+    code, out, err = run_cli(capsys, "ore-check", "--table", "matrix-units", "--s", "e11")
     assert (code, out) == (1, "")
     assert err == "error: kernel certificate failed: m k != 0\n"
 

@@ -40,7 +40,8 @@ from gradedhh.dg_complexes import (
 )
 import gradedhh.dg_complexes as dg_complexes
 from gradedhh.cli import main as cli_main, parse_preset
-from gradedhh.exact_linear import RationalMatrix, combine, pivot_columns, rank
+import gradedhh.exact_linear as exact_linear
+from gradedhh.exact_linear import RationalMatrix, combine, kernel_basis, pivot_columns, rank
 from gradedhh.graded_algebra import (
     Element,
     degree_pieces,
@@ -960,7 +961,7 @@ def test_quasi_iso_check_on_cycle_inclusion():
     dga = matrix_dga(2, 1)
     window = (-6, 4)
     amb = build_mdga_window(dga, window)
-    sub, inclusion = build_cycles_window(dga, window)
+    sub, inclusion = build_cycles_window(dga, window, amb)
     report = quasi_iso_check(sub, amb, inclusion, window)
     assert report.all_iso
     assert report.per_degree[0]["sub"] == 1
@@ -971,7 +972,7 @@ def test_quasi_iso_check_rejects_non_chain_map():
     dga = matrix_dga(2, 1)
     window = (-4, 2)
     amb = build_mdga_window(dga, window)
-    sub, inclusion = build_cycles_window(dga, window)
+    sub, inclusion = build_cycles_window(dga, window, amb)
     bad = dict(inclusion)
     k = 0
     entries = dict(bad[k].entries)
@@ -979,6 +980,65 @@ def test_quasi_iso_check_rejects_non_chain_map():
     bad[k] = RationalMatrix(bad[k].rows, bad[k].cols, entries)
     with pytest.raises(ValueError, match="not a chain map"):
         quasi_iso_check(sub, amb, bad, window)
+
+
+def _kernel_route_per_degree(sub, amb, inclusion, window):
+    """quasi_iso_check's per_degree through kernel vectors, the reference of
+    its block rank: with K a kernel basis of sub.diff[t] and B = amb.diff[t
+    + 1], the induced map on H_t has rank rank [B | i K] - rank B.  Every
+    rank is taken afresh on the full matrix."""
+    out = {}
+    for t in range(window[0], window[1] + 1):
+        h_sub = len(sub.basis[t]) - rank(sub.diff[t]) - rank(sub.diff[t + 1])
+        h_amb = len(amb.basis[t]) - rank(amb.diff[t]) - rank(amb.diff[t + 1])
+        cycles = RationalMatrix.from_columns(kernel_basis(sub.diff[t]), sub.diff[t].cols)
+        stacked = amb.diff[t + 1].hstack(inclusion[t].matmul(cycles))
+        induced = rank(stacked) - rank(amb.diff[t + 1])
+        out[t] = {"sub": h_sub, "amb": h_amb, "induced_rank": induced,
+                  "iso": h_sub == h_amb == induced}
+    return out
+
+
+def scaled_identity(window, c):
+    """c times the identity of a ChainWindow, degree by degree: a chain map."""
+    return {t: RationalMatrix(len(b), len(b), {(j, j): c for j in range(len(b))})
+            for t, b in window.basis.items()}
+
+
+@pytest.mark.parametrize("p, n, window", [*FLAT_CHECK_CASES, (2, 3, (-120, 60))])
+def test_block_rank_equals_the_kernel_route_on_z(p, n, window):
+    dga = matrix_dga(p, n)
+    amb = build_mdga_window(dga, window)
+    sub, inclusion = build_cycles_window(dga, window, amb)
+    report = quasi_iso_check(sub, amb, inclusion, window)
+    assert report.per_degree == _kernel_route_per_degree(sub, amb, inclusion, window)
+    assert report.all_iso
+
+
+@pytest.mark.parametrize("c", [1, 2, 0])
+@pytest.mark.parametrize("p, n, window", [(2, 1, (-8, 4)), (2, 2, (-20, 10)), (3, 1, (-10, 6))])
+def test_block_rank_equals_the_kernel_route_on_a_self_map(p, n, window, c):
+    """The matrix DGA's window mapped onto itself by c times the identity:
+    a sub with a nonzero differential."""
+    win = build_mdga_window(matrix_dga(p, n), window)
+    assert any(not m.is_zero() for m in win.diff.values())
+    maps = scaled_identity(win, c)
+    report = quasi_iso_check(win, win, maps, window)
+    assert report.per_degree == _kernel_route_per_degree(win, win, maps, window)
+    assert all(v["induced_rank"] == (v["sub"] if c else 0) for v in report.per_degree.values())
+    assert any(v["sub"] for v in report.per_degree.values())
+
+
+def test_commutative_model_check_takes_no_kernel_vectors(monkeypatch):
+    want = [commutative_model_check(p, n, window) for p, n, window in FLAT_CHECK_CASES]
+
+    def refuse(*args):
+        raise AssertionError("the quasi-isomorphism path took kernel vectors")
+
+    monkeypatch.setattr(exact_linear, "kernel_basis", refuse)
+    monkeypatch.setattr(RationalMatrix, "from_columns", refuse)
+    assert not hasattr(dg_complexes, "kernel_basis")
+    assert [commutative_model_check(p, n, window) for p, n, window in FLAT_CHECK_CASES] == want
 
 
 def test_commutative_model_check_all_heights():

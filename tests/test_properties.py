@@ -45,6 +45,7 @@ from gradedhh.dg_complexes import (
     matrix_dga,
     mdga_basis_labels,
     mdga_element,
+    quasi_iso_check,
 )
 from gradedhh.exact_linear import (
     RationalMatrix,
@@ -82,7 +83,12 @@ from gradedhh.hochschild import (
     hochschild_diff,
     multidegrees_up_to,
 )
-from test_dg_complexes import _exhaustive_model_check, _exhaustive_structure_check
+from test_dg_complexes import (
+    _exhaustive_model_check,
+    _exhaustive_structure_check,
+    _kernel_route_per_degree,
+    scaled_identity,
+)
 
 PROPERTY = settings(max_examples=30, deadline=None, database=None)
 
@@ -837,6 +843,21 @@ def test_cleared_ranks_equal_full_ranks_and_chain_across_degrees(diffs):
         others = set(range(d.cols)) - pivots
         assert len(pivots) == rank(d.transpose().without_rows(others)) == rank(d)
         below = pivots
+
+
+@PROPERTY
+@given(chain_complexes(), st.sampled_from([1, 2, 0]))
+def test_block_rank_equals_the_kernel_route_on_self_maps(diffs, c):
+    """A window mapped onto itself by c times the identity, a sub whose
+    differential is anything chain_complexes draws: quasi_iso_check's
+    per_degree equals the kernel route's."""
+    basis = {0: range(diffs[0].rows)}
+    basis.update((t, range(d.cols)) for t, d in enumerate(diffs, 1))
+    win = ChainWindow(basis, dict(enumerate(diffs, 1)))
+    maps, window = scaled_identity(win, c), (1, len(diffs) - 1)
+    report = quasi_iso_check(win, win, maps, window)
+    assert report.per_degree == _kernel_route_per_degree(win, win, maps, window)
+    assert all(v["induced_rank"] == (v["sub"] if c else 0) for v in report.per_degree.values())
 
 
 @PROPERTY
