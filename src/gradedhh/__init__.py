@@ -42,6 +42,7 @@ from .graded_algebra import (
     mono_str,
     monomial_basis,
     ore_check,
+    piece_sizes,
     poly_str,
     presentation_from_json,
     presentation_to_json,
@@ -114,7 +115,8 @@ __all__ = [
     "OreReport", "Presentation", "degree_pieces", "element_from_string",
     "kahler_d", "koszul_mul", "localize", "make_presentation",
     "matrix_units_table",
-    "mono_degree", "mono_str", "monomial_basis", "ore_check", "poly_str",
+    "mono_degree", "mono_str", "monomial_basis", "ore_check", "piece_sizes",
+    "poly_str",
     "presentation_from_json", "presentation_to_json",
     "table_from_presentation",
     "ChromaticParams", "a_q", "bp_q", "en_q", "eps_degree",

@@ -14,8 +14,10 @@ ChainWindow.rank(t) eliminates diff[t] once, on fewer rows by clearing
 (proof there), and homology_dims reads it.  quasi_iso_check reads the rank
 of the induced map off one more block per degree, the mapping cone's
 differential, less two ranks the windows hold (proof there).  cone_report
-realizes no window: it ranks one multiplication block per degree, drops it,
-and reads all it reports off the ranks and the piece sizes (proof there).
+realizes no window and reads all it reports off ranks and piece sizes: for
+r with one term it counts the ranks from piece sizes, enumerating nothing,
+and otherwise it ranks one multiplication block per degree and drops it
+(proof there).
 
 The matrix DG algebra models the endomorphisms of the cone on v_n over
 Q[v_1, ..., v_n].  A degree-k element is a 2x2 matrix [[a, b], [c, d]] with
@@ -65,6 +67,8 @@ from .graded_algebra import (
     koszul_multiplier,
     mono_degree,
     mono_one,
+    piece_sizes,
+    product_sizes,
 )
 from .chromatic_presets import ChromaticParams, bp_q, eps_degree
 
@@ -297,30 +301,52 @@ def homology_dims(complex_or_window, window, caps=None) -> dict:
 def cone_report(pres: Presentation, r: Element, window, caps=None) -> dict:
     """Cone homology vs. quotient-ring dimensions, with a regularity test.
 
-    Streamed: for t in [lo, top + 1], top = hi + max(0, d), d = |r|, the
-    cone's differential at t is only multiplication by r from P_{t-d-1}
-    into P_{t-1} (so d compose d = 0 by structure).  Its block is built over
-    realize's pieces, ranked to R(t) and dropped.  Homology at t is |P_t| +
-    |P_{t-d-1}| - R(t) - R(t + 1), quotient_dims[t] = |P_t| - R(t + 1), and
-    r is regular when every R(t) = |P_{t-d-1}|: r is injective on the source
-    degrees [lo - d - 1, max(hi, hi - d)] homology in [lo, hi] depends on.
-    For one term, r = c m, R(t) is the number of rows hit: the column of a
-    source monomial u is 0 or +-c times the unit vector of the row m u, so
-    the unit vectors of the hit rows span the column space.
+    For t in [lo, top + 1], top = hi + max(0, d), d = |r|, the cone's
+    differential at t is only multiplication by r from P_{t-d-1} into
+    P_{t-1} (so d compose d = 0 by structure); let R(t) be its rank.
+    Homology at t is |P_t| + |P_{t-d-1}| - R(t) - R(t + 1), quotient_dims[t]
+    = |P_t| - R(t + 1), and r is regular when every R(t) = |P_{t-d-1}|: r is
+    injective on the source degrees [lo - d - 1, max(hi, hi - d)] homology
+    in [lo, hi] depends on.  The piece sizes come from piece_sizes.
+
+    r with two or more terms is streamed: one degree_pieces enumeration
+    over the hull, then one block per degree, built, ranked and dropped.
+
+    r with at most one term is counted: no monomial is enumerated and no
+    block built, and r = 0 gives R = 0.  For r = c m, u -> m u is injective
+    on monomials (the exponents add), and m u = 0 exactly when u has an odd
+    generator of m.  So the column of a source monomial u is 0 if u has
+    one, and otherwise (u survives) +-c times the unit vector of the row
+    m u, distinct survivors hitting distinct rows.  Those unit vectors are independent and c != 0 only
+    scales them, so R(t) is the number of survivors in P_{t-d-1}: the live
+    count of product_sizes.  A survivor whose product lies outside caps has
+    no row, so its image escapes the enumerated basis and the streamed
+    blocks raise _ESCAPED.  kept counts the survivors whose product stays
+    within caps, so an escape happens exactly when live and kept differ in
+    some source degree t - d - 1.
     """
     lo, hi = window
     d = cone(pres, r).shifts[1] - 1
     top = hi + max(0, d)
-    pieces = degree_pieces(pres, (lo - 1 - max(0, d + 1), top + 1 - min(0, d + 1)), caps)
-    mults, ranks = _multipliers(r), {}
-    for t in range(lo, top + 2):
-        rows, source, target = defaultdict(dict), pieces[t - d - 1], pieces[t - 1]
-        _multiply_block(rows, mults, source, target)
-        ranks[t] = len(rows) if len(mults) < 2 else rank(
-            RationalMatrix._trusted(len(target), len(source), dict(rows)))
-    quotient = {t: len(pieces[t]) - ranks[t + 1] for t in range(lo, hi + 1)}
-    computed = {t: q + len(pieces[t - d - 1]) - ranks[t] for t, q in quotient.items()}
-    regular = all(ranks[t] == len(pieces[t - d - 1]) for t in ranks)
+    hull = (lo - 1 - max(0, d + 1), top + 1 - min(0, d + 1))
+    sizes = piece_sizes(pres, hull, caps)
+    if len(r.terms) < 2:
+        live = kept = dict.fromkeys(range(lo - d - 1, top - d + 1), 0)  # r = 0
+        for m in r.terms:
+            live, kept = product_sizes(pres, m, (lo - d - 1, top - d), caps)
+        if live != kept:
+            raise ValueError(_ESCAPED)
+        ranks = {s + d + 1: n for s, n in live.items()}
+    else:
+        pieces = degree_pieces(pres, hull, caps)
+        mults, ranks = _multipliers(r), {}
+        for t in range(lo, top + 2):
+            rows, source, target = defaultdict(dict), pieces[t - d - 1], pieces[t - 1]
+            _multiply_block(rows, mults, source, target)
+            ranks[t] = rank(RationalMatrix._trusted(len(target), len(source), dict(rows)))
+    quotient = {t: sizes[t] - ranks[t + 1] for t in range(lo, hi + 1)}
+    computed = {t: q + sizes[t - d - 1] - ranks[t] for t, q in quotient.items()}
+    regular = all(ranks[t] == sizes[t - d - 1] for t in ranks)
     return {"window": [lo, hi], "homology_dims": computed, "quotient_dims": quotient,
             "regular": regular, "dims_match_quotient": computed == quotient,
             "comparison_binding": regular}

@@ -18,7 +18,8 @@ deterministic monomial bases, localization at an even generator, and a
 windowed semi-decision procedure for the right Ore condition on a finite
 multiplication table.  Monomial bases come from one function,
 degree_pieces, which enumerates every degree piece of a window in one pass;
-each basis builder makes one such call per window.
+each basis builder makes one such call per window.  piece_sizes and
+product_sizes count over the same exponent ranges, building no monomial.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 from .exact_linear import QCombination, RationalMatrix, combine, in_span, kernel_basis
 
@@ -438,6 +439,83 @@ def degree_pieces(pres: Presentation, window, caps=None) -> dict:
                     grown.setdefault(t, []).extend((e,) + m for m in suffixes)
         pieces = grown
     return {t: pieces.get(t, []) for t in range(lo, hi + 1)}
+
+
+def _box_sizes(degrees, ranges, window) -> dict:
+    """{t: number of exponent tuples e with ranges[i][0] <= e_i <=
+    ranges[i][1] and sum e_i degrees[i] = t} for every t in window = (lo, hi).
+
+    Generators are placed last first, as degree_pieces places them, over
+    counts[s - base], the number of suffixes of partial degree s.  A
+    negative degree is flipped first: e d = (-e)(-d), so the range (a, b)
+    at degree d < 0 counts as (-b, -a) at -d.  Placing a generator of
+    degree d > 0 whose range holds w = b - a + 1 exponents moves base up by
+    a d and sends the count at list position j to positions j, j + d, ...,
+    j + (w - 1) d, so the new list is the sliding sum
+
+        new[j] = new[j - d] + counts[j] - counts[j - w d]
+
+    (terms off the lists read 0) along each residue class of j mod d:
+    O(len(counts) + w d) per generator, and no tuple built.  Degree 0
+    multiplies every count by w, and an empty range (a > b) empties the
+    box.  The reach pruning of degree_pieces then keeps only the partial
+    degrees the generators not yet placed can still bring into [lo, hi].
+    """
+    lo, hi = window
+    boxes = [(-b, -a, -d) if d < 0 else (a, b, d) for (a, b), d in zip(ranges, degrees)]
+    reach = [(0, 0)]  # least and greatest degree the generators before i can add
+    for a, b, d in boxes:
+        reach.append((reach[-1][0] + a * d, reach[-1][1] + b * d))
+    base, counts = 0, [1]
+    for i in reversed(range(len(boxes))):
+        a, b, d = boxes[i]
+        w = b - a + 1
+        if w < 1 or not counts:
+            counts = []
+            break
+        if d == 0:
+            counts = [c * w for c in counts]
+        else:
+            grown = [0] * (len(counts) + (w - 1) * d)
+            for r in range(min(d, len(counts))):
+                seq = counts[r::d]
+                grown[r::d] = itertools.accumulate(map(sub, seq + [0] * (w - 1), [0] * w + seq))
+            base, counts = base + a * d, grown
+        least, most = reach[i]
+        start = max(base, lo - most)
+        stop = max(start, hi - least + 1)
+        counts, base = counts[start - base:stop - base], start
+    return {t: counts[t - base] if 0 <= t - base < len(counts) else 0
+            for t in range(lo, hi + 1)}
+
+
+def piece_sizes(pres: Presentation, window, caps=None) -> dict:
+    """{t: len(pieces[t])} for pieces = degree_pieces(pres, window, caps),
+    with the same errors, counted over the same exponent ranges and with
+    no monomial enumerated."""
+    lo, hi = window
+    return _box_sizes(pres.degrees, _resolve_ranges(pres, max(abs(lo), abs(hi)), caps), window)
+
+
+def product_sizes(pres: Presentation, mono, window, caps=None):
+    """(live, kept): for every t in window = (lo, hi), live[t] is the number
+    of monomials u of degree t (within caps) with mono u nonzero, and kept[t]
+    the number of those whose product mono u lies within caps too.
+
+    u survives exactly when it has none of mono's odd generators, so live
+    counts the box with their ranges set to (0, 0), and kept the survivor
+    box intersected with the ranges shifted by -mono.  The ranges are
+    resolved for every degree of u and of mono u, so within them "in the
+    box" means "within caps".
+    """
+    lo, hi = window
+    shift = mono_degree(pres, mono)
+    bound = max(abs(lo), abs(hi), abs(lo + shift), abs(hi + shift))
+    ranges = _resolve_ranges(pres, bound, caps)
+    live = [(a, 0) if e and pres.is_odd(i) else (a, b)
+            for i, ((a, b), e) in enumerate(zip(ranges, mono))]
+    kept = [(max(a, c - e), min(b, d - e)) for (a, b), (c, d), e in zip(live, ranges, mono)]
+    return _box_sizes(pres.degrees, live, window), _box_sizes(pres.degrees, kept, window)
 
 
 def monomial_basis(pres: Presentation, degree: int, caps=None):

@@ -2,6 +2,7 @@
 
 import json
 import time
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,27 @@ def _reference_cone_report(pres, r, window, caps):
     return quotient, regular
 
 
+def _streamed_cone_report(pres, r, window, caps):
+    """cone_report as streamed before the count route, the reference of
+    the one-term counts: one degree_pieces enumeration over the hull, then
+    one multiplication block per degree, built, ranked and dropped."""
+    lo, hi = window
+    d = cone(pres, r).shifts[1] - 1
+    top = hi + max(0, d)
+    pieces = degree_pieces(pres, (lo - 1 - max(0, d + 1), top + 1 - min(0, d + 1)), caps)
+    mults, ranks = dg_complexes._multipliers(r), {}
+    for t in range(lo, top + 2):
+        rows, source, target = defaultdict(dict), pieces[t - d - 1], pieces[t - 1]
+        dg_complexes._multiply_block(rows, mults, source, target)
+        ranks[t] = rank(RationalMatrix._trusted(len(target), len(source), dict(rows)))
+    quotient = {t: len(pieces[t]) - ranks[t + 1] for t in range(lo, hi + 1)}
+    computed = {t: q + len(pieces[t - d - 1]) - ranks[t] for t, q in quotient.items()}
+    regular = all(ranks[t] == len(pieces[t - d - 1]) for t in ranks)
+    return {"window": [lo, hi], "homology_dims": computed, "quotient_dims": quotient,
+            "regular": regular, "dims_match_quotient": computed == quotient,
+            "comparison_binding": regular}
+
+
 def _outcome(report, *args):
     try:
         return report(*args)
@@ -184,11 +206,13 @@ CONE_REFERENCE_CASES = [
     (preset, element, window, caps)
     for preset, elements, windows, cap_values in [
         ("bp:2:2", ["v2", "v1^2", "v1 v2", "0", "1", "1/2 v2 + 2/3 v1^3"],
-         [(-4, 12)], [None, 3]),
+         [(-4, 12)], [None, 3, {"v1": 2}]),
         ("a:2:2", ["eps", "v1^4 eps", "v1", "0", "1"],
          [(-20, -13), (-16, 6)], [None, 3]),
+        # caps 0 and 1 cap an odd generator out
         ("hh_a:2:2", ["sigma1", "delta", "eps", "v1^4 eps", "0", "1"],
-         [(-12, 6)], [2, 4]),
+         [(-12, 6)], [0, 1, 2, 4]),
+        ("en:2:2", ["v2^-1", "v1 v2^-1"], [(-12, 12)], [0, 1, 2, 3]),
     ]
     for element in elements
     for window in windows
@@ -210,6 +234,8 @@ def test_cone_report_matches_multiplication_reference(preset, element, window, c
 
     got = _outcome(report, pres, r, window, caps)
     assert got == _outcome(_reference_cone_report, pres, r, window, caps)
+    streamed = _outcome(_streamed_cone_report, pres, r, window, caps)
+    assert _outcome(cone_report, pres, r, window, caps) == streamed
     if not isinstance(got, str):
         full = cone_report(pres, r, window, caps)
         assert full["homology_dims"] == homology_dims(cone(pres, r), window, caps)
@@ -342,29 +368,37 @@ def test_cone_report_counts_equal_the_per_label_scan(preset, element, window, ca
     assert report["regular"] == all(win.rank(t) == shifted[t] for t in win.diff)
 
 
-def _count_degree_pieces(monkeypatch):
+def _count_calls(monkeypatch, name):
     calls = []
-    original = dg_complexes.degree_pieces
+    original = getattr(dg_complexes, name)
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(dg_complexes, "degree_pieces", counted)
+    monkeypatch.setattr(dg_complexes, name, counted)
     return calls
 
 
 def test_cone_report_enumerates_the_window_once(monkeypatch):
-    calls = _count_degree_pieces(monkeypatch)
+    calls = _count_calls(monkeypatch, "degree_pieces")
+    blocks = _count_calls(monkeypatch, "_multiply_block")
     pres = parse_preset("bp:3:3")
-    report = cone_report(pres, Element.gen(pres, "v3"), (0, 60))
+    report = cone_report(pres, element_from_string(pres, "v3 + v1^13"), (0, 60))
     assert report["dims_match_quotient"] is True
     # |v3| = 52: realized on [0, 112], padded by one, shifts 0 and 53
     assert calls == [(-54, 113)]
+    assert len(blocks) == 114  # one block per degree in [0, 113]
+    # one term, regular of the same degree: the same report, counted with
+    # nothing enumerated and no block built
+    calls.clear()
+    blocks.clear()
+    assert cone_report(pres, Element.gen(pres, "v3"), (0, 60)) == report
+    assert calls == blocks == []
 
 
 def test_build_mdga_window_enumerates_the_window_once(monkeypatch):
-    calls = _count_degree_pieces(monkeypatch)
+    calls = _count_calls(monkeypatch, "degree_pieces")
     dga = matrix_dga(2, 2)
     win = build_mdga_window(dga, (-12, 8))
     assert calls == [(-13 - dga.offdiag, 9 + dga.offdiag)]

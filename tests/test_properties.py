@@ -9,15 +9,17 @@ checked against koszul_mul, the sparse product on disjoint supports too,
 and the hit-row count that ranks a one-term cone block against the rank of
 the block assembled through koszul_mul.
 The bar-basis and degree-piece enumerators are checked against the simpler
-enumerations they replaced, the heap pivot order of the elimination against
-the scan it replaced, its answers against the heap elimination without the
-isolated-row peel, the cleared ranks of a chain window against full
-ranks on random complexes, the matrix-DGA product and differential against
-the entrywise 2x2 formulas in Element arithmetic, the class-decided
-matrix-DGA pair checks against the exhaustive loops they replaced, on
-random slot-level product and differential rules, and the Ore checker
-against the search-first decision it replaced, on random tables whose
-products respect degrees.
+enumerations they replaced, the degree-piece counter against the sizes of
+the same reference, the counted ranks of one-term cones against the
+streamed blocks they replaced, on random windows and caps, the heap pivot
+order of the elimination against the scan it replaced, its answers against
+the heap elimination without the isolated-row peel, the cleared ranks of a
+chain window against full ranks on random complexes, the matrix-DGA
+product and differential against the entrywise 2x2 formulas in Element
+arithmetic, the class-decided matrix-DGA pair checks against the
+exhaustive loops they replaced, on random slot-level product and
+differential rules, and the Ore checker against the search-first decision
+it replaced, on random tables whose products respect degrees.
 """
 
 import copy
@@ -73,6 +75,7 @@ from gradedhh.graded_algebra import (
     matrix_units_table,
     mono_degree,
     ore_check,
+    piece_sizes,
     table_from_presentation,
 )
 from gradedhh.hochschild import (
@@ -87,6 +90,7 @@ from test_dg_complexes import (
     _exhaustive_model_check,
     _exhaustive_structure_check,
     _kernel_route_per_degree,
+    _streamed_cone_report,
     scaled_identity,
 )
 
@@ -395,15 +399,19 @@ def _monomial_basis_reference(pres, degree, caps=None):
 
 
 def _assert_pieces_match_reference(pres, window, caps):
+    """degree_pieces equals the reference and piece_sizes its sizes, errors
+    included."""
     lo, hi = window
     try:
         want = {t: _monomial_basis_reference(pres, t, caps) for t in range(lo, hi + 1)}
     except (KeyError, ValueError) as err:
-        with pytest.raises(type(err)) as got:
-            degree_pieces(pres, window, caps)
-        assert str(got.value) == str(err)
+        for pieces_or_sizes in (degree_pieces, piece_sizes):
+            with pytest.raises(type(err)) as got:
+                pieces_or_sizes(pres, window, caps)
+            assert str(got.value) == str(err)
         return
     assert degree_pieces(pres, window, caps) == want
+    assert piece_sizes(pres, window, caps) == {t: len(piece) for t, piece in want.items()}
 
 
 @st.composite
@@ -428,6 +436,22 @@ def enumeration_cases(draw):
 @given(enumeration_cases())
 def test_degree_pieces_equal_the_per_degree_reference(case):
     _assert_pieces_match_reference(*case)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_one_term_cone_counts_equal_the_streamed_blocks(data):
+    pres = data.draw(presentations())
+    r = Element(pres, data.draw(st.dictionaries(monomials(pres), COEFFS, max_size=1)))
+    caps = data.draw(st.one_of(
+        st.none(),
+        st.integers(0, 3),
+        st.dictionaries(st.sampled_from(pres.names), st.integers(0, 3)),
+    ))
+    lo = data.draw(st.integers(-12, 12))
+    window = (lo, lo + data.draw(st.integers(0, 10)))
+    assert (_outcome(dg_complexes.cone_report, pres, r, window, caps)
+            == _outcome(_streamed_cone_report, pres, r, window, caps))
 
 
 @pytest.mark.parametrize("gens, window, caps", [
