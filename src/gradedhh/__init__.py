@@ -31,6 +31,7 @@ from .graded_algebra import (
     MulTable,
     OreReport,
     Presentation,
+    degree_dims,
     degree_pieces,
     element_from_string,
     kahler_d,
@@ -42,7 +43,6 @@ from .graded_algebra import (
     mono_str,
     monomial_basis,
     ore_check,
-    piece_sizes,
     poly_str,
     presentation_from_json,
     presentation_to_json,
@@ -69,7 +69,6 @@ from .dg_complexes import (
     cone,
     cone_report,
     cycles_subalgebra,
-    degree_dims,
     dga_diff,
     dga_structure_check,
     homology_dims,
@@ -112,18 +111,17 @@ __version__ = "0.1.0"
 __all__ = [
     "RationalMatrix", "SpanResult", "in_span", "kernel_basis", "rank",
     "Element", "KahlerElement", "MalformedTableError", "MulTable",
-    "OreReport", "Presentation", "degree_pieces", "element_from_string",
-    "kahler_d", "koszul_mul", "localize", "make_presentation",
-    "matrix_units_table",
-    "mono_degree", "mono_str", "monomial_basis", "ore_check", "piece_sizes",
-    "poly_str",
+    "OreReport", "Presentation", "degree_dims", "degree_pieces",
+    "element_from_string", "kahler_d", "koszul_mul", "localize",
+    "make_presentation", "matrix_units_table",
+    "mono_degree", "mono_str", "monomial_basis", "ore_check", "poly_str",
     "presentation_from_json", "presentation_to_json",
     "table_from_presentation",
     "ChromaticParams", "a_q", "bp_q", "en_q", "eps_degree",
     "hh_a_predicted", "parse_preset", "preset_families", "v_degree",
     "ChainWindow", "GradedComplex", "MatrixDGA", "MatrixDGAElement",
     "QuasiIsoReport", "commutative_model_check", "cone", "cone_report",
-    "cycles_subalgebra", "degree_dims", "dga_diff", "dga_structure_check",
+    "cycles_subalgebra", "dga_diff", "dga_structure_check",
     "homology_dims", "homology_ring_check", "matrix_dga", "mdga_diag",
     "mdga_eps", "mdga_identity", "quasi_iso_check",
     "BarChain", "D_map", "HkrReport", "bar_basis", "bar_window", "hh_dims",

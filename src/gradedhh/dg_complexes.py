@@ -63,19 +63,14 @@ from .graded_algebra import (
     Element,
     Presentation,
     _check_mono,
+    degree_dims,
     degree_pieces,
     koszul_multiplier,
     mono_degree,
     mono_one,
-    piece_sizes,
     product_sizes,
 )
 from .chromatic_presets import ChromaticParams, bp_q, eps_degree
-
-
-def degree_dims(pres: Presentation, window, caps=None) -> dict:
-    """Dimension of each degree piece of the free algebra, over a window."""
-    return {t: len(piece) for t, piece in degree_pieces(pres, window, caps).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -307,17 +302,19 @@ def cone_report(pres: Presentation, r: Element, window, caps=None) -> dict:
     Homology at t is |P_t| + |P_{t-d-1}| - R(t) - R(t + 1), quotient_dims[t]
     = |P_t| - R(t + 1), and r is regular when every R(t) = |P_{t-d-1}|: r is
     injective on the source degrees [lo - d - 1, max(hi, hi - d)] homology
-    in [lo, hi] depends on.  The piece sizes come from piece_sizes.
+    in [lo, hi] depends on.
 
     r with two or more terms is streamed: one degree_pieces enumeration
-    over the hull, then one block per degree, built, ranked and dropped.
+    over the hull gives the pieces and their sizes, then one block per
+    degree is built, ranked and dropped.
 
-    r with at most one term is counted: no monomial is enumerated and no
-    block built, and r = 0 gives R = 0.  For r = c m, u -> m u is injective
-    on monomials (the exponents add), and m u = 0 exactly when u has an odd
-    generator of m.  So the column of a source monomial u is 0 if u has
-    one, and otherwise (u survives) +-c times the unit vector of the row
-    m u, distinct survivors hitting distinct rows.  Those unit vectors are independent and c != 0 only
+    r with at most one term is counted: the sizes come from degree_dims, no
+    monomial is enumerated and no block built, and r = 0 gives R = 0.  For
+    r = c m, u -> m u is injective on monomials (the exponents add), and
+    m u = 0 exactly when u has an odd generator of m.  So the column of a
+    source monomial u is 0 if u has one, and otherwise (u survives) +-c
+    times the unit vector of the row m u, distinct survivors hitting
+    distinct rows.  Those unit vectors are independent and c != 0 only
     scales them, so R(t) is the number of survivors in P_{t-d-1}: the live
     count of product_sizes.  A survivor whose product lies outside caps has
     no row, so its image escapes the enumerated basis and the streamed
@@ -329,8 +326,8 @@ def cone_report(pres: Presentation, r: Element, window, caps=None) -> dict:
     d = cone(pres, r).shifts[1] - 1
     top = hi + max(0, d)
     hull = (lo - 1 - max(0, d + 1), top + 1 - min(0, d + 1))
-    sizes = piece_sizes(pres, hull, caps)
     if len(r.terms) < 2:
+        sizes = degree_dims(pres, hull, caps)
         live = kept = dict.fromkeys(range(lo - d - 1, top - d + 1), 0)  # r = 0
         for m in r.terms:
             live, kept = product_sizes(pres, m, (lo - d - 1, top - d), caps)
@@ -339,6 +336,7 @@ def cone_report(pres: Presentation, r: Element, window, caps=None) -> dict:
         ranks = {s + d + 1: n for s, n in live.items()}
     else:
         pieces = degree_pieces(pres, hull, caps)
+        sizes = {t: len(piece) for t, piece in pieces.items()}
         mults, ranks = _multipliers(r), {}
         for t in range(lo, top + 2):
             rows, source, target = defaultdict(dict), pieces[t - d - 1], pieces[t - 1]

@@ -18,7 +18,7 @@ deterministic monomial bases, localization at an even generator, and a
 windowed semi-decision procedure for the right Ore condition on a finite
 multiplication table.  Monomial bases come from one function,
 degree_pieces, which enumerates every degree piece of a window in one pass;
-each basis builder makes one such call per window.  piece_sizes and
+each basis builder makes one such call per window.  degree_dims and
 product_sizes count over the same exponent ranges, building no monomial.
 """
 
@@ -489,10 +489,11 @@ def _box_sizes(degrees, ranges, window) -> dict:
             for t in range(lo, hi + 1)}
 
 
-def piece_sizes(pres: Presentation, window, caps=None) -> dict:
-    """{t: len(pieces[t])} for pieces = degree_pieces(pres, window, caps),
-    with the same errors, counted over the same exponent ranges and with
-    no monomial enumerated."""
+def degree_dims(pres: Presentation, window, caps=None) -> dict:
+    """Dimension of each degree piece of the free algebra, over a window:
+    {t: len(pieces[t])} for pieces = degree_pieces(pres, window, caps), with
+    the same errors, counted over the same exponent ranges and with no
+    monomial enumerated."""
     lo, hi = window
     return _box_sizes(pres.degrees, _resolve_ranges(pres, max(abs(lo), abs(hi)), caps), window)
 

@@ -67,6 +67,7 @@ from gradedhh.graded_algebra import (
     _commutes,
     _unit_witnesses,
     combo_str,
+    degree_dims,
     degree_pieces,
     kahler_d,
     koszul_mul,
@@ -75,7 +76,6 @@ from gradedhh.graded_algebra import (
     matrix_units_table,
     mono_degree,
     ore_check,
-    piece_sizes,
     table_from_presentation,
 )
 from gradedhh.hochschild import (
@@ -399,19 +399,19 @@ def _monomial_basis_reference(pres, degree, caps=None):
 
 
 def _assert_pieces_match_reference(pres, window, caps):
-    """degree_pieces equals the reference and piece_sizes its sizes, errors
+    """degree_pieces equals the reference and degree_dims its sizes, errors
     included."""
     lo, hi = window
     try:
         want = {t: _monomial_basis_reference(pres, t, caps) for t in range(lo, hi + 1)}
     except (KeyError, ValueError) as err:
-        for pieces_or_sizes in (degree_pieces, piece_sizes):
+        for pieces_or_sizes in (degree_pieces, degree_dims):
             with pytest.raises(type(err)) as got:
                 pieces_or_sizes(pres, window, caps)
             assert str(got.value) == str(err)
         return
     assert degree_pieces(pres, window, caps) == want
-    assert piece_sizes(pres, window, caps) == {t: len(piece) for t, piece in want.items()}
+    assert degree_dims(pres, window, caps) == {t: len(piece) for t, piece in want.items()}
 
 
 @st.composite
