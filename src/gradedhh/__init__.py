@@ -90,6 +90,7 @@ from .hochschild import (
     hkr_predicted_dims,
     hochschild_diff,
     internal_degree,
+    morse_complex,
     morse_window,
     multidegree_from_dict,
     multidegree_to_dict,
@@ -126,8 +127,8 @@ __all__ = [
     "mdga_eps", "mdga_identity", "quasi_iso_check",
     "BarChain", "D_map", "HkrReport", "bar_basis", "bar_window", "hh_dims",
     "hkr_check", "hkr_predicted_dims", "hochschild_diff", "internal_degree",
-    "morse_window", "multidegree_from_dict", "multidegree_to_dict",
-    "multidegrees_up_to",
+    "morse_complex", "morse_window", "multidegree_from_dict",
+    "multidegree_to_dict", "multidegrees_up_to",
     "MembershipResult", "ObstructionReport", "TraceClass",
     "constant_loops_chain", "displayed_obstruction_class", "membership_test",
     "obstruction_report", "trace_class",

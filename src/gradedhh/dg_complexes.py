@@ -8,8 +8,8 @@ is checked at construction in both layers.  assemble, which writes the image
 of each source label as a column, builds every differential and inclusion
 matrix but the multiplication blocks of realize and cone_report.
 
-Each bar-complex and matrix-DGA question realizes one window, its bases
-from one degree_pieces call over the hull of every shifted degree they read.
+A realized cone and each matrix-DGA question take their window's bases
+from one degree_pieces call over the hull of every shifted degree read.
 ChainWindow.rank(t) eliminates diff[t] once, on fewer rows by clearing
 (proof there), and homology_dims reads it.  quasi_iso_check reads the rank
 of the induced map off one more block per degree, the mapping cone's
@@ -70,7 +70,7 @@ from .graded_algebra import (
     mono_one,
     product_sizes,
 )
-from .chromatic_presets import ChromaticParams, bp_q, eps_degree
+from .chromatic_presets import ChromaticParams, a_q, bp_q, eps_degree
 
 
 # ---------------------------------------------------------------------------
@@ -269,18 +269,14 @@ def _multiply_block(rows, mults, source, target, col_at=0, row_at=0):
                 rows[row][col] = hit[0] * c
 
 
-def cone(pres: Presentation, r: Element, degree: int | None = None) -> GradedComplex:
-    """Two-term complex P <- P[|r|+1] with differential multiplication by r."""
+def cone(pres: Presentation, r: Element) -> GradedComplex:
+    """Two-term complex P <- P[|r|+1] with differential multiplication by r;
+    r = 0 is taken in degree 0."""
     if not isinstance(r, Element) or r.pres != pres:
         raise ValueError("cone element must be an Element over pres")
-    if r.is_zero():
-        d = 0 if degree is None else degree
-    else:
-        d = r.degree()
-        if d is None:
-            raise ValueError("cone element must be homogeneous")
-        if degree is not None and degree != d:
-            raise ValueError("declared degree disagrees with the element")
+    d = 0 if r.is_zero() else r.degree()
+    if d is None:
+        raise ValueError("cone element must be homogeneous")
     return GradedComplex(pres, (0, d + 1), (r,))
 
 
@@ -788,11 +784,7 @@ def homology_ring_check(p: int, n: int, window) -> dict:
     win = build_mdga_window(dga, window)
     computed = win.homology_dims(window)
 
-    params = ChromaticParams(p, n)
-    from .chromatic_presets import a_q  # local import avoids a cycle at startup
-
-    product_pres = a_q(params)
-    expected_product = degree_dims(product_pres, window)
+    expected_product = degree_dims(a_q(ChromaticParams(p, n)), window)
     e_deg = eps_degree(p, n)  # negative: t - e_deg runs up to hi - e_deg
     lower = degree_dims(bp_q(ChromaticParams(p, n - 1)), (lo, hi - e_deg))
     expected_splitting = {t: lower[t] + lower[t - e_deg] for t in range(lo, hi + 1)}

@@ -35,13 +35,13 @@ source and target levels packed, and sums the faces into matrix columns
 (dg_complexes.assemble); hochschild_diff packs at its boundary, by the
 componentwise largest multidegree of its tensors, and decodes the faces.
 
-hh_dims reads homology from morse_window, the Morse complex of an algebraic
-Morse matching on that complex (Skoldberg, "Morse theory from an algebraic
-viewpoint", Trans. AMS 358 (2006); Jollenbeck-Welker, Mem. AMS 197 (2009),
-ch. 5, the normalized bar / Anick matching).  Generators are ranked in digit
-order, odd first.  Walk a cell a_0 (x) ... (x) a_s from position 1, with g
-the rank of the last chain generator, and let x_h be the lowest generator
-of a_j:
+hh_dims and trace_obstruction read HH from morse_complex, the Morse complex
+of an algebraic Morse matching on that complex (Skoldberg, "Morse theory
+from an algebraic viewpoint", Trans. AMS 358 (2006); Jollenbeck-Welker,
+Mem. AMS 197 (2009), ch. 2 and 5, the normalized bar / Anick matching).
+Generators are ranked in digit order, odd first.  Walk a cell
+a_0 (x) ... (x) a_s from position 1, with g the rank of the last chain
+generator, and let x_h be the lowest generator of a_j:
   - if j = 1, or h < g, or h = g with x_h odd: a_j = x_h extends the chain;
     any other a_j makes the cell lower, its partner splitting a_j into
     x_h (x) a_j/x_h at positions j, j+1;
@@ -66,9 +66,26 @@ g_{i+1}) with g_{i+1} < g_i (equal ranks are an odd square: the face is 0);
 merging j, j+1 gives l back; merging j+1, j+2 gives a lower cell only
 keyed by an extension (..., h, h'); later merges keep position j+1 upper.
 So the key strictly falls in the lex order that ranks a proper extension
-below its prefix, and no zig-zag path closes up.  morse_window builds only
-the critical cells and checks the matching where its flow goes; the tests
-check it on every cell, d compose d on bar_window, and Morse against bar_window.
+below its prefix, and no zig-zag path closes up.
+
+The flow phi onto the critical cells, <y, c> the coefficient of a cell c in
+a chain y: phi(c) = c on a critical c, phi(u) = 0 on an upper u, and on a
+lower l with partner u and e = <du, l> = +-1
+    phi(l) = -e^-1 sum_{l' != l} <du, l'> phi(l'),
+well founded as each lower l' is a zig-zag step below l.  So phi(du) = 0,
+and with d_M c = phi(dc) on critical c, phi is a chain map (by Skoldberg's
+theorem a homotopy equivalence; the code needs only what follows): on a
+lower l, dd = 0 gives phi(dl) = -e^-1 sum <du, l'> phi(dl') = d_M phi(l) by
+induction below l.  That induction also writes each chain x as
+phi(x) + U(x) + d H(x), U(x) a sum of upper cells.  Hence a cycle z is a
+boundary iff phi(z) is in im d_M: z = dy gives phi(z) = d_M phi(y); and if
+phi(z) = d_M w = phi(dw), the cycle z' = z - dw has phi(z') = 0, so
+y = U(z') = z' - d H(z') is a cycle of upper cells, and y = 0 (else some u
+in its support has a partner l that is a face of no other u' there, as the
+zig-zags l(u') -> u' -> l close no loop, and <dy, l> = e y_u != 0); so
+z = d(w + H(z')).  morse_complex returns phi as project, builds only the
+critical cells and checks the matching where phi goes; the tests check it
+on every cell, and Morse homology and boundaries against bar_window.
 
 Homology is compared against the polynomial/exterior prediction: for every
 generator g a companion class in degree |g| + 1 with flipped parity (the
@@ -123,9 +140,7 @@ def multidegree_to_dict(pres: Presentation, m) -> dict:
     return {name: e for name, e in zip(pres.names, m) if e}
 
 
-# Every tensor of multidegree m has internal degree <m, degrees>: the degree
-# of the monomial whose exponents are m.
-internal_degree = mono_degree
+internal_degree = mono_degree  # of a tensor of multidegree m: <m, degrees>
 
 
 def multidegrees_up_to(pres: Presentation, weight: int):
@@ -239,17 +254,13 @@ def hochschild_diff(x: BarChain) -> BarChain:
 # Normalized bases per multidegree and homology.
 
 
-def bar_basis(pres: Presentation, m, top=None) -> dict:
-    """Normalized tensor basis per level for one multidegree.
-
-    Returns {level: ordered tensor list} for levels 0..|m|_1, cut at top if
-    given.  A level-s tensor is (a_0,) + w: a_0 <= m, w a word of s non-unit
-    parts, memoized on (rest, room), none longer than top.
-    """
+def bar_basis(pres: Presentation, m) -> dict:
+    """Normalized tensor basis {level: ordered tensor list} for one
+    multidegree, levels 0..|m|_1: a level-s tensor is (a_0,) + w, a_0 <= m
+    and w a word of s non-unit parts, memoized on what is left to spend."""
     _require_no_laurent(pres)
     m = check_multidegree(pres, m)
     odd = [pres.is_odd(i) for i in range(pres.ngens)]
-    top = sum(m) if top is None else min(top, sum(m))
 
     def cuts(rest):
         """(a, rest - a) for exponent vectors a <= rest; exterior exponents at most 1."""
@@ -258,35 +269,27 @@ def bar_basis(pres: Presentation, m, top=None) -> dict:
             yield a, tuple(r - x for r, x in zip(rest, a))
 
     @functools.cache
-    def words(rest, room):
-        """Non-unit words summing to rest, of at most room <= |rest|_1 parts."""
+    def words(rest):
+        """Non-unit words summing to rest."""
         if not any(rest):
             return [()]
-        return [(a,) + w for a, left in (cuts(rest) if room else ()) if any(a)
-                for w in words(left, min(room - 1, sum(left)))]
+        return [(a,) + w for a, left in cuts(rest) if any(a) for w in words(left)]
 
-    out = {level: [] for level in range(top + 1)}
-    for a0, rest in cuts(m) if top >= 0 else ():
-        for w in words(rest, min(top, sum(rest))):
+    out = {level: [] for level in range(sum(m) + 1)}
+    for a0, rest in cuts(m):
+        for w in words(rest):
             out[len(w)].append((a0,) + w)
     words.cache_clear()  # words refers to itself, a cycle: free the cache now
     return {level: sorted(tensors) for level, tensors in out.items()}
 
 
-def bar_window(pres: Presentation, m, top=None) -> ChainWindow:
-    """The finite normalized complex of one multidegree, levels as degrees.
-
-    The window holds levels -1..top and the differentials out of levels
-    0..top; ChainWindow checks d compose d on every pair of them, and levels
-    above top are neither assembled nor checked.  top=None builds the whole
-    complex, levels -1..|m|_1 + 1 with an empty level at each end, so that
-    homology is available at every level 0..|m|_1.  A capped window answers
-    questions below top, such as cycles and boundaries at level 1 with
-    top=2.
-    """
-    basis = bar_basis(pres, m, top)
-    if top is None:
-        top = max(basis) + 1
+def bar_window(pres: Presentation, m) -> ChainWindow:
+    """The finite normalized complex of one multidegree, levels as degrees
+    -1..|m|_1 + 1, empty at each end so that homology is available at every
+    level 0..|m|_1; ChainWindow checks d compose d throughout.  It is the
+    reference morse_complex is tested against."""
+    basis = bar_basis(pres, m)
+    top = max(basis) + 1
     basis = {s: basis.get(s, []) for s in range(-1, top + 1)}
     pack, _, odd, signs = _packing(pres, m)
     pack = functools.cache(pack)
@@ -346,17 +349,17 @@ def _critical_cells(pres: Presentation, m) -> dict:
     return {s: sorted(tensors) for s, tensors in cells.items()}
 
 
-def morse_window(pres: Presentation, m) -> ChainWindow:
-    """The Morse complex of one multidegree, levels as degrees, padded like
-    bar_window(pres, m): the critical cells, built from their shape alone by
-    _critical_cells and labelled by their bar tensors.
+def morse_complex(pres: Presentation, m):
+    """(window, project) for one multidegree.  window is the Morse complex,
+    levels as degrees, padded like bar_window(pres, m): the critical cells,
+    built from their shape alone by _critical_cells and labelled by their
+    bar tensors, each mapped to phi of its faces.  project(x) is phi(x) as
+    {row: value} on the critical cells of x's level, for x a normalized
+    BarChain of multidegree m; any other nonzero chain raises ValueError.
 
-    The differential of a critical cell is Phi summed over its faces: Phi(l)
-    is l for a critical l, 0 for an upper l, and for a lower l with partner
-    u, -<du, l>^-1 sum_{l' != l} <du, l'> Phi(l'), coefficients from _faces.
     Guards (ArithmeticError): each enumerated cell is critical; each lower
-    cell Phi expands has a partner that classifies back, with coefficient
-    +-1, and Phi meets no cycle; the critical cells count to the Euler
+    cell phi expands has a partner that classifies back, with coefficient
+    +-1, and phi meets no cycle; the critical cells count to the Euler
     characteristic [m = 0], which a perfect acyclic matching keeps (Forman
     1998) and signed words of non-unit parts give (they invert the Hilbert
     series).  That count catches cells dropped or added unevenly across
@@ -410,13 +413,26 @@ def morse_window(pres: Presentation, m) -> ChainWindow:
         return ((crit, e * c) for face, e in _faces(t, odd, signs, total)
                 for crit, c in phi(face).items())
 
-    return ChainWindow(basis, {s: assemble(packed[s], packed[s - 1], image)
-                               for s in range(sum(m) + 2)})
+    def project(x: BarChain) -> dict:
+        cells = [(tuple(map(pack, t)), c) for t, c in x.terms.items()]
+        if cells and (x.pres != pres or x.multidegree() != m
+                      or any(0 in t[1:] for t, _ in cells)):
+            raise ValueError("project needs a normalized chain of the complex's multidegree")
+        row = {t: i for i, t in enumerate(packed.get(x.level, ()))}
+        return combine((row[crit], c * e) for t, c in cells for crit, e in phi(t).items())
+
+    window = ChainWindow(basis, {s: assemble(packed[s], packed[s - 1], image)
+                                 for s in range(sum(m) + 2)})
+    return window, project
+
+
+def morse_window(pres: Presentation, m) -> ChainWindow:
+    """The window of morse_complex(pres, m)."""
+    return morse_complex(pres, m)[0]
 
 
 def hh_dims(pres: Presentation, m) -> dict:
-    """Hochschild homology dimensions by total degree for one multidegree,
-    read from the Morse complex (morse_window)."""
+    """HH dimensions by total degree for one multidegree, from morse_window."""
     m = check_multidegree(pres, m)
     by_level = morse_window(pres, m).homology_dims((0, sum(m)))
     return {internal_degree(pres, m) + s: d for s, d in sorted(by_level.items()) if d}

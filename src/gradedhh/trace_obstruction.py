@@ -21,8 +21,9 @@ coefficients.  Independently, the multidegree grading (the bar complex
 splits by per-generator exponent totals, and the subring only populates
 eps-count zero) excludes every nonzero class of eps-count one.  The report
 runs both routes and checks they agree, and certifies nonvanishing in
-homology by an exact boundary-span computation in the finite multidegree
-complex.
+homology by an exact boundary-span computation in the Morse complex of the
+multidegree: a cycle is a boundary iff its projection there is one
+(hochschild.morse_complex, proof in hochschild).
 
 With n = 1 there are no polynomial generators and eps itself sits in
 negative degree 1 - 2p, so no candidate monomial has positive total degree;
@@ -35,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chromatic_presets import ChromaticParams, a_q
-from .dg_complexes import coordinates
 from .exact_linear import combine, in_span
 from .graded_algebra import (
     Element,
@@ -50,8 +50,8 @@ from .graded_algebra import (
 from .hochschild import (
     BarChain,
     D_map,
-    bar_window,
     hochschild_diff,
+    morse_complex,
     multidegree_to_dict,
 )
 
@@ -173,7 +173,6 @@ class ObstructionReport:
     p: int
     n: int
     exponents: list
-    pres: Presentation
     class_monomial: str
     total_degree: int
     multidegree: dict
@@ -254,32 +253,24 @@ def obstruction_report(p: int, n: int, exponents) -> ObstructionReport:
             f"{mono_str(pres, mono)} has degree {degree}{detail}"
         )
 
-    x = Element.monomial(pres, mono)
-    trace = trace_class(x)
-    normalized = trace.normalized
-
-    multidegree = mono  # one factor, so per-generator totals are the exponents
-    window = bar_window(pres, multidegree, top=2)  # reads levels 1 and 2 only
-    is_cycle = hochschild_diff(normalized).is_zero()
-    vec = coordinates(normalized, window.basis[1])
-    boundaries = window.boundary_span(1)
-    nonzero = not in_span(boundaries, vec).in_span
+    trace = trace_class(Element.monomial(pres, mono))
+    window, project = morse_complex(pres, mono)  # one factor: mono is its multidegree
+    is_cycle = hochschild_diff(trace.normalized).is_zero()
+    nonzero = not in_span(window.boundary_span(1), project(trace.normalized)).in_span
     nonzero_in_hh = is_cycle and nonzero
 
     membership = membership_test(trace.D_value)
     matches = trace.D_value == displayed_obstruction_class(pres, exponents)
-    eps_count = multidegree[pres.ngens - 1]
-    eps_excludes = bool(eps_count >= 1 and nonzero_in_hh)
+    eps_excludes = bool(mono[pres.ngens - 1] >= 1 and nonzero_in_hh)
     agree = eps_excludes == (not membership.in_image)
     all_ok = is_cycle and nonzero_in_hh and not membership.in_image and matches and agree
     return ObstructionReport(
         p=p,
         n=n,
         exponents=exponents,
-        pres=pres,
         class_monomial=mono_str(pres, mono),
         total_degree=degree,
-        multidegree=multidegree_to_dict(pres, multidegree),
+        multidegree=multidegree_to_dict(pres, mono),
         trace=trace,
         is_cycle=is_cycle,
         nonzero_in_HH=nonzero_in_hh,

@@ -1,5 +1,6 @@
-"""The algebraic Morse matching on the bar complex behind hh_dims."""
+"""The algebraic Morse matching on the bar complex behind hh_dims and obstruction."""
 
+import functools
 import time
 from graphlib import TopologicalSorter
 
@@ -9,13 +10,16 @@ from hypothesis import example, given, settings, strategies as st
 from gradedhh import cli, hochschild
 from gradedhh.chromatic_presets import ChromaticParams, a_q, parse_preset
 from gradedhh.dg_complexes import ChainWindow, assemble
-from gradedhh.exact_linear import combine
+from gradedhh.exact_linear import combine, in_span, kernel_basis
 from gradedhh.graded_algebra import make_presentation
 from gradedhh.hochschild import (
+    BarChain,
     bar_basis,
     bar_window,
     hh_dims,
     hkr_predicted_dims,
+    hochschild_diff,
+    morse_complex,
     morse_window,
     multidegrees_up_to,
 )
@@ -193,6 +197,98 @@ def test_morse_window_equals_the_reference_at_size(preset, m):
     _assert_morse_equals_reference(parse_preset(preset), m)
 
 
+# -- the projection onto the Morse complex ---------------------------------------
+
+
+PROJECTION_CASES = [("a:2:2", 6), ("a:2:3", 4), ("hh_a:2:2", 3), ("bp:2:2", 5)]
+
+
+@functools.cache
+def _complexes(preset, m):
+    """The presentation, the bar_window reference and morse_complex at m."""
+    pres = parse_preset(preset)
+    return pres, bar_window(pres, m), *morse_complex(pres, m)
+
+
+@st.composite
+def projection_cases(draw):
+    preset, weight = draw(st.sampled_from(PROJECTION_CASES))
+    m = draw(st.sampled_from(multidegrees_up_to(parse_preset(preset), weight)))
+    return _complexes(preset, m)
+
+
+def _vector(draw, size):
+    """A random {index: value} over range(size), zeros left out."""
+    values = draw(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=size,
+                           max_size=size))
+    return {i: v for i, v in enumerate(values) if v}
+
+
+def _apply(matrix, v):
+    """matrix times the column vector v, as {row: value}."""
+    return combine((i, c * v[j]) for i, row in matrix.data.items()
+                   for j, c in row.items() if j in v)
+
+
+def _chain(pres, window, level, v):
+    return BarChain(pres, level, {window.basis[level][i]: c for i, c in v.items()})
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(projection_cases(), st.data())
+def test_project_is_a_chain_map(case, data):
+    pres, bar, morse, project = case
+    s = data.draw(st.integers(0, bar.hi - 1))
+    x = _chain(pres, bar, s, _vector(data.draw, len(bar.basis[s])))
+    assert project(hochschild_diff(x)) == _apply(morse.diff[s], project(x))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(projection_cases(), st.booleans(), st.data())
+def test_the_morse_boundary_test_agrees_with_the_bar_window(case, boundary, data):
+    """A random boundary, or a random boundary plus a level-s cycle that
+    bar_window's in_span (the reference) finds is none."""
+    pres, bar, morse, project = case
+    if not boundary:
+        levels = [s for s, d in bar.homology_dims((0, bar.hi - 1)).items() if d]
+        s = data.draw(st.sampled_from(levels))
+        cycle = next(k for k in kernel_basis(bar.diff[s])
+                     if not in_span(bar.diff[s + 1], k).in_span)
+    else:
+        s, cycle = data.draw(st.integers(0, bar.hi - 1)), {}
+    z = combine([*_apply(bar.diff[s + 1], _vector(data.draw, len(bar.basis[s + 1]))).items(),
+                 *cycle.items()])
+    assert in_span(bar.diff[s + 1], z).in_span == boundary
+    chain = _chain(pres, bar, s, z)
+    assert hochschild_diff(chain).is_zero()
+    assert in_span(morse.diff[s + 1], project(chain)).in_span == boundary
+
+
+@pytest.mark.parametrize("preset, m", [("a:2:2", (3, 1)), ("a:2:3", (1, 2, 1)),
+                                      ("hh_a:2:2", (1, 1, 1, 0)), ("bp:2:2", (2, 2))])
+def test_project_fixes_critical_cells_and_kills_upper_ones(preset, m):
+    pres, _, morse, project = _complexes(preset, m)
+    pack = hochschild._packing(pres, m)[0]
+    classify = hochschild._matching(pres, m, pack)
+    for s, tensors in bar_basis(pres, m).items():
+        for tensor in tensors:
+            kind = classify(tuple(map(pack, tensor)))[0]
+            got = project(BarChain(pres, s, {tensor: 1}))
+            if kind == CRITICAL:
+                assert got == {morse.basis[s].index(tensor): 1}, tensor
+            elif kind == UPPER:
+                assert got == {}, tensor
+
+
+def test_project_refuses_a_chain_off_its_multidegree_or_not_normalized():
+    pres, _, _, project = _complexes("a:2:2", (2, 1))
+    with pytest.raises(ValueError, match="multidegree"):
+        project(BarChain(pres, 1, {((1, 0), (1, 0)): 1}))
+    with pytest.raises(ValueError, match="normalized"):
+        project(BarChain(pres, 1, {((2, 1), (0, 0)): 1}))
+    assert project(BarChain(pres, 1)) == {}
+
+
 def _criterion_1_presets():
     return [
         make_presentation([("v", 2, False)]),
@@ -307,6 +403,8 @@ def test_a_faulty_critical_cell_enumerator_raises(monkeypatch, capsys, mutant, m
                         lambda pres, m: mutant(pres, m, real(pres, m)))
     with pytest.raises(ArithmeticError, match=message):
         morse_window(a_q(ChromaticParams(2, 2)), (2, 1))
-    code = cli.main(["hh", "--preset", "a:2:2", "--multidegree", "v1:2,eps:1"])
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+    for argv in (["hh", "--preset", "a:2:2", "--multidegree", "v1:2,eps:1"],
+                 ["obstruction", "--p", "2", "--n", "2", "--exponents", "4"]):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n"), argv

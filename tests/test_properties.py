@@ -297,15 +297,6 @@ def bar_basis_cases(draw):
 
 @PROPERTY
 @given(bar_basis_cases())
-def test_capped_bar_basis_is_the_full_basis_cut_at_top(case):
-    pres, m = case
-    full = bar_basis(pres, m)
-    for top in range(-1, sum(m) + 2):
-        assert bar_basis(pres, m, top) == {s: b for s, b in full.items() if s <= top}, top
-
-
-@PROPERTY
-@given(bar_basis_cases())
 def test_bar_basis_euler_characteristic_is_one_exactly_at_m_zero(case):
     """sum_s (-1)^s |B_s| = [m = 0]: the count morse_window requires of its
     critical cells, since a perfect acyclic matching keeps it."""

@@ -180,23 +180,18 @@ def test_obstruction_validates_exponent_shape():
         obstruction_report(2, 0, [])
 
 
-def test_obstruction_assembles_bar_levels_up_to_two_only(monkeypatch):
-    # the report reads level-1 cycles and the boundaries from level 2
-    levels = []
-    assemble = hochschild.assemble
+def test_obstruction_builds_no_bar_window(monkeypatch):
+    # nonvanishing is read through the Morse complex alone
+    def refuse(*args):
+        raise AssertionError("obstruction_report built a bar complex")
 
-    def recorded(source, target, image):
-        levels.append(len(source[0]) - 1 if source else None)
-        return assemble(source, target, image)
-
-    monkeypatch.setattr(hochschild, "assemble", recorded)
+    monkeypatch.setattr(hochschild, "bar_basis", refuse)
+    monkeypatch.setattr(hochschild, "bar_window", refuse)
     assert obstruction_report(2, 2, [8]).all_ok
-    # level 0 maps to the empty level -1; nothing above level 2 is built
-    assert levels == [0, 1, 2]
 
 
 def test_obstruction_exponent_12_within_budget():
-    """The exponent-12 rung: a bar complex of 57,344 cells, levels 0-2 read."""
+    """The exponent-12 rung: a bar complex of 57,344 cells, 4 of them critical."""
     start = time.monotonic()
     report = obstruction_report(2, 2, [12])
     elapsed = time.monotonic() - start
@@ -206,13 +201,23 @@ def test_obstruction_exponent_12_within_budget():
 
 
 def test_obstruction_exponent_40_within_budget():
-    """The capped bar basis builds levels 0-2 only: 2,502 of about 4.6 * 10^13 cells."""
+    """The Morse complex holds 4 of the bar complex's about 4.6 * 10^13 cells."""
     start = time.monotonic()
     report = obstruction_report(2, 2, [40])
     elapsed = time.monotonic() - start
     assert report.all_ok and report.is_cycle and report.nonzero_in_HH
     assert report.to_json()["class"] == "v1^40 eps"
     assert elapsed < 2, f"obstruction_report(2, 2, [40]) took {elapsed:.2f}s"
+
+
+def test_obstruction_at_height_3_exponents_40_40_within_budget():
+    """Multidegree (40, 40, 1): 8 critical cells, and a short flow from the trace."""
+    start = time.monotonic()
+    report = obstruction_report(2, 3, [40, 40])
+    elapsed = time.monotonic() - start
+    assert report.all_ok and report.is_cycle and report.nonzero_in_HH
+    assert report.to_json()["class"] == "v1^40 v2^40 eps"
+    assert elapsed < 1, f"obstruction_report(2, 3, [40, 40]) took {elapsed:.2f}s"
 
 
 def test_obstruction_report_higher_height():
