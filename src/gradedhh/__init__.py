@@ -44,7 +44,6 @@ from .graded_algebra import (
     monomial_basis,
     ore_check,
     poly_str,
-    presentation_from_json,
     presentation_to_json,
     table_from_presentation,
 )
@@ -64,14 +63,11 @@ from .dg_complexes import (
     GradedComplex,
     MatrixDGA,
     MatrixDGAElement,
-    QuasiIsoReport,
     commutative_model_check,
     cone,
     cone_report,
-    cycles_subalgebra,
     dga_diff,
     dga_structure_check,
-    homology_dims,
     homology_ring_check,
     matrix_dga,
     mdga_diag,
@@ -116,14 +112,13 @@ __all__ = [
     "element_from_string", "kahler_d", "koszul_mul", "localize",
     "make_presentation", "matrix_units_table",
     "mono_degree", "mono_str", "monomial_basis", "ore_check", "poly_str",
-    "presentation_from_json", "presentation_to_json",
+    "presentation_to_json",
     "table_from_presentation",
     "ChromaticParams", "a_q", "bp_q", "en_q", "eps_degree",
     "hh_a_predicted", "parse_preset", "preset_families", "v_degree",
     "ChainWindow", "GradedComplex", "MatrixDGA", "MatrixDGAElement",
-    "QuasiIsoReport", "commutative_model_check", "cone", "cone_report",
-    "cycles_subalgebra", "dga_diff", "dga_structure_check",
-    "homology_dims", "homology_ring_check", "matrix_dga", "mdga_diag",
+    "commutative_model_check", "cone", "cone_report", "dga_diff",
+    "dga_structure_check", "homology_ring_check", "matrix_dga", "mdga_diag",
     "mdga_eps", "mdga_identity", "quasi_iso_check",
     "BarChain", "D_map", "HkrReport", "bar_basis", "bar_window", "hh_dims",
     "hkr_check", "hkr_predicted_dims", "hochschild_diff", "internal_degree",

@@ -11,9 +11,10 @@ matrix but the multiplication blocks of realize and cone_report.
 A realized cone and each matrix-DGA question take their window's bases
 from one degree_pieces call over the hull of every shifted degree read.
 ChainWindow.rank(t) eliminates diff[t] once, on fewer rows by clearing
-(proof there), and homology_dims reads it.  quasi_iso_check reads the rank
-of the induced map off one more block per degree, the mapping cone's
-differential, less two ranks the windows hold (proof there).  cone_report
+(proof there), and homology_dims reads it.  quasi_iso_check takes the
+inclusion of a complex with zero differential, so it reads the rank of the
+induced map off one more block per degree, the inclusion beside the
+boundaries, less a rank the window holds (proof there).  cone_report
 realizes no window and reads all it reports off ranks and piece sizes: for
 r with one term it counts the ranks from piece sizes, enumerating nothing,
 and otherwise it ranks one multiplication block per degree and drops it
@@ -108,9 +109,6 @@ class ChainWindow:
             if not self.diff[t].matmul(self.diff[t + 1]).is_zero():
                 raise ValueError(f"d compose d is nonzero into degree {t - 1}")
 
-    def index(self, t: int) -> dict:
-        return {label: i for i, label in enumerate(self.basis[t])}
-
     def rank(self, t: int) -> int:
         """Rank of diff[t], eliminated on first use and kept as an int.
 
@@ -145,10 +143,6 @@ class ChainWindow:
             t: len(self.basis[t]) - self.rank(t) - self.rank(t + 1)
             for t in range(lo, hi + 1)
         }
-
-    def boundary_span(self, t: int) -> RationalMatrix:
-        """Matrix whose column space is the boundaries landing in degree t."""
-        return self.diff[t + 1]
 
 
 _ESCAPED = "image escaped the enumerated basis; supplied caps are too tight for this window"
@@ -278,15 +272,6 @@ def cone(pres: Presentation, r: Element) -> GradedComplex:
     if d is None:
         raise ValueError("cone element must be homogeneous")
     return GradedComplex(pres, (0, d + 1), (r,))
-
-
-def homology_dims(complex_or_window, window, caps=None) -> dict:
-    """Homology dimensions per degree in the window, exactly."""
-    if isinstance(complex_or_window, GradedComplex):
-        return complex_or_window.realize(window, caps).homology_dims(window)
-    if isinstance(complex_or_window, ChainWindow):
-        return complex_or_window.homology_dims(window)
-    raise TypeError("expected a GradedComplex or ChainWindow")
 
 
 def cone_report(pres: Presentation, r: Element, window, caps=None) -> dict:
@@ -522,11 +507,6 @@ def mdga_window_labels(dga: MatrixDGA, window) -> dict:
     }
 
 
-def mdga_basis_labels(dga: MatrixDGA, k: int):
-    """Ordered (slot, monomial) labels of the degree-k piece."""
-    return mdga_window_labels(dga, (k, k))[k]
-
-
 def mdga_element(dga: MatrixDGA, k: int, slot: str, mono, coeff=1) -> MatrixDGAElement:
     return MatrixDGAElement.from_terms(dga, k, {(slot, mono): coeff})
 
@@ -583,21 +563,6 @@ def _cycle_terms(k: int, label) -> dict:
     return {("a", mono): 1, ("d", mono): 1 if k % 2 == 0 else -1}
 
 
-def cycles_subalgebra(dga: MatrixDGA, window):
-    """Basis of Z in the window: v_n-free diagonal and strictly upper cycles.
-
-    Degree-k cycles of the matrix DGA have the shape [[a, b], [0, (-1)^k a]];
-    dropping every monomial containing v_n leaves a sub-DG-algebra with zero
-    differential.  Returns ordered (degree, label, element) triples with
-    label ("diag", mono) or ("upper", mono).
-    """
-    return [
-        (k, label, MatrixDGAElement.from_terms(dga, k, _cycle_terms(k, label)))
-        for k, labels in mdga_window_labels(dga, window).items()
-        for label in _cycle_labels(dga, labels)
-    ]
-
-
 def _vn_free_cycle_shape(k: int, n: int, terms: dict) -> bool:
     """Do the {(slot, monomial): coefficient} terms of a degree-k matrix over
     Q[v_1, ..., v_n] have the shape [[a, b], [0, (-1)^k a]] with v_n-free a
@@ -611,75 +576,48 @@ def _vn_free_cycle_shape(k: int, n: int, terms: dict) -> bool:
     )
 
 
-def is_vn_free_cycle_shape(el: MatrixDGAElement) -> bool:
-    """Does el look like [[a, b], [0, (-1)^k a]] with v_n-free a and b?"""
-    return _vn_free_cycle_shape(el.k, el.dga.n, el.terms)
+def quasi_iso_check(amb: ChainWindow, inclusion: dict, window) -> dict:
+    """Does the inclusion of a complex with zero differential induce
+    isomorphisms on windowed homology?  {t: {sub, amb, induced_rank, iso}}.
 
+    inclusion[t] is the matrix of the inclusion i on the degree-t bases, for
+    t in [lo, hi + 1].  With zero differential on the included complex, i is
+    a chain map exactly when amb.diff[t] i = 0, that is, when every column of
+    inclusion[t] is an amb-cycle.  This is verified first and a failure
+    raises: the rest of the computation would be meaningless.
 
-@dataclass
-class QuasiIsoReport:
-    chain_map: bool
-    per_degree: dict
-    all_iso: bool
-
-
-def quasi_iso_check(sub: ChainWindow, amb: ChainWindow, inclusion: dict, window):
-    """Does a chain-map inclusion induce isomorphisms on windowed homology?
-
-    inclusion[t] is the matrix of the inclusion on the degree-t bases.  The
-    chain-map identity is verified first and a failure raises: the rest of
-    the computation would be meaningless.
-
-    The induced map on H_t has rank rank N - sub.rank(t) - amb.rank(t + 1),
-    N = [[d, 0], [i, B]] for d = sub.diff[t], i = inclusion[t] and
-    B = amb.diff[t + 1]: the mapping cone's differential into degree t up to
-    the sign of d, which rank ignores.  N (x, y) = (d x, i x + B y), so
-    ker N = {(x, y): x in K = ker d, i x + B y = 0} has dimension
-    dim K + B.cols - rank [B | i K], and rank N = rank d + rank [B | i K].
-    i is a chain map, so the image of H_t(sub) is (i K + im B) / im B, of
-    dimension rank [B | i K] - rank B.  N is d's rows above [i | B]'s.
+    The included complex's H_t is all of its degree-t piece, of dimension
+    inclusion[t].cols.  Its image in H_t(amb) is (im i + im B) / im B for
+    B = amb.diff[t + 1], of dimension rank [i | B] - rank B: the rank of the
+    induced map.
     """
     lo, hi = window
-    for t in range(lo - 1, hi + 2):
-        m = inclusion.get(t)
-        if m is None or t not in sub.basis or t not in amb.basis:
-            raise ValueError(f"missing data at degree {t} (window needs padding)")
-        if m.rows != len(amb.basis[t]) or m.cols != len(sub.basis[t]):
-            raise ValueError(f"inclusion matrix at degree {t} has wrong shape")
     for t in range(lo, hi + 2):
-        lhs = inclusion[t - 1].matmul(sub.diff[t])
-        rhs = amb.diff[t].matmul(inclusion[t])
-        if lhs != rhs:
+        if not amb.diff[t].matmul(inclusion[t]).is_zero():
             raise ValueError(f"inclusion is not a chain map at degree {t}")
-
-    h_sub, h_amb = sub.homology_dims(window), amb.homology_dims(window)
+    h_amb = amb.homology_dims(window)
     per_degree = {}
     for t in range(lo, hi + 1):
-        d, lower = sub.diff[t], inclusion[t].hstack(amb.diff[t + 1])
-        block = RationalMatrix._trusted(d.rows + lower.rows, lower.cols, {
-            **d.data, **{d.rows + i: row for i, row in lower.data.items()}})
-        induced = rank(block) - sub.rank(t) - amb.rank(t + 1)
-        per_degree[t] = {"sub": h_sub[t], "amb": h_amb[t], "induced_rank": induced,
-                         "iso": h_sub[t] == h_amb[t] == induced}
-    all_iso = all(v["iso"] for v in per_degree.values())
-    return QuasiIsoReport(chain_map=True, per_degree=per_degree, all_iso=all_iso)
+        sub = inclusion[t].cols
+        induced = rank(inclusion[t].hstack(amb.diff[t + 1])) - amb.rank(t + 1)
+        per_degree[t] = {"sub": sub, "amb": h_amb[t], "induced_rank": induced,
+                         "iso": sub == h_amb[t] == induced}
+    return per_degree
 
 
-def build_cycles_window(dga: MatrixDGA, window, amb: ChainWindow):
-    """Z as a ChainWindow (zero differential) plus its inclusion matrices.
+def cycles_inclusion(dga: MatrixDGA, window, amb: ChainWindow) -> dict:
+    """{k: matrix of Z's inclusion into the matrix DGA at degree k} for k in
+    [lo, hi + 1], the degrees quasi_iso_check reads.
 
-    Labels and inclusion targets are read off amb, the matrix DGA's window
-    on the same range, so no degree piece is enumerated twice.
+    Z's labels and the inclusion targets are read off amb, the matrix DGA's
+    window on the same range, so no degree piece is enumerated twice.
     """
     lo, hi = window
-    degrees = range(lo - 1, hi + 2)
-    basis = {k: _cycle_labels(dga, amb.basis[k]) for k in degrees}
-    diff = {k: RationalMatrix(len(basis[k - 1]), len(basis[k])) for k in degrees[1:]}
-    inclusion = {
-        k: assemble(basis[k], amb.basis[k], lambda label: _cycle_terms(k, label).items())
-        for k in degrees
+    return {
+        k: assemble(_cycle_labels(dga, amb.basis[k]), amb.basis[k],
+                    lambda label: _cycle_terms(k, label).items())
+        for k in range(lo, hi + 2)
     }
-    return ChainWindow(basis, diff), inclusion
 
 
 def commutative_model_check(p: int, n: int, window) -> dict:
@@ -689,13 +627,14 @@ def commutative_model_check(p: int, n: int, window) -> dict:
     class (kind, k mod 2) of Z's basis.  As in dga_structure_check, for f, g
     at monomials a, b the terms of fg, gf and d(fg) sit at a + b and
     a + b + v_n with slots and signs read off the classes; a + b is v_n-free
-    because a and b are.
+    because a and b are.  Z has zero differential, so it enters the
+    quasi-isomorphism check as its inclusion matrices alone.
     """
     dga = matrix_dga(p, n)
     lo, hi = window
     amb = build_mdga_window(dga, window)
-    sub, inclusion = build_cycles_window(dga, window, amb)
-    labels = [(k, label) for k in range(lo, hi + 1) for label in sub.basis[k]]
+    labels = [(k, label)
+              for k in range(lo, hi + 1) for label in _cycle_labels(dga, amb.basis[k])]
     reps = {(label[0], k % 2): (k, _cycle_terms(k, label)) for k, label in labels}.values()
     vn = dga.vn_mono
     cycles = [(k, tuple(terms.items())) for k, terms in reps]
@@ -714,7 +653,7 @@ def commutative_model_check(p: int, n: int, window) -> dict:
                 ((label, sign * c) for label, c in _product_pairs(g, f)),
             ):
                 commutative = False
-    report = quasi_iso_check(sub, amb, inclusion, window)
+    per_degree = quasi_iso_check(amb, cycles_inclusion(dga, window, amb), window)
     return {
         "p": p,
         "n": n,
@@ -722,12 +661,12 @@ def commutative_model_check(p: int, n: int, window) -> dict:
         "subalgebra_size": len(labels),
         "closed_under_product": closed,
         "graded_commutative": commutative,
-        "chain_map": report.chain_map,
+        "chain_map": True,
         "quasi_iso_per_degree": {
-            str(t): v["iso"] for t, v in sorted(report.per_degree.items())
+            str(t): v["iso"] for t, v in sorted(per_degree.items())
         },
-        "all_ok": closed and commutative and report.all_iso,
-        "per_degree": report.per_degree,
+        "all_ok": closed and commutative and all(v["iso"] for v in per_degree.values()),
+        "per_degree": per_degree,
     }
 
 
@@ -776,8 +715,9 @@ def homology_ring_check(p: int, n: int, window) -> dict:
     Expected dimensions are computed two independent ways: monomial counts
     of Q[v_1..v_{n-1}] (x) Lambda(eps), and the two-summand splitting (the
     same polynomial ring once in place and once shifted by |eps|).  The
-    exterior generator is also checked in homology: it is a nonzero cycle,
-    its square is zero, and it commutes with every v_i class.
+    exterior generator is also checked in homology: it is a nonzero cycle
+    (outside the column space of diff[eps.k + 1]), its square is zero, and it
+    commutes with every v_i class, each of which is nonzero in the same way.
     """
     dga = matrix_dga(p, n)
     lo, hi = window
@@ -794,7 +734,7 @@ def homology_ring_check(p: int, n: int, window) -> dict:
     eps_nonzero = None
     if lo <= eps.k <= hi:
         vec = coordinates(eps, win.basis[eps.k])
-        eps_nonzero = not in_span(win.boundary_span(eps.k), vec).in_span
+        eps_nonzero = not in_span(win.diff[eps.k + 1], vec).in_span
     eps_square_zero = (eps * eps).is_zero()
 
     central = True
@@ -806,7 +746,7 @@ def homology_ring_check(p: int, n: int, window) -> dict:
             central = False
         if lo <= dv.k <= hi:
             vec = coordinates(dv, win.basis[dv.k])
-            if in_span(win.boundary_span(dv.k), vec).in_span:
+            if in_span(win.diff[dv.k + 1], vec).in_span:
                 v_classes_nonzero = False
 
     dims_ok = computed == expected_product == expected_splitting

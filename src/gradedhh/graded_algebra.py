@@ -101,12 +101,6 @@ def presentation_to_json(pres: Presentation) -> dict:
     }
 
 
-def presentation_from_json(data: dict) -> Presentation:
-    return make_presentation(
-        (g["name"], g["degree"], g.get("laurent", False)) for g in data["generators"]
-    )
-
-
 # ---------------------------------------------------------------------------
 # Monomials: exponent tuples aligned with pres.names.
 
@@ -549,10 +543,6 @@ class KahlerElement(QCombination):
         if not 0 <= idx < self.pres.ngens:
             raise ValueError("bad generator index")
         return idx, _check_mono(self.pres, mono)
-
-    @classmethod
-    def d_symbol(cls, pres: Presentation, name: str) -> "KahlerElement":
-        return cls(pres, {(pres.index(name), mono_one(pres)): 1})
 
     def coefficients(self) -> dict:
         """{generator index: coefficient Element of d(g)}, ascending by index."""

@@ -256,7 +256,7 @@ def obstruction_report(p: int, n: int, exponents) -> ObstructionReport:
     trace = trace_class(Element.monomial(pres, mono))
     window, project = morse_complex(pres, mono)  # one factor: mono is its multidegree
     is_cycle = hochschild_diff(trace.normalized).is_zero()
-    nonzero = not in_span(window.boundary_span(1), project(trace.normalized)).in_span
+    nonzero = not in_span(window.diff[2], project(trace.normalized)).in_span
     nonzero_in_hh = is_cycle and nonzero
 
     membership = membership_test(trace.D_value)

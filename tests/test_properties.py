@@ -45,9 +45,8 @@ from gradedhh.dg_complexes import (
     dga_diff,
     dga_structure_check,
     matrix_dga,
-    mdga_basis_labels,
     mdga_element,
-    quasi_iso_check,
+    mdga_window_labels,
 )
 from gradedhh.exact_linear import (
     RationalMatrix,
@@ -89,9 +88,7 @@ from gradedhh.hochschild import (
 from test_dg_complexes import (
     _exhaustive_model_check,
     _exhaustive_structure_check,
-    _kernel_route_per_degree,
     _streamed_cone_report,
-    scaled_identity,
 )
 
 PROPERTY = settings(max_examples=30, deadline=None, database=None)
@@ -471,8 +468,8 @@ def test_degree_pieces_equal_the_reference_on_the_presets(preset, caps):
 
 MDGA_CASES = [(2, 1), (2, 2), (3, 1)]
 MDGA_LABELS = {
-    case: {k: labels for k in range(-12, 9)
-           if (labels := mdga_basis_labels(matrix_dga(*case), k))}
+    case: {k: labels for k, labels in mdga_window_labels(matrix_dga(*case), (-12, 8)).items()
+           if labels}
     for case in MDGA_CASES
 }
 
@@ -858,21 +855,6 @@ def test_cleared_ranks_equal_full_ranks_and_chain_across_degrees(diffs):
         others = set(range(d.cols)) - pivots
         assert len(pivots) == rank(d.transpose().without_rows(others)) == rank(d)
         below = pivots
-
-
-@PROPERTY
-@given(chain_complexes(), st.sampled_from([1, 2, 0]))
-def test_block_rank_equals_the_kernel_route_on_self_maps(diffs, c):
-    """A window mapped onto itself by c times the identity, a sub whose
-    differential is anything chain_complexes draws: quasi_iso_check's
-    per_degree equals the kernel route's."""
-    basis = {0: range(diffs[0].rows)}
-    basis.update((t, range(d.cols)) for t, d in enumerate(diffs, 1))
-    win = ChainWindow(basis, dict(enumerate(diffs, 1)))
-    maps, window = scaled_identity(win, c), (1, len(diffs) - 1)
-    report = quasi_iso_check(win, win, maps, window)
-    assert report.per_degree == _kernel_route_per_degree(win, win, maps, window)
-    assert all(v["induced_rank"] == (v["sub"] if c else 0) for v in report.per_degree.values())
 
 
 @PROPERTY
