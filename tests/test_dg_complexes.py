@@ -1045,6 +1045,44 @@ def test_quasi_iso_check_notices_a_boundary_in_place_of_a_cycle(p, n, window):
     assert all(v["iso"] for s, v in per_degree.items() if s != t)
 
 
+@pytest.mark.parametrize("p, n, window", [(2, 1, (-8, 4)), (2, 2, (-20, 10)), (3, 2, (-40, 20))])
+def test_quasi_iso_check_notices_a_repeated_cycle(p, n, window):
+    """A second copy of one Z basis element keeps the chain map and the image
+    in homology, but the inclusion is no longer injective: sub outgrows the
+    induced rank and iso drops in that degree and in no other."""
+    dga = matrix_dga(p, n)
+    amb = build_mdga_window(dga, window)
+    inclusion = cycles_inclusion(dga, window, amb)
+    t = min(t for t in range(window[0], window[1] + 1) if inclusion[t].cols)
+    m = inclusion[t]
+    entries = dict(m.entries)
+    entries.update({(i, m.cols): v for (i, j), v in m.entries.items() if j == 0})
+    inclusion[t] = RationalMatrix(m.rows, m.cols + 1, entries)
+    per_degree = quasi_iso_check(amb, inclusion, window)
+    assert per_degree[t]["sub"] == m.cols + 1
+    assert per_degree[t]["induced_rank"] == per_degree[t]["amb"] == m.cols
+    assert not per_degree[t]["iso"]
+    assert all(v["iso"] for s, v in per_degree.items() if s != t)
+
+
+@pytest.mark.parametrize("p, n, window", [(2, 1, (-8, 4)), (2, 2, (-20, 10)), (3, 1, (-12, 4))])
+def test_quasi_iso_check_checks_the_chain_map_at_every_degree(p, n, window):
+    """A column that is not an amb-cycle, appended at any degree t in
+    [lo, hi + 1] where amb has a nonzero differential, is refused at t; the
+    windows end where such a degree sits at hi + 1, past the reported range."""
+    dga = matrix_dga(p, n)
+    amb = build_mdga_window(dga, window)
+    degrees = [t for t in range(window[0], window[1] + 2) if not amb.diff[t].is_zero()]
+    assert window[1] + 1 in degrees and len(degrees) > 2
+    for t in degrees:
+        inclusion = cycles_inclusion(dga, window, amb)
+        m = inclusion[t]
+        i = next(j for (_, j) in amb.diff[t].entries)
+        inclusion[t] = RationalMatrix(m.rows, m.cols + 1, {**m.entries, (i, m.cols): 1})
+        with pytest.raises(ValueError, match=f"not a chain map at degree {t}$"):
+            quasi_iso_check(amb, inclusion, window)
+
+
 def _piece_count_per_degree(p, n, window):
     """commutative_model_check's per_degree from piece sizes, with no
     elimination: P and Q are the pieces of bp_q(p, n) and bp_q(p, n - 1),
