@@ -9,9 +9,10 @@ The package provides:
   right-Ore-condition checker (``graded_algebra``),
 - preset presentations of the chromatic coefficient rings and the predicted
   Hochschild answer ring (``chromatic_presets``),
-- bounded chain-complex windows, cones on multiplication maps, and the
-  two-by-two matrix DG algebra modelling the cone on the top generator,
-  with its commutative cycle model and homology checks (``dg_complexes``),
+- bounded chain-complex windows, the cone on multiplication by one element,
+  and the two-by-two matrix DG algebra modelling the cone on the top
+  generator, with its commutative cycle model and homology checks
+  (``dg_complexes``),
 - the normalized cyclic bar complex in a fixed multidegree, its homology
   (read from the Morse complex of an algebraic Morse matching), the
   symmetric-algebra prediction, and the level-one derivation map
@@ -64,7 +65,6 @@ from .dg_complexes import (
     MatrixDGA,
     MatrixDGAElement,
     commutative_model_check,
-    cone,
     cone_report,
     dga_diff,
     dga_structure_check,
@@ -87,7 +87,6 @@ from .hochschild import (
     hochschild_diff,
     internal_degree,
     morse_complex,
-    morse_window,
     multidegree_from_dict,
     multidegree_to_dict,
     multidegrees_up_to,
@@ -117,12 +116,12 @@ __all__ = [
     "ChromaticParams", "a_q", "bp_q", "en_q", "eps_degree",
     "hh_a_predicted", "parse_preset", "preset_families", "v_degree",
     "ChainWindow", "GradedComplex", "MatrixDGA", "MatrixDGAElement",
-    "commutative_model_check", "cone", "cone_report", "dga_diff",
+    "commutative_model_check", "cone_report", "dga_diff",
     "dga_structure_check", "homology_ring_check", "matrix_dga", "mdga_diag",
     "mdga_eps", "mdga_identity", "quasi_iso_check",
     "BarChain", "D_map", "HkrReport", "bar_basis", "bar_window", "hh_dims",
     "hkr_check", "hkr_predicted_dims", "hochschild_diff", "internal_degree",
-    "morse_complex", "morse_window", "multidegree_from_dict",
+    "morse_complex", "multidegree_from_dict",
     "multidegree_to_dict", "multidegrees_up_to",
     "MembershipResult", "ObstructionReport", "TraceClass",
     "constant_loops_chain", "displayed_obstruction_class", "membership_test",

@@ -1,12 +1,13 @@
-"""Chain complexes of graded modules, cones, and a 2x2 matrix DG algebra.
+"""Chain windows, the cone on one element, and a 2x2 matrix DG algebra.
 
-Two layers.  A GradedComplex is symbolic: a chain of shifted free modules
-over one presentation with differentials given by left multiplication
-(cone(r) is the two-term case).  A ChainWindow is concrete: explicit bases
-and exact differential matrices over a finite degree range.  d compose d = 0
-is checked at construction in both layers.  assemble, which writes the image
-of each source label as a column, builds every differential and inclusion
-matrix but the multiplication blocks of realize and cone_report.
+Two layers.  A GradedComplex is symbolic: the cone on one homogeneous
+element r over a presentation P, the two terms P <- P[|r| + 1] with
+differential left multiplication by r, so d compose d = 0 by structure.  A
+ChainWindow is concrete: explicit bases and exact differential matrices over
+a finite degree range, with d compose d = 0 checked at construction.
+assemble, which writes the image of each source label as a column, builds
+every differential and inclusion matrix but the multiplication blocks of
+realize and cone_report.
 
 A realized cone and each matrix-DGA question take their window's bases
 from one degree_pieces call over the hull of every shifted degree read.
@@ -179,67 +180,46 @@ def coordinates(x: QCombination, labels) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic complexes over one presentation; cones.
+# The cone on one element.
 
 
 @dataclass(frozen=True)
 class GradedComplex:
-    """Terms P[shift_0], P[shift_1], ... with multiplication differentials.
-
-    maps[i] is the element whose left multiplication carries term i+1 into
-    term i; chain-level degree bookkeeping forces
-    |maps[i]| = shifts[i+1] - shifts[i] - 1.
-    """
+    """The cone on r: P <- P[d + 1], d = |r|, with differential left
+    multiplication by r; r = 0 is taken in degree 0."""
 
     pres: Presentation
-    shifts: tuple
-    maps: tuple
+    r: Element
 
     def __post_init__(self):
-        if len(self.shifts) == 0:
-            if self.maps:
-                raise ValueError("maps without terms")
-            return
-        if len(self.maps) != len(self.shifts) - 1:
-            raise ValueError("need exactly one map per adjacent pair of terms")
-        for i, r in enumerate(self.maps):
-            if not isinstance(r, Element) or r.pres != self.pres:
-                raise ValueError("differential maps must be Elements over pres")
-            want = self.shifts[i + 1] - self.shifts[i] - 1
-            if not r.is_zero() and r.degree() != want:
-                raise ValueError(
-                    f"map {i} must be homogeneous of degree {want}, got {r.degree()}"
-                )
-        # consecutive differentials compose to multiplication by r_i r_{i+1}
-        for i in range(len(self.maps) - 1):
-            if not (self.maps[i] * self.maps[i + 1]).is_zero():
-                raise ValueError("consecutive differentials do not compose to zero")
+        if not isinstance(self.r, Element) or self.r.pres != self.pres:
+            raise ValueError("cone element must be an Element over pres")
+        if not self.r.is_homogeneous():
+            raise ValueError("cone element must be homogeneous")
+
+    @property
+    def degree(self) -> int:
+        """d = |r|; r = 0 is taken in degree 0."""
+        return self.r.degree() or 0
 
     def realize(self, window, caps=None) -> ChainWindow:
         """Concrete bases and matrices on [lo-1, hi+1]; labels (term, mono).
 
-        The degree-t basis lists pieces[t - shifts[i]] for each term i in turn,
-        so diff[t] is a sum of blocks at known offsets: block i multiplies term
-        i + 1's piece by maps[i] into term i's piece of degree t - 1.
+        The degree-t basis lists term 0's piece pieces[t], then term 1's
+        pieces[t - d - 1], so diff[t] is one block: term 1's piece times r
+        into term 0's piece pieces[t - 1], columns from len(pieces[t]).
         """
         lo, hi = window
+        d = self.degree
         degrees = range(lo - 1, hi + 2)
-        shifts = self.shifts
-        # the hull of every t - shift the bases below read
-        hull = (lo - 1 - max(shifts, default=0), hi + 1 - min(shifts, default=0))
-        pieces = degree_pieces(self.pres, hull, caps)
-        basis = {
-            t: [(i, mono) for i, shift in enumerate(shifts) for mono in pieces[t - shift]]
-            for t in degrees
-        }
-        maps = [_multipliers(r) for r in self.maps]
-        diff = {}
+        # the hull of every degree t and t - d - 1 the bases below read
+        pieces = degree_pieces(self.pres, (lo - 1 - max(0, d + 1), hi + 1 - min(0, d + 1)), caps)
+        basis = {t: [(0, mono) for mono in pieces[t]] + [(1, mono) for mono in pieces[t - d - 1]]
+                 for t in degrees}
+        mults, diff = _multipliers(self.r), {}
         for t in degrees[1:]:
-            rows, row_at, col_at = defaultdict(dict), 0, len(pieces[t - shifts[0]])
-            for i, mults in enumerate(maps):
-                target, source = pieces[t - 1 - shifts[i]], pieces[t - shifts[i + 1]]
-                _multiply_block(rows, mults, source, target, col_at, row_at)
-                row_at, col_at = row_at + len(target), col_at + len(source)
+            rows = defaultdict(dict)
+            _multiply_block(rows, mults, pieces[t - d - 1], pieces[t - 1], len(pieces[t]))
             diff[t] = RationalMatrix._trusted(len(basis[t - 1]), len(basis[t]), dict(rows))
         return ChainWindow(basis, diff)
 
@@ -250,11 +230,11 @@ def _multipliers(r: Element) -> list:
             for m, c in r.terms.items()]
 
 
-def _multiply_block(rows, mults, source, target, col_at=0, row_at=0):
-    """Write into rows, a defaultdict(dict), left multiplication by a map's
+def _multiply_block(rows, mults, source, target, col_at=0):
+    """Write into rows, a defaultdict(dict), left multiplication by r's
     _multipliers mults from source's monomials (columns from col_at) into
-    target's (rows from row_at); distinct terms give distinct products."""
-    index = dict(zip(target, range(row_at, row_at + len(target))))
+    target's (rows from 0); distinct terms give distinct products."""
+    index = dict(zip(target, range(len(target))))
     for col, mono in enumerate(source, col_at):
         for mul, c in mults:
             if (hit := mul(mono)) is not None:
@@ -263,23 +243,13 @@ def _multiply_block(rows, mults, source, target, col_at=0, row_at=0):
                 rows[row][col] = hit[0] * c
 
 
-def cone(pres: Presentation, r: Element) -> GradedComplex:
-    """Two-term complex P <- P[|r|+1] with differential multiplication by r;
-    r = 0 is taken in degree 0."""
-    if not isinstance(r, Element) or r.pres != pres:
-        raise ValueError("cone element must be an Element over pres")
-    d = 0 if r.is_zero() else r.degree()
-    if d is None:
-        raise ValueError("cone element must be homogeneous")
-    return GradedComplex(pres, (0, d + 1), (r,))
-
-
 def cone_report(pres: Presentation, r: Element, window, caps=None) -> dict:
     """Cone homology vs. quotient-ring dimensions, with a regularity test.
 
-    For t in [lo, top + 1], top = hi + max(0, d), d = |r|, the cone's
-    differential at t is only multiplication by r from P_{t-d-1} into
-    P_{t-1} (so d compose d = 0 by structure); let R(t) be its rank.
+    GradedComplex(pres, r) validates r and gives d = |r|.  For t in
+    [lo, top + 1], top = hi + max(0, d), the cone's differential at t is
+    only multiplication by r from P_{t-d-1} into P_{t-1}, the one block of
+    the realized diff[t]; let R(t) be its rank.
     Homology at t is |P_t| + |P_{t-d-1}| - R(t) - R(t + 1), quotient_dims[t]
     = |P_t| - R(t + 1), and r is regular when every R(t) = |P_{t-d-1}|: r is
     injective on the source degrees [lo - d - 1, max(hi, hi - d)] homology
@@ -304,7 +274,7 @@ def cone_report(pres: Presentation, r: Element, window, caps=None) -> dict:
     some source degree t - d - 1.
     """
     lo, hi = window
-    d = cone(pres, r).shifts[1] - 1
+    d = GradedComplex(pres, r).degree
     top = hi + max(0, d)
     hull = (lo - 1 - max(0, d + 1), top + 1 - min(0, d + 1))
     if len(r.terms) < 2:

@@ -426,15 +426,10 @@ def morse_complex(pres: Presentation, m):
     return window, project
 
 
-def morse_window(pres: Presentation, m) -> ChainWindow:
-    """The window of morse_complex(pres, m)."""
-    return morse_complex(pres, m)[0]
-
-
 def hh_dims(pres: Presentation, m) -> dict:
-    """HH dimensions by total degree for one multidegree, from morse_window."""
+    """HH dimensions by total degree for one multidegree, from the Morse complex."""
     m = check_multidegree(pres, m)
-    by_level = morse_window(pres, m).homology_dims((0, sum(m)))
+    by_level = morse_complex(pres, m)[0].homology_dims((0, sum(m)))
     return {internal_degree(pres, m) + s: d for s, d in sorted(by_level.items()) if d}
 
 

@@ -21,7 +21,6 @@ from gradedhh.dg_complexes import (
     assemble,
     build_mdga_window,
     commutative_model_check,
-    cone,
     cone_report,
     cycles_inclusion,
     degree_dims,
@@ -129,20 +128,28 @@ def test_cone_on_unit_is_acyclic():
 def test_cone_requires_homogeneous_attaching_map():
     pres = poly_ring()
     v1, v2 = Element.gen(pres, "v1"), Element.gen(pres, "v2")
-    with pytest.raises(ValueError):
-        cone(pres, v1 + v2)
+    with pytest.raises(ValueError, match="homogeneous"):
+        GradedComplex(pres, v1 + v2)
 
 
-def test_graded_complex_rejects_non_chain_maps():
+def test_graded_complex_rejects_non_elements_and_foreign_rings():
     pres = poly_ring()
-    v1 = Element.gen(pres, "v1")
-    with pytest.raises(ValueError):
-        GradedComplex(pres, (0, 1), (v1,))  # shift says degree 0, v1 is degree 2
+    other = make_presentation([("v1", 2, False)])
+    with pytest.raises(ValueError, match="Element over pres"):
+        GradedComplex(pres, 1)
+    with pytest.raises(ValueError, match="Element over pres"):
+        GradedComplex(pres, Element.gen(other, "v1"))
 
 
-def test_homology_dims_dispatch():
+def test_graded_complex_degree_takes_zero_in_degree_zero():
     pres = poly_ring()
-    c = cone(pres, Element.gen(pres, "v2"))
+    assert GradedComplex(pres, Element.gen(pres, "v2")).degree == 6
+    assert GradedComplex(pres, Element.zero(pres)).degree == 0
+
+
+def test_realized_cone_homology_on_a_regular_element():
+    pres = poly_ring()
+    c = GradedComplex(pres, Element.gen(pres, "v2"))
     dims = c.realize((0, 4)).homology_dims((0, 4))
     assert dims == {0: 1, 1: 0, 2: 1, 3: 0, 4: 1}
 
@@ -176,7 +183,7 @@ def _streamed_cone_report(pres, r, window, caps):
     the one-term counts: one degree_pieces enumeration over the hull, then
     one multiplication block per degree, built, ranked and dropped."""
     lo, hi = window
-    d = cone(pres, r).shifts[1] - 1
+    d = GradedComplex(pres, r).degree
     top = hi + max(0, d)
     pieces = degree_pieces(pres, (lo - 1 - max(0, d + 1), top + 1 - min(0, d + 1)), caps)
     mults, ranks = dg_complexes._multipliers(r), {}
@@ -235,7 +242,8 @@ def test_cone_report_matches_multiplication_reference(preset, element, window, c
     assert _outcome(cone_report, pres, r, window, caps) == streamed
     if not isinstance(got, str):
         full = cone_report(pres, r, window, caps)
-        assert full["homology_dims"] == cone(pres, r).realize(window, caps).homology_dims(window)
+        win = GradedComplex(pres, r).realize(window, caps)
+        assert full["homology_dims"] == win.homology_dims(window)
 
 
 def test_cone_report_builds_no_chain_window(monkeypatch):
@@ -256,25 +264,22 @@ def _labelwise_realize(c, window, caps=None):
     one: one assemble per differential, each (term, mono) label's image
     built by koszul_mul."""
     lo, hi = window
+    d = c.degree
     degrees = range(lo - 1, hi + 2)
-    hull = (lo - 1 - max(c.shifts, default=0), hi + 1 - min(c.shifts, default=0))
-    pieces = degree_pieces(c.pres, hull, caps)
+    pieces = degree_pieces(c.pres, (lo - 1 - max(0, d + 1), hi + 1 - min(0, d + 1)), caps)
     basis = {
-        t: [(i, mono) for i, shift in enumerate(c.shifts) for mono in pieces[t - shift]]
+        t: [(i, mono) for i, shift in enumerate((0, d + 1)) for mono in pieces[t - shift]]
         for t in degrees
     }
-    maps = [
-        [(m, q.numerator if q.denominator == 1 else q) for m, q in r.terms.items()]
-        for r in c.maps
-    ]
+    terms = [(m, q.numerator if q.denominator == 1 else q) for m, q in c.r.terms.items()]
 
     def image(label):
         term, mono = label
         if term == 0:
             return ()
         return (
-            ((term - 1, hit[1]), hit[0] * coeff)
-            for m, coeff in maps[term - 1]
+            ((0, hit[1]), hit[0] * coeff)
+            for m, coeff in terms
             if (hit := koszul_mul(c.pres, m, mono)) is not None
         )
 
@@ -282,36 +287,34 @@ def _labelwise_realize(c, window, caps=None):
     return ChainWindow(basis, diff)
 
 
-def _multi_term_complexes():
-    """(pres, shifts, maps, window, caps) of complexes of three and four
-    terms whose maps square to zero through odd generators."""
+def _odd_cones():
+    """(cone, window, caps) of cones on elements with odd terms, whose
+    products meet odd monomials and so take Koszul signs."""
     pres = make_presentation([("x", 3), ("y", 3), ("v", 2)])
     x, y, v = (Element.gen(pres, g) for g in ("x", "y", "v"))
     half = Fraction(1, 2)
     return [
-        (pres, (0, 4, 8), (x, x), (-2, 16), None),
-        (pres, (0, 4, 8, 12), (x, x, x), (-2, 20), None),
-        (pres, (0, 4, 10), (x + y, half * v * x + half * v * y), (0, 18), None),
-        (pres, (0, 4, 10), (x - y, v * (y - x)), (0, 18), 2),  # caps too tight
+        (GradedComplex(pres, x + y), (-2, 16), None),
+        (GradedComplex(pres, half * v * x + half * v * y), (0, 18), None),
+        (GradedComplex(pres, x - y), (0, 18), 2),
+        (GradedComplex(pres, half * v * x + half * v * y), (0, 18), 2),  # caps too tight
     ]
 
 
 REALIZE_CASES = [
     (f"cone-{p}-{e}-{w[0]}:{w[1]}-caps{caps}", "cone", (p, e, w, caps))
     for p, e, w, caps in CONE_REFERENCE_CASES
-] + [(f"terms{len(shifts)}-{i}", "multi", i)
-     for i, (_, shifts, *_) in enumerate(_multi_term_complexes())]
+] + [(f"odd-{i}", "odd", i) for i in range(len(_odd_cones()))]
 
 
 def _realize_case(kind, case):
     if kind == "cone":
         preset, element, (lo, hi), caps = case
         pres = parse_preset(preset)
-        c = cone(pres, element_from_string(pres, element))
+        c = GradedComplex(pres, element_from_string(pres, element))
         # the degrees cone_report ranks: its blocks are this window's differentials
-        return c, (lo, hi + max(0, c.shifts[1] - 1)), caps
-    pres, shifts, maps, window, caps = _multi_term_complexes()[case]
-    return GradedComplex(pres, shifts, maps), window, caps
+        return c, (lo, hi + max(0, c.degree)), caps
+    return _odd_cones()[case]
 
 
 @pytest.mark.parametrize("kind, case", [(k, c) for _, k, c in REALIZE_CASES],
@@ -383,7 +386,7 @@ def test_cone_report_enumerates_the_window_once(monkeypatch):
     pres = parse_preset("bp:3:3")
     report = cone_report(pres, element_from_string(pres, "v3 + v1^13"), (0, 60))
     assert report["dims_match_quotient"] is True
-    # |v3| = 52: realized on [0, 112], padded by one, shifts 0 and 53
+    # |v3| = 52: realized on [0, 112], padded by one, terms shifted by 0 and 53
     assert calls == [(-54, 113)]
     assert len(blocks) == 114  # one block per degree in [0, 113]
     # one term, regular of the same degree: the same report, counted with
@@ -484,9 +487,9 @@ def _cone_windows():
     out = []
     for preset, element, (lo, hi), caps in CONE_REFERENCE_CASES:
         pres = parse_preset(preset)
-        c = cone(pres, element_from_string(pres, element))
+        c = GradedComplex(pres, element_from_string(pres, element))
         try:
-            out.append(c.realize((lo, hi + max(0, c.shifts[1] - 1)), caps))
+            out.append(c.realize((lo, hi + max(0, c.degree)), caps))
         except ValueError:  # caps too tight for the window
             pass
     return out
@@ -528,7 +531,7 @@ def test_homology_keeps_ranks_and_at_most_one_pivot_set():
     for win in [
         bar_window(a_q(ChromaticParams(2, 2)), (4, 1)),
         build_mdga_window(dga, (-12, 8)),
-        cone(dga.pres, Element.gen(dga.pres, "v2")).realize((0, 40)),
+        GradedComplex(dga.pres, Element.gen(dga.pres, "v2")).realize((0, 40)),
     ]:
         lo, hi = win.lo + 1, win.hi - 1
         win.homology_dims((lo, hi))

@@ -20,7 +20,6 @@ from gradedhh.hochschild import (
     hkr_predicted_dims,
     hochschild_diff,
     morse_complex,
-    morse_window,
     multidegrees_up_to,
 )
 
@@ -58,15 +57,15 @@ def _check_matching(pres, m):
 
 def _assert_morse_equals_unreduced(pres, m):
     window = (0, sum(m))
-    assert morse_window(pres, m).homology_dims(window) == \
+    assert morse_complex(pres, m)[0].homology_dims(window) == \
         bar_window(pres, m).homology_dims(window), m
 
 
 def _classify_everything_window(pres, m):
-    """The reference morse_window is checked against: classify every cell of
-    bar_basis, require each lower cell's partner to classify back and the
-    lower cells to be as many as the upper ones, then run the same zig-zag
-    flow from the critical cells."""
+    """The reference morse_complex's window is checked against: classify
+    every cell of bar_basis, require each lower cell's partner to classify
+    back and the lower cells to be as many as the upper ones, then run the
+    same zig-zag flow from the critical cells."""
     basis = bar_basis(pres, m)
     pack, _, odd, signs = hochschild._packing(pres, m)
     total = sum(e for i, e in enumerate(m) if pres.is_odd(i))
@@ -128,7 +127,7 @@ def _classify_everything_window(pres, m):
 
 def _assert_morse_equals_reference(pres, m):
     """The same basis in the same order, and equal differentials."""
-    got, want = morse_window(pres, m), _classify_everything_window(pres, m)
+    got, want = morse_complex(pres, m)[0], _classify_everything_window(pres, m)
     assert list(got.basis.items()) == list(want.basis.items()), m
     assert got.diff == want.diff, m
 
@@ -312,7 +311,7 @@ def test_morse_equals_unreduced_on_a22_multidegree_10_1():
 
 def test_critical_cells_are_a0_then_a_falling_chain_of_generators():
     pres = make_presentation([("x", 1), ("v", 2), ("y", -3)])  # digit order x, y, v
-    window = morse_window(pres, (1, 2, 2))
+    window = morse_complex(pres, (1, 2, 2))[0]
     rank = {(1, 0, 0): 0, (0, 0, 1): 1, (0, 1, 0): 2}
     for tensors in window.basis.values():
         for tensor in tensors:
@@ -353,7 +352,7 @@ def test_a_partner_that_does_not_classify_back_raises(monkeypatch):
 
     monkeypatch.setattr(hochschild, "_matching", upper_points_at_itself)
     with pytest.raises(ArithmeticError, match="does not match back"):
-        morse_window(a_q(ChromaticParams(2, 2)), (2, 1))
+        morse_complex(a_q(ChromaticParams(2, 2)), (2, 1))
 
 
 def test_a_matched_coefficient_other_than_a_unit_raises(monkeypatch):
@@ -361,7 +360,7 @@ def test_a_matched_coefficient_other_than_a_unit_raises(monkeypatch):
     monkeypatch.setattr(hochschild, "_faces", lambda *args: (
         (face, 2 * sign) for face, sign in real(*args)))
     with pytest.raises(ArithmeticError, match="not a unit"):
-        morse_window(a_q(ChromaticParams(2, 2)), (2, 1))
+        morse_complex(a_q(ChromaticParams(2, 2)), (2, 1))
 
 
 def test_a_cycle_in_the_flow_raises(monkeypatch):
@@ -380,7 +379,7 @@ def test_a_cycle_in_the_flow_raises(monkeypatch):
 
     monkeypatch.setattr(hochschild, "_faces", with_fake_faces)
     with pytest.raises(ArithmeticError, match="cycle"):
-        morse_window(pres, m)
+        morse_complex(pres, m)
 
 
 def _drop_a_cell(pres, m, cells):
@@ -402,7 +401,7 @@ def test_a_faulty_critical_cell_enumerator_raises(monkeypatch, capsys, mutant, m
     monkeypatch.setattr(hochschild, "_critical_cells",
                         lambda pres, m: mutant(pres, m, real(pres, m)))
     with pytest.raises(ArithmeticError, match=message):
-        morse_window(a_q(ChromaticParams(2, 2)), (2, 1))
+        morse_complex(a_q(ChromaticParams(2, 2)), (2, 1))
     for argv in (["hh", "--preset", "a:2:2", "--multidegree", "v1:2,eps:1"],
                  ["obstruction", "--p", "2", "--n", "2", "--exponents", "4"]):
         code = cli.main(argv)

@@ -11,7 +11,10 @@ the block assembled through koszul_mul.
 The bar-basis and degree-piece enumerators are checked against the simpler
 enumerations they replaced, the degree-piece counter against the sizes of
 the same reference, the counted ranks of one-term cones against the
-streamed blocks they replaced, on random windows and caps, the heap pivot
+streamed blocks they replaced, on random windows and caps, the realized
+cones on homogeneous elements of two or three terms over two odd
+generators and one even one against the label-wise assembly through
+koszul_mul, and cone_report's homology against theirs, the heap pivot
 order of the elimination against the scan it replaced, its answers against
 the heap elimination without the isolated-row peel, the cleared ranks of a
 chain window against full ranks on random complexes, the matrix-DGA
@@ -31,13 +34,14 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gradedhh.chromatic_presets import ChromaticParams, a_q, en_q, parse_preset
 import gradedhh.dg_complexes as dg_complexes
 import gradedhh.exact_linear as exact_linear
 from gradedhh.dg_complexes import (
     ChainWindow,
+    GradedComplex,
     MatrixDGA,
     MatrixDGAElement,
     assemble,
@@ -88,6 +92,7 @@ from gradedhh.hochschild import (
 from test_dg_complexes import (
     _exhaustive_model_check,
     _exhaustive_structure_check,
+    _labelwise_realize,
     _streamed_cone_report,
 )
 
@@ -295,7 +300,7 @@ def bar_basis_cases(draw):
 @PROPERTY
 @given(bar_basis_cases())
 def test_bar_basis_euler_characteristic_is_one_exactly_at_m_zero(case):
-    """sum_s (-1)^s |B_s| = [m = 0]: the count morse_window requires of its
+    """sum_s (-1)^s |B_s| = [m = 0]: the count morse_complex requires of its
     critical cells, since a perfect acyclic matching keeps it."""
     pres, m = case
     chi = sum((-1) ** s * len(tensors) for s, tensors in bar_basis(pres, m).items())
@@ -440,6 +445,51 @@ def test_one_term_cone_counts_equal_the_streamed_blocks(data):
     window = (lo, lo + data.draw(st.integers(0, 10)))
     assert (_outcome(dg_complexes.cone_report, pres, r, window, caps)
             == _outcome(_streamed_cone_report, pres, r, window, caps))
+
+
+@st.composite
+def odd_cone_cases(draw):
+    """(cone, window, caps) for r homogeneous with two or three terms over
+    x, y odd and v even, of random degrees."""
+    pres = make_presentation([("x", 2 * draw(st.integers(-3, 2)) + 1),
+                              ("y", 2 * draw(st.integers(-3, 2)) + 1),
+                              ("v", 2 * draw(st.integers(-2, 2)))])
+    by_degree = defaultdict(list)
+    for mono in itertools.product((0, 1), (0, 1), range(4)):
+        by_degree[mono_degree(pres, mono)].append(mono)
+    shared = [monos for _, monos in sorted(by_degree.items()) if len(monos) >= 2]
+    assume(shared)
+    monos = draw(st.sampled_from(shared))
+    terms = draw(st.dictionaries(st.sampled_from(monos), COEFFS.filter(bool),
+                                 min_size=2, max_size=min(3, len(monos))))
+    caps = draw(st.one_of(
+        st.none(),
+        st.integers(0, 3),
+        st.dictionaries(st.sampled_from(pres.names), st.integers(0, 3)),
+    ))
+    lo = draw(st.integers(-12, 12))
+    return GradedComplex(pres, Element(pres, terms)), (lo, lo + draw(st.integers(0, 10))), caps
+
+
+@PROPERTY
+@given(odd_cone_cases())
+def test_realized_odd_cones_equal_the_labelwise_reference(case):
+    c, (lo, hi), caps = case
+    padded = (lo, hi + max(0, c.degree))  # the degrees cone_report ranks
+    want = _outcome(_labelwise_realize, c, padded, caps)
+    got = _outcome(c.realize, padded, caps)
+    report = _outcome(dg_complexes.cone_report, c.pres, c.r, (lo, hi), caps)
+    if isinstance(want, str):
+        assert got == report == want
+        return
+    assert got.basis == want.basis
+    assert got.diff == want.diff
+    for t, m in got.diff.items():
+        # the stored form, which == cannot tell from Fraction(2, 1) and the like
+        assert list(m.data.items()) == list(want.diff[t].data.items()), t
+        assert all(type(v) is int and v or type(v) is Fraction and v.denominator != 1
+                   for row in m.data.values() for v in row.values()), t
+    assert report["homology_dims"] == got.homology_dims((lo, hi))
 
 
 @pytest.mark.parametrize("gens, window, caps", [
