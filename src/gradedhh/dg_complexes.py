@@ -9,10 +9,13 @@ assemble, which writes the image of each source label as a column, builds
 every differential and inclusion matrix but the multiplication blocks of
 realize and cone_report.
 
-A realized cone and each matrix-DGA question take their window's bases
-from one degree_pieces call over the hull of every shifted degree read.
+A realized cone and an enumerated matrix-DGA window take their bases from
+one degree_pieces call over the hull of every shifted degree read.
 ChainWindow.rank(t) eliminates diff[t] once, on fewer rows by clearing
-(proof there), and homology_dims reads it.  quasi_iso_check takes the
+(proof there), and homology_dims reads it.  The matrix-DGA questions
+enumerate a window only when the class-shape certificate of
+_certified_sizes fails; when it holds they count ranks, homology and the
+quasi-isomorphism from piece sizes (proof there).  quasi_iso_check takes the
 inclusion of a complex with zero differential, so it reads the rank of the
 induced map off one more block per degree, the inclusion beside the
 boundaries, less a rank the window holds (proof there).  cone_report
@@ -42,7 +45,7 @@ differential rules: the base ring is polynomial, so monomials multiply by
 adding exponent tuples, with no sign.  The pair checks (the derivation law,
 and the closure and commutativity of Z) decide each ordered pair through one
 representative of its class, building no element (proof in
-dga_structure_check).
+dga_structure_check); one degree piece is enumerated per inhabited class.
 """
 
 from __future__ import annotations
@@ -491,11 +494,6 @@ def build_mdga_window(dga: MatrixDGA, window) -> ChainWindow:
         for k in range(lo, hi + 2)})
 
 
-def mdga_identity(dga: MatrixDGA) -> MatrixDGAElement:
-    one = mono_one(dga.pres)
-    return MatrixDGAElement.from_terms(dga, 0, {("a", one): 1, ("d", one): 1})
-
-
 def mdga_eps(dga: MatrixDGA) -> MatrixDGAElement:
     """The (1,2) matrix unit: the exterior homology class in degree 1-2p^n."""
     return mdga_element(dga, -dga.offdiag, "b", mono_one(dga.pres))
@@ -590,6 +588,94 @@ def cycles_inclusion(dga: MatrixDGA, window, amb: ChainWindow) -> dict:
     }
 
 
+# The class-shape certificate: the slots each slot's differential may reach.
+_CERTIFIED_TARGETS = {"a": ("b",), "b": (), "c": ("a", "d"), "d": ("b",)}
+
+
+def _representatives(dga: MatrixDGA, sizes: dict, degrees, cycles=False) -> dict:
+    """{class: (k, label)}, one basis label of each class inhabited in
+    degrees, at its first degree there: the (slot, k mod 2) classes of the
+    matrix DGA, sizes counting the pieces of its base ring, or with cycles
+    the (kind, k mod 2) classes of Z, sizes counting the v_n-free monomials.
+    One degree piece is enumerated per class."""
+    o = dga.offdiag
+    kinds = (("diag", 0), ("upper", o)) if cycles else (("a", 0), ("b", o), ("c", -o), ("d", 0))
+    reps = {}
+    for k in degrees:
+        for kind, shift in kinds:
+            d = k + shift
+            if (kind, k % 2) not in reps and sizes[d]:
+                mono = next(m for m in degree_pieces(dga.pres, (d, d))[d]
+                            if not cycles or m[dga.n - 1] == 0)
+                reps[kind, k % 2] = k, (kind, mono)
+    return reps
+
+
+def _certified_sizes(dga: MatrixDGA, window):
+    """(P, Q), the piece counts of bp_q(p, n) and bp_q(p, n - 1) over
+    (lo - 1 - o, hi + 1 + o), o = offdiag, when the class-shape certificate
+    holds on window = (lo, hi), lo <= hi; otherwise None, and the caller
+    enumerates the window.
+
+    The certificate reads _diff_pairs on one representative (s, m) of each
+    (slot, k mod 2) class inhabited in [lo, hi + 1], the degrees of the
+    window's differentials: b maps to nothing; a and d to one nonzero term,
+    slot b at m + v_n; c to one or two nonzero terms, slots a and d at
+    m + v_n (summed by combine, so a cancelling rule fails); and d(d(s, m))
+    vanishes.  Each representative of Z's (kind, k mod 2) classes inhabited
+    in [lo, hi + 1] must also be a cycle.
+
+    One representative decides its class: _diff_pairs reads only the slot
+    and k mod 2 and adds v_n to the monomial, so every member's image, and
+    its image under d again, is the representative's translated by the
+    difference of the monomials, and so is d of a Z basis element, whose
+    terms are fixed by (kind, k mod 2) and its monomial.  So the enumerated
+    window raises nothing: its targets sit in the slots above at m + v_n,
+    in the basis of degree k - 1 since |v_n| = o - 1; d compose d vanishes
+    (b maps to 0, a and d into b, c by the certificate); and Z's inclusion
+    is a chain map.  Its numbers are then:
+
+    rank diff[k] = |P_{k-o}| + |P_k|.  The c columns, at m in P_{k-o}, hit
+    the a and d rows at m + v_n, distinct m on disjoint rows, so they are
+    independent.  The a and d columns at m in P_k are nonzero multiples of
+    the one b row m + v_n, distinct m on distinct rows: rank |P_k|.  The two
+    sets of rows are disjoint.  With |basis_t| = 2|P_t| + |P_{t+o}| +
+    |P_{t-o}|, homology is h(t) = P_t + P_{t+o} - P_{t+1-o} - P_{t+1}.
+
+    The induced rank is |Z_t| = Q_t + Q_{t+o}.  Z's basis elements sit on
+    v_n-free labels, distinct elements on disjoint labels, so they are
+    independent; every boundary term sits at some m + v_n, so im diff[t + 1]
+    meets their span only in 0, and rank [i | B] - rank B = |Z_t|.  The
+    v_n-free monomials of P_d are the monomials of Q_d.
+    """
+    lo, hi = window
+    if lo > hi:
+        return None
+    o, vn = dga.offdiag, dga.vn_mono
+    hull = (lo - 1 - o, hi + 1 + o)
+    big = degree_dims(dga.pres, hull)
+    small = degree_dims(bp_q(ChromaticParams(dga.p, dga.n - 1)), hull)
+    degrees = range(lo, hi + 2)
+    for k, (slot, mono) in _representatives(dga, big, degrees).values():
+        image = combine(_diff_pairs(vn, k, (((slot, mono), 1),)))
+        target, allowed = tuple(map(add, mono, vn)), _CERTIFIED_TARGETS[slot]
+        if not (bool(image) == bool(allowed)
+                and all(s in allowed and m == target for s, m in image)
+                and _vanishes(_diff_pairs(vn, k - 1, image.items()))):
+            return None
+    for k, label in _representatives(dga, small, degrees, cycles=True).values():
+        if not _vanishes(_diff_pairs(vn, k, _cycle_terms(k, label).items())):
+            return None
+    return big, small
+
+
+def _counted_homology(sizes: dict, o: int, window) -> dict:
+    """h(t) = P_t + P_{t+o} - P_{t+1-o} - P_{t+1} (proof in _certified_sizes)."""
+    lo, hi = window
+    return {t: sizes[t] + sizes[t + o] - sizes[t + 1 - o] - sizes[t + 1]
+            for t in range(lo, hi + 1)}
+
+
 def commutative_model_check(p: int, n: int, window) -> dict:
     """Closure, commutativity, and quasi-isomorphism of Z inside the DGA.
 
@@ -597,17 +683,33 @@ def commutative_model_check(p: int, n: int, window) -> dict:
     class (kind, k mod 2) of Z's basis.  As in dga_structure_check, for f, g
     at monomials a, b the terms of fg, gf and d(fg) sit at a + b and
     a + b + v_n with slots and signs read off the classes; a + b is v_n-free
-    because a and b are.  Z has zero differential, so it enters the
-    quasi-isomorphism check as its inclusion matrices alone.
+    because a and b are.
+
+    Under the class-shape certificate of _certified_sizes, Z's size, its
+    classes and the quasi-isomorphism's numbers are counted from piece sizes
+    (proof there).  Otherwise the window is enumerated, and Z, having zero
+    differential, enters quasi_iso_check as its inclusion matrices alone.
     """
     dga = matrix_dga(p, n)
     lo, hi = window
-    amb = build_mdga_window(dga, window)
-    labels = [(k, label)
-              for k in range(lo, hi + 1) for label in _cycle_labels(dga, amb.basis[k])]
-    reps = {(label[0], k % 2): (k, _cycle_terms(k, label)) for k, label in labels}.values()
+    o = dga.offdiag
+    counted = _certified_sizes(dga, window)
+    if counted is None:
+        amb = build_mdga_window(dga, window)
+        labels = [(k, label)
+                  for k in range(lo, hi + 1) for label in _cycle_labels(dga, amb.basis[k])]
+        size = len(labels)
+        reps = {(label[0], k % 2): (k, label) for k, label in labels}.values()
+    else:
+        big, small = counted
+        per_degree = {}
+        for t, h in _counted_homology(big, o, window).items():
+            sub = small[t] + small[t + o]
+            per_degree[t] = {"sub": sub, "amb": h, "induced_rank": sub, "iso": sub == h}
+        size = sum(v["sub"] for v in per_degree.values())
+        reps = _representatives(dga, small, range(lo, hi + 1), cycles=True).values()
     vn = dga.vn_mono
-    cycles = [(k, tuple(terms.items())) for k, terms in reps]
+    cycles = [(k, tuple(_cycle_terms(k, label).items())) for k, label in reps]
     closed = True
     commutative = True
     for kf, f in cycles:
@@ -623,12 +725,13 @@ def commutative_model_check(p: int, n: int, window) -> dict:
                 ((label, sign * c) for label, c in _product_pairs(g, f)),
             ):
                 commutative = False
-    per_degree = quasi_iso_check(amb, cycles_inclusion(dga, window, amb), window)
+    if counted is None:
+        per_degree = quasi_iso_check(amb, cycles_inclusion(dga, window, amb), window)
     return {
         "p": p,
         "n": n,
         "window": list(window),
-        "subalgebra_size": len(labels),
+        "subalgebra_size": size,
         "closed_under_product": closed,
         "graded_commutative": commutative,
         "chain_map": True,
@@ -651,12 +754,17 @@ def dga_structure_check(p: int, n: int, window) -> dict:
     of d(fg) - d(f)g - (-1)^|f| f d(g) sits at the one monomial a + b + v_n
     with slots and signs fixed by the class, so the verdict depends on the
     class alone; so does d(d(f)), at a + 2 v_n.
-    pairs_checked = basis_size ** 2 counts the ordered pairs covered, each
-    decided through the one representative of its class.
+    basis_size, sum over k of 2|P_k| + |P_{k+o}| + |P_{k-o}| (o = offdiag),
+    and the inhabited classes are read off piece counts; pairs_checked =
+    basis_size ** 2 counts the ordered pairs covered, each decided through
+    the one representative of its class.
     """
     dga = matrix_dga(p, n)
-    labels = [(k, label) for k, ls in mdga_window_labels(dga, window).items() for label in ls]
-    reps = {(label[0], k % 2): (k, label) for k, label in labels}.values()
+    lo, hi = window
+    o = dga.offdiag
+    sizes = degree_dims(dga.pres, (lo - o, hi + o))
+    size = sum(2 * sizes[k] + sizes[k + o] + sizes[k - o] for k in range(lo, hi + 1))
+    reps = _representatives(dga, sizes, range(lo, hi + 1)).values()
     vn = dga.vn_mono
     elements = [(k, f, tuple(_diff_pairs(vn, k, f))) for k, label in reps for f in [((label, 1),)]]
     d_squared = all(_vanishes(_diff_pairs(vn, k - 1, df)) for k, _, df in elements)
@@ -672,8 +780,8 @@ def dga_structure_check(p: int, n: int, window) -> dict:
         "p": p,
         "n": n,
         "window": list(window),
-        "basis_size": len(labels),
-        "pairs_checked": len(labels) ** 2,
+        "basis_size": size,
+        "pairs_checked": size ** 2,
         "d_squared_zero": d_squared,
         "derivation_law": derivation,
     }
@@ -685,14 +793,26 @@ def homology_ring_check(p: int, n: int, window) -> dict:
     Expected dimensions are computed two independent ways: monomial counts
     of Q[v_1..v_{n-1}] (x) Lambda(eps), and the two-summand splitting (the
     same polynomial ring once in place and once shifted by |eps|).  The
-    exterior generator is also checked in homology: it is a nonzero cycle
-    (outside the column space of diff[eps.k + 1]), its square is zero, and it
-    commutes with every v_i class, each of which is nonzero in the same way.
+    computed dimensions are counted from piece sizes under the class-shape
+    certificate of _certified_sizes (proof there), and otherwise read off
+    the enumerated window.  The exterior generator is also checked in
+    homology: it is a nonzero cycle (outside the column space of
+    diff[eps.k + 1]), its square is zero, and it commutes with every v_i
+    class, each of which is nonzero in the same way; on the counted route
+    each column space is read off a window of that one degree.
     """
     dga = matrix_dga(p, n)
     lo, hi = window
-    win = build_mdga_window(dga, window)
-    computed = win.homology_dims(window)
+    counted = _certified_sizes(dga, window)
+    if counted is None:
+        win = build_mdga_window(dga, window)
+        computed = win.homology_dims(window)
+    else:
+        computed = _counted_homology(counted[0], dga.offdiag, window)
+
+    def is_boundary(x):
+        w = win if counted is None else build_mdga_window(dga, (x.k, x.k))
+        return in_span(w.diff[x.k + 1], coordinates(x, w.basis[x.k])).in_span
 
     expected_product = degree_dims(a_q(ChromaticParams(p, n)), window)
     e_deg = eps_degree(p, n)  # negative: t - e_deg runs up to hi - e_deg
@@ -703,8 +823,7 @@ def homology_ring_check(p: int, n: int, window) -> dict:
     eps_cycle = dga_diff(eps).is_zero()
     eps_nonzero = None
     if lo <= eps.k <= hi:
-        vec = coordinates(eps, win.basis[eps.k])
-        eps_nonzero = not in_span(win.diff[eps.k + 1], vec).in_span
+        eps_nonzero = not is_boundary(eps)
     eps_square_zero = (eps * eps).is_zero()
 
     central = True
@@ -714,10 +833,8 @@ def homology_ring_check(p: int, n: int, window) -> dict:
         dv = mdga_diag(dga, v)
         if not (eps * dv - dv * eps).is_zero():
             central = False
-        if lo <= dv.k <= hi:
-            vec = coordinates(dv, win.basis[dv.k])
-            if in_span(win.diff[dv.k + 1], vec).in_span:
-                v_classes_nonzero = False
+        if lo <= dv.k <= hi and is_boundary(dv):
+            v_classes_nonzero = False
 
     dims_ok = computed == expected_product == expected_splitting
     checks_ok = (eps_cycle and eps_nonzero is not False and eps_square_zero

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedhh.chromatic_presets import ChromaticParams, a_q, bp_q
+from gradedhh.chromatic_presets import ChromaticParams, a_q, bp_q, eps_degree
 from gradedhh.dg_complexes import (
     ChainWindow,
     GradedComplex,
@@ -22,6 +22,7 @@ from gradedhh.dg_complexes import (
     build_mdga_window,
     commutative_model_check,
     cone_report,
+    coordinates,
     cycles_inclusion,
     degree_dims,
     dga_diff,
@@ -31,7 +32,6 @@ from gradedhh.dg_complexes import (
     mdga_diag,
     mdga_element,
     mdga_eps,
-    mdga_identity,
     mdga_window_labels,
     quasi_iso_check,
 )
@@ -45,6 +45,7 @@ from gradedhh.graded_algebra import (
     element_from_string,
     koszul_mul,
     make_presentation,
+    mono_one,
     monomial_basis,
 )
 from gradedhh.hochschild import bar_window, multidegrees_up_to
@@ -542,6 +543,12 @@ def test_homology_keeps_ranks_and_at_most_one_pivot_set():
 # -- matrix DGA: elements and differential -----------------------------------------
 
 
+def mdga_identity(dga):
+    """The unit [[1, 0], [0, 1]] of the matrix DGA, in degree 0."""
+    one = mono_one(dga.pres)
+    return MatrixDGAElement.from_terms(dga, 0, {("a", one): 1, ("d", one): 1})
+
+
 def test_matrix_dga_shape_and_unit_degrees():
     dga = matrix_dga(2, 2)
     assert dga.offdiag == 7
@@ -714,8 +721,10 @@ def test_flat_pair_checks_match_element_references(p, n, window):
 # -- matrix DGA: the class-decided pair checks against the exhaustive loops ---------
 
 
-def _exhaustive_structure_check(p, n, window):
-    """dga_structure_check deciding every ordered pair of basis elements."""
+def _exhaustive_structure_check(p, n, window, one_per_class=False):
+    """dga_structure_check deciding every ordered pair of basis elements, or
+    with one_per_class the pairs of the enumerated labels' last member of
+    each (slot, k mod 2) class, for windows too large for every pair."""
     dga = matrix_dga(p, n)
     labels = [(k, label) for k, ls in mdga_window_labels(dga, window).items() for label in ls]
     vn = dga.vn_mono
@@ -723,6 +732,8 @@ def _exhaustive_structure_check(p, n, window):
     for k, label in labels:
         f = ((label, 1),)
         elements.append((k, f, tuple(_diff_pairs(vn, k, f))))
+    if one_per_class:
+        elements = list({(f[0][0][0], k % 2): (k, f, df) for k, f, df in elements}.values())
     d_squared = all(_vanishes(_diff_pairs(vn, k - 1, df)) for k, _, df in elements)
     derivation = True
     for kf, f, df in elements:
@@ -739,23 +750,26 @@ def _exhaustive_structure_check(p, n, window):
         "p": p,
         "n": n,
         "window": list(window),
-        "basis_size": len(elements),
-        "pairs_checked": len(elements) ** 2,
+        "basis_size": len(labels),
+        "pairs_checked": len(labels) ** 2,
         "d_squared_zero": d_squared,
         "derivation_law": derivation,
     }
 
 
-def _exhaustive_model_check(p, n, window):
-    """commutative_model_check deciding every ordered pair of Z's basis."""
+def _exhaustive_model_check(p, n, window, one_per_class=False):
+    """commutative_model_check on the enumerated window, deciding every
+    ordered pair of Z's basis, or with one_per_class the pairs of the last
+    basis element of each (kind, k mod 2) class."""
     dga = matrix_dga(p, n)
     lo, hi = window
     amb = build_mdga_window(dga, window)
     vn = dga.vn_mono
-    cycles = [
-        (k, tuple(_cycle_terms(k, label).items()))
-        for k in range(lo, hi + 1) for label in _cycle_labels(dga, amb.basis[k])
-    ]
+    labels = [(k, label) for k in range(lo, hi + 1) for label in _cycle_labels(dga, amb.basis[k])]
+    size = len(labels)
+    if one_per_class:
+        labels = {(label[0], k % 2): (k, label) for k, label in labels}.values()
+    cycles = [(k, tuple(_cycle_terms(k, label).items())) for k, label in labels]
     closed = True
     commutative = True
     for kf, f in cycles:
@@ -772,7 +786,7 @@ def _exhaustive_model_check(p, n, window):
             ):
                 commutative = False
     per_degree = quasi_iso_check(amb, cycles_inclusion(dga, window, amb), window)
-    return _model_report(p, n, window, len(cycles), closed, commutative, per_degree)
+    return _model_report(p, n, window, size, closed, commutative, per_degree)
 
 
 @pytest.mark.parametrize("p, n, window", [
@@ -1133,3 +1147,167 @@ def test_commutative_model_check_all_heights():
         assert report["graded_commutative"], (p, n)
         assert report["chain_map"], (p, n)
         assert report["all_ok"], (p, n)
+
+
+# -- matrix DGA: counted reports against the enumerated windows ---------------------
+
+
+def _enumerated_ring_check(p, n, window):
+    """homology_ring_check on the whole enumerated window: homology off its
+    ranks, and eps and the v_i classes tested against its boundaries."""
+    dga = matrix_dga(p, n)
+    lo, hi = window
+    win = build_mdga_window(dga, window)
+    computed = win.homology_dims(window)
+    expected_product = degree_dims(a_q(ChromaticParams(p, n)), window)
+    e_deg = eps_degree(p, n)
+    lower = degree_dims(bp_q(ChromaticParams(p, n - 1)), (lo, hi - e_deg))
+    expected_splitting = {t: lower[t] + lower[t - e_deg] for t in range(lo, hi + 1)}
+
+    def boundary(x):
+        return exact_linear.in_span(win.diff[x.k + 1], coordinates(x, win.basis[x.k])).in_span
+
+    eps = mdga_eps(dga)
+    eps_cycle = dga_diff(eps).is_zero()
+    eps_nonzero = not boundary(eps) if lo <= eps.k <= hi else None
+    eps_square_zero = (eps * eps).is_zero()
+    classes = [mdga_diag(dga, Element.gen(dga.pres, f"v{i}")) for i in range(1, n)]
+    central = all((eps * dv - dv * eps).is_zero() for dv in classes)
+    v_nonzero = not any(boundary(dv) for dv in classes if lo <= dv.k <= hi)
+    dims_ok = computed == expected_product == expected_splitting
+    return {
+        "p": p, "n": n, "window": [lo, hi],
+        "computed_dims": computed,
+        "expected_product_dims": expected_product,
+        "expected_splitting_dims": expected_splitting,
+        "dims_match": dims_ok,
+        "eps_degree": eps.k,
+        "eps_is_cycle": eps_cycle,
+        "eps_nonzero_in_homology": eps_nonzero,
+        "eps_square_zero": eps_square_zero,
+        "eps_central": central,
+        "v_classes_nonzero": v_nonzero,
+        "all_ok": (dims_ok and eps_cycle and eps_nonzero is not False and eps_square_zero
+                   and central and v_nonzero),
+    }
+
+
+# (p, n, window, one_per_class): the pair references decide every pair but
+# on (2, 3) -240:120, whose Z has too many pairs for that.
+COUNTED_CASES = [
+    *((p, n, window, False) for p, n, window in FLAT_CHECK_CASES),
+    (2, 1, (-40, 20), False), (3, 1, (-30, 15), False),  # n = 1: Q is Q alone
+    (2, 3, (-240, 120), True), (3, 2, (-200, 100), False), (5, 2, (-300, 150), False),
+    (2, 2, (3, 12), False),  # holds neither eps.k = -7 nor |v_1| = 2
+]
+
+
+@pytest.mark.parametrize("p, n, window, one_per_class", COUNTED_CASES)
+def test_counted_reports_equal_the_enumerated_reports(p, n, window, one_per_class):
+    assert dg_complexes._certified_sizes(matrix_dga(p, n), window) is not None
+    ring = homology_ring_check(p, n, window)
+    assert ring == _enumerated_ring_check(p, n, window)
+    assert ring["all_ok"]
+    assert (commutative_model_check(p, n, window)
+            == _exhaustive_model_check(p, n, window, one_per_class))
+    assert (dga_structure_check(p, n, window)
+            == _exhaustive_structure_check(p, n, window, one_per_class))
+
+
+def test_counted_window_without_eps_or_v_classes_reports_none():
+    ring = homology_ring_check(2, 2, (3, 12))
+    assert ring["eps_nonzero_in_homology"] is None
+    assert ring["v_classes_nonzero"] is True
+
+
+def test_counted_reports_build_only_one_degree_windows(monkeypatch):
+    built = []
+    original = dg_complexes.build_mdga_window
+
+    def recorded(dga, window):
+        built.append(window)
+        return original(dga, window)
+
+    def refuse(*args):
+        raise AssertionError("the counted route ran the enumerated quasi-isomorphism check")
+
+    monkeypatch.setattr(dg_complexes, "build_mdga_window", recorded)
+    monkeypatch.setattr(dg_complexes, "quasi_iso_check", refuse)
+    monkeypatch.setattr(dg_complexes, "cycles_inclusion", refuse)
+    for p, n, (lo, hi), _ in COUNTED_CASES:
+        built.clear()
+        for check in (homology_ring_check, commutative_model_check, dga_structure_check):
+            check(p, n, (lo, hi))
+        # eps.k and each |v_i| inside the window: one in_span window each
+        read = [eps_degree(p, n), *(2 * p**i - 2 for i in range(1, n))]
+        assert built == [(k, k) for k in read if lo <= k <= hi], (p, n)
+
+
+# The certificate must refuse every broken rule above, and two more: a rule
+# for a whose two terms cancel in even degrees, where a lives, and the same
+# for c.  c is inhabited only in odd degrees (o is odd and every piece
+# degree even), so the c rule is refused through d compose d, as is the c
+# rule of one term ("c loses its right term"), which passes the shape test.
+FALLBACK_DIFF_RULES = {
+    **BROKEN_DIFF_RULES,
+    "a cancels in even degrees": {"a": (("b", True), ("b", False))},
+    "c cancels in even degrees": {"c": (("a", True), ("a", False))},
+}
+
+
+@pytest.mark.parametrize("broken", FALLBACK_DIFF_RULES.values(), ids=FALLBACK_DIFF_RULES)
+@pytest.mark.parametrize("p, n, window", [(2, 2, (-12, 8)), (2, 3, (-30, 20)), (3, 1, (-10, 6))])
+def test_a_failed_certificate_falls_back_to_the_enumerated_reports(
+        monkeypatch, broken, p, n, window):
+    for slot, rule in broken.items():
+        monkeypatch.setitem(dg_complexes._DIFF_RULE, slot, rule)
+    _assert_falls_back(p, n, window)
+
+
+def _assert_falls_back(p, n, window):
+    assert dg_complexes._certified_sizes(matrix_dga(p, n), window) is None
+    for check, reference in [(homology_ring_check, _enumerated_ring_check),
+                             (commutative_model_check, _exhaustive_model_check),
+                             (dga_structure_check, _exhaustive_structure_check)]:
+        assert _outcome(check, p, n, window) == _outcome(reference, p, n, window)
+
+
+def test_the_cycle_test_refuses_a_rule_only_z_notices(monkeypatch):
+    """(2, 2) -12:5 holds no c class (c needs k >= 7), so d compose d holds
+    when a multiplies from the left, and the ranks keep their counts; but
+    diag(1) = [[1, 0], [0, 1]] maps to 2 v_2 in slot b, and Z's inclusion is
+    no chain map."""
+    monkeypatch.setitem(dg_complexes._DIFF_RULE, "a", (("b", True),))
+    _assert_falls_back(2, 2, (-12, 5))
+    with pytest.raises(ValueError, match="not a chain map at degree 0"):
+        commutative_model_check(2, 2, (-12, 5))
+
+
+@pytest.mark.parametrize("rule", [(("a", True), ("a", False)), (("a", True),)],
+                         ids=["cancels in even degrees", "one term"])
+def test_a_c_rule_breaking_d_compose_d_reproduces_the_window_error(monkeypatch, rule):
+    monkeypatch.setitem(dg_complexes._DIFF_RULE, "c", rule)
+    for check in (homology_ring_check, commutative_model_check, _enumerated_ring_check,
+                  _exhaustive_model_check):
+        with pytest.raises(ValueError, match="d compose d is nonzero"):
+            check(2, 2, (-12, 8))
+
+
+@pytest.mark.parametrize("command", ["matrix-dga", "quasi-iso"])
+def test_matrix_dga_p2_n3_window_1920_960_is_counted_within_budget(capsys, command):
+    """The largest rung: 3,639,619 basis elements, which the enumerated
+    window took about 30-45 s and 1.2 GB to build and rank."""
+    start = time.monotonic()
+    code = cli_main([command, "--p", "2", "--n", "3", "--window", "-1920:960"])
+    elapsed = time.monotonic() - start
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["all_ok"] is True
+    if command == "matrix-dga":
+        assert doc["structure"]["basis_size"] == 3639619
+        assert doc["homology"]["dims_match"] is True
+        assert doc["eps"]["nonzero_in_homology"] is True
+    else:
+        assert doc["subalgebra_size"] == 78736
+        assert len(doc["quasi_iso_per_degree"]) == 2881
+    assert elapsed < 3, f"{command} (2, 3) -1920:960 took {elapsed:.1f}s"
