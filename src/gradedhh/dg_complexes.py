@@ -46,6 +46,10 @@ adding exponent tuples, with no sign.  The pair checks (the derivation law,
 and the closure and commutativity of Z) decide each ordered pair through one
 representative of its class, building no element (proof in
 dga_structure_check); one degree piece is enumerated per inhabited class.
+homology_ring_check takes eps and diag(v_i) as Z's basis elements and
+decides their relations on the same streams.  MatrixDGAElement, with
+dga_diff, mdga_eps and mdga_diag, is library API and the tests' reference;
+no CLI path builds one.
 """
 
 from __future__ import annotations
@@ -174,12 +178,13 @@ def assemble(source_labels, target_labels, image) -> RationalMatrix:
     return RationalMatrix._new(len(target_labels), len(source_labels), rows.items())
 
 
-def coordinates(x: QCombination, labels) -> dict:
-    """Coefficients {row: value} of x on an ordered basis; x must lie in its span."""
+def coordinates(terms: dict, labels) -> dict:
+    """Coefficients {row: value} of the {label: value} terms on an ordered
+    basis; every label must be in it."""
     index = {label: i for i, label in enumerate(labels)}
-    if not x.terms.keys() <= index.keys():
+    if not terms.keys() <= index.keys():
         raise ValueError(_ESCAPED)
-    return {index[label]: c for label, c in x.terms.items()}
+    return {index[label]: c for label, c in terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -798,8 +803,10 @@ def homology_ring_check(p: int, n: int, window) -> dict:
     the enumerated window.  The exterior generator is also checked in
     homology: it is a nonzero cycle (outside the column space of
     diff[eps.k + 1]), its square is zero, and it commutes with every v_i
-    class, each of which is nonzero in the same way; on the counted route
-    each column space is read off a window of that one degree.
+    class, each of which is nonzero in the same way.  eps and diag(v_i) are
+    Z's basis elements (_cycle_terms), the relations are decided on the pair
+    streams, and each column space is an exact in_span test, on the counted
+    route against a window of that one degree.
     """
     dga = matrix_dga(p, n)
     lo, hi = window
@@ -810,30 +817,33 @@ def homology_ring_check(p: int, n: int, window) -> dict:
     else:
         computed = _counted_homology(counted[0], dga.offdiag, window)
 
-    def is_boundary(x):
-        w = win if counted is None else build_mdga_window(dga, (x.k, x.k))
-        return in_span(w.diff[x.k + 1], coordinates(x, w.basis[x.k])).in_span
+    def is_boundary(k, terms):
+        w = win if counted is None else build_mdga_window(dga, (k, k))
+        return in_span(w.diff[k + 1], coordinates(terms, w.basis[k])).in_span
 
     expected_product = degree_dims(a_q(ChromaticParams(p, n)), window)
     e_deg = eps_degree(p, n)  # negative: t - e_deg runs up to hi - e_deg
     lower = degree_dims(bp_q(ChromaticParams(p, n - 1)), (lo, hi - e_deg))
     expected_splitting = {t: lower[t] + lower[t - e_deg] for t in range(lo, hi + 1)}
 
-    eps = mdga_eps(dga)
-    eps_cycle = dga_diff(eps).is_zero()
+    k_eps, vn = -dga.offdiag, dga.vn_mono
+    eps = _cycle_terms(k_eps, ("upper", mono_one(dga.pres)))
+    eps_cycle = _vanishes(_diff_pairs(vn, k_eps, eps.items()))
     eps_nonzero = None
-    if lo <= eps.k <= hi:
-        eps_nonzero = not is_boundary(eps)
-    eps_square_zero = (eps * eps).is_zero()
+    if lo <= k_eps <= hi:
+        eps_nonzero = not is_boundary(k_eps, eps)
+    eps_square_zero = _vanishes(_product_pairs(eps.items(), eps.items()))
 
     central = True
     v_classes_nonzero = True
-    for i in range(1, n):
-        v = Element.gen(dga.pres, f"v{i}")
-        dv = mdga_diag(dga, v)
-        if not (eps * dv - dv * eps).is_zero():
+    for i in range(n - 1):
+        v = tuple(int(j == i) for j in range(n))
+        k = mono_degree(dga.pres, v)  # even: diag(v) = [[v, 0], [0, v]]
+        dv = _cycle_terms(k, ("diag", v))
+        if not _vanishes(_product_pairs(eps.items(), dv.items()),
+                         ((label, -c) for label, c in _product_pairs(dv.items(), eps.items()))):
             central = False
-        if lo <= dv.k <= hi and is_boundary(dv):
+        if lo <= k <= hi and is_boundary(k, dv):
             v_classes_nonzero = False
 
     dims_ok = computed == expected_product == expected_splitting
@@ -847,7 +857,7 @@ def homology_ring_check(p: int, n: int, window) -> dict:
         "expected_product_dims": expected_product,
         "expected_splitting_dims": expected_splitting,
         "dims_match": dims_ok,
-        "eps_degree": eps.k,
+        "eps_degree": k_eps,
         "eps_is_cycle": eps_cycle,
         "eps_nonzero_in_homology": eps_nonzero,
         "eps_square_zero": eps_square_zero,

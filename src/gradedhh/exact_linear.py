@@ -185,30 +185,10 @@ class RationalMatrix:
         return {(i, j): Fraction(v) for i, row in self.data.items() for j, v in row.items()}
 
     @classmethod
-    def from_rows(cls, rows_data, cols=None):
-        rows_data = [list(r) for r in rows_data]
-        if cols is None:
-            cols = len(rows_data[0]) if rows_data else 0
-        entries = {}
-        for i, row in enumerate(rows_data):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, value in enumerate(row):
-                entries[(i, j)] = value
-        return cls(len(rows_data), cols, entries)
-
-    @classmethod
     def from_columns(cls, columns, rows: int):
         """Matrix whose column j is the sparse vector columns[j], {row: value}."""
         return cls(rows, len(columns), {
             (i, j): v for j, column in enumerate(columns) for i, v in column.items()})
-
-    def transpose(self) -> "RationalMatrix":
-        out = {}
-        for i, row in self.data.items():
-            for j, v in row.items():
-                out.setdefault(j, {})[i] = v
-        return RationalMatrix._new(self.cols, self.rows, out.items())
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         """Sparse product, row by row; int arithmetic when both are integral."""

@@ -166,30 +166,6 @@ def koszul_multiplier(pres: Presentation, m):
     return mul
 
 
-def mono_packing(pres: Presentation, radices):
-    """pack, unpack: monomials as ints with digit i in radix radices[i], and back.
-
-    Odd generators take the lowest digits, then the even ones, each group in
-    generator order.  pack is additive while no digit overflows, which the
-    caller, hochschild._packing, proves for its radices; unpack leaves the
-    top digit unreduced."""
-    order = sorted(range(pres.ngens), key=lambda i: not pres.is_odd(i))
-    places, place = [0] * pres.ngens, 1
-    for i in order:
-        places[i], place = place, place * radices[i]
-
-    def pack(mono) -> int:
-        return sum(e * r for e, r in zip(mono, places))
-
-    def unpack(code: int) -> tuple:
-        mono = [0] * len(places)
-        for i in reversed(order):
-            mono[i], code = divmod(code, places[i])
-        return tuple(mono)
-
-    return pack, unpack
-
-
 def mono_str(pres: Presentation, mono) -> str:
     parts = []
     for name, e in zip(pres.names, mono):
@@ -550,10 +526,6 @@ class KahlerElement(QCombination):
         for (idx, mono), c in sorted(self.terms.items()):
             parts.setdefault(idx, {})[mono] = c
         return {idx: Element(self.pres, t) for idx, t in parts.items()}
-
-    def component(self, name: str) -> Element:
-        idx = self.pres.index(name)
-        return self.coefficients().get(idx, Element.zero(self.pres))
 
     def __rmul__(self, other):
         if not isinstance(other, Element):

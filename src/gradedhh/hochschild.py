@@ -22,8 +22,8 @@ non-units is a non-unit, so the normalized basis is closed under b.
 
 A BarChain is a QCombination (the sparse vector type of exact_linear)
 labelled by tensors.  One rule, _faces, gives the faces of a packed tensor:
-each monomial is an int (mono_packing) with a radix-2 digit per odd
-generator, those digits lowest, and the radix m_i + 1 for even generator i.
+each monomial is an int (_packing) with a radix-2 digit per odd generator,
+those digits lowest, and the radix m_i + 1 for even generator i.
 A face multiplies two factors of one tensor, so even exponents stay at most
 m_i, and a product survives only when its odd digits are disjoint: nothing
 carries, and a product's code is the sum a + b.  With ODD the mask of the odd
@@ -84,8 +84,10 @@ y = U(z') = z' - d H(z') is a cycle of upper cells, and y = 0 (else some u
 in its support has a partner l that is a face of no other u' there, as the
 zig-zags l(u') -> u' -> l close no loop, and <dy, l> = e y_u != 0); so
 z = d(w + H(z')).  morse_complex returns phi as project, builds only the
-critical cells and checks the matching where phi goes; the tests check it
-on every cell, and Morse homology and boundaries against bar_window.
+critical cells and checks the matching where phi goes, memoising phi on the
+critical and lower cells it reaches but not on upper faces, whose phi is 0;
+the tests check it on every cell, and Morse homology and boundaries against
+bar_window.
 
 Homology is compared against the polynomial/exterior prediction: for every
 generator g a companion class in degree |g| + 1 with flipped parity (the
@@ -111,7 +113,6 @@ from .graded_algebra import (
     kahler_d,
     mono_degree,
     mono_one,
-    mono_packing,
     mono_str,
 )
 
@@ -184,9 +185,6 @@ class BarChain(QCombination):
         """Common componentwise exponent total, or None if mixed or zero."""
         return self._common(lambda tensor: tuple(map(sum, zip(*tensor))))
 
-    def internal_degree(self):
-        return self._common(lambda t: sum(mono_degree(self.pres, m) for m in t))
-
     def normalized(self) -> "BarChain":
         """Project to the normalized complex: kill units in bar positions."""
         unit = mono_one(self.pres)
@@ -206,16 +204,41 @@ class BarChain(QCombination):
         return f"BarChain(level={self.level}, {' + '.join(parts) or 0})"
 
 
+def _digit_order(pres: Presentation) -> list:
+    """The generators in digit order: the odd ones first, then the even
+    ones, each group in generator order.  It is also the Morse rank order."""
+    return sorted(range(pres.ngens), key=lambda i: not pres.is_odd(i))
+
+
 def _packing(pres: Presentation, m):
-    """pack, unpack, the odd mask and the crossing signs for multidegree m:
-    signs[a][b] is (-1)^(odd-odd crossings of a b) for odd masks a, b, where
-    every odd digit of b moves left past each higher one of a."""
+    """pack, unpack, the odd mask and the crossing signs for multidegree m.
+
+    pack writes a monomial as an int, one digit per generator in digit
+    order, radix 2 for an odd generator and m_i + 1 for an even one; the k
+    odd digits are thus the lowest, under the mask (1 << k) - 1.  pack is
+    additive while no digit overflows (see the module docstring); unpack
+    leaves the top digit unreduced.  signs[a][b] is (-1)^(odd-odd crossings
+    of a b) for odd masks a, b, where every odd digit of b moves left past
+    each higher one of a."""
     _require_no_laurent(pres)  # a negative exponent has no digit
+    order = _digit_order(pres)
+    places, place = [0] * pres.ngens, 1
+    for i in order:
+        places[i], place = place, place * (2 if pres.is_odd(i) else m[i] + 1)
+
+    def pack(mono) -> int:
+        return sum(e * r for e, r in zip(mono, places))
+
+    def unpack(code: int) -> tuple:
+        mono = [0] * len(places)
+        for i in reversed(order):
+            mono[i], code = divmod(code, places[i])
+        return tuple(mono)
+
     k = sum(map(pres.is_odd, range(pres.ngens)))
     signs = [[(-1) ** sum((a >> p + 1).bit_count() for p in range(k) if b >> p & 1)
               for b in range(1 << k)] for a in range(1 << k)]
-    radices = [2 if pres.is_odd(i) else e + 1 for i, e in enumerate(m)]
-    return (*mono_packing(pres, radices), (1 << k) - 1, signs)
+    return pack, unpack, (1 << k) - 1, signs
 
 
 def _faces(tensor, odd, signs, total):
@@ -308,11 +331,11 @@ _LOWER, _CRITICAL, _UPPER = -1, 0, 1  # a matching pairs lower with upper: kinds
 def _matching(pres: Presentation, m, pack):
     """classify(t) -> (kind, partner) on the packed tensors of multidegree m.
 
-    Generators are ranked in digit order (odd first).  A per-code table
-    gives the rank h of a code's lowest digit, whether that generator is
-    odd, and the code minus that generator's, 0 exactly when the code is
-    the generator itself."""
-    order = sorted(range(pres.ngens), key=lambda i: not pres.is_odd(i))
+    Generators are ranked in _digit_order.  A per-code table gives the rank
+    h of a code's lowest digit, whether that generator is odd, and the code
+    minus that generator's, 0 exactly when the code is the generator
+    itself."""
+    order = _digit_order(pres)
     low = {}
     for mono in itertools.product(*(range(min(e, 1) + 1 if pres.is_odd(i) else e + 1)
                                     for i, e in enumerate(m))):
@@ -339,7 +362,7 @@ def _critical_cells(pres: Presentation, m) -> dict:
     """The critical cells, sorted, at levels -1..|m|_1 + 1: a_0 = m - c, then
     c_i copies of each generator i in falling rank, c_i <= min(1, m_i) if even,
     c_i in {m_i - 1, m_i} and >= 0 if odd (a_0 holds an odd one at most once)."""
-    order = sorted(range(pres.ngens), key=lambda i: not pres.is_odd(i))[::-1]
+    order = _digit_order(pres)[::-1]
     cells = {s: [] for s in range(-1, sum(m) + 2)}
     for c in itertools.product(*(range(max(e - 1, 0), e + 1) if pres.is_odd(i)
                                  else range(min(e, 1) + 1) for i, e in enumerate(m))):
@@ -397,7 +420,8 @@ def morse_complex(pres: Presentation, m):
                 if classify(partner) != (_UPPER, cell):
                     raise ArithmeticError(f"Morse partner of {[*map(unpack, cell)]} "
                                           "does not match back")
-                edges = combine(_faces(partner, odd, signs, total))
+                edges = {face: e for face, e in combine(_faces(partner, odd, signs, total)).items()
+                         if face in flow or classify(face)[0] != _UPPER}  # phi(upper) = 0
                 unit = edges.pop(cell, 0)
                 if unit not in (1, -1):
                     raise ArithmeticError(f"Morse coefficient {unit} is not a unit")

@@ -49,6 +49,7 @@ from gradedhh.graded_algebra import (
     monomial_basis,
 )
 from gradedhh.hochschild import bar_window, multidegrees_up_to
+from reference import from_rows
 
 
 def poly_ring():
@@ -74,7 +75,7 @@ def test_chain_window_rejects_gaps_and_bad_shapes():
 
 
 def test_chain_window_rejects_nonzero_d_squared():
-    one = RationalMatrix.from_rows([[1]])
+    one = from_rows([[1]])
     with pytest.raises(ValueError):
         ChainWindow({0: ["x"], 1: ["y"], 2: ["z"]}, {1: one, 2: one})
 
@@ -82,7 +83,7 @@ def test_chain_window_rejects_nonzero_d_squared():
 def test_assemble_sums_pairs_and_rejects_escapes():
     m = assemble(["x", "y"], ["u", "v"],
                  lambda s: [("u", 1), ("u", 2)] if s == "x" else [("v", -1)])
-    assert m == RationalMatrix.from_rows([[3, 0], [0, -1]])
+    assert m == from_rows([[3, 0], [0, -1]])
     with pytest.raises(ValueError, match="escaped"):
         assemble(["x"], ["u"], lambda s: [("w", 1)])
 
@@ -90,7 +91,7 @@ def test_assemble_sums_pairs_and_rejects_escapes():
 def test_chain_window_homology_needs_padding():
     w = ChainWindow(
         {0: ["x"], 1: ["y"], 2: ["z"]},
-        {1: RationalMatrix.from_rows([[1]]), 2: RationalMatrix(1, 1)},
+        {1: from_rows([[1]]), 2: RationalMatrix(1, 1)},
     )
     assert w.homology_dims((1, 1)) == {1: 0}
     with pytest.raises(ValueError):
@@ -1165,7 +1166,8 @@ def _enumerated_ring_check(p, n, window):
     expected_splitting = {t: lower[t] + lower[t - e_deg] for t in range(lo, hi + 1)}
 
     def boundary(x):
-        return exact_linear.in_span(win.diff[x.k + 1], coordinates(x, win.basis[x.k])).in_span
+        coords = coordinates(x.terms, win.basis[x.k])
+        return exact_linear.in_span(win.diff[x.k + 1], coords).in_span
 
     eps = mdga_eps(dga)
     eps_cycle = dga_diff(eps).is_zero()
@@ -1262,6 +1264,27 @@ def test_a_failed_certificate_falls_back_to_the_enumerated_reports(
     for slot, rule in broken.items():
         monkeypatch.setitem(dg_complexes._DIFF_RULE, slot, rule)
     _assert_falls_back(p, n, window)
+
+
+def test_homology_ring_check_builds_no_matrix_dga_element(monkeypatch):
+    """eps and diag(v_i) are decided on pair streams, on the counted route
+    and on the fallback alike."""
+    def reports():
+        with monkeypatch.context() as broken:
+            for slot, rule in FALLBACK_DIFF_RULES["a and d are cycles"].items():
+                broken.setitem(dg_complexes._DIFF_RULE, slot, rule)
+            fallback = homology_ring_check(2, 2, (-12, 8))
+        return [*(homology_ring_check(p, n, w) for p, n, w, _ in COUNTED_CASES), fallback]
+
+    want = reports()
+
+    def refuse(*args):
+        raise AssertionError("homology_ring_check built a MatrixDGAElement")
+
+    monkeypatch.setattr(MatrixDGAElement, "__init__", refuse)
+    monkeypatch.setattr(MatrixDGAElement, "from_terms", refuse)
+    assert reports() == want
+    assert want[-1]["eps_nonzero_in_homology"] is not None
 
 
 def _assert_falls_back(p, n, window):

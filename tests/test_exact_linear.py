@@ -14,20 +14,21 @@ from gradedhh.exact_linear import (
     pivot_columns,
     rank,
 )
+from reference import from_rows, transpose
 
 
 def times(m, x):
     """m x as {row: value}, x a sparse vector {col: value}."""
-    return m.matmul(RationalMatrix.from_columns([x], m.cols)).transpose().data.get(0, {})
+    return transpose(m.matmul(RationalMatrix.from_columns([x], m.cols))).data.get(0, {})
 
 
 def test_rank_of_dependent_rows():
-    m = RationalMatrix.from_rows([[1, 2], [2, 4]])
+    m = from_rows([[1, 2], [2, 4]])
     assert rank(m) == 1
 
 
 def test_rank_of_identity():
-    identity = RationalMatrix.from_rows([[int(i == j) for j in range(4)] for i in range(4)])
+    identity = from_rows([[int(i == j) for j in range(4)] for i in range(4)])
     assert rank(identity) == 4
 
 
@@ -54,25 +55,25 @@ def test_zero_matrices_skip_elimination(monkeypatch):
 
 
 def test_rank_with_fractional_entries():
-    m = RationalMatrix.from_rows(
+    m = from_rows(
         [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 2]]
     )
     assert rank(m) == 2
-    singular = RationalMatrix.from_rows(
+    singular = from_rows(
         [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
     )
     assert rank(singular) == 1
 
 
 def test_kernel_of_dependent_columns():
-    m = RationalMatrix.from_rows([[1, 2], [2, 4]])
+    m = from_rows([[1, 2], [2, 4]])
     basis = kernel_basis(m)
     assert len(basis) == 1
     assert basis[0] == {0: Fraction(-2), 1: Fraction(1)}
 
 
 def test_kernel_of_injective_map_is_empty():
-    m = RationalMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
+    m = from_rows([[1, 0], [0, 1], [1, 1]])
     assert kernel_basis(m) == []
 
 
@@ -83,14 +84,14 @@ def test_kernel_of_zero_map_is_full():
 
 
 def test_in_span_with_witness():
-    m = RationalMatrix.from_rows([[1, 2], [2, 4]])
+    m = from_rows([[1, 2], [2, 4]])
     result = in_span(m, {0: Fraction(3), 1: Fraction(6)})
     assert result.in_span
     assert times(m, result.coefficients) == {0: 3, 1: 6}
 
 
 def test_not_in_span():
-    m = RationalMatrix.from_rows([[1, 2], [2, 4]])
+    m = from_rows([[1, 2], [2, 4]])
     result = in_span(m, {0: Fraction(1)})
     assert not result.in_span
     assert result.coefficients is None
@@ -107,17 +108,17 @@ def test_in_span_never_pivots_on_v_beside_a_column_of_m():
     # The first pivot row is (1, 0 | -1): there v's column is shared by fewer
     # rows than column 0, yet pivoting on it would put (1, 0, 0) outside the
     # span of (1, 1, 1) and (0, 1, 1).
-    m = RationalMatrix.from_rows([[1, 0], [1, 1], [1, 1]])
+    m = from_rows([[1, 0], [1, 1], [1, 1]])
     result = in_span(m, {0: 1})
     assert result.in_span
     assert times(m, result.coefficients) == {0: 1}
 
 
 def test_matmul_and_transpose():
-    a = RationalMatrix.from_rows([[1, 2], [3, 4]])
-    b = RationalMatrix.from_rows([[0, 1], [1, 0]])
-    assert a.matmul(b) == RationalMatrix.from_rows([[2, 1], [4, 3]])
-    assert a.transpose() == RationalMatrix.from_rows([[1, 3], [2, 4]])
+    a = from_rows([[1, 2], [3, 4]])
+    b = from_rows([[0, 1], [1, 0]])
+    assert a.matmul(b) == from_rows([[2, 1], [4, 3]])
+    assert transpose(a) == from_rows([[1, 3], [2, 4]])
     # columns are sparse vectors {row: value}
     assert RationalMatrix.from_columns([{0: 1, 1: 3}, {0: 2, 1: Fraction(8, 2)}], 2) == a
     assert RationalMatrix.from_columns([], 3) == RationalMatrix(3, 0)
@@ -126,8 +127,8 @@ def test_matmul_and_transpose():
 
 
 def test_matmul_shape_mismatch():
-    a = RationalMatrix.from_rows([[1, 2]])
-    b = RationalMatrix.from_rows([[1, 2]])
+    a = from_rows([[1, 2]])
+    b = from_rows([[1, 2]])
     with pytest.raises(ValueError):
         a.matmul(b)
     # in_span's vector is {row: value}: an index outside the rows is refused
@@ -137,14 +138,14 @@ def test_matmul_shape_mismatch():
 
 
 def test_hstack():
-    a = RationalMatrix.from_rows([[1], [2]])
-    b = RationalMatrix.from_rows([[3], [4]])
-    assert a.hstack(b) == RationalMatrix.from_rows([[1, 3], [2, 4]])
+    a = from_rows([[1], [2]])
+    b = from_rows([[3], [4]])
+    assert a.hstack(b) == from_rows([[1, 3], [2, 4]])
     # Fraction entries, a row empty on one side or both, and no self entries
-    c = RationalMatrix.from_rows([[Fraction(1, 2), 0], [0, 0], [0, 0]])
-    d = RationalMatrix.from_rows([[0], [Fraction(4, 2)], [0]])
+    c = from_rows([[Fraction(1, 2), 0], [0, 0], [0, 0]])
+    d = from_rows([[0], [Fraction(4, 2)], [0]])
     cd = c.hstack(d)
-    assert cd == RationalMatrix.from_rows(
+    assert cd == from_rows(
         [[Fraction(1, 2), 0, 0], [0, 0, 2], [0, 0, 0]])
     assert cd.data == {0: {0: Fraction(1, 2)}, 1: {2: 2}}
     assert type(cd.data[1][2]) is int
@@ -154,7 +155,7 @@ def test_hstack():
 
 
 def test_zero_entries_are_never_stored():
-    m = RationalMatrix.from_rows([[1, 0], [0, 0]])
+    m = from_rows([[1, 0], [0, 0]])
     assert set(m.entries) == {(0, 0)}
     n = RationalMatrix(2, 2, {(0, 1): Fraction(0)})
     assert n.entries == {}
@@ -183,7 +184,7 @@ def test_rank_agrees_with_transpose_rank():
     rng = random.Random(20260819)
     for _ in range(25):
         m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        assert rank(m) == rank(m.transpose())
+        assert rank(m) == rank(transpose(m))
 
 
 def test_kernel_vectors_map_to_zero_and_count_matches_rank():
@@ -210,7 +211,7 @@ def test_every_image_vector_is_in_span():
 def test_a_wrong_back_substitution_fails_the_certificates(monkeypatch):
     monkeypatch.setattr(exact_linear, "_back_substitute",
                         lambda pivots, x: {0: Fraction(7), 1: Fraction(7)})
-    m = RationalMatrix.from_rows([[1, 2], [2, 4]])
+    m = from_rows([[1, 2], [2, 4]])
     for call in (lambda: in_span(m, {0: Fraction(3), 1: Fraction(6)}),
                  lambda: kernel_basis(m)):
         with pytest.raises(ArithmeticError) as info:

@@ -89,6 +89,7 @@ from gradedhh.hochschild import (
     hochschild_diff,
     multidegrees_up_to,
 )
+from reference import from_rows, transpose
 from test_dg_complexes import (
     _exhaustive_model_check,
     _exhaustive_structure_check,
@@ -673,7 +674,7 @@ def rational_matrices(draw, max_dim=7):
         data = [r[:at] + [Fraction(0)] + r[at:] for r in data]
         cols += 1
     data = draw(st.permutations(data))
-    return RationalMatrix.from_rows(data, cols=cols)
+    return from_rows(data, cols=cols)
 
 
 def _rref(row_dicts, ncols):
@@ -784,7 +785,7 @@ def test_rank_equals_gauss_jordan_pivot_count(m):
 @PROPERTY
 @given(rational_matrices())
 def test_rank_is_invariant_under_transpose(m):
-    assert rank(m) == rank(m.transpose())
+    assert rank(m) == rank(transpose(m))
 
 
 @PROPERTY
@@ -792,7 +793,7 @@ def test_rank_is_invariant_under_transpose(m):
 def test_matmul_equals_entrywise_fraction_product(data):
     a = data.draw(rational_matrices())
     cols = data.draw(st.integers(0, 6))
-    b = RationalMatrix.from_rows(dense(data.draw, a.cols, cols), cols=cols)
+    b = from_rows(dense(data.draw, a.cols, cols), cols=cols)
     ab = a.matmul(b)
     assert rows_of(ab) == product(rows_of(a), rows_of(b), cols)
     assert all(type(v) is Fraction and v for v in ab.entries.values())
@@ -808,7 +809,7 @@ def test_matmul_of_disjoint_supports_is_zero(data):
     cols = data.draw(st.integers(0, 6))
     rows = [[Fraction(0)] * cols if k in used else row
             for k, row in enumerate(dense(data.draw, a.cols, cols))]
-    b = RationalMatrix.from_rows(rows, cols=cols)
+    b = from_rows(rows, cols=cols)
     ab = a.matmul(b)
     assert ab.is_zero() and (ab.rows, ab.cols) == (a.rows, cols)
     assert rows_of(ab) == product(rows_of(a), rows_of(b), cols)
@@ -838,7 +839,7 @@ def test_in_span_agrees_with_rank_and_the_witness_reproduces_v(data):
     # the membership rule ore_check relies on: the column span of m is the
     # annihilator of the kernel of m^T
     assert result.in_span == all(sum(c * v[i] for i, c in k.items()) == 0
-                                 for k in kernel_basis(m.transpose()))
+                                 for k in kernel_basis(transpose(m)))
     if result.in_span:
         witness = densify(result.coefficients, m.cols)
         assert mul_dense(m, witness) == v
@@ -903,7 +904,7 @@ def test_cleared_ranks_equal_full_ranks_and_chain_across_degrees(diffs):
         # rests on that
         assert m == d.without_rows(below)
         others = set(range(d.cols)) - pivots
-        assert len(pivots) == rank(d.transpose().without_rows(others)) == rank(d)
+        assert len(pivots) == rank(transpose(d).without_rows(others)) == rank(d)
         below = pivots
 
 
@@ -1234,8 +1235,8 @@ def _ore_check_reference(table, s_elements, max_closure=64):
                 continue
             cols.append(vec(prod))
         span = RationalMatrix.from_columns(cols, rows=len(table.labels))
-        annihilator = RationalMatrix.from_columns(kernel_basis(span.transpose()),
-                                                  rows=len(table.labels)).transpose()
+        annihilator = transpose(RationalMatrix.from_columns(kernel_basis(transpose(span)),
+                                                            rows=len(table.labels)))
         for x in table.labels:
             found = False
             unverifiable_t = False
