@@ -11,18 +11,17 @@ realize and cone_report.
 
 A realized cone and an enumerated matrix-DGA window take their bases from
 one degree_pieces call over the hull of every shifted degree read.
-ChainWindow.rank(t) eliminates diff[t] once, on fewer rows by clearing
-(proof there), and homology_dims reads it.  The matrix-DGA questions
-enumerate a window only when the class-shape certificate of
-_certified_sizes fails; when it holds they count ranks, homology and the
-quasi-isomorphism from piece sizes (proof there).  quasi_iso_check takes the
-inclusion of a complex with zero differential, so it reads the rank of the
-induced map off one more block per degree, the inclusion beside the
-boundaries, less a rank the window holds (proof there).  cone_report
-realizes no window and reads all it reports off ranks and piece sizes: for
-r with one term it counts the ranks from piece sizes, enumerating nothing,
-and otherwise it ranks one multiplication block per degree and drops it
-(proof there).
+ChainWindow.rank(t) eliminates diff[t] once, and homology_dims reads it.
+The matrix-DGA questions enumerate a window only when the class-shape
+certificate of _certified_sizes fails; when it holds they count ranks,
+homology and the quasi-isomorphism from piece sizes (proof there).
+quasi_iso_check takes the inclusion of a complex with zero differential, so
+it reads the rank of the induced map off one more block per degree, the
+inclusion beside the boundaries, less a rank the window holds (proof
+there).  cone_report realizes no window and reads all it reports off ranks
+and piece sizes: for r with one term it counts the ranks from piece sizes,
+enumerating nothing, and otherwise it ranks one multiplication block per
+degree and drops it (proof there).
 
 The matrix DG algebra models the endomorphisms of the cone on v_n over
 Q[v_1, ..., v_n].  A degree-k element is a 2x2 matrix [[a, b], [c, d]] with
@@ -65,7 +64,6 @@ from .exact_linear import (
     RationalMatrix,
     combine,
     in_span,
-    pivot_columns,
     rank,
 )
 from .graded_algebra import (
@@ -104,7 +102,6 @@ class ChainWindow:
             raise ValueError("chain window degrees must be contiguous")
         self.basis = {t: list(basis[t]) for t in degrees}
         self._ranks = {}
-        self._pivots = {}
         self.diff = {}
         for t in range(self.lo + 1, self.hi + 1):
             m = diff.get(t)
@@ -118,27 +115,9 @@ class ChainWindow:
                 raise ValueError(f"d compose d is nonzero into degree {t - 1}")
 
     def rank(self, t: int) -> int:
-        """Rank of diff[t], eliminated on first use and kept as an int.
-
-        Clearing: when the pivot columns P of diff[t - 1] are known, diff[t]
-        is eliminated without the rows P.  P is a basis of the column space
-        of diff[t - 1], so a vector in ker diff[t - 1] is fixed by its
-        entries outside P; every column of diff[t] lies in that kernel (d
-        compose d = 0, checked at construction on the full matrices), so
-        leaving out the rows P changes no rank, and the pivot columns found
-        are again a basis of the column space of the whole diff[t].  When P
-        is not known yet, the full matrix is eliminated.  Only rank(t) reads
-        P again, so it drops P; diff[t]'s pivot columns are kept for
-        rank(t + 1).
-        """
+        """Rank of diff[t], eliminated on first use and kept as an int."""
         if t not in self._ranks:
-            m = self.diff[t]
-            cleared = self._pivots.pop(t - 1, None)
-            if cleared:
-                m = m.without_rows(cleared)
-            pivots = pivot_columns(m)
-            self._ranks[t] = len(pivots)
-            self._pivots[t] = pivots
+            self._ranks[t] = rank(self.diff[t])
         return self._ranks[t]
 
     def homology_dims(self, window) -> dict:
@@ -457,11 +436,11 @@ def _product_pairs(left, right):
 def _diff_pairs(vn, k: int, terms):
     """(label, coefficient) pairs of d on degree-k (label, coefficient)
     pairs; vn is the monomial v_n."""
-    twist = 1 if k % 2 else -1  # -(-1)^k
+    right = 1 if k % 2 else -1  # -(-1)^k, the sign of a right product by v_n
     for (slot, mono), coeff in terms:
         target_mono = tuple(map(add, mono, vn))
         for target, left in _DIFF_RULE[slot]:
-            yield (target, target_mono), coeff if left else twist * coeff
+            yield (target, target_mono), coeff if left else right * coeff
 
 
 def _vanishes(*pair_streams) -> bool:

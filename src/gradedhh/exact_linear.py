@@ -5,16 +5,10 @@ a matrix with rational entries: its rank, a basis of its kernel, and whether
 a vector lies in its column span (with an explicit coefficient witness).
 All three come from one forward-only, fraction-free elimination on integer
 rows (_echelon: the isolated rows first, then sparsity-aware pivots off a
-heap): pivot_columns collects its pivot columns and rank counts them, and
-kernel vectors and span witnesses are back-substituted over its pivot rows,
-then certified exactly (m k == 0, m x == v) before they are returned.
-There is deliberately no floating point anywhere in this package.
-
-The pivot columns of a matrix are a basis of its column space (see
-_echelon).  ChainWindow.rank rests on that to rank the differentials of a
-chain complex with clearing, the "twist" of persistent-homology codes (Chen
-and Kerber, "Persistent homology computation with a twist", EuroCG 2011):
-it eliminates d_{t+1} without the rows (without_rows) that d_t pivoted.
+heap): rank counts its pivots, and kernel vectors and span witnesses are
+back-substituted over its pivot rows, then certified exactly (m k == 0,
+m x == v) before they are returned.  There is deliberately no floating point
+anywhere in this package.
 
 Matrices are stored sparsely as rows {row: {col: value}}, nonempty rows
 only, with an integral value stored as an int and any other as a Fraction.
@@ -206,12 +200,6 @@ class RationalMatrix:
                 out.append((i, acc))
         return RationalMatrix._new(self.rows, other.cols, out)
 
-    def without_rows(self, drop) -> "RationalMatrix":
-        """The same shape with the rows in drop zeroed; the other rows are
-        shared with self, not copied (a matrix is never changed in place)."""
-        return RationalMatrix._trusted(
-            self.rows, self.cols, {i: r for i, r in self.data.items() if i not in drop})
-
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
@@ -348,17 +336,10 @@ def _back_substitute(pivots, x):
     return x
 
 
-def pivot_columns(m: RationalMatrix) -> frozenset:
-    """The pivot columns of _echelon on m, a basis of its column space; no
-    pivot row is kept.  A zero matrix has none and is not eliminated."""
-    if not m.data:
-        return frozenset()
-    return frozenset(col for col, _ in _echelon(m.data, m.cols))
-
-
 def rank(m: RationalMatrix) -> int:
-    """Rank: the number of pivot columns."""
-    return len(pivot_columns(m))
+    """Rank: the number of pivots of _echelon on m, no pivot row kept.  A
+    zero matrix has none and is not eliminated."""
+    return sum(1 for _ in _echelon(m.data, m.cols)) if m.data else 0
 
 
 def kernel_basis(m: RationalMatrix):

@@ -87,7 +87,7 @@ z = d(w + H(z')).  morse_complex returns phi as project, builds only the
 critical cells and checks the matching where phi goes, memoising phi on the
 critical and lower cells it reaches but not on upper faces, whose phi is 0;
 the tests check it on every cell, and Morse homology and boundaries against
-bar_window.
+bar_window, which has no cell and no homology above the top critical level.
 
 Homology is compared against the polynomial/exterior prediction: for every
 generator g a companion class in degree |g| + 1 with flipped parity (the
@@ -359,13 +359,15 @@ def _matching(pres: Presentation, m, pack):
 
 
 def _critical_cells(pres: Presentation, m) -> dict:
-    """The critical cells, sorted, at levels -1..|m|_1 + 1: a_0 = m - c, then
+    """The critical cells, sorted, at levels -1..top + 1: a_0 = m - c, then
     c_i copies of each generator i in falling rank, c_i <= min(1, m_i) if even,
-    c_i in {m_i - 1, m_i} and >= 0 if odd (a_0 holds an odd one at most once)."""
+    c_i in {m_i - 1, m_i} and >= 0 if odd (a_0 holds an odd one at most once).
+    top, the longest chain, sums m_i over odd i and min(1, m_i) over even i."""
     order = _digit_order(pres)[::-1]
-    cells = {s: [] for s in range(-1, sum(m) + 2)}
-    for c in itertools.product(*(range(max(e - 1, 0), e + 1) if pres.is_odd(i)
-                                 else range(min(e, 1) + 1) for i, e in enumerate(m))):
+    counts = [range(max(e - 1, 0), e + 1) if pres.is_odd(i) else range(min(e, 1) + 1)
+              for i, e in enumerate(m)]
+    cells = {s: [] for s in range(-1, sum(c[-1] for c in counts) + 2)}
+    for c in itertools.product(*counts):
         chain = [tuple(int(i == j) for j in range(pres.ngens)) for i in order
                  for _ in range(c[i])]
         cells[len(chain)].append((tuple(e - k for e, k in zip(m, c)), *chain))
@@ -374,11 +376,12 @@ def _critical_cells(pres: Presentation, m) -> dict:
 
 def morse_complex(pres: Presentation, m):
     """(window, project) for one multidegree.  window is the Morse complex,
-    levels as degrees, padded like bar_window(pres, m): the critical cells,
-    built from their shape alone by _critical_cells and labelled by their
-    bar tensors, each mapped to phi of its faces.  project(x) is phi(x) as
-    {row: value} on the critical cells of x's level, for x a normalized
-    BarChain of multidegree m; any other nonzero chain raises ValueError.
+    levels as degrees, padded by one empty level below 0 and above the top
+    critical level: the critical cells, built from their shape alone by
+    _critical_cells and labelled by their bar tensors, each mapped to phi of
+    its faces.  project(x) is phi(x) as {row: value} on the critical cells of
+    x's level, for x a normalized BarChain of multidegree m; any other nonzero
+    chain raises ValueError.
 
     Guards (ArithmeticError): each enumerated cell is critical; each lower
     cell phi expands has a partner that classifies back, with coefficient
@@ -446,14 +449,15 @@ def morse_complex(pres: Presentation, m):
         return combine((row[crit], c * e) for t, c in cells for crit, e in phi(t).items())
 
     window = ChainWindow(basis, {s: assemble(packed[s], packed[s - 1], image)
-                                 for s in range(sum(m) + 2)})
+                                 for s in range(max(basis) + 1)})
     return window, project
 
 
 def hh_dims(pres: Presentation, m) -> dict:
     """HH dimensions by total degree for one multidegree, from the Morse complex."""
     m = check_multidegree(pres, m)
-    by_level = morse_complex(pres, m)[0].homology_dims((0, sum(m)))
+    window = morse_complex(pres, m)[0]
+    by_level = window.homology_dims((0, window.hi - 1))
     return {internal_degree(pres, m) + s: d for s, d in sorted(by_level.items()) if d}
 
 

@@ -1,6 +1,8 @@
-"""Matrix helpers that only the tests use: a dense constructor and the
-transpose, kept beside the tests rather than in the package."""
+"""Matrix helpers that only the tests use: a dense constructor, the
+transpose and the pivot columns, kept beside the tests rather than in the
+package."""
 
+from gradedhh import exact_linear
 from gradedhh.exact_linear import RationalMatrix
 
 
@@ -24,3 +26,12 @@ def transpose(m: RationalMatrix) -> RationalMatrix:
         for j, v in row.items():
             out.setdefault(j, {})[i] = v
     return RationalMatrix._new(m.cols, m.rows, out.items())
+
+
+def pivot_columns(m: RationalMatrix) -> frozenset:
+    """The pivot columns of _echelon on m, a basis of its column space (see
+    _echelon); none for a zero matrix, which is not eliminated.  _echelon is
+    looked up on the module, so that a patched one is the one used."""
+    if not m.data:
+        return frozenset()
+    return frozenset(col for col, _ in exact_linear._echelon(m.data, m.cols))

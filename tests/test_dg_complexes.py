@@ -38,7 +38,7 @@ from gradedhh.dg_complexes import (
 import gradedhh.dg_complexes as dg_complexes
 from gradedhh.cli import main as cli_main, parse_preset
 import gradedhh.exact_linear as exact_linear
-from gradedhh.exact_linear import RationalMatrix, combine, pivot_columns, rank
+from gradedhh.exact_linear import RationalMatrix, combine, rank
 from gradedhh.graded_algebra import (
     Element,
     degree_pieces,
@@ -48,8 +48,9 @@ from gradedhh.graded_algebra import (
     mono_one,
     monomial_basis,
 )
-from gradedhh.hochschild import bar_window, multidegrees_up_to
+from gradedhh.hochschild import bar_window, hh_dims
 from reference import from_rows
+from test_imports import _load_tracer
 
 
 def poly_ring():
@@ -433,32 +434,38 @@ def test_cone_report_regularity_reads_both_end_source_degrees():
 
 
 def _count_ranks(monkeypatch):
-    """Record the matrix of every elimination dg_complexes asks for, through
-    either entry point: rank or pivot_columns."""
+    """Record the matrix of every elimination dg_complexes asks for."""
     calls = []
-    for name, original in (("rank", rank), ("pivot_columns", pivot_columns)):
-        def counted(m, original=original):
-            calls.append(m)
-            return original(m)
 
-        monkeypatch.setattr(dg_complexes, name, counted)
+    def counted(m):
+        calls.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(dg_complexes, "rank", counted)
     return calls
 
 
 def test_homology_ranks_each_differential_once(monkeypatch):
-    pres = a_q(ChromaticParams(2, 2))
+    win = bar_window(a_q(ChromaticParams(2, 2)), (3, 1))  # hh_dims ranks the Morse complex
     calls = _count_ranks(monkeypatch)
-    bar_window(pres, (3, 1)).homology_dims((0, 4))  # hh_dims ranks the Morse complex
-    diff = bar_window(pres, (3, 1)).diff
-    assert len(calls) == len(diff)
-    # in ascending order, each without the rows of the pivots of the one below
-    below = frozenset()
-    for m, t in zip(calls, sorted(diff)):
-        assert m == diff[t].without_rows(below), t
-        below = pivot_columns(m)
-        assert len(below) == rank(diff[t]), t
-    # clearing left rows out
-    assert sum(len(m.data) for m in calls) < sum(len(d.data) for d in diff.values())
+    win.homology_dims((0, 4))
+    win.homology_dims((1, 3))
+    # in ascending order, each on the whole differential
+    assert len(calls) == len(win.diff)
+    assert all(m is win.diff[t] for m, t in zip(calls, sorted(win.diff)))
+
+
+def test_the_tracer_sees_each_window_rank():
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        hh_dims(a_q(ChromaticParams(2, 2)), (2, 1))
+    finally:
+        tracer.uninstall()
+    (_, (window, *_), _), = tracer.calls["dg_complexes.ChainWindow.validate"]
+    ranked = [m for _, (m,), _ in tracer.calls["exact_linear.rank"]]
+    assert len(ranked) == len(window.diff)
+    assert all(m is window.diff[t] for m, t in zip(ranked, sorted(window.diff)))
 
 
 def test_commutative_model_check_ranks_each_differential_once(monkeypatch):
@@ -469,66 +476,7 @@ def test_commutative_model_check_ranks_each_differential_once(monkeypatch):
     assert len(calls) <= 3 * (hi - lo + 2)
 
 
-# -- clearing: every differential ranked without the rows pivoted below ---------------
-
-
-def _bar_windows():
-    """The bar complexes of acceptance criterion 1: weight <= 5 on its presets."""
-    presets = [
-        make_presentation([("v", 2, False)]),
-        make_presentation([("y", 3, False)]),
-        a_q(ChromaticParams(2, 2)),
-        a_q(ChromaticParams(3, 2)),
-    ]
-    return [bar_window(pres, m) for pres in presets for m in multidegrees_up_to(pres, 5)]
-
-
-def _cone_windows():
-    """The cones of the cone reference cases, realized on the degrees
-    cone_report ranks."""
-    out = []
-    for preset, element, (lo, hi), caps in CONE_REFERENCE_CASES:
-        pres = parse_preset(preset)
-        c = GradedComplex(pres, element_from_string(pres, element))
-        try:
-            out.append(c.realize((lo, hi + max(0, c.degree)), caps))
-        except ValueError:  # caps too tight for the window
-            pass
-    return out
-
-
-def _mdga_windows():
-    """The matrix-DGA windows of the acceptance and flat pair-check cases."""
-    return [build_mdga_window(matrix_dga(p, n), window)
-            for p, n, window in [(2, 2, (-12, 8)), (3, 1, (-10, 6)), *FLAT_CHECK_CASES]]
-
-
-@pytest.mark.parametrize("windows", [_bar_windows, _cone_windows, _mdga_windows],
-                         ids=["bar", "cone", "matrix-dga"])
-def test_cleared_ranks_equal_full_ranks(windows):
-    for win in windows():
-        for t in sorted(win.diff):
-            assert win.rank(t) == rank(win.diff[t]), (win.basis[t][:3], t)
-
-
-def test_rank_out_of_order_takes_the_full_matrix(monkeypatch):
-    pres = a_q(ChromaticParams(2, 2))
-    ascending = bar_window(pres, (4, 1))
-    want = {t: ascending.rank(t) for t in sorted(ascending.diff)}
-    win = bar_window(pres, (4, 1))
-    calls = _count_ranks(monkeypatch)
-    assert win.rank(3) == want[3]
-    assert win.rank(2) == want[2]
-    assert calls == [win.diff[3], win.diff[2]]
-    # degree 3 is kept, and degree 4 is cleared by the pivots of degree 3
-    assert win.rank(3) == want[3] and len(calls) == 2
-    assert win.rank(4) == want[4]
-    assert calls[2] == win.diff[4].without_rows(pivot_columns(win.diff[3]))
-    assert calls[2] != win.diff[4]
-
-
-def test_homology_keeps_ranks_and_at_most_one_pivot_set():
-    # rank(t) drops the pivot set of degree t - 1 once it has cleared with it
+def test_homology_keeps_the_rank_of_each_differential():
     dga = matrix_dga(2, 2)
     for win in [
         bar_window(a_q(ChromaticParams(2, 2)), (4, 1)),
@@ -537,7 +485,6 @@ def test_homology_keeps_ranks_and_at_most_one_pivot_set():
     ]:
         lo, hi = win.lo + 1, win.hi - 1
         win.homology_dims((lo, hi))
-        assert len(win._pivots) <= 1
         assert win._ranks == {t: rank(win.diff[t]) for t in range(lo, hi + 2)}
 
 

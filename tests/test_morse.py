@@ -55,10 +55,19 @@ def _check_matching(pres, m):
     tuple(TopologicalSorter(graph).static_order())
 
 
+def _top(pres, m):
+    """The top critical level, the longest chain: each odd generator m_i times
+    and each even one at most once."""
+    return sum(e if pres.is_odd(i) else min(e, 1) for i, e in enumerate(m))
+
+
 def _assert_morse_equals_unreduced(pres, m):
-    window = (0, sum(m))
-    assert morse_complex(pres, m)[0].homology_dims(window) == \
-        bar_window(pres, m).homology_dims(window), m
+    """Equal homology up to the top critical level; above it the bar complex
+    has none."""
+    top, bar = _top(pres, m), bar_window(pres, m)
+    assert morse_complex(pres, m)[0].homology_dims((0, top)) == \
+        bar.homology_dims((0, top)), m
+    assert not any(bar.homology_dims((top + 1, sum(m))).values()), m
 
 
 def _classify_everything_window(pres, m):
@@ -83,6 +92,9 @@ def _classify_everything_window(pres, m):
                 raise ArithmeticError(f"Morse partner of {tensor} does not match back")
     if balance:
         raise ArithmeticError("Morse matching leaves lower and upper cells unequal")
+    top = _top(pres, m)
+    if any(cells for s, cells in critical.items() if s > top):
+        raise ArithmeticError("a critical cell above the top critical level")
 
     flow, pending = {}, {}
 
@@ -118,9 +130,9 @@ def _classify_everything_window(pres, m):
         return ((crit, e * c) for face, e in hochschild._faces(t, odd, signs, total)
                 for crit, c in phi(face).items())
 
-    levels = {s: critical.get(s, []) for s in range(-1, max(basis) + 2)}
+    levels = {s: critical.get(s, []) for s in range(-1, top + 2)}
     diff = {s: assemble([t for _, t in levels[s]], [t for _, t in levels[s - 1]], image)
-            for s in range(max(basis) + 2)}
+            for s in range(top + 2)}
     return ChainWindow({s: [tensor for tensor, _ in cells] for s, cells in levels.items()},
                        diff)
 
@@ -177,7 +189,9 @@ def test_enumerated_critical_cells_are_the_classified_ones(case):
         return classify(tuple(map(pack, tensor)))[0] == CRITICAL
 
     classified = {s: list(filter(is_critical, basis.get(s, []))) for s in range(-1, sum(m) + 2)}
-    assert hochschild._critical_cells(pres, m) == classified
+    top = _top(pres, m)
+    assert hochschild._critical_cells(pres, m) == {s: classified[s] for s in range(-1, top + 2)}
+    assert not any(classified[s] for s in range(top + 1, sum(m) + 2))
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -237,7 +251,7 @@ def _chain(pres, window, level, v):
 @given(projection_cases(), st.data())
 def test_project_is_a_chain_map(case, data):
     pres, bar, morse, project = case
-    s = data.draw(st.integers(0, bar.hi - 1))
+    s = data.draw(st.integers(0, morse.hi))
     x = _chain(pres, bar, s, _vector(data.draw, len(bar.basis[s])))
     assert project(hochschild_diff(x)) == _apply(morse.diff[s], project(x))
 
@@ -254,7 +268,7 @@ def test_the_morse_boundary_test_agrees_with_the_bar_window(case, boundary, data
         cycle = next(k for k in kernel_basis(bar.diff[s])
                      if not in_span(bar.diff[s + 1], k).in_span)
     else:
-        s, cycle = data.draw(st.integers(0, bar.hi - 1)), {}
+        s, cycle = data.draw(st.integers(0, morse.hi - 1)), {}
     z = combine([*_apply(bar.diff[s + 1], _vector(data.draw, len(bar.basis[s + 1]))).items(),
                  *cycle.items()])
     assert in_span(bar.diff[s + 1], z).in_span == boundary

@@ -16,10 +16,9 @@ cones on homogeneous elements of two or three terms over two odd
 generators and one even one against the label-wise assembly through
 koszul_mul, and cone_report's homology against theirs, the heap pivot
 order of the elimination against the scan it replaced, its answers against
-the heap elimination without the isolated-row peel, the cleared ranks of a
-chain window against full ranks on random complexes, the matrix-DGA
-product and differential against the entrywise 2x2 formulas in Element
-arithmetic, the class-decided matrix-DGA pair checks against the
+the heap elimination without the isolated-row peel, its pivot columns as a
+basis of the column space, the matrix-DGA product and differential against
+the entrywise 2x2 formulas in Element arithmetic, the class-decided matrix-DGA pair checks against the
 exhaustive loops they replaced, on random slot-level product and
 differential rules, and the Ore checker against the search-first decision
 it replaced, on random tables whose products respect degrees.
@@ -40,7 +39,6 @@ from gradedhh.chromatic_presets import ChromaticParams, a_q, en_q, parse_preset
 import gradedhh.dg_complexes as dg_complexes
 import gradedhh.exact_linear as exact_linear
 from gradedhh.dg_complexes import (
-    ChainWindow,
     GradedComplex,
     MatrixDGA,
     MatrixDGAElement,
@@ -58,7 +56,6 @@ from gradedhh.exact_linear import (
     _integer_row,
     in_span,
     kernel_basis,
-    pivot_columns,
     rank,
 )
 from gradedhh.graded_algebra import (
@@ -89,7 +86,7 @@ from gradedhh.hochschild import (
     hochschild_diff,
     multidegrees_up_to,
 )
-from reference import from_rows, transpose
+from reference import from_rows, pivot_columns, transpose
 from test_dg_complexes import (
     _exhaustive_model_check,
     _exhaustive_structure_check,
@@ -780,6 +777,11 @@ def _in_span_dense(m, v):
 def test_rank_equals_gauss_jordan_pivot_count(m):
     pivots, _ = _rref(m.data.values(), m.cols)
     assert rank(m) == len(pivots)
+    # _echelon's pivot columns are a basis of the column space of the whole m
+    pivots = pivot_columns(m)
+    on_pivots = RationalMatrix._new(m.rows, m.cols, (
+        (i, {c: v for c, v in row.items() if c in pivots}) for i, row in m.data.items()))
+    assert len(pivots) == rank(on_pivots) == rank(m)
 
 
 @PROPERTY
@@ -880,32 +882,6 @@ def chain_complexes(draw):
                                        Fraction(0)) for j in range(diffs[-1].cols)]))
         diffs.append(RationalMatrix.from_columns(columns, rows=diffs[-1].cols))
     return diffs
-
-
-@PROPERTY
-@given(chain_complexes())
-def test_cleared_ranks_equal_full_ranks_and_chain_across_degrees(diffs):
-    basis = {0: range(diffs[0].rows)}
-    basis.update((t, range(d.cols)) for t, d in enumerate(diffs, 1))
-    window = ChainWindow(basis, dict(enumerate(diffs, 1)))
-    calls = []
-
-    def recorded(m):
-        calls.append((m, pivot_columns(m)))
-        return calls[-1][1]
-
-    with mock.patch.object(dg_complexes, "pivot_columns", recorded):
-        ranks = [window.rank(t) for t in range(1, len(diffs) + 1)]
-    assert ranks == [rank(d) for d in diffs]
-    below = frozenset()
-    for d, (m, pivots) in zip(diffs, calls, strict=True):
-        # each eliminated without the rows the degree below pivoted, and its
-        # pivots a column basis of the whole differential: the next clearing
-        # rests on that
-        assert m == d.without_rows(below)
-        others = set(range(d.cols)) - pivots
-        assert len(pivots) == rank(transpose(d).without_rows(others)) == rank(d)
-        below = pivots
 
 
 @PROPERTY
