@@ -48,7 +48,7 @@ from gradedhh.graded_algebra import (
     mono_one,
     monomial_basis,
 )
-from gradedhh.hochschild import bar_window, hh_dims
+from gradedhh.hochschild import bar_window, hh_dims, multidegrees_up_to
 from reference import from_rows
 from test_imports import _load_tracer
 
@@ -474,6 +474,53 @@ def test_commutative_model_check_ranks_each_differential_once(monkeypatch):
     assert commutative_model_check(2, 2, (lo, hi))["all_ok"]
     # at most the sub and ambient differentials plus one stacked matrix per degree
     assert len(calls) <= 3 * (hi - lo + 2)
+
+
+def test_rank_out_of_order_ranks_each_differential_once(monkeypatch):
+    pres = a_q(ChromaticParams(2, 2))
+    ascending = bar_window(pres, (4, 1))
+    want = {t: ascending.rank(t) for t in sorted(ascending.diff)}
+    win = bar_window(pres, (4, 1))
+    calls = _count_ranks(monkeypatch)
+    order = (3, 2, 3, 4, 2)
+    assert [win.rank(t) for t in order] == [want[t] for t in order]
+    # each on the whole differential, a repeat answered from the cache
+    assert len(calls) == 3
+    assert all(m is win.diff[t] for m, t in zip(calls, (3, 2, 4)))
+
+
+# -- the windows whose ranks test_properties checks against Gauss-Jordan ---------------
+
+
+def _bar_windows():
+    """The bar complexes of acceptance criterion 1: weight <= 5 on its presets."""
+    presets = [
+        make_presentation([("v", 2, False)]),
+        make_presentation([("y", 3, False)]),
+        a_q(ChromaticParams(2, 2)),
+        a_q(ChromaticParams(3, 2)),
+    ]
+    return [bar_window(pres, m) for pres in presets for m in multidegrees_up_to(pres, 5)]
+
+
+def _cone_windows():
+    """The cones of the cone reference cases, realized on the degrees
+    cone_report ranks."""
+    out = []
+    for preset, element, (lo, hi), caps in CONE_REFERENCE_CASES:
+        pres = parse_preset(preset)
+        c = GradedComplex(pres, element_from_string(pres, element))
+        try:
+            out.append(c.realize((lo, hi + max(0, c.degree)), caps))
+        except ValueError:  # caps too tight for the window
+            pass
+    return out
+
+
+def _mdga_windows():
+    """The matrix-DGA windows of the acceptance and flat pair-check cases."""
+    return [build_mdga_window(matrix_dga(p, n), window)
+            for p, n, window in [(2, 2, (-12, 8)), (3, 1, (-10, 6)), *FLAT_CHECK_CASES]]
 
 
 def test_homology_keeps_the_rank_of_each_differential():

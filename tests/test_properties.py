@@ -17,7 +17,8 @@ generators and one even one against the label-wise assembly through
 koszul_mul, and cone_report's homology against theirs, the heap pivot
 order of the elimination against the scan it replaced, its answers against
 the heap elimination without the isolated-row peel, its pivot columns as a
-basis of the column space, the matrix-DGA product and differential against
+basis of the column space, the ranks bar, cone and matrix-DGA windows
+cache against Gauss-Jordan, the matrix-DGA product and differential against
 the entrywise 2x2 formulas in Element arithmetic, the class-decided matrix-DGA pair checks against the
 exhaustive loops they replaced, on random slot-level product and
 differential rules, and the Ore checker against the search-first decision
@@ -88,9 +89,12 @@ from gradedhh.hochschild import (
 )
 from reference import from_rows, pivot_columns, transpose
 from test_dg_complexes import (
+    _bar_windows,
+    _cone_windows,
     _exhaustive_model_check,
     _exhaustive_structure_check,
     _labelwise_realize,
+    _mdga_windows,
     _streamed_cone_report,
 )
 
@@ -782,6 +786,16 @@ def test_rank_equals_gauss_jordan_pivot_count(m):
     on_pivots = RationalMatrix._new(m.rows, m.cols, (
         (i, {c: v for c, v in row.items() if c in pivots}) for i, row in m.data.items()))
     assert len(pivots) == rank(on_pivots) == rank(m)
+
+
+@pytest.mark.parametrize("windows", [_bar_windows, _cone_windows, _mdga_windows],
+                         ids=["bar", "cone", "matrix-dga"])
+def test_window_ranks_equal_gauss_jordan_pivot_counts(windows):
+    # the rank a window caches for degree t is that of the whole diff[t]
+    for win in windows():
+        for t in sorted(win.diff):
+            d = win.diff[t]
+            assert win.rank(t) == len(_rref(d.data.values(), d.cols)[0]), (win.basis[t][:3], t)
 
 
 @PROPERTY
