@@ -30,7 +30,9 @@ carries, and a product's code is the sum a + b.  With ODD the mask of the odd
 digits, a & b & ODD is the exterior square test, the crossing sign of a b is
 a table over mask pairs, and the rotation face's Koszul parity is c (t - c),
 c the popcount of the moved factor's mask and t the tensor's total of odd
-exponents.  bar_window packs its basis a level at a time, holding only the
+exponents.  The sign table depends only on the number k of odd generators,
+so _crossing_signs builds it once per k and every multidegree shares it.
+bar_window packs its basis a level at a time, holding only the
 source and target levels packed, and sums the faces into matrix columns
 (dg_complexes.assemble); hochschild_diff packs at its boundary, by the
 componentwise largest multidegree of its tensors, and decodes the faces.
@@ -102,6 +104,7 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import mul, sub
 
 from .dg_complexes import ChainWindow, assemble
 from .exact_linear import QCombination, combine
@@ -210,6 +213,16 @@ def _digit_order(pres: Presentation) -> list:
     return sorted(range(pres.ngens), key=lambda i: not pres.is_odd(i))
 
 
+@functools.cache
+def _crossing_signs(k: int) -> tuple:
+    """signs[a][b] = (-1)^(odd-odd crossings of a b) for k-digit odd masks a,
+    b, where every odd digit of b moves left past each higher one of a.  The
+    table depends on k alone, so it is built once per odd count and shared:
+    tuples, which no caller can change."""
+    return tuple(tuple((-1) ** sum((a >> p + 1).bit_count() for p in range(k) if b >> p & 1)
+                       for b in range(1 << k)) for a in range(1 << k))
+
+
 def _packing(pres: Presentation, m):
     """pack, unpack, the odd mask and the crossing signs for multidegree m.
 
@@ -217,9 +230,8 @@ def _packing(pres: Presentation, m):
     order, radix 2 for an odd generator and m_i + 1 for an even one; the k
     odd digits are thus the lowest, under the mask (1 << k) - 1.  pack is
     additive while no digit overflows (see the module docstring); unpack
-    leaves the top digit unreduced.  signs[a][b] is (-1)^(odd-odd crossings
-    of a b) for odd masks a, b, where every odd digit of b moves left past
-    each higher one of a."""
+    leaves the top digit unreduced.  signs is _crossing_signs(k), the one
+    shared table for k odd generators."""
     _require_no_laurent(pres)  # a negative exponent has no digit
     order = _digit_order(pres)
     places, place = [0] * pres.ngens, 1
@@ -227,7 +239,7 @@ def _packing(pres: Presentation, m):
         places[i], place = place, place * (2 if pres.is_odd(i) else m[i] + 1)
 
     def pack(mono) -> int:
-        return sum(e * r for e, r in zip(mono, places))
+        return sum(map(mul, mono, places))
 
     def unpack(code: int) -> tuple:
         mono = [0] * len(places)
@@ -236,9 +248,7 @@ def _packing(pres: Presentation, m):
         return tuple(mono)
 
     k = sum(map(pres.is_odd, range(pres.ngens)))
-    signs = [[(-1) ** sum((a >> p + 1).bit_count() for p in range(k) if b >> p & 1)
-              for b in range(1 << k)] for a in range(1 << k)]
-    return pack, unpack, (1 << k) - 1, signs
+    return pack, unpack, (1 << k) - 1, _crossing_signs(k)
 
 
 def _faces(tensor, odd, signs, total):
@@ -331,18 +341,26 @@ _LOWER, _CRITICAL, _UPPER = -1, 0, 1  # a matching pairs lower with upper: kinds
 def _matching(pres: Presentation, m, pack):
     """classify(t) -> (kind, partner) on the packed tensors of multidegree m.
 
-    Generators are ranked in _digit_order.  A per-code table gives the rank
-    h of a code's lowest digit, whether that generator is odd, and the code
-    minus that generator's, 0 exactly when the code is the generator
-    itself."""
+    Generators are ranked in _digit_order.  A per-code table low gives the
+    rank h of a nonzero code's lowest digit, whether that generator is odd,
+    and the code minus that generator's place, 0 exactly when the code is
+    the generator itself.  The places are pack of the unit vectors, and low
+    grows one digit at a time in digit order, so a code's lowest digit is
+    the first one set: digit h at d >= 1 (d <= m_i, and d = 1 if odd) gives
+    the code d * place_h with rest (d - 1) * place_h, and extends each code
+    already in low, keeping its lowest digit and adding d * place_h to its
+    rest.  No exponent tuple is built."""
     order = _digit_order(pres)
     low = {}
-    for mono in itertools.product(*(range(min(e, 1) + 1 if pres.is_odd(i) else e + 1)
-                                    for i, e in enumerate(m))):
-        h = next((r for r, i in enumerate(order) if mono[i]), None)
-        if h is not None:
-            gen = tuple(int(i == order[h]) for i in range(pres.ngens))
-            low[pack(mono)] = h, pres.is_odd(order[h]), pack(mono) - pack(gen)
+    for h, i in enumerate(order):
+        place, odd_h = pack([int(j == i) for j in range(pres.ngens)]), pres.is_odd(i)
+        grown = {}
+        for d in range(1, (min(m[i], 1) if odd_h else m[i]) + 1):
+            step = d * place
+            grown[step] = h, odd_h, step - place
+            grown.update({code + step: (g, odd_g, rest + step)
+                          for code, (g, odd_g, rest) in low.items()})
+        low.update(grown)
 
     def classify(t):
         g = len(order)  # the walk starts at position 1 with no chain yet
@@ -364,13 +382,13 @@ def _critical_cells(pres: Presentation, m) -> dict:
     c_i in {m_i - 1, m_i} and >= 0 if odd (a_0 holds an odd one at most once).
     top, the longest chain, sums m_i over odd i and min(1, m_i) over even i."""
     order = _digit_order(pres)[::-1]
+    units = [tuple(int(i == j) for j in range(pres.ngens)) for i in range(pres.ngens)]
     counts = [range(max(e - 1, 0), e + 1) if pres.is_odd(i) else range(min(e, 1) + 1)
               for i, e in enumerate(m)]
     cells = {s: [] for s in range(-1, sum(c[-1] for c in counts) + 2)}
     for c in itertools.product(*counts):
-        chain = [tuple(int(i == j) for j in range(pres.ngens)) for i in order
-                 for _ in range(c[i])]
-        cells[len(chain)].append((tuple(e - k for e, k in zip(m, c)), *chain))
+        chain = [units[i] for i in order for _ in range(c[i])]
+        cells[len(chain)].append((tuple(map(sub, m, c)), *chain))
     return {s: sorted(tensors) for s, tensors in cells.items()}
 
 

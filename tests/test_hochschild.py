@@ -402,6 +402,20 @@ def test_packed_faces_equal_the_tuple_rule_on_every_basis_tensor(pres, ms):
             assert _packed_faces(pres, m, tensor) == want, (m, tensor)
 
 
+def test_the_crossing_sign_table_is_built_once_per_odd_count_and_is_immutable():
+    two_odd = _odd_presets()[2]  # x, v, y with x and y odd
+    signs = hochschild._packing(two_odd, (1, 2, 1))[3]
+    assert hochschild._packing(two_odd, (0, 5, 1))[3] is signs
+    other = make_presentation([("v", 4), ("z", -1), ("w", 3)])  # another ring, two odd
+    assert hochschild._packing(other, (3, 1, 0))[3] is signs
+    assert hochschild._packing(_odd_presets()[3], (1, 1, 1, 0, 1))[3] is not signs
+    assert type(signs) is tuple and all(type(row) is tuple for row in signs)
+    with pytest.raises(TypeError):
+        signs[1][2] = -signs[1][2]
+    with pytest.raises(TypeError):
+        signs[0] = signs[1]
+
+
 def test_hochschild_diff_equals_the_tuple_rule_on_mixed_multidegrees():
     pres = _odd_presets()[3]
     ms = [(1, 1, 1, 0, 1), (2, 0, 1, 1, 1), (0, 2, 1, 1, 0), (1, 3, 0, 0, 1)]

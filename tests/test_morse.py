@@ -22,6 +22,8 @@ from gradedhh.hochschild import (
     morse_complex,
     multidegrees_up_to,
 )
+from reference import matching as reference_matching
+from test_hochschild import _odd_presets
 
 LOWER, CRITICAL, UPPER = hochschild._LOWER, hochschild._CRITICAL, hochschild._UPPER
 
@@ -53,6 +55,43 @@ def _check_matching(pres, m):
             assert edges.pop(t) in (1, -1), (m, t)
             graph[t] = {face for face in edges if classify(face)[0] == LOWER}
     tuple(TopologicalSorter(graph).static_order())
+
+
+def _assert_classify_equals_the_reference(pres, m):
+    """Kind and partner of every packed cell of bar_basis, against the
+    tuple-built matching of tests/reference.py."""
+    pack = hochschild._packing(pres, m)[0]
+    got, want = hochschild._matching(pres, m, pack), reference_matching(pres, m, pack)
+    for tensors in bar_basis(pres, m).values():
+        for t in (tuple(map(pack, tensor)) for tensor in tensors):
+            assert got(t) == want(t), (m, t)
+
+
+REFERENCE_PRESETS = ["a:2:3", "a:3:2", "hh_a:2:2", "hh_a:3:2"]
+
+
+@pytest.mark.parametrize("pres", [*map(parse_preset, REFERENCE_PRESETS), _odd_presets()[3]],
+                         ids=[*REFERENCE_PRESETS, "3 odd"])
+def test_classify_equals_the_tuple_built_reference_up_to_weight_4(pres):
+    for m in multidegrees_up_to(pres, 4):
+        _assert_classify_equals_the_reference(pres, m)
+
+
+@st.composite
+def reference_cases(draw):
+    """1-5 generators, at most 3 of them odd, none Laurent, and a multidegree
+    of weight at most 4."""
+    odd = draw(st.lists(st.booleans(), min_size=1, max_size=5).filter(lambda o: sum(o) <= 3))
+    degrees = [2 * draw(st.integers(-3, 2)) + o for o in odd]
+    pres = make_presentation([(f"g{i}", d) for i, d in enumerate(degrees)])
+    picks = draw(st.lists(st.integers(0, len(odd) - 1), max_size=4))
+    return pres, tuple(map(picks.count, range(len(odd))))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(reference_cases())
+def test_classify_equals_the_tuple_built_reference_on_random_rings(case):
+    _assert_classify_equals_the_reference(*case)
 
 
 def _top(pres, m):
