@@ -72,7 +72,6 @@ from .dg_complexes import (
     matrix_dga,
     mdga_diag,
     mdga_eps,
-    quasi_iso_check,
 )
 from .hochschild import (
     BarChain,
@@ -117,7 +116,7 @@ __all__ = [
     "ChainWindow", "GradedComplex", "MatrixDGA", "MatrixDGAElement",
     "commutative_model_check", "cone_report", "dga_diff",
     "dga_structure_check", "homology_ring_check", "matrix_dga", "mdga_diag",
-    "mdga_eps", "quasi_iso_check",
+    "mdga_eps",
     "BarChain", "D_map", "HkrReport", "bar_basis", "bar_window", "hh_dims",
     "hkr_check", "hkr_predicted_dims", "hochschild_diff", "internal_degree",
     "morse_complex", "multidegree_from_dict",

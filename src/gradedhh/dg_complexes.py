@@ -6,22 +6,19 @@ differential left multiplication by r, so d compose d = 0 by structure.  A
 ChainWindow is concrete: explicit bases and exact differential matrices over
 a finite degree range, with d compose d = 0 checked at construction.
 assemble, which writes the image of each source label as a column, builds
-every differential and inclusion matrix but the multiplication blocks of
-realize and cone_report.
+every differential but the multiplication blocks of realize and
+cone_report.
 
 A realized cone and an enumerated matrix-DGA window take their bases from
 one degree_pieces call over the hull of every shifted degree read.
 ChainWindow.rank(t) eliminates diff[t] once, and homology_dims reads it.
-The matrix-DGA questions enumerate a window only when the class-shape
-certificate of _certified_sizes fails; when it holds they count ranks,
-homology and the quasi-isomorphism from piece sizes (proof there).
-quasi_iso_check takes the inclusion of a complex with zero differential, so
-it reads the rank of the induced map off one more block per degree, the
-inclusion beside the boundaries, less a rank the window holds (proof
-there).  cone_report realizes no window and reads all it reports off ranks
-and piece sizes: for r with one term it counts the ranks from piece sizes,
-enumerating nothing, and otherwise it ranks one multiplication block per
-degree and drops it (proof there).
+The matrix-DGA questions take one route: they count ranks, homology and
+the quasi-isomorphism from piece sizes under the class-shape certificate of
+_certified_sizes (proof there), and refuse with ArithmeticError when it
+fails; they enumerate no window.  cone_report realizes no window and reads
+all it reports off ranks and piece sizes: for r with one term it counts the
+ranks from piece sizes, enumerating nothing, and otherwise it ranks one
+multiplication block per degree and drops it (proof there).
 
 The matrix DG algebra models the endomorphisms of the cone on v_n over
 Q[v_1, ..., v_n].  A degree-k element is a 2x2 matrix [[a, b], [c, d]] with
@@ -63,7 +60,6 @@ from .exact_linear import (
     QCombination,
     RationalMatrix,
     combine,
-    in_span,
     rank,
 )
 from .graded_algebra import (
@@ -155,15 +151,6 @@ def assemble(source_labels, target_labels, image) -> RationalMatrix:
             row = rows[i]
             row[col] = row.get(col, 0) + coeff
     return RationalMatrix._new(len(target_labels), len(source_labels), rows.items())
-
-
-def coordinates(terms: dict, labels) -> dict:
-    """Coefficients {row: value} of the {label: value} terms on an ordered
-    basis; every label must be in it."""
-    index = {label: i for i, label in enumerate(labels)}
-    if not terms.keys() <= index.keys():
-        raise ValueError(_ESCAPED)
-    return {index[label]: c for label, c in terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +456,11 @@ def mdga_element(dga: MatrixDGA, k: int, slot: str, mono, coeff=1) -> MatrixDGAE
 
 
 def build_mdga_window(dga: MatrixDGA, window) -> ChainWindow:
-    """Concrete complex of the matrix DGA on [lo-1, hi+1]."""
+    """Concrete complex of the matrix DGA on [lo-1, hi+1].
+
+    No report builds one: it is the tests' enumerated reference, and it
+    stays in the package because the benchmark tracer wraps it by name.
+    """
     lo, hi = window
     basis = mdga_window_labels(dga, (lo - 1, hi + 1))
     vn = dga.vn_mono
@@ -492,19 +483,7 @@ def mdga_diag(dga: MatrixDGA, x: Element) -> MatrixDGAElement:
 
 
 # ---------------------------------------------------------------------------
-# The commutative cycle subalgebra Z and the quasi-isomorphism check.
-
-
-def _cycle_labels(dga: MatrixDGA, labels) -> list:
-    """Labels of Z among one degree's (slot, mono) labels of the matrix DGA:
-    ("diag", mono) for the v_n-free a slot first, then ("upper", mono) for
-    the v_n-free b slot."""
-    return [
-        (kind, mono)
-        for kind, want in (("diag", "a"), ("upper", "b"))
-        for slot, mono in labels
-        if slot == want and mono[dga.n - 1] == 0
-    ]
+# The commutative cycle subalgebra Z and the counted reports.
 
 
 def _cycle_terms(k: int, label) -> dict:
@@ -526,50 +505,6 @@ def _vn_free_cycle_shape(k: int, n: int, terms: dict) -> bool:
         or slot == "d" and terms.get(("a", mono)) == sign * c
         for (slot, mono), c in terms.items()
     )
-
-
-def quasi_iso_check(amb: ChainWindow, inclusion: dict, window) -> dict:
-    """Does the inclusion of a complex with zero differential induce
-    isomorphisms on windowed homology?  {t: {sub, amb, induced_rank, iso}}.
-
-    inclusion[t] is the matrix of the inclusion i on the degree-t bases, for
-    t in [lo, hi + 1].  With zero differential on the included complex, i is
-    a chain map exactly when amb.diff[t] i = 0, that is, when every column of
-    inclusion[t] is an amb-cycle.  This is verified first and a failure
-    raises: the rest of the computation would be meaningless.
-
-    The included complex's H_t is all of its degree-t piece, of dimension
-    inclusion[t].cols.  Its image in H_t(amb) is (im i + im B) / im B for
-    B = amb.diff[t + 1], of dimension rank [i | B] - rank B: the rank of the
-    induced map.
-    """
-    lo, hi = window
-    for t in range(lo, hi + 2):
-        if not amb.diff[t].matmul(inclusion[t]).is_zero():
-            raise ValueError(f"inclusion is not a chain map at degree {t}")
-    h_amb = amb.homology_dims(window)
-    per_degree = {}
-    for t in range(lo, hi + 1):
-        sub = inclusion[t].cols
-        induced = rank(inclusion[t].hstack(amb.diff[t + 1])) - amb.rank(t + 1)
-        per_degree[t] = {"sub": sub, "amb": h_amb[t], "induced_rank": induced,
-                         "iso": sub == h_amb[t] == induced}
-    return per_degree
-
-
-def cycles_inclusion(dga: MatrixDGA, window, amb: ChainWindow) -> dict:
-    """{k: matrix of Z's inclusion into the matrix DGA at degree k} for k in
-    [lo, hi + 1], the degrees quasi_iso_check reads.
-
-    Z's labels and the inclusion targets are read off amb, the matrix DGA's
-    window on the same range, so no degree piece is enumerated twice.
-    """
-    lo, hi = window
-    return {
-        k: assemble(_cycle_labels(dga, amb.basis[k]), amb.basis[k],
-                    lambda label: _cycle_terms(k, label).items())
-        for k in range(lo, hi + 2)
-    }
 
 
 # The class-shape certificate: the slots each slot's differential may reach.
@@ -598,8 +533,9 @@ def _representatives(dga: MatrixDGA, sizes: dict, degrees, cycles=False) -> dict
 def _certified_sizes(dga: MatrixDGA, window):
     """(P, Q), the piece counts of bp_q(p, n) and bp_q(p, n - 1) over
     (lo - 1 - o, hi + 1 + o), o = offdiag, when the class-shape certificate
-    holds on window = (lo, hi), lo <= hi; otherwise None, and the caller
-    enumerates the window.
+    holds on window = (lo, hi); otherwise it refuses with ArithmeticError,
+    naming the failed slot or Z kind and its degree.  A window with lo > hi
+    holds no degree, and the counts give empty reports there.
 
     The certificate reads _diff_pairs on one representative (s, m) of each
     (slot, k mod 2) class inhabited in [lo, hi + 1], the degrees of the
@@ -613,11 +549,11 @@ def _certified_sizes(dga: MatrixDGA, window):
     and k mod 2 and adds v_n to the monomial, so every member's image, and
     its image under d again, is the representative's translated by the
     difference of the monomials, and so is d of a Z basis element, whose
-    terms are fixed by (kind, k mod 2) and its monomial.  So the enumerated
-    window raises nothing: its targets sit in the slots above at m + v_n,
-    in the basis of degree k - 1 since |v_n| = o - 1; d compose d vanishes
-    (b maps to 0, a and d into b, c by the certificate); and Z's inclusion
-    is a chain map.  Its numbers are then:
+    terms are fixed by (kind, k mod 2) and its monomial.  So the window
+    (build_mdga_window) would raise nothing: its targets sit in the slots
+    above at m + v_n, in the basis of degree k - 1 since |v_n| = o - 1;
+    d compose d vanishes (b maps to 0, a and d into b, c by the
+    certificate); and Z's inclusion is a chain map.  Its numbers are then:
 
     rank diff[k] = |P_{k-o}| + |P_k|.  The c columns, at m in P_{k-o}, hit
     the a and d rows at m + v_n, distinct m on disjoint rows, so they are
@@ -630,11 +566,11 @@ def _certified_sizes(dga: MatrixDGA, window):
     v_n-free labels, distinct elements on disjoint labels, so they are
     independent; every boundary term sits at some m + v_n, so im diff[t + 1]
     meets their span only in 0, and rank [i | B] - rank B = |Z_t|.  The
-    v_n-free monomials of P_d are the monomials of Q_d.
+    v_n-free monomials of P_d are the monomials of Q_d.  In particular eps
+    and each diag(v_i), i < n, are v_n-free Z basis elements, so none of
+    them is a boundary: each is nonzero in homology.
     """
     lo, hi = window
-    if lo > hi:
-        return None
     o, vn = dga.offdiag, dga.vn_mono
     hull = (lo - 1 - o, hi + 1 + o)
     big = degree_dims(dga.pres, hull)
@@ -646,10 +582,12 @@ def _certified_sizes(dga: MatrixDGA, window):
         if not (bool(image) == bool(allowed)
                 and all(s in allowed and m == target for s, m in image)
                 and _vanishes(_diff_pairs(vn, k - 1, image.items()))):
-            return None
+            raise ArithmeticError(
+                f"class-shape certificate failed: d of slot {slot} in degree {k}")
     for k, label in _representatives(dga, small, degrees, cycles=True).values():
         if not _vanishes(_diff_pairs(vn, k, _cycle_terms(k, label).items())):
-            return None
+            raise ArithmeticError(
+                f"class-shape certificate failed: d of Z kind {label[0]} in degree {k}")
     return big, small
 
 
@@ -669,29 +607,20 @@ def commutative_model_check(p: int, n: int, window) -> dict:
     a + b + v_n with slots and signs read off the classes; a + b is v_n-free
     because a and b are.
 
-    Under the class-shape certificate of _certified_sizes, Z's size, its
-    classes and the quasi-isomorphism's numbers are counted from piece sizes
-    (proof there).  Otherwise the window is enumerated, and Z, having zero
-    differential, enters quasi_iso_check as its inclusion matrices alone.
+    Z's size, its classes and the quasi-isomorphism's numbers are counted
+    from piece sizes under the class-shape certificate of _certified_sizes
+    (proof there), which refuses with ArithmeticError when it fails.
     """
     dga = matrix_dga(p, n)
     lo, hi = window
     o = dga.offdiag
-    counted = _certified_sizes(dga, window)
-    if counted is None:
-        amb = build_mdga_window(dga, window)
-        labels = [(k, label)
-                  for k in range(lo, hi + 1) for label in _cycle_labels(dga, amb.basis[k])]
-        size = len(labels)
-        reps = {(label[0], k % 2): (k, label) for k, label in labels}.values()
-    else:
-        big, small = counted
-        per_degree = {}
-        for t, h in _counted_homology(big, o, window).items():
-            sub = small[t] + small[t + o]
-            per_degree[t] = {"sub": sub, "amb": h, "induced_rank": sub, "iso": sub == h}
-        size = sum(v["sub"] for v in per_degree.values())
-        reps = _representatives(dga, small, range(lo, hi + 1), cycles=True).values()
+    big, small = _certified_sizes(dga, window)
+    per_degree = {}
+    for t, h in _counted_homology(big, o, window).items():
+        sub = small[t] + small[t + o]
+        per_degree[t] = {"sub": sub, "amb": h, "induced_rank": sub, "iso": sub == h}
+    size = sum(v["sub"] for v in per_degree.values())
+    reps = _representatives(dga, small, range(lo, hi + 1), cycles=True).values()
     vn = dga.vn_mono
     cycles = [(k, tuple(_cycle_terms(k, label).items())) for k, label in reps]
     closed = True
@@ -709,8 +638,6 @@ def commutative_model_check(p: int, n: int, window) -> dict:
                 ((label, sign * c) for label, c in _product_pairs(g, f)),
             ):
                 commutative = False
-    if counted is None:
-        per_degree = quasi_iso_check(amb, cycles_inclusion(dga, window, amb), window)
     return {
         "p": p,
         "n": n,
@@ -778,27 +705,18 @@ def homology_ring_check(p: int, n: int, window) -> dict:
     of Q[v_1..v_{n-1}] (x) Lambda(eps), and the two-summand splitting (the
     same polynomial ring once in place and once shifted by |eps|).  The
     computed dimensions are counted from piece sizes under the class-shape
-    certificate of _certified_sizes (proof there), and otherwise read off
-    the enumerated window.  The exterior generator is also checked in
-    homology: it is a nonzero cycle (outside the column space of
-    diff[eps.k + 1]), its square is zero, and it commutes with every v_i
-    class, each of which is nonzero in the same way.  eps and diag(v_i) are
-    Z's basis elements (_cycle_terms), the relations are decided on the pair
-    streams, and each column space is an exact in_span test, on the counted
-    route against a window of that one degree.
+    certificate of _certified_sizes (proof there), which refuses with
+    ArithmeticError when it fails.  The exterior generator is also checked
+    in homology: it is a cycle, its square is zero, and it commutes with
+    every v_i class.  eps and diag(v_i) are Z's basis elements
+    (_cycle_terms), and these relations are decided on the pair streams.
+    That eps (when eps.k lies in the window) and every diag(v_i) is nonzero
+    in homology is read off the certificate's proof: they are v_n-free, and
+    every boundary term sits at some m + v_n.
     """
     dga = matrix_dga(p, n)
     lo, hi = window
-    counted = _certified_sizes(dga, window)
-    if counted is None:
-        win = build_mdga_window(dga, window)
-        computed = win.homology_dims(window)
-    else:
-        computed = _counted_homology(counted[0], dga.offdiag, window)
-
-    def is_boundary(k, terms):
-        w = win if counted is None else build_mdga_window(dga, (k, k))
-        return in_span(w.diff[k + 1], coordinates(terms, w.basis[k])).in_span
+    computed = _counted_homology(_certified_sizes(dga, window)[0], dga.offdiag, window)
 
     expected_product = degree_dims(a_q(ChromaticParams(p, n)), window)
     e_deg = eps_degree(p, n)  # negative: t - e_deg runs up to hi - e_deg
@@ -808,13 +726,10 @@ def homology_ring_check(p: int, n: int, window) -> dict:
     k_eps, vn = -dga.offdiag, dga.vn_mono
     eps = _cycle_terms(k_eps, ("upper", mono_one(dga.pres)))
     eps_cycle = _vanishes(_diff_pairs(vn, k_eps, eps.items()))
-    eps_nonzero = None
-    if lo <= k_eps <= hi:
-        eps_nonzero = not is_boundary(k_eps, eps)
+    eps_nonzero = True if lo <= k_eps <= hi else None
     eps_square_zero = _vanishes(_product_pairs(eps.items(), eps.items()))
 
     central = True
-    v_classes_nonzero = True
     for i in range(n - 1):
         v = tuple(int(j == i) for j in range(n))
         k = mono_degree(dga.pres, v)  # even: diag(v) = [[v, 0], [0, v]]
@@ -822,12 +737,9 @@ def homology_ring_check(p: int, n: int, window) -> dict:
         if not _vanishes(_product_pairs(eps.items(), dv.items()),
                          ((label, -c) for label, c in _product_pairs(dv.items(), eps.items()))):
             central = False
-        if lo <= k <= hi and is_boundary(k, dv):
-            v_classes_nonzero = False
 
     dims_ok = computed == expected_product == expected_splitting
-    checks_ok = (eps_cycle and eps_nonzero is not False and eps_square_zero
-                 and central and v_classes_nonzero)
+    checks_ok = eps_cycle and eps_square_zero and central
     return {
         "p": p,
         "n": n,
@@ -841,6 +753,6 @@ def homology_ring_check(p: int, n: int, window) -> dict:
         "eps_nonzero_in_homology": eps_nonzero,
         "eps_square_zero": eps_square_zero,
         "eps_central": central,
-        "v_classes_nonzero": v_classes_nonzero,
+        "v_classes_nonzero": True,
         "all_ok": dims_ok and checks_ok,
     }

@@ -1,11 +1,13 @@
 """Helpers that only the tests use, kept beside the tests rather than in the
-package: a dense matrix constructor, the transpose, the pivot columns, and
-the tuple-built Morse matching."""
+package: a dense matrix constructor, the transpose, the pivot columns, the
+tuple-built Morse matching, and the enumerated quasi-isomorphism check of
+the matrix DGA's cycle model, the reference for its counted route."""
 
 import itertools
 
 from gradedhh import exact_linear, hochschild
-from gradedhh.exact_linear import RationalMatrix
+from gradedhh.dg_complexes import _ESCAPED, ChainWindow, MatrixDGA, _cycle_terms, assemble
+from gradedhh.exact_linear import RationalMatrix, rank
 
 
 def from_rows(rows_data, cols=None) -> RationalMatrix:
@@ -65,3 +67,68 @@ def matching(pres, m, pack):
         return hochschild._CRITICAL, None
 
     return classify
+
+
+def coordinates(terms: dict, labels) -> dict:
+    """Coefficients {row: value} of the {label: value} terms on an ordered
+    basis; every label must be in it."""
+    index = {label: i for i, label in enumerate(labels)}
+    if not terms.keys() <= index.keys():
+        raise ValueError(_ESCAPED)
+    return {index[label]: c for label, c in terms.items()}
+
+
+def cycle_labels(dga: MatrixDGA, labels) -> list:
+    """Labels of Z among one degree's (slot, mono) labels of the matrix DGA:
+    ("diag", mono) for the v_n-free a slot first, then ("upper", mono) for
+    the v_n-free b slot."""
+    return [
+        (kind, mono)
+        for kind, want in (("diag", "a"), ("upper", "b"))
+        for slot, mono in labels
+        if slot == want and mono[dga.n - 1] == 0
+    ]
+
+
+def quasi_iso_check(amb: ChainWindow, inclusion: dict, window) -> dict:
+    """Does the inclusion of a complex with zero differential induce
+    isomorphisms on windowed homology?  {t: {sub, amb, induced_rank, iso}}.
+
+    inclusion[t] is the matrix of the inclusion i on the degree-t bases, for
+    t in [lo, hi + 1].  With zero differential on the included complex, i is
+    a chain map exactly when amb.diff[t] i = 0, that is, when every column of
+    inclusion[t] is an amb-cycle.  This is verified first and a failure
+    raises: the rest of the computation would be meaningless.
+
+    The included complex's H_t is all of its degree-t piece, of dimension
+    inclusion[t].cols.  Its image in H_t(amb) is (im i + im B) / im B for
+    B = amb.diff[t + 1], of dimension rank [i | B] - rank B: the rank of the
+    induced map.
+    """
+    lo, hi = window
+    for t in range(lo, hi + 2):
+        if not amb.diff[t].matmul(inclusion[t]).is_zero():
+            raise ValueError(f"inclusion is not a chain map at degree {t}")
+    h_amb = amb.homology_dims(window)
+    per_degree = {}
+    for t in range(lo, hi + 1):
+        sub = inclusion[t].cols
+        induced = rank(inclusion[t].hstack(amb.diff[t + 1])) - amb.rank(t + 1)
+        per_degree[t] = {"sub": sub, "amb": h_amb[t], "induced_rank": induced,
+                         "iso": sub == h_amb[t] == induced}
+    return per_degree
+
+
+def cycles_inclusion(dga: MatrixDGA, window, amb: ChainWindow) -> dict:
+    """{k: matrix of Z's inclusion into the matrix DGA at degree k} for k in
+    [lo, hi + 1], the degrees quasi_iso_check reads.
+
+    Z's labels and the inclusion targets are read off amb, the matrix DGA's
+    window on the same range, so no degree piece is enumerated twice.
+    """
+    lo, hi = window
+    return {
+        k: assemble(cycle_labels(dga, amb.basis[k]), amb.basis[k],
+                    lambda label: _cycle_terms(k, label).items())
+        for k in range(lo, hi + 2)
+    }

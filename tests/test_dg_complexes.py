@@ -12,7 +12,6 @@ from gradedhh.dg_complexes import (
     ChainWindow,
     GradedComplex,
     MatrixDGAElement,
-    _cycle_labels,
     _cycle_terms,
     _diff_pairs,
     _product_pairs,
@@ -22,8 +21,6 @@ from gradedhh.dg_complexes import (
     build_mdga_window,
     commutative_model_check,
     cone_report,
-    coordinates,
-    cycles_inclusion,
     degree_dims,
     dga_diff,
     dga_structure_check,
@@ -33,7 +30,6 @@ from gradedhh.dg_complexes import (
     mdga_element,
     mdga_eps,
     mdga_window_labels,
-    quasi_iso_check,
 )
 import gradedhh.dg_complexes as dg_complexes
 from gradedhh.cli import main as cli_main, parse_preset
@@ -49,7 +45,8 @@ from gradedhh.graded_algebra import (
     monomial_basis,
 )
 from gradedhh.hochschild import bar_window, hh_dims, multidegrees_up_to
-from reference import from_rows
+import reference
+from reference import coordinates, cycle_labels, cycles_inclusion, from_rows, quasi_iso_check
 from test_imports import _load_tracer
 
 
@@ -663,7 +660,7 @@ def z_basis(dga, window):
     return [
         (k, label, MatrixDGAElement.from_terms(dga, k, _cycle_terms(k, label)))
         for k, labels in mdga_window_labels(dga, window).items()
-        for label in _cycle_labels(dga, labels)
+        for label in cycle_labels(dga, labels)
     ]
 
 
@@ -760,7 +757,7 @@ def _exhaustive_model_check(p, n, window, one_per_class=False):
     lo, hi = window
     amb = build_mdga_window(dga, window)
     vn = dga.vn_mono
-    labels = [(k, label) for k in range(lo, hi + 1) for label in _cycle_labels(dga, amb.basis[k])]
+    labels = [(k, label) for k in range(lo, hi + 1) for label in cycle_labels(dga, amb.basis[k])]
     size = len(labels)
     if one_per_class:
         labels = {(label[0], k % 2): (k, label) for k, label in labels}.values()
@@ -878,13 +875,19 @@ def test_broken_product_fails_the_derivation_law(monkeypatch, broken):
 
 def test_broken_differential_with_zero_square_makes_matrix_dga_exit_one(
         monkeypatch, capsys):
+    """d compose d still vanishes when a and d are cycles, but the homology
+    changes: the certificate refuses, and matrix-dga prints one error line
+    and no report."""
     monkeypatch.setitem(dg_complexes._DIFF_RULE, "a", ())
     monkeypatch.setitem(dg_complexes._DIFF_RULE, "d", ())
-    code = cli_main(["matrix-dga", "--p", "2", "--n", "2", "--window", "-12:8"])
-    structure = json.loads(capsys.readouterr().out)["structure"]
-    assert code == 1
+    structure = dga_structure_check(2, 2, (-12, 8))
     assert structure["d_squared_zero"] is True
     assert structure["derivation_law"] is False
+    code = cli_main(["matrix-dga", "--p", "2", "--n", "2", "--window", "-12:8"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: class-shape certificate failed: d of slot a in degree 0\n"
 
 
 def test_broken_product_fails_closure(monkeypatch):
@@ -1200,7 +1203,6 @@ COUNTED_CASES = [
 
 @pytest.mark.parametrize("p, n, window, one_per_class", COUNTED_CASES)
 def test_counted_reports_equal_the_enumerated_reports(p, n, window, one_per_class):
-    assert dg_complexes._certified_sizes(matrix_dga(p, n), window) is not None
     ring = homology_ring_check(p, n, window)
     assert ring == _enumerated_ring_check(p, n, window)
     assert ring["all_ok"]
@@ -1216,27 +1218,43 @@ def test_counted_window_without_eps_or_v_classes_reports_none():
     assert ring["v_classes_nonzero"] is True
 
 
-def test_counted_reports_build_only_one_degree_windows(monkeypatch):
-    built = []
-    original = dg_complexes.build_mdga_window
+def test_counted_reports_build_no_window_and_call_no_in_span(monkeypatch):
+    """The three checks take the counted route alone: no window, no in_span,
+    and none of the enumerated references."""
+    def reports():
+        return [[check(p, n, window)
+                 for check in (homology_ring_check, commutative_model_check, dga_structure_check)]
+                for p, n, window, _ in COUNTED_CASES]
 
-    def recorded(dga, window):
-        built.append(window)
-        return original(dga, window)
+    want = reports()
 
-    def refuse(*args):
-        raise AssertionError("the counted route ran the enumerated quasi-isomorphism check")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix-DGA check left the counted route")
 
-    monkeypatch.setattr(dg_complexes, "build_mdga_window", recorded)
-    monkeypatch.setattr(dg_complexes, "quasi_iso_check", refuse)
-    monkeypatch.setattr(dg_complexes, "cycles_inclusion", refuse)
-    for p, n, (lo, hi), _ in COUNTED_CASES:
-        built.clear()
-        for check in (homology_ring_check, commutative_model_check, dga_structure_check):
-            check(p, n, (lo, hi))
-        # eps.k and each |v_i| inside the window: one in_span window each
-        read = [eps_degree(p, n), *(2 * p**i - 2 for i in range(1, n))]
-        assert built == [(k, k) for k in read if lo <= k <= hi], (p, n)
+    monkeypatch.setattr(dg_complexes, "build_mdga_window", refuse)
+    monkeypatch.setattr(dg_complexes.ChainWindow, "__init__", refuse)
+    monkeypatch.setattr(exact_linear, "in_span", refuse)
+    monkeypatch.setattr(reference, "quasi_iso_check", refuse)
+    monkeypatch.setattr(reference, "cycles_inclusion", refuse)
+    for name in ("in_span", "quasi_iso_check", "cycles_inclusion", "_cycle_labels", "coordinates"):
+        assert not hasattr(dg_complexes, name), name
+    assert reports() == want
+
+
+@pytest.mark.parametrize("p, n, window", [(2, 2, (5, 4)), (2, 2, (5, 2)), (2, 2, (100, 0))])
+def test_empty_windows_give_empty_reports(p, n, window):
+    ring = homology_ring_check(p, n, window)
+    assert ring["computed_dims"] == ring["expected_product_dims"] == {}
+    assert ring["expected_splitting_dims"] == {}
+    assert ring["eps_nonzero_in_homology"] is None
+    assert ring["all_ok"] is True
+    model = commutative_model_check(p, n, window)
+    assert model["subalgebra_size"] == 0
+    assert model["per_degree"] == model["quasi_iso_per_degree"] == {}
+    assert model["all_ok"] is True
+    structure = dga_structure_check(p, n, window)
+    assert structure["basis_size"] == structure["pairs_checked"] == 0
+    assert structure["d_squared_zero"] is structure["derivation_law"] is True
 
 
 # The certificate must refuse every broken rule above, and two more: a rule
@@ -1244,49 +1262,53 @@ def test_counted_reports_build_only_one_degree_windows(monkeypatch):
 # for c.  c is inhabited only in odd degrees (o is odd and every piece
 # degree even), so the c rule is refused through d compose d, as is the c
 # rule of one term ("c loses its right term"), which passes the shape test.
-FALLBACK_DIFF_RULES = {
+REFUSED_DIFF_RULES = {
     **BROKEN_DIFF_RULES,
     "a cancels in even degrees": {"a": (("b", True), ("b", False))},
     "c cancels in even degrees": {"c": (("a", True), ("a", False))},
 }
+CERTIFICATE_FAILED = "^class-shape certificate failed: "
 
 
-@pytest.mark.parametrize("broken", FALLBACK_DIFF_RULES.values(), ids=FALLBACK_DIFF_RULES)
+def _assert_refused(p, n, window):
+    """Both certified checks refuse; dga_structure_check, which needs no
+    certificate, still equals its exhaustive reference."""
+    for check in (homology_ring_check, commutative_model_check):
+        with pytest.raises(ArithmeticError, match=CERTIFICATE_FAILED):
+            check(p, n, window)
+    assert dga_structure_check(p, n, window) == _exhaustive_structure_check(p, n, window)
+
+
+@pytest.mark.parametrize("broken", REFUSED_DIFF_RULES.values(), ids=REFUSED_DIFF_RULES)
 @pytest.mark.parametrize("p, n, window", [(2, 2, (-12, 8)), (2, 3, (-30, 20)), (3, 1, (-10, 6))])
-def test_a_failed_certificate_falls_back_to_the_enumerated_reports(
+def test_a_failed_certificate_refuses_where_the_enumerated_reports_fail(
         monkeypatch, broken, p, n, window):
+    """Each rule is broken on these windows: both enumerated references
+    raise a window error or report a failed check."""
     for slot, rule in broken.items():
         monkeypatch.setitem(dg_complexes._DIFF_RULE, slot, rule)
-    _assert_falls_back(p, n, window)
+    _assert_refused(p, n, window)
+    for reference_check in (_enumerated_ring_check, _exhaustive_model_check):
+        outcome = _outcome(reference_check, p, n, window)
+        assert isinstance(outcome, str) or not outcome["all_ok"], reference_check
 
 
 def test_homology_ring_check_builds_no_matrix_dga_element(monkeypatch):
-    """eps and diag(v_i) are decided on pair streams, on the counted route
-    and on the fallback alike."""
-    def reports():
-        with monkeypatch.context() as broken:
-            for slot, rule in FALLBACK_DIFF_RULES["a and d are cycles"].items():
-                broken.setitem(dg_complexes._DIFF_RULE, slot, rule)
-            fallback = homology_ring_check(2, 2, (-12, 8))
-        return [*(homology_ring_check(p, n, w) for p, n, w, _ in COUNTED_CASES), fallback]
-
-    want = reports()
+    """eps and diag(v_i) are decided on pair streams; a broken rule is
+    refused before any is needed."""
+    want = [homology_ring_check(p, n, w) for p, n, w, _ in COUNTED_CASES]
 
     def refuse(*args):
         raise AssertionError("homology_ring_check built a MatrixDGAElement")
 
     monkeypatch.setattr(MatrixDGAElement, "__init__", refuse)
     monkeypatch.setattr(MatrixDGAElement, "from_terms", refuse)
-    assert reports() == want
-    assert want[-1]["eps_nonzero_in_homology"] is not None
-
-
-def _assert_falls_back(p, n, window):
-    assert dg_complexes._certified_sizes(matrix_dga(p, n), window) is None
-    for check, reference in [(homology_ring_check, _enumerated_ring_check),
-                             (commutative_model_check, _exhaustive_model_check),
-                             (dga_structure_check, _exhaustive_structure_check)]:
-        assert _outcome(check, p, n, window) == _outcome(reference, p, n, window)
+    assert [homology_ring_check(p, n, w) for p, n, w, _ in COUNTED_CASES] == want
+    assert {r["eps_nonzero_in_homology"] for r in want} == {True, None}
+    for slot, rule in REFUSED_DIFF_RULES["a and d are cycles"].items():
+        monkeypatch.setitem(dg_complexes._DIFF_RULE, slot, rule)
+    with pytest.raises(ArithmeticError, match=CERTIFICATE_FAILED + "d of slot a in degree 0$"):
+        homology_ring_check(2, 2, (-12, 8))
 
 
 def test_the_cycle_test_refuses_a_rule_only_z_notices(monkeypatch):
@@ -1295,19 +1317,39 @@ def test_the_cycle_test_refuses_a_rule_only_z_notices(monkeypatch):
     diag(1) = [[1, 0], [0, 1]] maps to 2 v_2 in slot b, and Z's inclusion is
     no chain map."""
     monkeypatch.setitem(dg_complexes._DIFF_RULE, "a", (("b", True),))
-    _assert_falls_back(2, 2, (-12, 5))
-    with pytest.raises(ValueError, match="not a chain map at degree 0"):
+    _assert_refused(2, 2, (-12, 5))
+    with pytest.raises(ArithmeticError, match=CERTIFICATE_FAILED + "d of Z kind diag in degree 0$"):
         commutative_model_check(2, 2, (-12, 5))
+    with pytest.raises(ValueError, match="not a chain map at degree 0"):
+        _exhaustive_model_check(2, 2, (-12, 5))
 
 
 @pytest.mark.parametrize("rule", [(("a", True), ("a", False)), (("a", True),)],
                          ids=["cancels in even degrees", "one term"])
-def test_a_c_rule_breaking_d_compose_d_reproduces_the_window_error(monkeypatch, rule):
+def test_a_c_rule_breaking_d_compose_d_is_refused_where_the_window_fails(monkeypatch, rule):
     monkeypatch.setitem(dg_complexes._DIFF_RULE, "c", rule)
-    for check in (homology_ring_check, commutative_model_check, _enumerated_ring_check,
-                  _exhaustive_model_check):
-        with pytest.raises(ValueError, match="d compose d is nonzero"):
+    for check in (homology_ring_check, commutative_model_check):
+        with pytest.raises(ArithmeticError, match=CERTIFICATE_FAILED + "d of slot c in degree 7$"):
             check(2, 2, (-12, 8))
+    for check in (_enumerated_ring_check, _exhaustive_model_check):
+        with pytest.raises(ValueError, match="d compose d is nonzero into degree 5"):
+            check(2, 2, (-12, 8))
+
+
+@pytest.mark.parametrize("command", ["matrix-dga", "quasi-iso"])
+@pytest.mark.parametrize("broken", REFUSED_DIFF_RULES.values(), ids=REFUSED_DIFF_RULES)
+def test_a_refused_certificate_exits_one_with_one_error_line(monkeypatch, capsys, broken, command):
+    """A failed certificate is a falsified check: exit 1, no report, and one
+    error line, not the usage-error exit 2 of the window's d compose d."""
+    for slot, rule in broken.items():
+        monkeypatch.setitem(dg_complexes._DIFF_RULE, slot, rule)
+    code = cli_main([command, "--p", "2", "--n", "2", "--window", "-12:8"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: class-shape certificate failed: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["matrix-dga", "quasi-iso"])

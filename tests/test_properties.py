@@ -34,7 +34,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gradedhh.chromatic_presets import ChromaticParams, a_q, en_q, parse_preset
 import gradedhh.dg_complexes as dg_complexes
@@ -47,6 +47,7 @@ from gradedhh.dg_complexes import (
     commutative_model_check,
     dga_diff,
     dga_structure_check,
+    homology_ring_check,
     matrix_dga,
     mdga_element,
     mdga_window_labels,
@@ -91,6 +92,7 @@ from reference import from_rows, pivot_columns, transpose
 from test_dg_complexes import (
     _bar_windows,
     _cone_windows,
+    _enumerated_ring_check,
     _exhaustive_model_check,
     _exhaustive_structure_check,
     _labelwise_realize,
@@ -604,13 +606,37 @@ def _outcome(check, *args):
 @settings(max_examples=60, deadline=None, database=None)
 @given(PRODUCT_TABLES, DIFF_RULES)
 def test_class_decided_pair_checks_equal_the_exhaustive_loops_on_any_rules(product, diff):
-    """The class proof of dga_structure_check holds for any slot-level rules."""
+    """The class proof of dga_structure_check holds for any slot-level rules,
+    and commutative_model_check either equals the exhaustive loops or, when
+    the class-shape certificate fails, refuses."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dg_complexes, "_PRODUCT_SLOT", product)
         mp.setattr(dg_complexes, "_DIFF_RULE", diff)
-        for check, exhaustive in [(dga_structure_check, _exhaustive_structure_check),
-                                  (commutative_model_check, _exhaustive_model_check)]:
-            assert _outcome(check, 2, 2, (-12, 8)) == _outcome(exhaustive, 2, 2, (-12, 8))
+        window = (-12, 8)
+        assert (_outcome(dga_structure_check, 2, 2, window)
+                == _outcome(_exhaustive_structure_check, 2, 2, window))
+        try:
+            got = commutative_model_check(2, 2, window)
+        except ArithmeticError as exc:
+            assert str(exc).startswith("class-shape certificate failed: "), exc
+        else:
+            assert got == _outcome(_exhaustive_model_check, 2, 2, window)
+
+
+# The six (p, n) of the matrix-DGA request ladder, with o = 2p^n - 1 up to 49.
+LADDER_CASES = [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (2, 3)]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(LADDER_CASES), st.integers(-60, 10), st.integers(0, 40))
+@example((2, 2), 3, 9)  # holds neither eps.k = -7 nor |v_1| = 2
+@example((2, 2), -12, 20)  # holds both
+@example((5, 2), -60, 40)  # holds eps.k = -49 and |v_1| = 8
+def test_counted_matrix_dga_reports_equal_the_enumerated_references(case, lo, width):
+    p, n = case
+    window = (lo, lo + width)
+    assert homology_ring_check(p, n, window) == _enumerated_ring_check(p, n, window)
+    assert commutative_model_check(p, n, window) == _exhaustive_model_check(p, n, window)
 
 
 @PROPERTY
