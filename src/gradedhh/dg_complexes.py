@@ -6,8 +6,7 @@ differential left multiplication by r, so d compose d = 0 by structure.  A
 ChainWindow is concrete: explicit bases and exact differential matrices over
 a finite degree range, with d compose d = 0 checked at construction.
 assemble, which writes the image of each source label as a column, builds
-every differential but the multiplication blocks of realize and
-cone_report.
+every differential but the multiplication blocks of realize.
 
 A realized cone and an enumerated matrix-DGA window take their bases from
 one degree_pieces call over the hull of every shifted degree read.
@@ -15,10 +14,12 @@ ChainWindow.rank(t) eliminates diff[t] once, and homology_dims reads it.
 The matrix-DGA questions take one route: they count ranks, homology and
 the quasi-isomorphism from piece sizes under the class-shape certificate of
 _certified_sizes (proof there), and refuse with ArithmeticError when it
-fails; they enumerate no window.  cone_report realizes no window and reads
-all it reports off ranks and piece sizes: for r with one term it counts the
-ranks from piece sizes, enumerating nothing, and otherwise it ranks one
-multiplication block per degree and drops it (proof there).
+fails; they enumerate no window.  cone_report reads all it reports off
+ranks and piece sizes, and picks its route from its input: r with one term,
+or over a ring with at most one odd generator (every bp, en and a preset),
+has its ranks counted from piece sizes, enumerating nothing; r with several
+terms over several odd generators (hh_a) is realized on the window and its
+differentials ranked (proofs in cone_report).
 
 The matrix DG algebra models the endomorphisms of the cone on v_n over
 Q[v_1, ..., v_n].  A degree-k element is a 2x2 matrix [[a, b], [c, d]] with
@@ -227,46 +228,45 @@ def cone_report(pres: Presentation, r: Element, window, caps=None) -> dict:
     Homology at t is |P_t| + |P_{t-d-1}| - R(t) - R(t + 1), quotient_dims[t]
     = |P_t| - R(t + 1), and r is regular when every R(t) = |P_{t-d-1}|: r is
     injective on the source degrees [lo - d - 1, max(hi, hi - d)] homology
-    in [lo, hi] depends on.
+    in [lo, hi] depends on.  The sizes |P_t| come from degree_dims.
 
-    r with two or more terms is streamed: one degree_pieces enumeration
-    over the hull gives the pieces and their sizes, then one block per
-    degree is built, ranked and dropped.
+    r with one term, or over pres with at most one odd generator, is
+    counted, enumerating nothing: R(t) is the largest product_sizes live
+    count over r's terms at t - d - 1, and r = 0 gives R = 0.  Distinct
+    terms send one source monomial u to distinct products, so u's column
+    escapes the enumerated basis (_ESCAPED) exactly when some term's
+    nonzero product lies outside caps: when some term's live and kept
+    counts differ.  Otherwise the block is r acting on the span of the
+    source monomials, and its rank is
+    - for r = c m, the number of u with m u != 0, the live count: u -> m u
+      is injective on monomials (the exponents add), and m u = 0 exactly
+      when u has an odd generator of m;
+    - over at most one odd generator eps, with r = f + g eps, f and g free
+      of eps, over an even part (polynomial or Laurent) that is a domain,
+      where r(a + b eps) = fa + (fb +- ga) eps: if f != 0, r is injective
+      (fa = 0 forces a = 0, then fb = 0 forces b = 0), the live count of an
+      eps-free term; if f = 0, r kills exactly the eps-multiples and is
+      injective on the eps-free monomials, every term's live count.
 
-    r with at most one term is counted: the sizes come from degree_dims, no
-    monomial is enumerated and no block built, and r = 0 gives R = 0.  For
-    r = c m, u -> m u is injective on monomials (the exponents add), and
-    m u = 0 exactly when u has an odd generator of m.  So the column of a
-    source monomial u is 0 if u has one, and otherwise (u survives) +-c
-    times the unit vector of the row m u, distinct survivors hitting
-    distinct rows.  Those unit vectors are independent and c != 0 only
-    scales them, so R(t) is the number of survivors in P_{t-d-1}: the live
-    count of product_sizes.  A survivor whose product lies outside caps has
-    no row, so its image escapes the enumerated basis and the streamed
-    blocks raise _ESCAPED.  kept counts the survivors whose product stays
-    within caps, so an escape happens exactly when live and kept differ in
-    some source degree t - d - 1.
+    r with several terms over several odd generators (hh_a, whose
+    mixed-sign degrees need caps, so its windows are small) realizes
+    GradedComplex(pres, r) on (lo, top) and reads R(t) = rank(diff[t]).
     """
     lo, hi = window
-    d = GradedComplex(pres, r).degree
+    c = GradedComplex(pres, r)
+    d = c.degree
     top = hi + max(0, d)
-    hull = (lo - 1 - max(0, d + 1), top + 1 - min(0, d + 1))
-    if len(r.terms) < 2:
-        sizes = degree_dims(pres, hull, caps)
-        live = kept = dict.fromkeys(range(lo - d - 1, top - d + 1), 0)  # r = 0
+    sizes = degree_dims(pres, (lo - 1 - max(0, d + 1), top + 1 - min(0, d + 1)), caps)
+    if len(r.terms) < 2 or sum(map(pres.is_odd, range(pres.ngens))) < 2:
+        ranks = dict.fromkeys(range(lo, top + 2), 0)  # r = 0
         for m in r.terms:
             live, kept = product_sizes(pres, m, (lo - d - 1, top - d), caps)
-        if live != kept:
-            raise ValueError(_ESCAPED)
-        ranks = {s + d + 1: n for s, n in live.items()}
+            if live != kept:
+                raise ValueError(_ESCAPED)
+            ranks = {s + d + 1: max(n, ranks[s + d + 1]) for s, n in live.items()}
     else:
-        pieces = degree_pieces(pres, hull, caps)
-        sizes = {t: len(piece) for t, piece in pieces.items()}
-        mults, ranks = _multipliers(r), {}
-        for t in range(lo, top + 2):
-            rows, source, target = defaultdict(dict), pieces[t - d - 1], pieces[t - 1]
-            _multiply_block(rows, mults, source, target)
-            ranks[t] = rank(RationalMatrix._trusted(len(target), len(source), dict(rows)))
+        win = c.realize((lo, top), caps)
+        ranks = {t: win.rank(t) for t in range(lo, top + 2)}
     quotient = {t: sizes[t] - ranks[t + 1] for t in range(lo, hi + 1)}
     computed = {t: q + sizes[t - d - 1] - ranks[t] for t, q in quotient.items()}
     regular = all(ranks[t] == sizes[t - d - 1] for t in ranks)

@@ -180,8 +180,9 @@ def _reference_cone_report(pres, r, window, caps):
 
 def _streamed_cone_report(pres, r, window, caps):
     """cone_report as streamed before the count route, the reference of
-    the one-term counts: one degree_pieces enumeration over the hull, then
-    one multiplication block per degree, built, ranked and dropped."""
+    every counted cone (one term, or over at most one odd generator): one
+    degree_pieces enumeration over the hull, then one multiplication block
+    per degree, built, ranked and dropped."""
     lo, hi = window
     d = GradedComplex(pres, r).degree
     top = hi + max(0, d)
@@ -217,6 +218,11 @@ CONE_REFERENCE_CASES = [
         ("hh_a:2:2", ["sigma1", "delta", "eps", "v1^4 eps", "0", "1"],
          [(-12, 6)], [0, 1, 2, 4]),
         ("en:2:2", ["v2^-1", "v1 v2^-1"], [(-12, 12)], [0, 1, 2, 3]),
+        # several terms over one odd generator: f != 0, and f = 0 (a zero
+        # divisor, r = g eps); cap 9 cuts the pieces, and escapes for v1^3 + v2
+        ("a:2:3", ["v1^3 + v2", "v1^3 eps + v2 eps"], [(-20, 4)], [None, 9]),
+        # several terms over several odd generators: the realized route
+        ("hh_a:2:2", ["v1^3 sigma1 delta^4 + sigma1 delta^3"], [(-5, 3)], [2, 3]),
     ]
     for element in elements
     for window in windows
@@ -249,6 +255,9 @@ def test_cone_report_matches_multiplication_reference(preset, element, window, c
 def test_cone_report_builds_no_chain_window(monkeypatch):
     cases = [(parse_preset(p), e, w, caps) for p, e, w, caps in CONE_REFERENCE_CASES]
     cases = [(pres, element_from_string(pres, e), w, caps) for pres, e, w, caps in cases]
+    # several terms over several odd generators realize the cone's window
+    cases = [(pres, r, w, caps) for pres, r, w, caps in cases
+             if len(r.terms) < 2 or sum(map(pres.is_odd, range(pres.ngens))) < 2]
     want = [_outcome(cone_report, *case) for case in cases]
 
     def refuse(self, *args):
@@ -380,21 +389,25 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_cone_report_enumerates_the_window_once(monkeypatch):
+def test_cone_report_counts_over_one_odd_generator_and_realizes_over_several(monkeypatch):
     calls = _count_calls(monkeypatch, "degree_pieces")
     blocks = _count_calls(monkeypatch, "_multiply_block")
     pres = parse_preset("bp:3:3")
     report = cone_report(pres, element_from_string(pres, "v3 + v1^13"), (0, 60))
     assert report["dims_match_quotient"] is True
-    # |v3| = 52: realized on [0, 112], padded by one, terms shifted by 0 and 53
-    assert calls == [(-54, 113)]
-    assert len(blocks) == 114  # one block per degree in [0, 113]
-    # one term, regular of the same degree: the same report, counted with
-    # nothing enumerated and no block built
-    calls.clear()
-    blocks.clear()
+    # two terms over no odd generator: counted, nothing enumerated and no
+    # block built, and the same report as the one term of the same degree
+    assert calls == blocks == []
     assert cone_report(pres, Element.gen(pres, "v3"), (0, 60)) == report
     assert calls == blocks == []
+    # two terms over two odd generators: realized on [-5, 3] (|r| = -15),
+    # one degree_pieces call over the hull and one block per degree of [-5, 4]
+    pres = parse_preset("hh_a:2:2")
+    r = element_from_string(pres, "v1^3 sigma1 delta^4 + sigma1 delta^3")
+    realized = cone_report(pres, r, (-5, 3), 3)
+    assert calls == [(-6, 18)]
+    assert len(blocks) == 10
+    assert realized == _streamed_cone_report(pres, r, (-5, 3), 3)
 
 
 def test_build_mdga_window_enumerates_the_window_once(monkeypatch):

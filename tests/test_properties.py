@@ -10,8 +10,9 @@ and the hit-row count that ranks a one-term cone block against the rank of
 the block assembled through koszul_mul.
 The bar-basis and degree-piece enumerators are checked against the simpler
 enumerations they replaced, the degree-piece counter against the sizes of
-the same reference, the counted ranks of one-term cones against the
-streamed blocks they replaced, on random windows and caps, the realized
+the same reference, the counted ranks of cones on one term, or on up to
+four terms over at most one odd generator (zero divisors included),
+against the streamed blocks they replaced, on random windows and caps, the realized
 cones on homogeneous elements of two or three terms over two odd
 generators and one even one against the label-wise assembly through
 koszul_mul, and cone_report's homology against theirs, the heap pivot
@@ -435,15 +436,49 @@ def test_degree_pieces_equal_the_per_degree_reference(case):
     _assert_pieces_match_reference(*case)
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@st.composite
+def one_odd_presentations(draw):
+    """Two or three even generators of degrees 2 to 6, all of one sign, a
+    third of them Laurent, and at most one odd generator."""
+    sign = draw(st.sampled_from((-1, 1)))
+    gens = [(f"v{i}", 2 * sign * draw(st.integers(1, 3)),
+             draw(st.sampled_from((False, False, True))))
+            for i in range(draw(st.integers(2, 3)))]
+    if draw(st.sampled_from((False, True, True))):
+        gens.append(("e", 2 * draw(st.integers(-4, 3)) + 1))
+    return make_presentation(gens)
+
+
+@st.composite
+def counted_cone_elements(draw, pres, max_terms):
+    """A homogeneous element of one to max_terms terms, of a degree with
+    several monomials when there is one: all eps-free, or, over an odd
+    generator eps, all eps-multiples (a zero divisor)."""
+    exponents = [(0, 1) if pres.is_odd(i) else range(-2 if pres.laurent[i] else 0, 4)
+                 for i in range(pres.ngens)]
+    by_degree = defaultdict(list)
+    for mono in itertools.product(*exponents):
+        by_degree[mono_degree(pres, mono)].append(mono)
+    groups = [monos for _, monos in sorted(by_degree.items())]
+    monos = draw(st.sampled_from([g for g in groups if len(g) > 1] or groups))
+    size = draw(st.integers(1, min(max_terms, len(monos))))
+    return Element(pres, draw(st.dictionaries(
+        st.sampled_from(monos), COEFFS.filter(bool), min_size=size, max_size=size)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
 @given(st.data())
-def test_one_term_cone_counts_equal_the_streamed_blocks(data):
-    pres = data.draw(presentations())
-    r = Element(pres, data.draw(st.dictionaries(monomials(pres), COEFFS, max_size=1)))
+def test_counted_cone_ranks_equal_the_streamed_blocks(data):
+    # one term over several odd generators, or up to four over at most one
+    if data.draw(st.booleans()):
+        pres, max_terms = data.draw(presentations()), 1
+    else:
+        pres, max_terms = data.draw(one_odd_presentations()), 4
+    r = data.draw(counted_cone_elements(pres, max_terms))
     caps = data.draw(st.one_of(
         st.none(),
-        st.integers(0, 3),
-        st.dictionaries(st.sampled_from(pres.names), st.integers(0, 3)),
+        st.integers(0, 6),
+        st.dictionaries(st.sampled_from(pres.names), st.integers(0, 6)),
     ))
     lo = data.draw(st.integers(-12, 12))
     window = (lo, lo + data.draw(st.integers(0, 10)))
