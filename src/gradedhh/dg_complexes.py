@@ -231,22 +231,22 @@ def cone_report(pres: Presentation, r: Element, window, caps=None) -> dict:
     in [lo, hi] depends on.  The sizes |P_t| come from degree_dims.
 
     r with one term, or over pres with at most one odd generator, is
-    counted, enumerating nothing: R(t) is the largest product_sizes live
-    count over r's terms at t - d - 1, and r = 0 gives R = 0.  Distinct
-    terms send one source monomial u to distinct products, so u's column
-    escapes the enumerated basis (_ESCAPED) exactly when some term's
-    nonzero product lies outside caps: when some term's live and kept
-    counts differ.  Otherwise the block is r acting on the span of the
-    source monomials, and its rank is
+    counted, enumerating nothing: R(t) is the product_sizes live count of
+    r's terms at t - d - 1, and r = 0 gives R = 0.  Distinct terms send one
+    source monomial u to distinct products, so u's column escapes the
+    enumerated basis (_ESCAPED) exactly when some term's nonzero product
+    lies outside caps: when some term's live and kept counts differ.
+    Otherwise the block is r acting on the span of the source monomials,
+    and its rank is
     - for r = c m, the number of u with m u != 0, the live count: u -> m u
       is injective on monomials (the exponents add), and m u = 0 exactly
       when u has an odd generator of m;
-    - over at most one odd generator eps, with r = f + g eps, f and g free
-      of eps, over an even part (polynomial or Laurent) that is a domain,
-      where r(a + b eps) = fa + (fb +- ga) eps: if f != 0, r is injective
-      (fa = 0 forces a = 0, then fb = 0 forces b = 0), the live count of an
-      eps-free term; if f = 0, r kills exactly the eps-multiples and is
-      injective on the eps-free monomials, every term's live count.
+    - over at most one odd generator eps, the others of even degree, a
+      homogeneous r is r = f or r = g eps with f and g free of eps over an
+      even part (polynomial or Laurent) that is a domain:
+      r = f is injective, every term's live count being all of P_{t-d-1};
+      r = g eps kills exactly the eps-multiples and is injective on the
+      eps-free monomials, every term's live count.
 
     r with several terms over several odd generators (hh_a, whose
     mixed-sign degrees need caps, so its windows are small) realizes
@@ -258,12 +258,12 @@ def cone_report(pres: Presentation, r: Element, window, caps=None) -> dict:
     top = hi + max(0, d)
     sizes = degree_dims(pres, (lo - 1 - max(0, d + 1), top + 1 - min(0, d + 1)), caps)
     if len(r.terms) < 2 or sum(map(pres.is_odd, range(pres.ngens))) < 2:
-        ranks = dict.fromkeys(range(lo, top + 2), 0)  # r = 0
+        live = dict.fromkeys(range(lo - d - 1, top - d + 1), 0)  # r = 0
         for m in r.terms:
             live, kept = product_sizes(pres, m, (lo - d - 1, top - d), caps)
             if live != kept:
                 raise ValueError(_ESCAPED)
-            ranks = {s + d + 1: max(n, ranks[s + d + 1]) for s, n in live.items()}
+        ranks = {s + d + 1: n for s, n in live.items()}
     else:
         win = c.realize((lo, top), caps)
         ranks = {t: win.rank(t) for t in range(lo, top + 2)}
