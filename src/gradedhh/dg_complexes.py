@@ -5,8 +5,7 @@ element r over a presentation P, the two terms P <- P[|r| + 1] with
 differential left multiplication by r, so d compose d = 0 by structure.  A
 ChainWindow is concrete: explicit bases and exact differential matrices over
 a finite degree range, with d compose d = 0 checked at construction.
-assemble, which writes the image of each source label as a column, builds
-every differential but the multiplication blocks of realize.
+assemble builds every differential, one source label's image per column.
 
 A realized cone and an enumerated matrix-DGA window take their bases from
 one degree_pieces call over the hull of every shifted degree read.
@@ -69,7 +68,7 @@ from .graded_algebra import (
     _check_mono,
     degree_dims,
     degree_pieces,
-    koszul_multiplier,
+    koszul_mul,
     mono_degree,
     mono_one,
     product_sizes,
@@ -181,41 +180,27 @@ class GradedComplex:
         """Concrete bases and matrices on [lo-1, hi+1]; labels (term, mono).
 
         The degree-t basis lists term 0's piece pieces[t], then term 1's
-        pieces[t - d - 1], so diff[t] is one block: term 1's piece times r
-        into term 0's piece pieces[t - 1], columns from len(pieces[t]).
+        pieces[t - d - 1], and diff[t] is the assemble image of each label:
+        (1, u) goes to r u, the koszul_mul products of r's terms with u (each
+        coefficient an int when integral) as term-0 labels, and (0, u) to 0.
         """
         lo, hi = window
-        d = self.degree
+        pres, d = self.pres, self.degree
         degrees = range(lo - 1, hi + 2)
         # the hull of every degree t and t - d - 1 the bases below read
-        pieces = degree_pieces(self.pres, (lo - 1 - max(0, d + 1), hi + 1 - min(0, d + 1)), caps)
+        pieces = degree_pieces(pres, (lo - 1 - max(0, d + 1), hi + 1 - min(0, d + 1)), caps)
         basis = {t: [(0, mono) for mono in pieces[t]] + [(1, mono) for mono in pieces[t - d - 1]]
                  for t in degrees}
-        mults, diff = _multipliers(self.r), {}
-        for t in degrees[1:]:
-            rows = defaultdict(dict)
-            _multiply_block(rows, mults, pieces[t - d - 1], pieces[t - 1], len(pieces[t]))
-            diff[t] = RationalMatrix._trusted(len(basis[t - 1]), len(basis[t]), dict(rows))
-        return ChainWindow(basis, diff)
+        terms = [(m, c.numerator if c.denominator == 1 else c) for m, c in self.r.terms.items()]
 
+        def image(label):
+            term, u = label
+            if term:
+                for m, c in terms:
+                    if (hit := koszul_mul(pres, m, u)) is not None:
+                        yield (0, hit[1]), hit[0] * c
 
-def _multipliers(r: Element) -> list:
-    """(koszul_multiplier, coefficient) per term of r; ints when integral, as _trusted stores."""
-    return [(koszul_multiplier(r.pres, m), c.numerator if c.denominator == 1 else c)
-            for m, c in r.terms.items()]
-
-
-def _multiply_block(rows, mults, source, target, col_at=0):
-    """Write into rows, a defaultdict(dict), left multiplication by r's
-    _multipliers mults from source's monomials (columns from col_at) into
-    target's (rows from 0); distinct terms give distinct products."""
-    index = dict(zip(target, range(len(target))))
-    for col, mono in enumerate(source, col_at):
-        for mul, c in mults:
-            if (hit := mul(mono)) is not None:
-                if (row := index.get(hit[1])) is None:
-                    raise ValueError(_ESCAPED)
-                rows[row][col] = hit[0] * c
+        return ChainWindow(basis, {t: assemble(basis[t], basis[t - 1], image) for t in degrees[1:]})
 
 
 def cone_report(pres: Presentation, r: Element, window, caps=None) -> dict:

@@ -4,18 +4,17 @@ Every homology computation in this package reduces to three questions about
 a matrix with rational entries: its rank, a basis of its kernel, and whether
 a vector lies in its column span (with an explicit coefficient witness).
 All three come from one forward-only, fraction-free elimination on integer
-rows (_echelon: the isolated rows first, then sparsity-aware pivots off a
-heap): rank counts its pivots, and kernel vectors and span witnesses are
-back-substituted over its pivot rows, then certified exactly (m k == 0,
-m x == v) before they are returned.  There is deliberately no floating point
-anywhere in this package.
+rows (_echelon: sparsity-aware pivots off a heap): rank counts its pivots,
+and kernel vectors and span witnesses are back-substituted over its pivot
+rows, then certified exactly (m k == 0, m x == v) before they are returned.
+There is deliberately no floating point anywhere in this package.
 
 Matrices are stored sparsely as rows {row: {col: value}}, nonempty rows
 only, with an integral value stored as an int and any other as a Fraction.
 The differentials the other modules produce have integer entries, so they
 are pure-int rows from assembly through the d compose d product to
-elimination, which reads them in place.  They are sign-structured and
-sparse: a cone on a monomial has one entry per row and per column.
+elimination.  They are sign-structured and sparse: a cone on a monomial
+has one entry per row and per column.
 
 A vector has one form, {index: value}, the form of a stored row: absent
 indices are 0.  in_span reads v as {row: value}; kernel vectors and span
@@ -139,8 +138,8 @@ class RationalMatrix:
 
     Only nonempty rows are stored and never a zero value; an integral value
     is an int and any other a Fraction, so integer matrices are pure-int
-    rows.  The constructor checks input from outside the program; _new and
-    _trusted build results that are valid by construction unchecked.
+    rows.  The constructor checks input from outside the program; _new
+    builds results that are valid by construction unchecked.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -164,11 +163,6 @@ class RationalMatrix:
             row = {j: v.numerator if v.denominator == 1 else v for j, v in row.items() if v}
             if row:
                 data[i] = row
-        return cls._trusted(rows, cols, data)
-
-    @classmethod
-    def _trusted(cls, rows: int, cols: int, data: dict):
-        """Matrix storing data, in range and in the stored form, as it is."""
         out = object.__new__(cls)
         out.rows, out.cols, out.data = rows, cols, data
         return out
@@ -244,25 +238,18 @@ def _echelon(rows, ncols):
     """Forward-only, fraction-free elimination; yields (pivot column, pivot row).
 
     rows is {row id: nonzero row {col: int or Fraction}}, as RationalMatrix
-    stores it, and is left as it is: each row is scaled to integers, which
-    keeps the row space, and copied only when elimination first changes it,
-    so a yielded row may be the caller's, only to be read.
+    stores it, and is left as it is: each row is copied up front, scaled to
+    integers, which keeps the row space.
 
-    Isolated rows (one entry, in a column no other row uses) come first, in
-    input order, each in its column, as structured Gaussian elimination peels
-    weight-1 columns.  The rest pivot sparsity-aware (Markowitz): the shortest
-    live row, ties to the lowest row id, and in it the column the fewest live
-    rows share, read off a column -> rows index that also names the rows to
-    eliminate.  The row comes off a heap of (length, row id), pushed again
-    when a row's length changes, stale entries skipped: it pops what a scan
-    would.  A row r with entry f in the pivot column becomes (p/g) r - (f/g) P,
-    g = gcd(p, f), for the pivot row P with pivot p, then divided by the gcd
-    of its entries.  Column ncols (in_span's augmented column) pivots only in
-    a row with no other entry.  No elimination reaches an isolated row, so
-    the scan would pivot it in its column too, and the peel moves no other
-    row's length or column count: the pivots are the scan's, in its order but
-    for the isolated ones.  Back-substitution leaves their columns 0 in any
-    order, and in_span meets the augmented column or not either way.
+    The pivots are sparsity-aware (Markowitz): the shortest live row, ties to
+    the lowest row id, and in it the column the fewest live rows share, read
+    off a column -> rows index that also names the rows to eliminate.  The
+    row comes off a heap of (length, row id), pushed again when a row's
+    length changes, stale entries skipped: it pops what a scan would.  A row
+    r with entry f in the pivot column becomes (p/g) r - (f/g) P, g = gcd(p,
+    f), for the pivot row P with pivot p, then divided by the gcd of its
+    entries.  Column ncols (in_span's augmented column) pivots only in a row
+    with no other entry.
 
     A yielded row has no entry in any earlier pivot column, so the pivot rows
     are an echelon form that back-substitution solves last pivot first.  Its
@@ -270,16 +257,9 @@ def _echelon(rows, ncols):
     diagonal, and the row operations keep every linear relation among the
     columns, so the pivot columns of the input are a basis of its column space.
     """
-    given, rows, where, uses = rows, {}, {}, {}
-    for r in given.values():
-        for c in r:
-            uses[c] = uses.get(c, 0) + 1
-    for i, r in given.items():
-        r = _integer_row(r)
-        if len(r) == 1 and uses[c := next(iter(r))] == 1:
-            yield c, r
-            continue
-        rows[i] = r
+    rows = {i: dict(_integer_row(r)) for i, r in rows.items()}
+    where = {}
+    for i, r in rows.items():
         for c in r:
             where.setdefault(c, set()).add(i)
     heap = [(len(r), i) for i, r in rows.items()]
@@ -297,8 +277,6 @@ def _echelon(rows, ncols):
         p = prow[col]
         for i in list(where[col]):
             row = rows[i]
-            if row is given[i]:
-                row = rows[i] = dict(row)
             before = len(row)
             f = row[col]
             g = gcd(p, f)

@@ -29,7 +29,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, sub
+from operator import sub
 
 from .exact_linear import QCombination, RationalMatrix, combine, in_span, kernel_basis
 
@@ -147,23 +147,6 @@ def koszul_mul(pres: Presentation, a, b):
             if j > i and a[j]:
                 sign = -sign
     return sign, tuple(x + y for x, y in zip(a, b))
-
-
-def koszul_multiplier(pres: Presentation, m):
-    """mono -> koszul_mul(pres, m, mono), reading m's odd generators once:
-    the product dies when mono has one of them (kill), and each odd
-    generator of mono with an odd count of them after it flips the sign."""
-    kill = tuple(i for i in _odd_indices(pres) if m[i])
-    flip = tuple(i for i in _odd_indices(pres) if sum(j > i for j in kill) % 2)
-    if not kill:
-        return lambda mono: (1, tuple(map(add, m, mono)))
-
-    def mul(mono):
-        if any(mono[i] for i in kill):
-            return None
-        return (-1) ** sum(1 for i in flip if mono[i]), tuple(map(add, m, mono))
-
-    return mul
 
 
 def mono_str(pres: Presentation, mono) -> str:
@@ -376,22 +359,42 @@ def _resolve_ranges(pres: Presentation, bound: int, caps):
     ]
 
 
+def _clip_ranges(degrees, ranges, window) -> list:
+    """ranges cut to the exponents e with e d in [lo - most, hi - least], d
+    the generator's degree and least, most the least and greatest degree the
+    other generators add: the cut box holds every monomial of degree in
+    window = (lo, hi) that the uncut one holds, however loose the caps."""
+    lo, hi = window
+    spans = [sorted((a * d, b * d)) for (a, b), d in zip(ranges, degrees)]
+    least, most = sum(s for s, _ in spans), sum(t for _, t in spans)
+    clipped = []
+    for (a, b), d, (s, t) in zip(ranges, degrees, spans):
+        low, high = lo - most + t, hi - least + s  # the bounds on e d
+        if d > 0:
+            a, b = max(a, -(-low // d)), min(b, high // d)
+        elif d < 0:
+            a, b = max(a, -(-high // d)), min(b, low // d)
+        clipped.append((a, b))
+    return clipped
+
+
 def degree_pieces(pres: Presentation, window, caps=None) -> dict:
     """{t: all monomials of degree t, leading (highest lex) first} for every
     t in window = (lo, hi), from one enumeration.
 
-    Generators are placed last first: each suffix of exponents is extended
-    by every exponent of the next generator, and a partial degree is kept
-    only while the generators not yet placed can still bring it into
-    [lo, hi].  Exponents are tried in decreasing order over suffix lists
-    that are already sorted, so every piece comes out sorted.
+    Generators are placed last first, over the exponent ranges cut by
+    _clip_ranges: each suffix of exponents is extended by every exponent of
+    the next generator, and a partial degree is kept only while the
+    generators not yet placed can still bring it into [lo, hi].  Exponents
+    are tried in decreasing order over suffix lists that are already
+    sorted, so every piece comes out sorted.
 
     caps: None (auto-derived bounds where sound), an int applied to every
     generator, or a {name: cap} mapping.  Laurent generators always require
     an explicit cap: their degree pieces are infinite without one.
     """
     lo, hi = window
-    ranges = _resolve_ranges(pres, max(abs(lo), abs(hi)), caps)
+    ranges = _clip_ranges(pres.degrees, _resolve_ranges(pres, max(abs(lo), abs(hi)), caps), window)
     # reach[i]: least and greatest degree the generators before i can add
     reach = [(0, 0)]
     for (a, b), d in zip(ranges, pres.degrees):
@@ -415,6 +418,7 @@ def _box_sizes(degrees, ranges, window) -> dict:
     """{t: number of exponent tuples e with ranges[i][0] <= e_i <=
     ranges[i][1] and sum e_i degrees[i] = t} for every t in window = (lo, hi).
 
+    The ranges are cut by _clip_ranges first, so a loose cap costs nothing.
     Generators are placed last first, as degree_pieces places them, over
     counts[s - base], the number of suffixes of partial degree s.  A
     negative degree is flipped first: e d = (-e)(-d), so the range (a, b)
@@ -432,6 +436,7 @@ def _box_sizes(degrees, ranges, window) -> dict:
     degrees the generators not yet placed can still bring into [lo, hi].
     """
     lo, hi = window
+    ranges = _clip_ranges(degrees, ranges, window)
     boxes = [(-b, -a, -d) if d < 0 else (a, b, d) for (a, b), d in zip(ranges, degrees)]
     reach = [(0, 0)]  # least and greatest degree the generators before i can add
     for a, b, d in boxes:
@@ -694,7 +699,8 @@ def combo_str(combo) -> str:
 
 
 def table_from_presentation(pres: Presentation, window, caps=None) -> MulTable:
-    """Multiplication table of all monomials whose degree lies in window."""
+    """Multiplication table of all monomials whose degree lies in window;
+    complete without caps, as every in-window degree piece is then whole."""
     lo, hi = window
     if lo > hi:
         raise ValueError("empty degree window")
@@ -706,7 +712,6 @@ def table_from_presentation(pres: Presentation, window, caps=None) -> MulTable:
     degree = {l: mono_degree(pres, m) for l, m in by_label.items()}
     label_of = {m: l for l, m in by_label.items()}
     products = {}
-    complete = caps is None
     for lx, mx in by_label.items():
         for ly, my in by_label.items():
             hit = koszul_mul(pres, mx, my)
@@ -715,10 +720,7 @@ def table_from_presentation(pres: Presentation, window, caps=None) -> MulTable:
             elif hit[1] in label_of:
                 products[(lx, ly)] = {label_of[hit[1]]: Fraction(hit[0])}
             else:
-                # an escape; one of in-window degree means user caps clipped
-                # the basis, and the table is incomplete
                 products[(lx, ly)] = None
-                complete = complete and not lo <= mono_degree(pres, hit[1]) <= hi
     one = None
     if lo <= 0 <= hi:
         unit = mono_str(pres, mono_one(pres))
@@ -729,7 +731,7 @@ def table_from_presentation(pres: Presentation, window, caps=None) -> MulTable:
         degree=degree,
         products=products,
         one=one,
-        complete_degrees=complete,
+        complete_degrees=caps is None,
     )
 
 

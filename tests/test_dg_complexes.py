@@ -2,7 +2,6 @@
 
 import json
 import time
-from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -182,16 +181,18 @@ def _streamed_cone_report(pres, r, window, caps):
     """cone_report as streamed before the count route, the reference of
     every counted cone (one term, or over at most one odd generator): one
     degree_pieces enumeration over the hull, then one multiplication block
-    per degree, built, ranked and dropped."""
+    per degree, assembled through koszul_mul, ranked and dropped."""
     lo, hi = window
     d = GradedComplex(pres, r).degree
     top = hi + max(0, d)
     pieces = degree_pieces(pres, (lo - 1 - max(0, d + 1), top + 1 - min(0, d + 1)), caps)
-    mults, ranks = dg_complexes._multipliers(r), {}
+    ranks = {}
     for t in range(lo, top + 2):
-        rows, source, target = defaultdict(dict), pieces[t - d - 1], pieces[t - 1]
-        dg_complexes._multiply_block(rows, mults, source, target)
-        ranks[t] = rank(RationalMatrix._trusted(len(target), len(source), dict(rows)))
+        ranks[t] = rank(assemble(
+            pieces[t - d - 1], pieces[t - 1],
+            lambda mono: [(hit[1], hit[0] * c) for m, c in r.terms.items()
+                          if (hit := koszul_mul(pres, m, mono)) is not None],
+        ))
     quotient = {t: len(pieces[t]) - ranks[t + 1] for t in range(lo, hi + 1)}
     computed = {t: q + len(pieces[t - d - 1]) - ranks[t] for t, q in quotient.items()}
     regular = all(ranks[t] == len(pieces[t - d - 1]) for t in ranks)
@@ -269,9 +270,9 @@ def test_cone_report_builds_no_chain_window(monkeypatch):
 
 
 def _labelwise_realize(c, window, caps=None):
-    """GradedComplex.realize label by label, the reference of the blockwise
-    one: one assemble per differential, each (term, mono) label's image
-    built by koszul_mul."""
+    """GradedComplex.realize written out on its own, the reference it is
+    checked against: one assemble per differential, each (term, mono)
+    label's image built by koszul_mul."""
     lo, hi = window
     d = c.degree
     degrees = range(lo - 1, hi + 2)
@@ -391,17 +392,19 @@ def _count_calls(monkeypatch, name):
 
 def test_cone_report_counts_over_one_odd_generator_and_realizes_over_several(monkeypatch):
     calls = _count_calls(monkeypatch, "degree_pieces")
-    blocks = _count_calls(monkeypatch, "_multiply_block")
+    blocks = _count_calls(monkeypatch, "assemble")
     pres = parse_preset("bp:3:3")
     report = cone_report(pres, element_from_string(pres, "v3 + v1^13"), (0, 60))
     assert report["dims_match_quotient"] is True
     # two terms over no odd generator: counted, nothing enumerated and no
-    # block built, and the same report as the one term of the same degree
+    # differential assembled, and the same report as the one term of the
+    # same degree
     assert calls == blocks == []
     assert cone_report(pres, Element.gen(pres, "v3"), (0, 60)) == report
     assert calls == blocks == []
     # two terms over two odd generators: realized on [-5, 3] (|r| = -15),
-    # one degree_pieces call over the hull and one block per degree of [-5, 4]
+    # one degree_pieces call over the hull and one assemble per degree of
+    # [-5, 4]
     pres = parse_preset("hh_a:2:2")
     r = element_from_string(pres, "v1^3 sigma1 delta^4 + sigma1 delta^3")
     realized = cone_report(pres, r, (-5, 3), 3)

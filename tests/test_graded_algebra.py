@@ -12,6 +12,7 @@ from gradedhh.graded_algebra import (
     KahlerElement,
     MalformedTableError,
     MulTable,
+    degree_dims,
     degree_pieces,
     element_from_string,
     kahler_d,
@@ -255,6 +256,25 @@ def test_degree_pieces_bp_2_4_window_32_301_within_budget():
     assert elapsed < 1, f"degree_pieces on bp:2:4 -32..301 took {elapsed:.2f}s"
 
 
+@pytest.mark.parametrize("preset, window, caps, loose", [
+    ("bp:2:4", (0, 600), None, 10**6),
+    ("bp:3:3", (-20, 300), None, 10**6),
+    ("a:2:3", (-200, 300), None, 10**6),
+    ("en:2:2", (-60, 60), {"v2": 3}, {"v1": 10**6, "v2": 3}),
+])
+def test_a_loose_cap_leaves_degree_dims_and_pieces_as_they_are(preset, window, caps, loose):
+    """A cap no monomial of the window reaches changes no piece, and costs
+    no more than the exponents the window can use."""
+    pres = parse_preset(preset)
+    start = time.monotonic()
+    assert degree_dims(pres, window, loose) == degree_dims(pres, window, caps)
+    lo, hi = window
+    pieces = (lo, min(hi, lo + 200))
+    assert degree_pieces(pres, pieces, loose) == degree_pieces(pres, pieces, caps)
+    elapsed = time.monotonic() - start
+    assert elapsed < 1, f"{preset} over {window} at a loose cap took {elapsed:.2f}s"
+
+
 # -- Kähler differentials --------------------------------------------------------
 
 
@@ -343,6 +363,25 @@ def test_table_from_presentation_shape():
     assert table.products[("v", "v")] == {"v^2": 1}
     assert table.products[("v", "v^2")] is None  # escapes the window
     assert table.one == {"1": Fraction(1)}
+
+
+@pytest.mark.parametrize("preset, window", [
+    ("bp:2:3", (0, 40)), ("a:2:2", (-10, 12)), ("en:2:2", (-12, 12)), ("hh_a:2:2", (-8, 8)),
+])
+@pytest.mark.parametrize("caps", [None, 1, 2])
+def test_table_is_complete_exactly_without_caps(preset, window, caps):
+    pres = parse_preset(preset)
+    if caps is None and (any(pres.laurent) or preset.startswith("hh_a")):
+        with pytest.raises(ValueError, match="cap"):
+            table_from_presentation(pres, window, caps)
+        return
+    table = table_from_presentation(pres, window, caps)
+    lo, hi = window
+    clipped = [pair for pair, hit in table.products.items() if hit is None
+               and lo <= table.degree[pair[0]] + table.degree[pair[1]] <= hi]
+    assert table.complete_degrees is (caps is None)
+    # without caps every in-window piece is whole: no product escapes into it
+    assert caps is not None or not clipped
 
 
 def test_mul_table_validation():
