@@ -85,6 +85,7 @@ from .hochschild import (
     hochschild_diff,
     internal_degree,
     morse_complex,
+    morse_complexes,
     multidegree_from_dict,
     multidegree_to_dict,
     multidegrees_up_to,
@@ -119,7 +120,7 @@ __all__ = [
     "mdga_eps",
     "BarChain", "D_map", "HkrReport", "bar_basis", "bar_window", "hh_dims",
     "hkr_check", "hkr_predicted_dims", "hochschild_diff", "internal_degree",
-    "morse_complex", "multidegree_from_dict",
+    "morse_complex", "morse_complexes", "multidegree_from_dict",
     "multidegree_to_dict", "multidegrees_up_to",
     "MembershipResult", "ObstructionReport", "TraceClass",
     "constant_loops_chain", "displayed_obstruction_class", "membership_test",

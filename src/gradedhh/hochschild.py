@@ -23,19 +23,19 @@ non-units is a non-unit, so the normalized basis is closed under b.
 A BarChain is a QCombination (the sparse vector type of exact_linear)
 labelled by tensors.  One rule, _faces, gives the faces of a packed tensor:
 each monomial is an int (_packing) with a radix-2 digit per odd generator,
-those digits lowest, and the radix m_i + 1 for even generator i.
-A face multiplies two factors of one tensor, so even exponents stay at most
-m_i, and a product survives only when its odd digits are disjoint: nothing
-carries, and a product's code is the sum a + b.  With ODD the mask of the odd
-digits, a & b & ODD is the exterior square test, the crossing sign of a b is
-a table over mask pairs, and the rotation face's Koszul parity is c (t - c),
-c the popcount of the moved factor's mask and t the tensor's total of odd
-exponents.  The sign table depends only on the number k of odd generators,
-so _crossing_signs builds it once per k and every multidegree shares it.
-bar_window packs its basis a level at a time, holding only the
-source and target levels packed, and sums the faces into matrix columns
-(dg_complexes.assemble); hochschild_diff packs at its boundary, by the
-componentwise largest multidegree of its tensors, and decodes the faces.
+those digits lowest, and the radix m_i + 1 for even generator i, m the
+multidegree or any bound above it.  A face multiplies two factors of one
+tensor, so even exponents stay at most m_i, and a product survives only when
+its odd digits are disjoint: nothing carries, and a product's code is the
+sum a + b.  With ODD the mask of the odd digits, a & b & ODD is the exterior
+square test, the crossing sign of a b is a table over mask pairs, built once
+per odd count k (_crossing_signs), and the rotation face's Koszul parity is
+c (t - c), c the popcount of the moved factor's mask and t the tensor's
+total of odd exponents.  bar_window packs its basis a level at a time and
+sums the faces into matrix columns (dg_complexes.assemble); hochschild_diff
+packs by the componentwise largest multidegree of its tensors and decodes
+the faces; morse_complexes packs once by a bound, for a whole sweep, and
+fills its matching's lowest-digit table per code as the flow reaches it.
 
 hh_dims and trace_obstruction read HH from morse_complex, the Morse complex
 of an algebraic Morse matching on that complex (Skoldberg, "Morse theory
@@ -85,7 +85,7 @@ phi(z) = d_M w = phi(dw), the cycle z' = z - dw has phi(z') = 0, so
 y = U(z') = z' - d H(z') is a cycle of upper cells, and y = 0 (else some u
 in its support has a partner l that is a face of no other u' there, as the
 zig-zags l(u') -> u' -> l close no loop, and <dy, l> = e y_u != 0); so
-z = d(w + H(z')).  morse_complex returns phi as project, builds only the
+z = d(w + H(z')).  morse_complexes returns phi as project, builds only the
 critical cells and checks the matching where phi goes, memoising phi on the
 critical and lower cells it reaches but not on upper faces, whose phi is 0;
 the tests check it on every cell, and Morse homology and boundaries against
@@ -104,7 +104,7 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import mul, sub
+from operator import gt, mul, sub
 
 from .dg_complexes import ChainWindow, assemble
 from .exact_linear import QCombination, combine
@@ -228,10 +228,10 @@ def _packing(pres: Presentation, m):
 
     pack writes a monomial as an int, one digit per generator in digit
     order, radix 2 for an odd generator and m_i + 1 for an even one; the k
-    odd digits are thus the lowest, under the mask (1 << k) - 1.  pack is
-    additive while no digit overflows (see the module docstring); unpack
-    leaves the top digit unreduced.  signs is _crossing_signs(k), the one
-    shared table for k odd generators."""
+    odd digits are thus the lowest, under the mask (1 << k) - 1.  It serves
+    every multidegree <= m: no face of a tensor overflows a digit, so pack is
+    additive there (see the module docstring); unpack leaves the top digit
+    unreduced.  signs is _crossing_signs(k), shared for k odd generators."""
     _require_no_laurent(pres)  # a negative exponent has no digit
     order = _digit_order(pres)
     places, place = [0] * pres.ngens, 1
@@ -338,34 +338,31 @@ def bar_window(pres: Presentation, m) -> ChainWindow:
 _LOWER, _CRITICAL, _UPPER = -1, 0, 1  # a matching pairs lower with upper: kinds sum to 0
 
 
-def _matching(pres: Presentation, m, pack):
-    """classify(t) -> (kind, partner) on the packed tensors of multidegree m.
-
-    Generators are ranked in _digit_order.  A per-code table low gives the
-    rank h of a nonzero code's lowest digit, whether that generator is odd,
-    and the code minus that generator's place, 0 exactly when the code is
-    the generator itself.  The places are pack of the unit vectors, and low
-    grows one digit at a time in digit order, so a code's lowest digit is
-    the first one set: digit h at d >= 1 (d <= m_i, and d = 1 if odd) gives
-    the code d * place_h with rest (d - 1) * place_h, and extends each code
-    already in low, keeping its lowest digit and adding d * place_h to its
-    rest.  No exponent tuple is built."""
+def _matching(pres: Presentation, m):
+    """classify(t) -> (kind, partner) on the tensors of every multidegree
+    <= m, packed by _packing(pres, m).  Generators are ranked in digit order.
+    low[code] is the rank h of a code's lowest nonzero digit, whether x_h is
+    odd, and the code minus x_h's place, 0 exactly when the code is x_h.  It
+    is filled per code on first lookup, so it holds only the codes used."""
     order = _digit_order(pres)
-    low = {}
-    for h, i in enumerate(order):
-        place, odd_h = pack([int(j == i) for j in range(pres.ngens)]), pres.is_odd(i)
-        grown = {}
-        for d in range(1, (min(m[i], 1) if odd_h else m[i]) + 1):
-            step = d * place
-            grown[step] = h, odd_h, step - place
-            grown.update({code + step: (g, odd_g, rest + step)
-                          for code, (g, odd_g, rest) in low.items()})
-        low.update(grown)
+    digits = [(2 if pres.is_odd(i) else m[i] + 1, pres.is_odd(i)) for i in order]
+    low = {}  # a plain dict, not one with __missing__: classify's hits keep the dict fast path
+
+    def lowest(code):
+        place = 1
+        for h, (radix, odd_h) in enumerate(digits):
+            if code // place % radix:
+                low[code] = found = h, odd_h, code - place
+                return found
+            place *= radix
 
     def classify(t):
         g = len(order)  # the walk starts at position 1 with no chain yet
         for j in range(1, len(t)):
-            h, odd_h, rest = low[t[j]]
+            try:
+                h, odd_h, rest = low[t[j]]
+            except KeyError:
+                h, odd_h, rest = lowest(t[j])
             if not (h < g or h == g and odd_h):
                 return _UPPER, t[:j - 1] + (t[j - 1] + t[j],) + t[j + 1:]
             if rest:
@@ -376,30 +373,43 @@ def _matching(pres: Presentation, m, pack):
     return classify
 
 
-def _critical_cells(pres: Presentation, m) -> dict:
-    """The critical cells, sorted, at levels -1..top + 1: a_0 = m - c, then
-    c_i copies of each generator i in falling rank, c_i <= min(1, m_i) if even,
-    c_i in {m_i - 1, m_i} and >= 0 if odd (a_0 holds an odd one at most once).
-    top, the longest chain, sums m_i over odd i and min(1, m_i) over even i."""
+def _critical_cells(pres: Presentation, pack):
+    """cells(m) -> the critical cells of multidegree m at levels -1..top + 1,
+    {level: tensors} sorted and {level: codes under pack}: a_0 = m - c, then
+    c_i copies of each generator i in falling rank, c_i <= min(1, m_i) if
+    even, c_i in {m_i - 1, m_i} and >= 0 if odd.  top, the longest chain,
+    sums the largest c_i.  c runs in descending lex order, so a_0 ascends and
+    each level comes out sorted; a_0's code is pack(m) - sum c_i place_i."""
     order = _digit_order(pres)[::-1]
     units = [tuple(int(i == j) for j in range(pres.ngens)) for i in range(pres.ngens)]
-    counts = [range(max(e - 1, 0), e + 1) if pres.is_odd(i) else range(min(e, 1) + 1)
-              for i, e in enumerate(m)]
-    cells = {s: [] for s in range(-1, sum(c[-1] for c in counts) + 2)}
-    for c in itertools.product(*counts):
-        chain = [units[i] for i in order for _ in range(c[i])]
-        cells[len(chain)].append((tuple(map(sub, m, c)), *chain))
-    return {s: sorted(tensors) for s, tensors in cells.items()}
+    places = [*map(pack, units)]
+
+    def cells(m):
+        counts = [range(e, max(e - 2, -1), -1) if pres.is_odd(i) else range(min(e, 1), -1, -1)
+                  for i, e in enumerate(m)]
+        levels, whole = range(-1, sum(c[0] for c in counts) + 2), pack(m)
+        basis, packed = {s: [] for s in levels}, {s: [] for s in levels}
+        for c in itertools.product(*counts):
+            tensor, code = [tuple(map(sub, m, c))], [whole - sum(map(mul, c, places))]
+            for i in order:
+                tensor += [units[i]] * c[i]
+                code += [places[i]] * c[i]
+            basis[len(code) - 1].append(tuple(tensor))
+            packed[len(code) - 1].append(tuple(code))
+        return basis, packed
+
+    return cells
 
 
-def morse_complex(pres: Presentation, m):
-    """(window, project) for one multidegree.  window is the Morse complex,
+def morse_complexes(pres: Presentation, bound):
+    """morse(m) -> (window, project) for each multidegree m <= bound, on one
+    packing of bound and one classify.  window is the Morse complex of m,
     levels as degrees, padded by one empty level below 0 and above the top
     critical level: the critical cells, built from their shape alone by
     _critical_cells and labelled by their bar tensors, each mapped to phi of
     its faces.  project(x) is phi(x) as {row: value} on the critical cells of
-    x's level, for x a normalized BarChain of multidegree m; any other nonzero
-    chain raises ValueError.
+    x's level, for x a normalized BarChain of multidegree m; any other
+    nonzero chain raises ValueError.
 
     Guards (ArithmeticError): each enumerated cell is critical; each lower
     cell phi expands has a partner that classifies back, with coefficient
@@ -409,12 +419,19 @@ def morse_complex(pres: Presentation, m):
     series).  That count catches cells dropped or added unevenly across
     parities, not a matching fault on a cell the flow never reaches.
     """
+    bound = check_multidegree(pres, bound)
+    packing = _packing(pres, bound)  # refuses laurent generators
+    return functools.partial(_morse, pres, bound, packing, _matching(pres, bound),
+                             _critical_cells(pres, packing[0]))
+
+
+def _morse(pres: Presentation, bound, packing, classify, critical, m):
     m = check_multidegree(pres, m)
-    pack, unpack, odd, signs = _packing(pres, m)  # refuses laurent generators
+    if any(map(gt, m, bound)):
+        raise ValueError("multidegree exceeds the bound of its Morse set-up")
+    pack, unpack, odd, signs = packing
     total = sum(e for i, e in enumerate(m) if pres.is_odd(i))
-    classify = _matching(pres, m, pack)
-    basis = _critical_cells(pres, m)
-    packed = {s: [tuple(map(pack, tensor)) for tensor in cells] for s, cells in basis.items()}
+    basis, packed = critical(m)
     if any(classify(t)[0] != _CRITICAL for t in itertools.chain(*packed.values())):
         raise ArithmeticError("an enumerated cell is not critical")
     if sum((-1) ** (s % 2) * len(cells) for s, cells in basis.items()) != (not any(m)):
@@ -471,10 +488,14 @@ def morse_complex(pres: Presentation, m):
     return window, project
 
 
-def hh_dims(pres: Presentation, m) -> dict:
-    """HH dimensions by total degree for one multidegree, from the Morse complex."""
-    m = check_multidegree(pres, m)
-    window = morse_complex(pres, m)[0]
+def morse_complex(pres: Presentation, m):
+    """(window, project) for one multidegree: morse_complexes(pres, m)(m)."""
+    return morse_complexes(pres, m)(m)
+
+
+def hh_dims(pres: Presentation, m, morse=None) -> dict:
+    """HH dimensions by total degree at m, from morse(m), a Morse complex."""
+    window = (morse or morse_complexes(pres, m))(m)[0]
     by_level = window.homology_dims((0, window.hi - 1))
     return {internal_degree(pres, m) + s: d for s, d in sorted(by_level.items()) if d}
 
@@ -518,12 +539,12 @@ class HkrReport:
 
 
 def hkr_check(pres: Presentation, multidegrees) -> HkrReport:
-    """Compare computed homology with the prediction, multidegree by
-    multidegree."""
+    """Computed homology against the prediction per multidegree, on one Morse set-up."""
+    multidegrees = [check_multidegree(pres, m) for m in multidegrees]
+    morse = morse_complexes(pres, tuple(map(max, zip(mono_one(pres), *multidegrees))))
     report = HkrReport(pres)
     for m in multidegrees:
-        m = check_multidegree(pres, m)
-        report.add(m, hh_dims(pres, m), hkr_predicted_dims(pres, m))
+        report.add(m, hh_dims(pres, m, morse), hkr_predicted_dims(pres, m))
     return report
 
 

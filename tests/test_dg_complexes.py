@@ -270,30 +270,27 @@ def test_cone_report_builds_no_chain_window(monkeypatch):
 
 
 def _labelwise_realize(c, window, caps=None):
-    """GradedComplex.realize written out on its own, the reference it is
-    checked against: one assemble per differential, each (term, mono)
-    label's image built by koszul_mul."""
+    """GradedComplex.realize rebuilt from its definition, the reference it
+    is checked against: degree t's basis is term 0 on monomial_basis(t),
+    then term 1 on monomial_basis(t - d - 1), and column (1, u) of diff[t]
+    is the product r * u of Element.__mul__ on the one-term element u, put
+    entry by entry into a RationalMatrix.  A product outside the target
+    basis raises _ESCAPED, as assemble does; (0, u) goes to 0."""
     lo, hi = window
-    d = c.degree
+    pres, d = c.pres, c.degree
     degrees = range(lo - 1, hi + 2)
-    pieces = degree_pieces(c.pres, (lo - 1 - max(0, d + 1), hi + 1 - min(0, d + 1)), caps)
-    basis = {
-        t: [(i, mono) for i, shift in enumerate((0, d + 1)) for mono in pieces[t - shift]]
-        for t in degrees
-    }
-    terms = [(m, q.numerator if q.denominator == 1 else q) for m, q in c.r.terms.items()]
-
-    def image(label):
-        term, mono = label
-        if term == 0:
-            return ()
-        return (
-            ((0, hit[1]), hit[0] * coeff)
-            for m, coeff in terms
-            if (hit := koszul_mul(c.pres, m, mono)) is not None
-        )
-
-    diff = {t: assemble(basis[t], basis[t - 1], image) for t in degrees[1:]}
+    basis = {t: [(0, u) for u in monomial_basis(pres, t, caps)]
+             + [(1, u) for u in monomial_basis(pres, t - d - 1, caps)] for t in degrees}
+    diff = {}
+    for t in degrees[1:]:
+        row = {label: i for i, label in enumerate(basis[t - 1])}
+        entries = {}
+        for j, (term, u) in enumerate(basis[t]):
+            for mono, coeff in (c.r * Element.monomial(pres, u)).terms.items() if term else ():
+                if (0, mono) not in row:
+                    raise ValueError(dg_complexes._ESCAPED)
+                entries[row[0, mono], j] = coeff
+        diff[t] = RationalMatrix(len(basis[t - 1]), len(basis[t]), entries)
     return ChainWindow(basis, diff)
 
 

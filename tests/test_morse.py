@@ -17,9 +17,12 @@ from gradedhh.hochschild import (
     bar_basis,
     bar_window,
     hh_dims,
+    hkr_check,
     hkr_predicted_dims,
     hochschild_diff,
     morse_complex,
+    morse_complexes,
+    multidegree_to_dict,
     multidegrees_up_to,
 )
 from reference import matching as reference_matching
@@ -37,7 +40,7 @@ def _matching(pres, m):
     def faces(t):
         return combine(hochschild._faces(t, odd, signs, total))
 
-    return cells, hochschild._matching(pres, m, pack), faces
+    return cells, hochschild._matching(pres, m), faces
 
 
 def _check_matching(pres, m):
@@ -57,11 +60,12 @@ def _check_matching(pres, m):
     tuple(TopologicalSorter(graph).static_order())
 
 
-def _assert_classify_equals_the_reference(pres, m):
-    """Kind and partner of every packed cell of bar_basis, against the
-    tuple-built matching of tests/reference.py."""
-    pack = hochschild._packing(pres, m)[0]
-    got, want = hochschild._matching(pres, m, pack), reference_matching(pres, m, pack)
+def _assert_classify_equals_the_reference(pres, m, bound=None):
+    """Kind and partner of every cell of bar_basis at m, packed for bound
+    (by default m), against the tuple-built matching of tests/reference.py."""
+    bound = m if bound is None else bound
+    pack = hochschild._packing(pres, bound)[0]
+    got, want = hochschild._matching(pres, bound), reference_matching(pres, m, pack)
     for tensors in bar_basis(pres, m).values():
         for t in (tuple(map(pack, tensor)) for tensor in tensors):
             assert got(t) == want(t), (m, t)
@@ -117,7 +121,7 @@ def _classify_everything_window(pres, m):
     basis = bar_basis(pres, m)
     pack, _, odd, signs = hochschild._packing(pres, m)
     total = sum(e for i, e in enumerate(m) if pres.is_odd(i))
-    classify = hochschild._matching(pres, m, pack)
+    classify = hochschild._matching(pres, m)
     critical, balance = {}, 0
     for s, tensors in basis.items():
         critical[s] = []
@@ -221,7 +225,7 @@ def _with_edge_cases(test):
 def test_enumerated_critical_cells_are_the_classified_ones(case):
     pres, m = case
     pack = hochschild._packing(pres, m)[0]
-    classify = hochschild._matching(pres, m, pack)
+    classify = hochschild._matching(pres, m)
     basis = bar_basis(pres, m)
 
     def is_critical(tensor):
@@ -229,7 +233,9 @@ def test_enumerated_critical_cells_are_the_classified_ones(case):
 
     classified = {s: list(filter(is_critical, basis.get(s, []))) for s in range(-1, sum(m) + 2)}
     top = _top(pres, m)
-    assert hochschild._critical_cells(pres, m) == {s: classified[s] for s in range(-1, top + 2)}
+    cells, packed = hochschild._critical_cells(pres, pack)(m)
+    assert cells == {s: classified[s] for s in range(-1, top + 2)}
+    assert packed == {s: [tuple(map(pack, t)) for t in tensors] for s, tensors in cells.items()}
     assert not any(classified[s] for s in range(top + 1, sum(m) + 2))
 
 
@@ -247,6 +253,66 @@ def test_morse_window_equals_the_classify_everything_reference(case):
 ])
 def test_morse_window_equals_the_reference_at_size(preset, m):
     _assert_morse_equals_reference(parse_preset(preset), m)
+
+
+# -- one Morse set-up for every multidegree below a bound ---------------------------
+
+
+@st.composite
+def bounded_cases(draw):
+    """A matching case and a bound at least its multidegree, each entry at
+    most 3 above it."""
+    pres, m = draw(matching_cases())
+    return pres, m, tuple(e + draw(st.integers(0, 3)) for e in m)
+
+
+def _with_bounded_edge_cases(test):
+    """The edge cases, each under the bound 2 above its multidegree."""
+    for pres, m in EDGE_CASES:
+        test = example((pres, m, tuple(e + 2 for e in m)))(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@_with_bounded_edge_cases
+@given(bounded_cases())
+def test_a_set_up_under_a_bound_equals_the_set_up_of_the_multidegree(case):
+    """The same basis in the same order, equal differentials and equal
+    projections of every bar cell, and classify on the bound's packing
+    equal to the reference on every bar cell of m."""
+    pres, m, bound = case
+    got, want = morse_complexes(pres, bound)(m), morse_complex(pres, m)
+    assert list(got[0].basis.items()) == list(want[0].basis.items()), (m, bound)
+    assert got[0].diff == want[0].diff, (m, bound)
+    for s, tensors in bar_basis(pres, m).items():
+        for tensor in tensors:
+            chain = BarChain(pres, s, {tensor: 1})
+            assert got[1](chain) == want[1](chain), (m, bound, tensor)
+    _assert_classify_equals_the_reference(pres, m, bound)
+
+
+def test_a_set_up_refuses_a_multidegree_above_its_bound():
+    pres = a_q(ChromaticParams(2, 2))
+    morse = morse_complexes(pres, (3, 1))
+    assert morse((3, 0))[0].basis == morse_complex(pres, (3, 0))[0].basis
+    for m in [(4, 0), (0, 2)]:
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            morse(m)
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            hh_dims(pres, m, morse)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(matching_cases(), st.data())
+def test_hkr_check_rows_are_the_per_multidegree_dims_and_predictions(case, data):
+    """Any list of multidegrees, in any order and with repeats, on one set-up."""
+    pres, m = case
+    ms = data.draw(st.lists(st.sampled_from(multidegrees_up_to(pres, sum(m))), max_size=4))
+    want = [{"multidegree": multidegree_to_dict(pres, k), "computed": hh_dims(pres, k),
+             "predicted": hkr_predicted_dims(pres, k)} for k in ms]
+    for row in want:
+        row["equal"] = row["computed"] == row["predicted"]
+    assert hkr_check(pres, ms).rows == want
 
 
 # -- the projection onto the Morse complex ---------------------------------------
@@ -321,7 +387,7 @@ def test_the_morse_boundary_test_agrees_with_the_bar_window(case, boundary, data
 def test_project_fixes_critical_cells_and_kills_upper_ones(preset, m):
     pres, _, morse, project = _complexes(preset, m)
     pack = hochschild._packing(pres, m)[0]
-    classify = hochschild._matching(pres, m, pack)
+    classify = hochschild._matching(pres, m)
     for s, tensors in bar_basis(pres, m).items():
         for tensor in tensors:
             kind = classify(tuple(map(pack, tensor)))[0]
@@ -396,16 +462,21 @@ def test_hh_a23_multidegree_6_6_1_matches_hkr_within_budget():
 # -- the runtime guards --------------------------------------------------------------
 
 
-def test_a_partner_that_does_not_classify_back_raises(monkeypatch):
+def test_a_partner_that_does_not_classify_back_raises(monkeypatch, capsys):
     real = hochschild._matching
 
-    def upper_points_at_itself(pres, m, pack):
-        classify = real(pres, m, pack)
+    def upper_points_at_itself(pres, m):
+        classify = real(pres, m)
         return lambda t: (UPPER, t) if classify(t)[0] == UPPER else classify(t)
 
     monkeypatch.setattr(hochschild, "_matching", upper_points_at_itself)
     with pytest.raises(ArithmeticError, match="does not match back"):
         morse_complex(a_q(ChromaticParams(2, 2)), (2, 1))
+    code = cli.main(["hkr-check", "--preset", "a:2:2", "--max-weight", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, ""), captured.err
+    assert captured.err.startswith("error: Morse partner of "), captured.err
+    assert captured.err.endswith(" does not match back\n") and captured.err.count("\n") == 1
 
 
 def test_a_matched_coefficient_other_than_a_unit_raises(monkeypatch):
@@ -435,14 +506,20 @@ def test_a_cycle_in_the_flow_raises(monkeypatch):
         morse_complex(pres, m)
 
 
-def _drop_a_cell(pres, m, cells):
-    top = max(s for s, tensors in cells.items() if tensors)
-    return {**cells, top: cells[top][:-1]}
+def _drop_a_cell(pres, m, pack, cells):
+    basis, packed = cells
+    top = max(s for s, tensors in basis.items() if tensors)
+    return {**basis, top: basis[top][:-1]}, {**packed, top: packed[top][:-1]}
 
 
-def _add_a_matched_cell(pres, m, cells):
-    extra = next(t for t in bar_basis(pres, m)[2] if t not in cells[2])
-    return {**cells, 2: sorted(cells[2] + [extra])}
+def _add_a_matched_cell(pres, m, pack, cells):
+    """A level-2 bar cell that is not critical, where m has one."""
+    basis, packed = cells
+    extra = next((t for t in bar_basis(pres, m).get(2, ()) if t not in basis[2]), None)
+    if extra is None:
+        return cells
+    level = sorted([*zip(basis[2], packed[2]), (extra, tuple(map(pack, extra)))])
+    return {**basis, 2: [t for t, _ in level]}, {**packed, 2: [c for _, c in level]}
 
 
 @pytest.mark.parametrize("mutant, message", [
@@ -451,12 +528,13 @@ def _add_a_matched_cell(pres, m, cells):
 ], ids=["drop a cell", "add a matched cell"])
 def test_a_faulty_critical_cell_enumerator_raises(monkeypatch, capsys, mutant, message):
     real = hochschild._critical_cells
-    monkeypatch.setattr(hochschild, "_critical_cells",
-                        lambda pres, m: mutant(pres, m, real(pres, m)))
+    monkeypatch.setattr(hochschild, "_critical_cells", lambda pres, pack:
+                        lambda m: mutant(pres, m, pack, real(pres, pack)(m)))
     with pytest.raises(ArithmeticError, match=message):
         morse_complex(a_q(ChromaticParams(2, 2)), (2, 1))
     for argv in (["hh", "--preset", "a:2:2", "--multidegree", "v1:2,eps:1"],
-                 ["obstruction", "--p", "2", "--n", "2", "--exponents", "4"]):
+                 ["obstruction", "--p", "2", "--n", "2", "--exponents", "4"],
+                 ["hkr-check", "--preset", "a:2:2", "--max-weight", "3"]):
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n"), argv
