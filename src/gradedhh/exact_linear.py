@@ -4,9 +4,10 @@ Every homology computation in this package reduces to three questions about
 a matrix with rational entries: its rank, a basis of its kernel, and whether
 a vector lies in its column span (with an explicit coefficient witness).
 All three come from one forward-only, fraction-free elimination on integer
-rows (_echelon: sparsity-aware pivots off a heap): rank counts its pivots,
-and kernel vectors and span witnesses are back-substituted over its pivot
-rows, then certified exactly (m k == 0, m x == v) before they are returned.
+rows (_echelon: rows taken shortest first, sparsity-aware pivot columns):
+rank counts its pivots, and kernel vectors and span witnesses are
+back-substituted over its pivot rows, then certified exactly (m k == 0,
+m x == v) before they are returned.
 There is deliberately no floating point anywhere in this package.
 
 Matrices are stored sparsely as rows {row: {col: value}}, nonempty rows
@@ -29,7 +30,6 @@ that differ only in what their labels are.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -241,11 +241,10 @@ def _echelon(rows, ncols):
     stores it, and is left as it is: each row is copied up front, scaled to
     integers, which keeps the row space.
 
-    The pivots are sparsity-aware (Markowitz): the shortest live row, ties to
-    the lowest row id, and in it the column the fewest live rows share, read
-    off a column -> rows index that also names the rows to eliminate.  The
-    row comes off a heap of (length, row id), pushed again when a row's
-    length changes, stale entries skipped: it pops what a scan would.  A row
+    The rows pivot in one order fixed at entry, by (length, row id), a row
+    eliminated to empty skipped.  In each pivot row the pivot column is
+    sparsity-aware (Markowitz): the column the fewest live rows share, read
+    off a column -> rows index that also names the rows to eliminate.  A row
     r with entry f in the pivot column becomes (p/g) r - (f/g) P, g = gcd(p,
     f), for the pivot row P with pivot p, then divided by the gcd of its
     entries.  Column ncols (in_span's augmented column) pivots only in a row
@@ -262,11 +261,8 @@ def _echelon(rows, ncols):
     for i, r in rows.items():
         for c in r:
             where.setdefault(c, set()).add(i)
-    heap = [(len(r), i) for i, r in rows.items()]
-    heapq.heapify(heap)
-    while rows:
-        length, pid = heapq.heappop(heap)
-        if len(rows.get(pid, ())) != length:
+    for pid in sorted(rows, key=lambda i: (len(rows[i]), i)):
+        if pid not in rows:  # eliminated to empty
             continue
         _, col = min(((len(where[c]), c) for c in rows[pid] if c != ncols),
                      default=(0, ncols))
@@ -277,7 +273,6 @@ def _echelon(rows, ncols):
         p = prow[col]
         for i in list(where[col]):
             row = rows[i]
-            before = len(row)
             f = row[col]
             g = gcd(p, f)
             a, b = p // g, f // g
@@ -296,8 +291,6 @@ def _echelon(rows, ncols):
             if not row:
                 del rows[i]
                 continue
-            if len(row) != before:
-                heapq.heappush(heap, (len(row), i))
             content = gcd(*row.values())
             if content != 1:
                 for c in row:

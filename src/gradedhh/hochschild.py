@@ -151,8 +151,11 @@ def multidegrees_up_to(pres: Presentation, weight: int):
     """All multidegrees with |m|_1 <= weight, ordered by (total, lex)."""
     if weight < 0:
         raise ValueError("weight bound must be nonnegative")
-    return sorted((m for m in itertools.product(range(weight + 1), repeat=pres.ngens)
-                   if sum(m) <= weight), key=lambda m: (sum(m), m))
+    # a multiset of weight symbols: symbol i < n spends one on generator i, n is unspent
+    n = pres.ngens
+    return sorted((tuple(map(c.count, range(n)))
+                   for c in itertools.combinations_with_replacement(range(n + 1), weight)),
+                  key=lambda m: (sum(m), m))
 
 
 def _require_no_laurent(pres: Presentation):
@@ -336,6 +339,7 @@ def bar_window(pres: Presentation, m) -> ChainWindow:
 
 
 _LOWER, _CRITICAL, _UPPER = -1, 0, 1  # a matching pairs lower with upper: kinds sum to 0
+_ZERO = {}  # the one zero flow, shared by every cell that flows to 0: no reader mutates a flow
 
 
 def _matching(pres: Presentation, m):
@@ -447,13 +451,13 @@ def _morse(pres: Presentation, bound, packing, classify, critical, m):
                 stack.pop()
                 unit, edges = pending.pop(cell)
                 flow[cell] = combine((crit, -unit * e * c) for face, e in edges.items()
-                                     for crit, c in flow[face].items())
+                                     for crit, c in flow[face].items()) or _ZERO
             elif cell in flow:
                 stack.pop()
             else:
                 kind, partner = classify(cell)
                 if kind != _LOWER:
-                    flow[cell] = {cell: 1} if kind == _CRITICAL else {}
+                    flow[cell] = {cell: 1} if kind == _CRITICAL else _ZERO
                     continue
                 if classify(partner) != (_UPPER, cell):
                     raise ArithmeticError(f"Morse partner of {[*map(unpack, cell)]} "

@@ -119,7 +119,7 @@ def trace_class(x: Element) -> TraceClass:
     chain = constant_loops_chain([x])
     value = D_map(chain)
     if value != kahler_d(x):
-        raise RuntimeError("derivation contract failed: D(trace) != d(x)")
+        raise ArithmeticError("derivation contract failed: D(trace) != d(x)")
     return TraceClass(chain=chain, normalized=chain.normalized(), D_value=value)
 
 

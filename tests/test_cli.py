@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedhh import exact_linear, graded_algebra, hochschild
+from gradedhh import exact_linear, graded_algebra, hochschild, trace_obstruction
 from gradedhh.cli import main
 
 
@@ -342,6 +342,13 @@ def test_a_tripped_morse_guard_exits_1_with_one_error_line(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "hh", "--preset", "a:2:2", "--multidegree", "v1:2,eps:1")
     assert (code, out) == (1, "")
     assert err == "error: Morse coefficient -2 is not a unit\n"
+
+
+def test_a_failed_derivation_contract_exits_1_with_one_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(trace_obstruction, "D_map", lambda chain: 0)
+    code, out, err = run_cli(capsys, "obstruction", "--p", "2", "--n", "2", "--exponents", "4")
+    assert (code, out) == (1, "")
+    assert err == "error: derivation contract failed: D(trace) != d(x)\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """The normalized cyclic bar complex in a fixed multidegree."""
 
 import functools
+import itertools
 import time
 from fractions import Fraction
 
 import pytest
 
 from gradedhh import hochschild
-from gradedhh.chromatic_presets import ChromaticParams, a_q
+from gradedhh.chromatic_presets import ChromaticParams, a_q, parse_preset, preset_families
 from gradedhh.dg_complexes import assemble
 from gradedhh.exact_linear import combine
 from gradedhh.graded_algebra import (
@@ -69,6 +70,18 @@ def test_multidegrees_up_to_ordering():
     two = make_presentation([("a", 2, False), ("b", 4, False)])
     ms = multidegrees_up_to(two, 2)
     assert ms == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+
+
+@pytest.mark.parametrize("family", preset_families())
+def test_multidegrees_up_to_equals_the_filtered_exponent_box(family):
+    for n in (2, 3):
+        pres = parse_preset(f"{family}:2:{n}")
+        for weight in range(5):
+            box = [m for m in itertools.product(range(weight + 1), repeat=pres.ngens)
+                   if sum(m) <= weight]
+            assert multidegrees_up_to(pres, weight) == sorted(box, key=lambda m: (sum(m), m))
+        with pytest.raises(ValueError, match="nonnegative"):
+            multidegrees_up_to(pres, -1)
 
 
 def test_laurent_generators_are_rejected():

@@ -25,6 +25,7 @@ from gradedhh.hochschild import (
     multidegree_to_dict,
     multidegrees_up_to,
 )
+from gradedhh.trace_obstruction import obstruction_report
 from reference import matching as reference_matching
 from test_hochschild import _odd_presets
 
@@ -405,6 +406,16 @@ def test_project_refuses_a_chain_off_its_multidegree_or_not_normalized():
     with pytest.raises(ValueError, match="normalized"):
         project(BarChain(pres, 1, {((2, 1), (0, 0)): 1}))
     assert project(BarChain(pres, 1)) == {}
+
+
+def test_the_shared_zero_flow_stays_empty():
+    # every cell that flows to 0 shares hochschild._ZERO: a reader that
+    # wrote into a flow would leave it nonempty
+    pres = parse_preset("hh_a:2:2")
+    assert hkr_check(pres, multidegrees_up_to(pres, 4)).all_equal
+    assert hochschild._ZERO == {}
+    obstruction_report(2, 3, [5, 7])
+    assert hochschild._ZERO == {}
 
 
 def _criterion_1_presets():

@@ -14,9 +14,9 @@ four terms over at most one odd generator (zero divisors included),
 against the streamed blocks they replaced, on random windows and caps, the realized
 cones on homogeneous elements of two or three terms over two odd
 generators and one even one against the label-wise assembly through
-koszul_mul, and cone_report's homology against theirs, the heap pivot
-order of the elimination against the scan it replaced, its pivot columns as a
-basis of the column space, the ranks bar, cone and matrix-DGA windows
+koszul_mul, and cone_report's homology against theirs, the pivot rows of
+the elimination as an echelon form with as many pivots as Gauss-Jordan finds,
+its pivot columns as a basis of the column space, the ranks bar, cone and matrix-DGA windows
 cache against Gauss-Jordan, the matrix-DGA product and differential against
 the entrywise 2x2 formulas in Element arithmetic, the class-decided matrix-DGA pair checks against the
 exhaustive loops they replaced, on random slot-level product and
@@ -28,7 +28,6 @@ import copy
 import itertools
 from collections import defaultdict
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -959,56 +958,6 @@ def test_kernels_and_boundary_witnesses_equal_the_dense_reference(diffs):
                 assert result.coefficients is reference is None
 
 
-def _echelon_reference(rows, ncols):
-    """_echelon with the pivot row found by a scan over all live rows, the
-    reference the heap of (length, row id) is checked against."""
-    rows = {i: dict(_integer_row(r)) for i, r in rows.items()}
-    where = {}
-    for i, r in rows.items():
-        for c in r:
-            where.setdefault(c, set()).add(i)
-
-    def drop(c, i):
-        live = where[c]
-        live.discard(i)
-        if not live:
-            del where[c]
-
-    while rows:
-        _, pid = min(zip(map(len, rows.values()), rows))
-        _, col = min(((len(where[c]), c) for c in rows[pid] if c != ncols),
-                     default=(0, ncols))
-        prow = rows.pop(pid)
-        for c in prow:
-            drop(c, pid)
-        yield col, prow
-        p = prow[col]
-        for i in list(where.get(col, ())):
-            row = rows[i]
-            f = row[col]
-            g = gcd(p, f)
-            a, b = p // g, f // g
-            if a != 1:
-                for c in row:
-                    row[c] *= a
-            for c, v in prow.items():
-                nv = row.get(c, 0) - b * v
-                if nv:
-                    if c not in row:
-                        where.setdefault(c, set()).add(i)
-                    row[c] = nv
-                else:
-                    del row[c]
-                    drop(c, i)
-            if not row:
-                del rows[i]
-                continue
-            content = gcd(*row.values())
-            if content != 1:
-                for c in row:
-                    row[c] //= content
-
-
 SPARSE_ENTRIES = st.sampled_from(
     [Fraction(1), Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(5, 3)]
 )
@@ -1036,30 +985,33 @@ def sparse_rows(draw):
     return {i: r for i, r in enumerate(rows) if r}, ncols
 
 
-def _pivot_sequence(echelon, rows, ncols):
-    return [(col, list(row.items())) for col, row in echelon(rows, ncols)]
-
-
 @settings(max_examples=300, deadline=None, database=None)
 @given(sparse_rows())
-def test_echelon_pops_the_pivots_of_the_min_scan_in_order(case):
-    assert_heap_pops_the_scan_pivots(*case)
+def test_echelon_yields_an_echelon_form_with_the_gauss_jordan_rank(case):
+    assert_echelon_form(*case)
 
 
-def test_echelon_pivot_order_on_bar_and_augmented_differentials():
+def test_echelon_form_on_bar_and_augmented_differentials():
     window = bar_window(a_q(ChromaticParams(2, 2)), (6, 1))
     for m in window.diff.values():
-        assert_heap_pops_the_scan_pivots(m.data, m.cols)
-        assert_heap_pops_the_scan_pivots(_augmented(m), m.cols)
+        assert_echelon_form(m.data, m.cols)
+        assert_echelon_form(_augmented(m), m.cols)
 
 
-def assert_heap_pops_the_scan_pivots(rows, ncols):
-    """Assert that _echelon yields the pivots of _echelon_reference, pop for
-    pop, and leaves its input rows unchanged."""
+def assert_echelon_form(rows, ncols):
+    """Assert that _echelon leaves its input rows unchanged and yields an
+    echelon form: each pivot row has its pivot and no entry in an earlier
+    pivot column, the augmented column ncols pivots only in a row with no
+    other entry, and there are as many pivots as Gauss-Jordan finds."""
     before = copy.deepcopy(rows)
-    assert (_pivot_sequence(_echelon, rows, ncols)
-            == _pivot_sequence(_echelon_reference, rows, ncols))
+    earlier = set()
+    for col, row in _echelon(rows, ncols):
+        assert row.get(col), (col, row)
+        assert earlier.isdisjoint(row), (col, row)
+        assert col != ncols or len(row) == 1, row
+        earlier.add(col)
     assert rows == before
+    assert len(earlier) == len(_rref(rows.values(), ncols + 1)[0])
 
 
 def _augmented(m):
