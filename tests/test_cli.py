@@ -199,6 +199,16 @@ def test_ore_check_closure_identifies_scalar_multiples(capsys, s, closure,
     assert doc["verdict"] == "satisfied"
 
 
+def test_ore_check_s_of_zero_is_degenerate(capsys):
+    code, out, _ = run_cli(capsys, "ore-check", "--preset", "bp:2:2", "--s", "0",
+                           "--window", "0:8")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "degenerate"
+    assert doc["s_closure"] == ["1", "0"]
+    assert doc["notes"] == ["S contains 0: the localization is the zero ring"]
+
+
 @pytest.mark.parametrize("argv, label, window", [
     (("--preset", "a:2:2", "--s", "eps", "--window", "-3:3"), "eps", "-3:3"),
     (("--preset", "bp:2:2", "--s", "v2", "--window", "0:12", "--cap", "0"),
@@ -296,6 +306,10 @@ def test_output_is_deterministic(capsys):
     ("ore-check", "--preset", "bp:2:2", "--s", "v2,", "--window", "0:8"),
     ("ore-check", "--preset", "bp:2:2", "--s", "", "--window", "0:8"),
     ("ore-check", "--table", "matrix-units", "--s", "e11,"),
+    ("ore-check", "--table", "foo", "--s", "e11"),
+    ("ore-check", "--preset", "bp:2:2", "--s", "v1"),
+    ("hh", "--preset", "a:2:2", "--multidegree", "v1"),
+    ("hh", "--preset", "a:2:2", "--multidegree", "v1:x"),
 ])
 def test_malformed_input_is_one_line_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

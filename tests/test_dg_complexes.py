@@ -910,11 +910,21 @@ def test_broken_product_fails_closure(monkeypatch):
     assert report["all_ok"] is False
 
 
-def test_broken_product_fails_commutativity(monkeypatch):
+def test_broken_product_fails_commutativity(monkeypatch, capsys):
     monkeypatch.delitem(dg_complexes._PRODUCT_SLOT, ("b", "d"))
     report = commutative_model_check(2, 2, (-12, 8))
     assert report["graded_commutative"] is False
     assert report["all_ok"] is False
+    ring = homology_ring_check(2, 2, (-12, 8))
+    assert ring["eps_central"] is False
+    assert ring["all_ok"] is False
+    # a falsified check: exit 1 with the report, not an error line
+    code = cli_main(["matrix-dga", "--p", "2", "--n", "2", "--window", "-12:8"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    doc = json.loads(captured.out)
+    assert doc["eps"]["central"] is False
+    assert doc["structure"]["derivation_law"] is False
 
 
 def test_matrix_dga_ladder_p2_n2_window_80_40_within_budget(capsys):
