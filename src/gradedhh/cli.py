@@ -72,10 +72,6 @@ def _parse_multidegree(pres, text: str):
         raise ValueError(f"unknown generator in multidegree: {exc.args[0]}") from None
 
 
-def _dims_json(dims: dict) -> dict:
-    return {str(k): dims[k] for k in sorted(dims)}
-
-
 def _parse_element(pres, text: str, flag: str):
     """element_from_string, but empty text is a usage error here: the library
     reads it as the zero element."""
@@ -123,13 +119,12 @@ def cmd_presets(args):
 def cmd_hh(args):
     pres = parse_preset(args.preset)
     m = _parse_multidegree(pres, args.multidegree)
-    dims = hochschild.hh_dims(pres, m)
     return {
         "preset": args.preset,
         "multidegree": hochschild.multidegree_to_dict(pres, m),
         "internal_degree": hochschild.internal_degree(pres, m),
         "level_bound": sum(m),
-        "dims": _dims_json(dims),
+        "dims": hochschild.hh_dims(pres, m),
     }, 0
 
 
@@ -167,9 +162,9 @@ def cmd_matrix_dga(args):
         "n": args.n,
         "window": list(window),
         "homology": {
-            "computed_dims": _dims_json(ring["computed_dims"]),
-            "expected_product_dims": _dims_json(ring["expected_product_dims"]),
-            "expected_splitting_dims": _dims_json(ring["expected_splitting_dims"]),
+            "computed_dims": ring["computed_dims"],
+            "expected_product_dims": ring["expected_product_dims"],
+            "expected_splitting_dims": ring["expected_splitting_dims"],
             "dims_match": ring["dims_match"],
         },
         "eps": {
@@ -243,8 +238,8 @@ def cmd_cone(args):
         "preset": args.preset,
         "element": graded_algebra.poly_str(r),
         "window": report["window"],
-        "homology_dims": _dims_json(report["homology_dims"]),
-        "quotient_dims": _dims_json(report["quotient_dims"]),
+        "homology_dims": report["homology_dims"],
+        "quotient_dims": report["quotient_dims"],
         "regular": report["regular"],
         "dims_match_quotient": report["dims_match_quotient"],
         "comparison_binding": report["comparison_binding"],

@@ -11,6 +11,8 @@ labelled by monomials, and a KahlerElement is one labelled by (generator
 index, monomial) pairs; both inherit their linear structure from it.
 Multiplication carries the Koszul sign: moving one odd generator past
 another flips the sign, so ab = (-1)^{|a||b|} ba for homogeneous a, b.
+koszul_mul is the one statement of that convention; _crossing_masks restates
+it as parity masks for the packed monomials of hochschild's bar complex.
 
 The module also provides the universal derivation into Kahler differentials
 (d(ab) = a d(b) + (-1)^{|a||b|} b d(a), coefficients written on the left),
@@ -147,6 +149,18 @@ def koszul_mul(pres: Presentation, a, b):
             if j > i and a[j]:
                 sign = -sign
     return sign, tuple(x + y for x, y in zip(a, b))
+
+
+@functools.cache
+def _crossing_masks(k: int) -> tuple:
+    """koszul_mul's sign as 2^k parity masks, shared per odd count k: for a
+    mask a of odd generators, bit p the p-th of _odd_indices, bit p of
+    masks[a] is set when a has an odd number of bits above p, so a*b has the
+    sign (-1)^popcount(masks[a] & b)."""
+    masks = [0]
+    for a in range(1, 1 << k):
+        masks.append(masks[a >> 1] << 1 | (a >> 1).bit_count() & 1)
+    return tuple(masks)
 
 
 def mono_str(pres: Presentation, mono) -> str:
@@ -684,8 +698,6 @@ class MulTable:
 
 
 def combo_str(combo) -> str:
-    if combo is None:
-        return "<out of window>"
     terms = []
     for label in sorted(combo):
         c = combo[label]

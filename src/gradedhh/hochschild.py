@@ -28,8 +28,8 @@ multidegree or any bound above it.  A face multiplies two factors of one
 tensor, so even exponents stay at most m_i, and a product survives only when
 its odd digits are disjoint: nothing carries, and a product's code is the
 sum a + b.  With ODD the mask of the odd digits, a & b & ODD is the exterior
-square test, the crossing sign of a b is a table over mask pairs, built once
-per odd count k (_crossing_signs), and the rotation face's Koszul parity is
+square test, the crossing sign of a b is koszul_mul's, read off the masks of
+graded_algebra._crossing_masks, and the rotation face's Koszul parity is
 c (t - c), c the popcount of the moved factor's mask and t the tensor's
 total of odd exponents.  bar_window packs its basis a level at a time and
 sums the faces into matrix columns (dg_complexes.assemble); hochschild_diff
@@ -113,6 +113,8 @@ from .graded_algebra import (
     KahlerElement,
     Presentation,
     _check_mono,
+    _crossing_masks,
+    _odd_indices,
     kahler_d,
     mono_degree,
     mono_one,
@@ -213,28 +215,18 @@ class BarChain(QCombination):
 def _digit_order(pres: Presentation) -> list:
     """The generators in digit order: the odd ones first, then the even
     ones, each group in generator order.  It is also the Morse rank order."""
-    return sorted(range(pres.ngens), key=lambda i: not pres.is_odd(i))
-
-
-@functools.cache
-def _crossing_signs(k: int) -> tuple:
-    """signs[a][b] = (-1)^(odd-odd crossings of a b) for k-digit odd masks a,
-    b, where every odd digit of b moves left past each higher one of a.  The
-    table depends on k alone, so it is built once per odd count and shared:
-    tuples, which no caller can change."""
-    return tuple(tuple((-1) ** sum((a >> p + 1).bit_count() for p in range(k) if b >> p & 1)
-                       for b in range(1 << k)) for a in range(1 << k))
+    return [*_odd_indices(pres), *(i for i in range(pres.ngens) if not pres.is_odd(i))]
 
 
 def _packing(pres: Presentation, m):
-    """pack, unpack, the odd mask and the crossing signs for multidegree m.
+    """pack, unpack, the odd mask and the crossing masks for multidegree m.
 
     pack writes a monomial as an int, one digit per generator in digit
     order, radix 2 for an odd generator and m_i + 1 for an even one; the k
     odd digits are thus the lowest, under the mask (1 << k) - 1.  It serves
     every multidegree <= m: no face of a tensor overflows a digit, so pack is
     additive there (see the module docstring); unpack leaves the top digit
-    unreduced.  signs is _crossing_signs(k), shared for k odd generators."""
+    unreduced.  masks is _crossing_masks(k), its bits the odd digits in order."""
     _require_no_laurent(pres)  # a negative exponent has no digit
     order = _digit_order(pres)
     places, place = [0] * pres.ngens, 1
@@ -250,39 +242,40 @@ def _packing(pres: Presentation, m):
             mono[i], code = divmod(code, places[i])
         return tuple(mono)
 
-    k = sum(map(pres.is_odd, range(pres.ngens)))
-    return pack, unpack, (1 << k) - 1, _crossing_signs(k)
+    k = len(_odd_indices(pres))
+    return pack, unpack, (1 << k) - 1, _crossing_masks(k)
 
 
-def _faces(tensor, odd, signs, total):
+def _faces(tensor, odd, masks, total):
     """(face, sign) pairs of b on one packed tensor with total odd exponents;
     equal faces are to be summed.  Face i < s merges slots i and i+1 with sign
-    (-1)^i; the last face rotates a_s to the front with its Koszul sign, times
-    (-1)^s."""
+    (-1)^i and the crossing sign of a_i a_{i+1}, read off masks; the last
+    face rotates a_s to the front with its Koszul sign, times (-1)^s."""
     s = len(tensor) - 1
     sign = 1
     for i in range(s):
         a, b = tensor[i], tensor[i + 1]
         if not a & b & odd:
-            yield tensor[:i] + (a + b,) + tensor[i + 2:], sign * signs[a & odd][b & odd]
+            yield (tensor[:i] + (a + b,) + tensor[i + 2:],
+                   -sign if (masks[a & odd] & b).bit_count() & 1 else sign)
         sign = -sign
     a, b = tensor[s], tensor[0]
     if s and not a & b & odd:
         c = (a & odd).bit_count()
-        sign *= signs[a & odd][b & odd]
-        yield (a + b,) + tensor[1:s], -sign if c * (total - c) & 1 else sign
+        flip = c * (total - c) + (masks[a & odd] & b).bit_count()
+        yield (a + b,) + tensor[1:s], -sign if flip & 1 else sign
 
 
 def hochschild_diff(x: BarChain) -> BarChain:
     """Alternating face sum; the last face rotates with its Koszul sign."""
     m = tuple(map(max, zip(mono_one(x.pres), *(map(sum, zip(*t)) for t in x.terms))))
-    pack, unpack, odd, signs = _packing(x.pres, m)
+    pack, unpack, odd, masks = _packing(x.pres, m)
     pairs = []
     for tensor, coeff in x.terms.items():
         packed = tuple(map(pack, tensor))
         total = sum((a & odd).bit_count() for a in packed)
         pairs += ((tuple(map(unpack, face)), sign * coeff)
-                  for face, sign in _faces(packed, odd, signs, total))
+                  for face, sign in _faces(packed, odd, masks, total))
     return x._new(pairs, level=max(x.level - 1, 0))
 
 
@@ -327,13 +320,13 @@ def bar_window(pres: Presentation, m) -> ChainWindow:
     basis = bar_basis(pres, m)
     top = max(basis) + 1
     basis = {s: basis.get(s, []) for s in range(-1, top + 1)}
-    pack, _, odd, signs = _packing(pres, m)
+    pack, _, odd, masks = _packing(pres, m)
     pack = functools.cache(pack)
     total = sum(e for i, e in enumerate(m) if pres.is_odd(i))
     diff, target = {}, []
     for s in range(top + 1):
         source = [tuple(map(pack, tensor)) for tensor in basis[s]]
-        diff[s] = assemble(source, target, lambda t: _faces(t, odd, signs, total))
+        diff[s] = assemble(source, target, lambda t: _faces(t, odd, masks, total))
         target = source
     return ChainWindow(basis, diff)
 
@@ -433,7 +426,7 @@ def _morse(pres: Presentation, bound, packing, classify, critical, m):
     m = check_multidegree(pres, m)
     if any(map(gt, m, bound)):
         raise ValueError("multidegree exceeds the bound of its Morse set-up")
-    pack, unpack, odd, signs = packing
+    pack, unpack, odd, masks = packing
     total = sum(e for i, e in enumerate(m) if pres.is_odd(i))
     basis, packed = critical(m)
     if any(classify(t)[0] != _CRITICAL for t in itertools.chain(*packed.values())):
@@ -462,7 +455,7 @@ def _morse(pres: Presentation, bound, packing, classify, critical, m):
                 if classify(partner) != (_UPPER, cell):
                     raise ArithmeticError(f"Morse partner of {[*map(unpack, cell)]} "
                                           "does not match back")
-                edges = {face: e for face, e in combine(_faces(partner, odd, signs, total)).items()
+                edges = {face: e for face, e in combine(_faces(partner, odd, masks, total)).items()
                          if face in flow or classify(face)[0] != _UPPER}  # phi(upper) = 0
                 unit = edges.pop(cell, 0)
                 if unit not in (1, -1):
@@ -476,7 +469,7 @@ def _morse(pres: Presentation, bound, packing, classify, critical, m):
         return flow[root]
 
     def image(t):
-        return ((crit, e * c) for face, e in _faces(t, odd, signs, total)
+        return ((crit, e * c) for face, e in _faces(t, odd, masks, total)
                 for crit, c in phi(face).items())
 
     def project(x: BarChain) -> dict:
@@ -534,12 +527,7 @@ class HkrReport:
         self.all_equal = self.all_equal and equal
 
     def to_json(self) -> dict:
-        def dims(d):
-            return {str(k): v for k, v in sorted(d.items())}
-
-        return {"rows": [{**row, "computed": dims(row["computed"]),
-                          "predicted": dims(row["predicted"])} for row in self.rows],
-                "all_equal": self.all_equal}
+        return {"rows": self.rows, "all_equal": self.all_equal}
 
 
 def hkr_check(pres: Presentation, multidegrees) -> HkrReport:

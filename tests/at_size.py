@@ -128,6 +128,8 @@ ROWS = [
                   {"-25": 1, "-24": 4, "-23": 6, "-22": 4, "-21": 1}), 120),
     row("hh-hh_a:2:3-(3,3,2,2,3,2)", *hkr_dims(
         "hh_a:2:3", {"v1": 3, "v2": 3, "sigma1": 2, "sigma2": 2, "delta": 3, "eps": 2}), 60, 60),
+    # 12 odd generators: 4,096 crossing masks
+    row("hh-hh_a:2:12-v1", *hkr_dims("hh_a:2:12", {"v1": 1}), 5, 40),
     row("matrix-dga-(2,3)-80:40", "matrix-dga --p 2 --n 3 --window -80:40",
         mdga_structure(597), 60),
     row("matrix-dga-(2,3)-120:60", "matrix-dga --p 2 --n 3 --window -120:60",
@@ -161,6 +163,8 @@ ROWS = [
         fields(all_equal=True, sizes={"rows": 924}), 60, 30),
     row("hkr-check-hh_a:2:5-4", "hkr-check --preset hh_a:2:5 --max-weight 4",
         fields(all_equal=True, sizes={"rows": 1001}), 10),
+    row("hkr-check-hh_a:2:12-1", "hkr-check --preset hh_a:2:12 --max-weight 1",
+        fields(all_equal=True, sizes={"rows": 25}), 5, 40),
     row("cone-bp:3:3-v3-0:800", "cone --preset bp:3:3 --element v3 --window 0:800",
         quotient_cone(801), 60),
     row("cone-bp:2:4-v4-0:300", "cone --preset bp:2:4 --element v4 --window 0:300",

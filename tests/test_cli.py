@@ -35,6 +35,15 @@ def test_presets_with_parameters(capsys):
         {"name": "v2", "degree": 6, "laurent": False},
     ]
     assert doc["en:2:2"]["generators"][1]["laurent"] is True
+    # a family that refuses the parameters is an error entry, not a failed request
+    code, out, err = run_cli(capsys, "presets", "--p", "2", "--n", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "a:2:0": {"error": "a_q needs n >= 1: it models the cone on v_n"},
+        "bp:2:0": {"generators": []},
+        "en:2:0": {"error": "en_q needs n >= 1: there is no v_0 to invert"},
+        "hh_a:2:0": {"error": "hh_a_predicted needs n >= 1"},
+    }
 
 
 def test_presets_requires_both_parameters(capsys):
@@ -310,6 +319,7 @@ def test_output_is_deterministic(capsys):
     ("ore-check", "--preset", "bp:2:2", "--s", "v1"),
     ("hh", "--preset", "a:2:2", "--multidegree", "v1"),
     ("hh", "--preset", "a:2:2", "--multidegree", "v1:x"),
+    ("hkr-check", "--preset", "a:2:2", "--max-weight", "-1"),
 ])
 def test_malformed_input_is_one_line_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

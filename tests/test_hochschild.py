@@ -233,8 +233,8 @@ def _rotation_flipped_at(level):
     """_faces with the sign of the rotation face flipped on one level."""
     faces = hochschild._faces
 
-    def broken(tensor, odd, signs, total):
-        out = list(faces(tensor, odd, signs, total))
+    def broken(tensor, odd, masks, total):
+        out = list(faces(tensor, odd, masks, total))
         if len(tensor) - 1 == level and not tensor[-1] & tensor[0] & odd:
             face, sign = out[-1]
             out[-1] = face, -sign
@@ -382,9 +382,9 @@ def _reference_faces(pres, tensor):
 
 def _packed_faces(pres, m, tensor):
     """The packed _faces of one tensor of multidegree m, summed and decoded."""
-    pack, unpack, odd, signs = hochschild._packing(pres, m)
+    pack, unpack, odd, masks = hochschild._packing(pres, m)
     total = sum(e for i, e in enumerate(m) if pres.is_odd(i))
-    faces = hochschild._faces(tuple(map(pack, tensor)), odd, signs, total)
+    faces = hochschild._faces(tuple(map(pack, tensor)), odd, masks, total)
     return combine((tuple(map(unpack, face)), sign) for face, sign in faces)
 
 
@@ -415,18 +415,17 @@ def test_packed_faces_equal_the_tuple_rule_on_every_basis_tensor(pres, ms):
             assert _packed_faces(pres, m, tensor) == want, (m, tensor)
 
 
-def test_the_crossing_sign_table_is_built_once_per_odd_count_and_is_immutable():
+def test_the_crossing_masks_are_built_once_per_odd_count_and_are_immutable():
     two_odd = _odd_presets()[2]  # x, v, y with x and y odd
-    signs = hochschild._packing(two_odd, (1, 2, 1))[3]
-    assert hochschild._packing(two_odd, (0, 5, 1))[3] is signs
+    masks = hochschild._packing(two_odd, (1, 2, 1))[3]
+    assert hochschild._packing(two_odd, (0, 5, 1))[3] is masks
     other = make_presentation([("v", 4), ("z", -1), ("w", 3)])  # another ring, two odd
-    assert hochschild._packing(other, (3, 1, 0))[3] is signs
-    assert hochschild._packing(_odd_presets()[3], (1, 1, 1, 0, 1))[3] is not signs
-    assert type(signs) is tuple and all(type(row) is tuple for row in signs)
+    assert hochschild._packing(other, (3, 1, 0))[3] is masks
+    assert hochschild._packing(_odd_presets()[3], (1, 1, 1, 0, 1))[3] is not masks
+    assert type(masks) is tuple and len(masks) == 4
+    assert all(type(mask) is int for mask in masks)
     with pytest.raises(TypeError):
-        signs[1][2] = -signs[1][2]
-    with pytest.raises(TypeError):
-        signs[0] = signs[1]
+        masks[1] = masks[2]
 
 
 def test_hochschild_diff_equals_the_tuple_rule_on_mixed_multidegrees():

@@ -34,12 +34,12 @@ LOWER, CRITICAL, UPPER = hochschild._LOWER, hochschild._CRITICAL, hochschild._UP
 
 def _matching(pres, m):
     """The packed cells of bar_basis, classify, and the summed packed faces."""
-    pack, _, odd, signs = hochschild._packing(pres, m)
+    pack, _, odd, masks = hochschild._packing(pres, m)
     total = sum(e for i, e in enumerate(m) if pres.is_odd(i))
     cells = [tuple(map(pack, t)) for tensors in bar_basis(pres, m).values() for t in tensors]
 
     def faces(t):
-        return combine(hochschild._faces(t, odd, signs, total))
+        return combine(hochschild._faces(t, odd, masks, total))
 
     return cells, hochschild._matching(pres, m), faces
 
@@ -120,7 +120,7 @@ def _classify_everything_window(pres, m):
     back and the lower cells to be as many as the upper ones, then run the
     same zig-zag flow from the critical cells."""
     basis = bar_basis(pres, m)
-    pack, _, odd, signs = hochschild._packing(pres, m)
+    pack, _, odd, masks = hochschild._packing(pres, m)
     total = sum(e for i, e in enumerate(m) if pres.is_odd(i))
     classify = hochschild._matching(pres, m)
     critical, balance = {}, 0
@@ -158,7 +158,7 @@ def _classify_everything_window(pres, m):
                 if kind != LOWER:
                     flow[cell] = {cell: 1} if kind == CRITICAL else {}
                     continue
-                edges = combine(hochschild._faces(partner, odd, signs, total))
+                edges = combine(hochschild._faces(partner, odd, masks, total))
                 unit = edges.pop(cell, 0)
                 if unit not in (1, -1):
                     raise ArithmeticError(f"Morse coefficient {unit} is not a unit")
@@ -171,7 +171,7 @@ def _classify_everything_window(pres, m):
         return flow[root]
 
     def image(t):
-        return ((crit, e * c) for face, e in hochschild._faces(t, odd, signs, total)
+        return ((crit, e * c) for face, e in hochschild._faces(t, odd, masks, total)
                 for crit, c in phi(face).items())
 
     levels = {s: critical.get(s, []) for s in range(-1, top + 2)}

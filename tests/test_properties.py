@@ -2,7 +2,11 @@
 
 Presentations have two exterior generators and one polynomial generator,
 with up to one more of either parity; elements, bar chains and matrix-DGA elements are
-random multi-term combinations with small rational coefficients.  Matrices
+random multi-term combinations with small rational coefficients.  koszul_mul
+is checked graded-commutative and associative, signs and odd squares
+included, and its sign against the crossing masks, on monomials of wider
+presentations: up to 14 exterior generators interleaved with up to three
+polynomial ones.  Matrices
 are small and rational, with zero rows and columns, repeated rows, low rank
 and entries up to 10^6 in size.  The sparse product is checked on
 disjoint supports too, and the hit-row count of a one-term cone block,
@@ -62,6 +66,8 @@ from gradedhh.graded_algebra import (
     _canon,
     _combo_degree,
     _commutes,
+    _crossing_masks,
+    _odd_indices,
     _unit_witnesses,
     combo_str,
     degree_dims,
@@ -150,6 +156,62 @@ def test_graded_commutativity_with_koszul_sign(data):
         for q, yq in homogeneous_parts(y):
             swapped = swapped + koszul_sign(p, q) * (yq * xp)
     assert x * y == swapped
+
+
+@st.composite
+def wide_presentations(draw):
+    """Up to 14 exterior generators of either sign and up to three polynomial
+    ones, in a random interleaving: at most 2^14 crossing masks."""
+    odd = draw(st.lists(st.integers(-4, 3).map(lambda d: 2 * d + 1), max_size=14))
+    even = draw(st.lists(st.integers(-2, 2).map(lambda d: 2 * d), max_size=3))
+    degrees = draw(st.permutations(odd + even))
+    return make_presentation([(f"g{i}", d) for i, d in enumerate(degrees)])
+
+
+def _odd_mask(pres, mono):
+    """The odd generators of mono as a mask, bit p for the p-th of _odd_indices."""
+    return sum(mono[i] << p for p, i in enumerate(_odd_indices(pres)))
+
+
+@PROPERTY
+@given(st.data())
+def test_koszul_mul_is_graded_commutative(data):
+    pres = data.draw(wide_presentations())
+    a, b = data.draw(monomials(pres)), data.draw(monomials(pres))
+    ab, ba = koszul_mul(pres, a, b), koszul_mul(pres, b, a)
+    if _odd_mask(pres, a) & _odd_mask(pres, b):  # an odd square
+        assert ab is None and ba is None
+    else:
+        sign = koszul_sign(mono_degree(pres, a), mono_degree(pres, b))
+        assert ab == (sign * ba[0], ba[1])
+
+
+@PROPERTY
+@given(st.data())
+def test_koszul_mul_is_associative_with_signs(data):
+    pres = data.draw(wide_presentations())
+    a, b, c = (data.draw(monomials(pres)) for _ in range(3))
+
+    def mul(x, y):  # signed monomials, None for zero
+        hit = x and y and koszul_mul(pres, x[1], y[1])
+        return hit and (x[0] * y[0] * hit[0], hit[1])
+
+    a, b, c = (1, a), (1, b), (1, c)
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+
+
+@PROPERTY
+@given(st.data())
+def test_the_crossing_masks_give_koszul_muls_sign(data):
+    pres = data.draw(wide_presentations())
+    masks = _crossing_masks(len(_odd_indices(pres)))
+    for _ in range(10):
+        a, b = data.draw(monomials(pres)), data.draw(monomials(pres))
+        x, y = _odd_mask(pres, a), _odd_mask(pres, b)
+        hit = koszul_mul(pres, a, b)
+        assert (hit is None) == bool(x & y)
+        if hit is not None:
+            assert hit[0] == (-1) ** (masks[x] & y).bit_count(), (a, b)
 
 
 @PROPERTY
