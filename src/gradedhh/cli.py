@@ -7,6 +7,10 @@ mathematical check is falsified (a report's own check, or an exact
 certificate or Morse-matching guard that raises ArithmeticError, reported
 as one "error: ..." line on stderr), 2 for usage errors (unknown commands or
 presets, malformed flags, violated preconditions, an unwritable --out FILE).
+
+The commands live in one table, COMMANDS: name -> (help, handler, flags).
+A request for a known command builds only that command's subparser; help,
+a bare ``gradedhh`` and unknown commands get the parser with every command.
 """
 
 from __future__ import annotations
@@ -261,92 +265,80 @@ def cmd_localize(args):
     }, 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_WINDOW = ("--window", {"required": True, "help": "LO:HI total degree window"})
+_P_N = (("--p", {"type": int, "required": True}), ("--n", {"type": int, "required": True}))
+_OUT = ("--out", {"help": "also write the JSON to FILE"})
+
+# name -> (help, handler, ((flag, add_argument keywords), ...)); --out is added
+# to every command, and the order here is the order of the help listing.
+COMMANDS = {
+    "presets": ("list preset families or print them", cmd_presets, (
+        ("--p", {"type": int}),
+        ("--n", {"type": int}),
+    )),
+    "hh": ("Hochschild homology dims for one multidegree", cmd_hh, (
+        ("--preset", {"required": True}),
+        ("--multidegree", {"required": True,
+                           "help": 'e.g. "v1:1,eps:1"; "0" for the empty multidegree'}),
+    )),
+    "hkr-check": ("computed vs predicted dims for all small multidegrees", cmd_hkr_check, (
+        ("--preset", {"required": True}),
+        ("--max-weight", {"type": int, "required": True}),
+    )),
+    "obstruction": ("trace-image obstruction report", cmd_obstruction, _P_N + (
+        ("--exponents", {"default": "",
+                         "help": "comma-separated v_i exponents (n-1 of them)"}),
+    )),
+    "matrix-dga": ("homology ring and structure checks of the cone DGA", cmd_matrix_dga,
+                   _P_N + (_WINDOW,)),
+    "quasi-iso": ("commutative cycle subalgebra vs the full DGA", cmd_quasi_iso,
+                  _P_N + (_WINDOW,)),
+    "ore-check": ("right Ore condition on a window table", cmd_ore_check, (
+        ("--preset", {}),
+        ("--table", {"help": 'built-in table name (only "matrix-units")'}),
+        ("--s", {"required": True,
+                 "help": "comma-separated generators of the multiplicative set"}),
+        ("--window", {"help": "LO:HI degree window"}),
+        ("--cap", {"type": int, "help": "per-generator exponent cap for the table basis"}),
+    )),
+    "cone": ("cone homology vs quotient dims", cmd_cone, (
+        ("--preset", {"required": True}),
+        ("--element", {"required": True}),
+        _WINDOW,
+        ("--cap", {"type": int}),
+    )),
+    "localize": ("invert an even generator of a preset", cmd_localize, (
+        ("--preset", {"required": True}),
+        ("--generator", {"required": True}),
+    )),
+}
+
+
+def build_parser(only=None) -> argparse.ArgumentParser:
+    """The parser with every command, or with the command `only` alone.
+
+    The main usage line spells its choices from the registered subparsers, so
+    with `only` set the metavar lists all of COMMANDS; it stays None without
+    `only`, where it would change argparse's "invalid choice" and "required"
+    errors."""
     parser = argparse.ArgumentParser(
         prog="gradedhh",
         description="Exact Hochschild homology and DG algebra reports",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", default=None, help="also write the JSON to FILE")
-
-    p = sub.add_parser("presets", help="list preset families or print them")
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    common(p)
-    p.set_defaults(handler=cmd_presets)
-
-    p = sub.add_parser("hh", help="Hochschild homology dims for one multidegree")
-    p.add_argument("--preset", required=True)
-    p.add_argument("--multidegree", required=True,
-                   help='e.g. "v1:1,eps:1"; "0" for the empty multidegree')
-    common(p)
-    p.set_defaults(handler=cmd_hh)
-
-    p = sub.add_parser("hkr-check",
-                       help="computed vs predicted dims for all small multidegrees")
-    p.add_argument("--preset", required=True)
-    p.add_argument("--max-weight", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=cmd_hkr_check)
-
-    p = sub.add_parser("obstruction", help="trace-image obstruction report")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--exponents", default="",
-                   help="comma-separated v_i exponents (n-1 of them)")
-    common(p)
-    p.set_defaults(handler=cmd_obstruction)
-
-    p = sub.add_parser("matrix-dga",
-                       help="homology ring and structure checks of the cone DGA")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--window", required=True, help="LO:HI total degree window")
-    common(p)
-    p.set_defaults(handler=cmd_matrix_dga)
-
-    p = sub.add_parser("quasi-iso",
-                       help="commutative cycle subalgebra vs the full DGA")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--window", required=True, help="LO:HI total degree window")
-    common(p)
-    p.set_defaults(handler=cmd_quasi_iso)
-
-    p = sub.add_parser("ore-check", help="right Ore condition on a window table")
-    p.add_argument("--preset", default=None)
-    p.add_argument("--table", default=None,
-                   help='built-in table name (only "matrix-units")')
-    p.add_argument("--s", required=True,
-                   help="comma-separated generators of the multiplicative set")
-    p.add_argument("--window", default=None, help="LO:HI degree window")
-    p.add_argument("--cap", type=int, default=None,
-                   help="per-generator exponent cap for the table basis")
-    common(p)
-    p.set_defaults(handler=cmd_ore_check)
-
-    p = sub.add_parser("cone", help="cone homology vs quotient dims")
-    p.add_argument("--preset", required=True)
-    p.add_argument("--element", required=True)
-    p.add_argument("--window", required=True, help="LO:HI total degree window")
-    p.add_argument("--cap", type=int, default=None)
-    common(p)
-    p.set_defaults(handler=cmd_cone)
-
-    p = sub.add_parser("localize", help="invert an even generator of a preset")
-    p.add_argument("--preset", required=True)
-    p.add_argument("--generator", required=True)
-    common(p)
-    p.set_defaults(handler=cmd_localize)
-
+    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, handler, flags) in COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flag, kwargs in flags + (_OUT,):
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(_merge_negative_values(argv))
     try:
         obj, code = args.handler(args)

@@ -1,15 +1,18 @@
 """The command-line interface: JSON output, determinism, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedhh import exact_linear, graded_algebra, hochschild, trace_obstruction
+from gradedhh import cli, exact_linear, graded_algebra, hochschild, trace_obstruction
 from gradedhh.cli import main
 
 
@@ -479,3 +482,83 @@ def test_cli_fuzz_exits_0_1_or_2_without_traceback(argv):
         assert out == "" and err.strip(), argv
     else:
         json.loads(out)
+
+
+# ---------------------------------------------------------------------------
+# One subparser per request: build_parser(name) must parse, print help and
+# fail exactly as the full parser does.
+
+GOLDEN_ARGV = [case["argv"] for case in
+               json.loads((Path(__file__).parent / "golden" / "commands.json").read_text())]
+
+
+def subparsers(parser):
+    """The registered subparsers of a main parser, by name, in order."""
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_one_command_parser_prints_the_full_parsers_help(name):
+    alone = subparsers(cli.build_parser(name))
+    assert list(alone) == [name]
+    assert alone[name].format_help() == subparsers(cli.build_parser())[name].format_help()
+
+
+def test_full_parser_registers_every_command_in_order():
+    assert list(subparsers(cli.build_parser())) == [
+        "presets", "hh", "hkr-check", "obstruction", "matrix-dga",
+        "quasi-iso", "ore-check", "cone", "localize",
+    ]
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGV, ids=lambda argv: " ".join(argv))
+def test_golden_argv_parse_alike_under_both_parsers(argv):
+    argv = cli._merge_negative_values(argv)
+    assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hh", "--preset", "a:2:2", "--multidegree", "0", "--bogus"],
+    ["presets", "presets"],
+    ["hh", "--preset", "a:2:2"],
+    ["obstruction", "--p", "2"],
+    ["hkr-check", "--preset", "a:2:2", "--max-weight", "x"],
+    ["presets", "--out"],
+    ["cone", "--preset", "bp:2:2", "--element", "v1", "--window", "-3:4"],
+    [], ["-h"], ["bogus"], ["-h", "hh"],
+] + [[name, "-h"] for name in cli.COMMANDS], ids=lambda argv: " ".join(argv) or "bare")
+def test_main_answers_as_through_the_full_parser(argv, monkeypatch):
+    """Usage, help and error text, byte for byte: the main usage line must
+    still list every command when only one subparser is registered."""
+    ours = run_captured(argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: full())
+    assert ours == run_captured(argv)
+
+
+def test_a_request_builds_only_its_own_subparser(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert main(["hh", "--preset", "a:2:2", "--multidegree", "0"]) == 0
+    assert built == ["hh"]
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["gradedhh", "presets"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["families"] == ["a", "bp", "en", "hh_a"]
+
+
+@pytest.mark.parametrize("argv,code", [(["presets"], 0), (["presets", "--p", "2"], 2)])
+def test_entry_exits_with_the_requests_code(argv, code, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["gradedhh"] + argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == code
