@@ -11,6 +11,10 @@ presets, malformed flags, violated preconditions, an unwritable --out FILE).
 The commands live in one table, COMMANDS: name -> (help, handler, flags).
 A request for a known command builds only that command's subparser; help,
 a bare ``gradedhh`` and unknown commands get the parser with every command.
+
+Reports are written by _dumps, whose bytes equal json.dumps(obj, indent=2)
+but which leaves the pure-Python encoder aside.  A report must be a tree of
+dicts, lists and scalars: _dumps does no circular-reference check.
 """
 
 from __future__ import annotations
@@ -84,9 +88,50 @@ def _parse_element(pres, text: str, flag: str):
     return element_from_string(pres, text)
 
 
+_CONTAINERS = (list, tuple, dict)
+_LEVELS = {}  # depth -> (C encoder, item separator, opening and closing indent)
+
+
+def _level(depth):
+    sep = ",\n" + "  " * (depth + 1)
+    enc = json.encoder.c_make_encoder(None, json.JSONEncoder().default,
+                                      json.encoder.encode_basestring_ascii,
+                                      None, ": ", sep, False, False, True)
+    return _LEVELS.setdefault(depth, (enc, sep, "\n" + "  " * (depth + 1), "\n" + "  " * depth))
+
+
+def _dumps(obj, depth=0) -> str:
+    """json.dumps(obj, indent=2), byte for byte, for obj nested `depth` deep.
+
+    Only containers that hold containers are walked.  Scalars and containers
+    of scalars go to the C encoder, whose item separator carries the newline
+    and indent of their depth.  A walked dict's non-str keys are written by
+    the C encoder through a one-key dict.  No circular-reference check.
+    """
+    enc, sep, head, tail = _LEVELS.get(depth) or _level(depth)
+    if not isinstance(obj, _CONTAINERS):
+        return "".join(enc(obj, 0))
+    is_dict = isinstance(obj, dict)
+    for value in obj.values() if is_dict else obj:
+        if isinstance(value, _CONTAINERS):
+            break
+    else:
+        text = "".join(enc(obj, 0))  # joined first: its chunks are not tokens
+        return text if len(text) == 2 else text[0] + head + text[1:-1] + tail + text[-1]
+    if not is_dict:
+        return "[" + head + sep.join([_dumps(v, depth + 1) for v in obj]) + tail + "]"
+    items = [(json.encoder.encode_basestring_ascii(k) if isinstance(k, str)
+              else "".join(enc({k: None}, 0))[1:-7]) + ": " + _dumps(v, depth + 1)
+             for k, v in obj.items()]
+    return "{" + head + sep.join(items) + tail + "}"
+
+
 def _emit(obj, out_path=None) -> None:
-    """Write --out FILE first, so that an unwritable FILE leaves stdout empty."""
-    text = json.dumps(obj, indent=2) + "\n"
+    """Write obj as _dumps writes it, json.dumps(obj, indent=2) byte for byte,
+    plus a newline.  obj must be a tree: _dumps does no circular-reference
+    check.  --out FILE is written first, so that an unwritable FILE leaves
+    stdout empty."""
+    text = _dumps(obj) + "\n"
     if out_path:
         try:
             with open(out_path, "w") as fh:

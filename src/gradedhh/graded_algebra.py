@@ -474,8 +474,9 @@ def _box_sizes(degrees, ranges, window) -> dict:
         start = max(base, lo - most)
         stop = max(start, hi - least + 1)
         counts, base = counts[start - base:stop - base], start
-    return {t: counts[t - base] if 0 <= t - base < len(counts) else 0
-            for t in range(lo, hi + 1)}
+    head = [0] * max(0, min(base, hi + 1) - lo)  # the window below the box
+    counts = head + counts[max(0, lo - base):max(0, hi + 1 - base)]
+    return dict(zip(range(lo, hi + 1), counts + [0] * (hi + 1 - lo - len(counts))))
 
 
 def degree_dims(pres: Presentation, window, caps=None) -> dict:

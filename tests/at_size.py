@@ -183,6 +183,9 @@ ROWS = [
     row("cone-bp:2:4-two-terms-0:600",
         "cone --preset bp:2:4 --element 'v4 + v1^15' --window 0:600",
         md5("1b31342b071e25dea83c8bfc042b5ea7"), 10, 60),
+    # 3.2 MB of stdout, the largest report of any row
+    row("cone-bp:2:2-v1-0:100000", "cone --preset bp:2:2 --element v1 --window 0:100000",
+        md5("a46b38cd70047afeb7e55b0277a79d9a"), 10, 150),
     row("cone-a:2:3-zero-divisor",
         "cone --preset a:2:3 --element 'v1^8 eps + v1^5 v2 eps' --window -1000:2000",
         fields(regular=False, comparison_binding=False, sizes={"homology_dims": 3001}), 60),

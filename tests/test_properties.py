@@ -30,13 +30,16 @@ it replaced, on random tables whose products respect degrees.
 
 import copy
 import itertools
-from collections import defaultdict
+import json
+import math
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from gradedhh.chromatic_presets import ChromaticParams, a_q, en_q, parse_preset
+from gradedhh.cli import _dumps
 import gradedhh.dg_complexes as dg_complexes
 from gradedhh.dg_complexes import (
     GradedComplex,
@@ -63,6 +66,7 @@ from gradedhh.graded_algebra import (
     Element,
     MulTable,
     OreReport,
+    _box_sizes,
     _canon,
     _combo_degree,
     _commutes,
@@ -476,6 +480,35 @@ def enumeration_cases(draw):
 @given(enumeration_cases())
 def test_degree_pieces_equal_the_per_degree_reference(case):
     _assert_pieces_match_reference(*case)
+
+
+def _box_sizes_reference(degrees, ranges, window):
+    """The box counted term by term, read off over the window as _box_sizes
+    once read its counts list: counts[t - base] inside the list, else 0."""
+    lo, hi = window
+    sizes = Counter(sum(e * d for e, d in zip(exps, degrees))
+                    for exps in itertools.product(*[range(a, b + 1) for a, b in ranges]))
+    base = min(sizes, default=0)
+    counts = [sizes[s] for s in range(base, max(sizes, default=-1) + 1)]
+    return {t: counts[t - base] if 0 <= t - base < len(counts) else 0
+            for t in range(lo, hi + 1)}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-4, 4), st.integers(-2, 5)),
+                max_size=4),
+       st.integers(-40, 40), st.integers(0, 30))
+@example([], 3, 5)  # no generators: the box is degree 0 alone, below the window
+@example([], -8, 5)  # and inside it
+@example([], -8, 2)  # and above it
+@example([(2, 0, 3), (3, 1, -1), (1, 0, 2)], -5, 10)  # a box empties early
+@example([(2, 0, 3), (3, 1, 2)], 40, 10)  # the window wholly above the box
+@example([(-2, 0, 3), (3, 1, 2)], -40, 10)  # and wholly below it
+def test_box_sizes_equal_the_counted_box(gens, lo, width):
+    degrees = [d for d, _, _ in gens]
+    ranges = [(a, a + w) for _, a, w in gens]
+    window = (lo, lo + width)
+    assert _box_sizes(degrees, ranges, window) == _box_sizes_reference(degrees, ranges, window)
 
 
 @st.composite
@@ -1372,3 +1405,32 @@ def test_ore_check_equals_the_reference_on_presets_and_matrix_units():
         got = _assert_ore_matches_reference(table, s_elements)
         verdicts.add(getattr(got, "verdict", "error"))
     assert verdicts == {"satisfied", "degenerate", "violated", "inconclusive", "error"}
+
+
+JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+JSON_TREES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-10 ** 30, 10 ** 30),
+              st.floats(), st.text()),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(JSON_KEYS, children, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(JSON_TREES)
+def test_the_report_emitter_writes_json_dumps_indented_bytes(tree):
+    assert _dumps(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("tree", [
+    {}, [], (), {"a": {}, "b": [], "c": ()}, [{}, [], ()], [[]], {"a": {}}, [[[]], {"a": [{}]}],
+    {1: [1], 2.5: {"x": 1}, True: [], None: {}, math.nan: [[]], -math.inf: [0], "s": 1},
+    {0: {-1: 2, math.inf: math.nan}, False: [(), (1, (2,))]},
+    [math.nan, math.inf, -math.inf, -0.0, 10 ** 30, -10 ** 30, 26097609447575678182],
+    {"dims": {"0": 1, "1": 0}, "window": [0, 400], "big": [10 ** 30]},
+    [" ", "\U0001F600", "\x00", '"\\', {" ": "\U0001F600", "\x00": ['"\\']}],
+    " ", "\U0001F600", "\x00", '"\\', 10 ** 30, -0.0, math.nan, None, True,
+], ids=repr)
+def test_the_report_emitter_on_chosen_trees(tree):
+    assert _dumps(tree) == json.dumps(tree, indent=2)
