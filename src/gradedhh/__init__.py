@@ -14,8 +14,8 @@ The package provides:
   generator, with its commutative cycle model and homology checks
   (``dg_complexes``),
 - the normalized cyclic bar complex in a fixed multidegree, its homology
-  (read from the Morse complex of an algebraic Morse matching), the
-  symmetric-algebra prediction, and the level-one derivation map
+  (the critical cells of an algebraic Morse matching, certified by HKR
+  cycles), the symmetric-algebra prediction, and the level-one derivation map
   (``hochschild``),
 - trace classes of algebra elements and the obstruction report showing
   certain one-form classes are not hit from the even subring

@@ -34,11 +34,11 @@ c (t - c), c the popcount of the moved factor's mask and t the tensor's
 total of odd exponents.  bar_window packs its basis a level at a time and
 sums the faces into matrix columns (dg_complexes.assemble); hochschild_diff
 packs by the componentwise largest multidegree of its tensors and decodes
-the faces; morse_complexes packs once by a bound, for a whole sweep, and
-fills its matching's lowest-digit table per code as the flow reaches it.
+the faces; hh_dims, hkr_check and morse_complexes pack once by a bound, for
+a whole sweep, and fill the matching's lowest-digit table per code reached.
 
-hh_dims and trace_obstruction read HH from morse_complex, the Morse complex
-of an algebraic Morse matching on that complex (Skoldberg, "Morse theory
+trace_obstruction reads HH from morse_complex, the Morse complex of an
+algebraic Morse matching on that complex (Skoldberg, "Morse theory
 from an algebraic viewpoint", Trans. AMS 358 (2006); Jollenbeck-Welker,
 Mem. AMS 197 (2009), ch. 2 and 5, the normalized bar / Anick matching).
 Generators are ranked in digit order, odd first.  Walk a cell
@@ -91,6 +91,24 @@ critical and lower cells it reaches but not on upper faces, whose phi is 0;
 the tests check it on every cell, and Morse homology and boundaries against
 bar_window, which has no cell and no homology above the top critical level.
 
+hh_dims and hkr_check run no flow: explicit cycles show d_M = 0, so HH at m
+has one dimension per critical cell.  A critical cell is c = a_0 (x) w, w a
+falling word of single generators.  Its HKR cycle z_w (Loday, Cyclic
+Homology, 1.3.12 and 4.2) sums sign(sigma) 1 (x) sigma over the distinct
+arrangements sigma of w's letters, sign(sigma) the product over the letter
+pairs sigma puts out of w's order of -(-1)^{|x||y|}: -1 unless both are odd.
+Every sigma != w ascends somewhere, so classify calls it upper, and classify
+reads positions 1..s only: phi(a_0 z_w) = c.  b is A-linear in a_0, A being
+graded-commutative: inner faces keep a_0, d_0 is associativity and the
+rotation's Koszul sign absorbs |a_0|.  As phi(du) = 0 on upper u,
+d_M c = phi(dc) = phi(b(a_0 z_w)) = phi(a_0 b(z_w)) = 0 once b(z_w) = 0.
+_hkr_cycle checks, once per word and sweep, that each sigma != w classifies
+upper with a partner that classifies back, and that b(z_w)'s faces cancel in
+pairs: inner face i of sigma against inner face i of sigma with letters i,
+i+1 swapped, d_0 of sigma against the rotation face of sigma rotated left by
+one.  Faces of different kinds never coincide: an inner face keeps a_0 = 1
+and holds two letters in one slot, d_0 and the rotation put a letter in a_0.
+
 Homology is compared against the polynomial/exterior prediction: for every
 generator g a companion class in degree |g| + 1 with flipped parity (the
 suspension of g), carrying the same multidegree weight as g.  The level-1
@@ -102,6 +120,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import gt, mul, sub
@@ -398,6 +417,78 @@ def _critical_cells(pres: Presentation, pack):
     return cells
 
 
+def _guarded_cells(classify, critical, m):
+    """critical(m) after two guards (ArithmeticError): each enumerated cell
+    is critical, and the cells count to the Euler characteristic [m = 0],
+    which a perfect acyclic matching keeps (Forman 1998) and signed words of
+    non-unit parts give (they invert the Hilbert series).  That count catches
+    cells dropped or added unevenly across parities."""
+    basis, packed = critical(m)
+    if any(classify(t)[0] != _CRITICAL for t in itertools.chain(*packed.values())):
+        raise ArithmeticError("an enumerated cell is not critical")
+    if sum((-1) ** (s % 2) * len(cells) for s, cells in basis.items()) != (not any(m)):
+        raise ArithmeticError("critical cells break the Euler characteristic")
+    return basis, packed
+
+
+def _transposition(odd_x: bool, odd_y: bool) -> int:
+    """The ratio of z_w's signs on two arrangements that differ by swapping
+    two distinct adjacent letters x, y: -(-1)^{|x||y|}."""
+    return 1 if odd_x and odd_y else -1
+
+
+def _arrangements(word, head=(0,)):
+    """head + each distinct arrangement of word's letters, lazily, word's
+    own first; equal letters stand together in word, as in a critical word."""
+    if len(set(word)) == len(word):  # distinct letters: every permutation once
+        yield from (head + p for p in itertools.permutations(word))
+        return
+    for j, x in enumerate(word):
+        if not j or x != word[j - 1]:
+            yield from _arrangements(word[:j] + word[j + 1:], head + (x,))
+
+
+def _hkr_cycle(word, classify, unpack, odd, masks):
+    """Certify d_M = 0 on the critical cells of word w (packed letters) by
+    its HKR cycle z_w (see the module docstring), one arrangement sigma at a
+    time: each sigma but w classifies upper and its partner back, and on
+    1 (x) sigma _faces yields exactly the faces that cancel their partners.
+    A partner's sign over sigma's is _transposition of the swapped letters
+    for an inner pair, and its product over the moved letter and each other
+    letter for d_0 and the rotation; the tables hold minus that ratio times
+    the partner's face coefficient.  Raises ArithmeticError otherwise."""
+    if not word:
+        return
+    s, total = len(word), sum(x & odd > 0 for x in word)
+    letters = set(word)
+
+    def swap(x, y):
+        return _transposition(x & odd > 0, y & odd > 0)
+
+    inner = {(x, y): -swap(x, y) * (-1 if masks[y & odd] & x else 1)
+             for x in letters for y in letters if x != y}
+    moved = {x: math.prod(swap(x, y) for y in word if y != x) for x in letters}
+    first = {x: -moved[x] * (-1) ** (s + (x & odd > 0) * (total - 1)) for x in letters}
+    for t in _arrangements(word):
+        kind, partner = classify(t)
+        if kind == _UPPER:
+            if classify(partner) != (_LOWER, t):
+                raise ArithmeticError(f"Morse partner of {[*map(unpack, t)]} "
+                                      "does not match back")
+        elif t[1:] != word:
+            raise ArithmeticError(f"arrangement {[*map(unpack, t)]} of a critical word "
+                                  "is not upper")
+        want, sign = [first[t[1]]], 1  # d_0 against the rotation of sigma rotated left
+        for a, b in zip(t[1:s], t[2:]):
+            sign = -sign
+            if a != b:  # equal letters are odd: their product is 0
+                want.append(sign * inner[a, b])
+        want.append(-moved[t[s]])  # the rotation against d_0 of sigma rotated right
+        if [e for _, e in _faces(t, odd, masks, total)] != want:
+            raise ArithmeticError(f"faces of the HKR cycle of {[*map(unpack, word)]} "
+                                  "do not cancel")
+
+
 def morse_complexes(pres: Presentation, bound):
     """morse(m) -> (window, project) for each multidegree m <= bound, on one
     packing of bound and one classify.  window is the Morse complex of m,
@@ -408,13 +499,9 @@ def morse_complexes(pres: Presentation, bound):
     x's level, for x a normalized BarChain of multidegree m; any other
     nonzero chain raises ValueError.
 
-    Guards (ArithmeticError): each enumerated cell is critical; each lower
-    cell phi expands has a partner that classifies back, with coefficient
-    +-1, and phi meets no cycle; the critical cells count to the Euler
-    characteristic [m = 0], which a perfect acyclic matching keeps (Forman
-    1998) and signed words of non-unit parts give (they invert the Hilbert
-    series).  That count catches cells dropped or added unevenly across
-    parities, not a matching fault on a cell the flow never reaches.
+    Guards (ArithmeticError): those of _guarded_cells; each lower cell phi
+    expands has a partner that classifies back, with coefficient +-1, and
+    phi meets no cycle.
     """
     bound = check_multidegree(pres, bound)
     packing = _packing(pres, bound)  # refuses laurent generators
@@ -428,11 +515,7 @@ def _morse(pres: Presentation, bound, packing, classify, critical, m):
         raise ValueError("multidegree exceeds the bound of its Morse set-up")
     pack, unpack, odd, masks = packing
     total = sum(e for i, e in enumerate(m) if pres.is_odd(i))
-    basis, packed = critical(m)
-    if any(classify(t)[0] != _CRITICAL for t in itertools.chain(*packed.values())):
-        raise ArithmeticError("an enumerated cell is not critical")
-    if sum((-1) ** (s % 2) * len(cells) for s, cells in basis.items()) != (not any(m)):
-        raise ArithmeticError("critical cells break the Euler characteristic")
+    basis, packed = _guarded_cells(classify, critical, m)
 
     flow, pending = {}, {}
 
@@ -490,11 +573,29 @@ def morse_complex(pres: Presentation, m):
     return morse_complexes(pres, m)(m)
 
 
-def hh_dims(pres: Presentation, m, morse=None) -> dict:
-    """HH dimensions by total degree at m, from morse(m), a Morse complex."""
-    window = (morse or morse_complexes(pres, m))(m)[0]
-    by_level = window.homology_dims((0, window.hi - 1))
-    return {internal_degree(pres, m) + s: d for s, d in sorted(by_level.items()) if d}
+def _hh_sweep(pres: Presentation, bound):
+    """dims(m) -> HH dimensions by total degree at each multidegree m <= bound:
+    the critical cells per level, once _guarded_cells passes and _hkr_cycle
+    has certified each cell's word.  One packing of bound, one classify and
+    one set of certified words serve every m."""
+    pack, unpack, odd, masks = _packing(pres, bound)  # refuses laurent generators
+    classify, critical, certified = _matching(pres, bound), _critical_cells(pres, pack), set()
+
+    def dims(m):
+        basis, packed = _guarded_cells(classify, critical, m)
+        for t in itertools.chain(*packed.values()):
+            if t[1:] not in certified:
+                _hkr_cycle(t[1:], classify, unpack, odd, masks)
+                certified.add(t[1:])
+        return {internal_degree(pres, m) + s: len(cells) for s, cells in basis.items() if cells}
+
+    return dims
+
+
+def hh_dims(pres: Presentation, m) -> dict:
+    """HH dimensions by total degree at m, one per critical cell."""
+    m = check_multidegree(pres, m)
+    return _hh_sweep(pres, m)(m)
 
 
 def hkr_predicted_dims(pres: Presentation, m) -> dict:
@@ -531,12 +632,12 @@ class HkrReport:
 
 
 def hkr_check(pres: Presentation, multidegrees) -> HkrReport:
-    """Computed homology against the prediction per multidegree, on one Morse set-up."""
+    """Computed homology against the prediction per multidegree, on one sweep."""
     multidegrees = [check_multidegree(pres, m) for m in multidegrees]
-    morse = morse_complexes(pres, tuple(map(max, zip(mono_one(pres), *multidegrees))))
+    dims = _hh_sweep(pres, tuple(map(max, zip(mono_one(pres), *multidegrees))))
     report = HkrReport(pres)
     for m in multidegrees:
-        report.add(m, hh_dims(pres, m, morse), hkr_predicted_dims(pres, m))
+        report.add(m, dims(m), hkr_predicted_dims(pres, m))
     return report
 
 

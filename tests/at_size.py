@@ -159,6 +159,8 @@ ROWS = [
         fields(all_equal=True, sizes={"rows": 84}), 60),
     row("hkr-check-hh_a:2:3-6", "hkr-check --preset hh_a:2:3 --max-weight 6",
         fields(all_equal=True, sizes={"rows": 924}), 5),
+    row("hkr-check-hh_a:2:3-7", "hkr-check --preset hh_a:2:3 --max-weight 7",
+        fields(all_equal=True, sizes={"rows": 1716}), 4, 30),
     row("hkr-check-bp:2:6-6", "hkr-check --preset bp:2:6 --max-weight 6",
         fields(all_equal=True, sizes={"rows": 924}), 60, 30),
     row("hkr-check-hh_a:2:5-4", "hkr-check --preset hh_a:2:5 --max-weight 4",

@@ -366,9 +366,13 @@ def test_a_tripped_morse_guard_exits_1_with_one_error_line(capsys, monkeypatch):
     faces = hochschild._faces
     monkeypatch.setattr(hochschild, "_faces", lambda *args: (
         (face, 2 * sign) for face, sign in faces(*args)))
-    code, out, err = run_cli(capsys, "hh", "--preset", "a:2:2", "--multidegree", "v1:2,eps:1")
+    code, out, err = run_cli(capsys, "obstruction", "--p", "2", "--n", "2", "--exponents", "4")
     assert (code, out) == (1, "")
     assert err == "error: Morse coefficient -2 is not a unit\n"
+    # hh runs no flow: the HKR cycle's certificate trips instead
+    code, out, err = run_cli(capsys, "hh", "--preset", "a:2:2", "--multidegree", "v1:2,eps:1")
+    assert (code, out) == (1, "")
+    assert err == "error: faces of the HKR cycle of [(1, 0)] do not cancel\n"
 
 
 def test_a_failed_derivation_contract_exits_1_with_one_error_line(capsys, monkeypatch):

@@ -1,11 +1,14 @@
-"""The algebraic Morse matching on the bar complex behind hh_dims and obstruction."""
+"""The algebraic Morse matching on the bar complex behind obstruction, and the
+HKR cycles that certify its differential zero behind hh_dims and hkr_check."""
 
 import functools
+import itertools
+import math
 import time
 from graphlib import TopologicalSorter
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gradedhh import cli, hochschild
 from gradedhh.chromatic_presets import ChromaticParams, a_q, parse_preset
@@ -299,8 +302,6 @@ def test_a_set_up_refuses_a_multidegree_above_its_bound():
     for m in [(4, 0), (0, 2)]:
         with pytest.raises(ValueError, match="exceeds the bound"):
             morse(m)
-        with pytest.raises(ValueError, match="exceeds the bound"):
-            hh_dims(pres, m, morse)
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -412,7 +413,9 @@ def test_the_shared_zero_flow_stays_empty():
     # every cell that flows to 0 shares hochschild._ZERO: a reader that
     # wrote into a flow would leave it nonempty
     pres = parse_preset("hh_a:2:2")
-    assert hkr_check(pres, multidegrees_up_to(pres, 4)).all_equal
+    morse = morse_complexes(pres, (4, 4, 4, 4))
+    for m in multidegrees_up_to(pres, 4):
+        morse(m)
     assert hochschild._ZERO == {}
     obstruction_report(2, 3, [5, 7])
     assert hochschild._ZERO == {}
@@ -549,3 +552,135 @@ def test_a_faulty_critical_cell_enumerator_raises(monkeypatch, capsys, mutant, m
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n"), argv
+
+
+# -- the HKR cycle certificate behind hh_dims and hkr_check --------------------------
+
+
+def _flow_dims(pres, m, morse=None):
+    """HH dimensions at m read off the homology of the Morse flow's complex."""
+    window = (morse or morse_complexes(pres, m))(m)[0]
+    by_level = window.homology_dims((0, window.hi - 1))
+    return {hochschild.internal_degree(pres, m) + s: d for s, d in by_level.items() if d}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@_with_edge_cases
+@given(matching_cases())
+def test_certified_dims_equal_the_flows_on_matching_cases(case):
+    pres, m = case
+    assert hh_dims(pres, m) == _flow_dims(pres, m), m
+
+
+TIER_1_SWEEPS = [
+    *[(preset, 4) for preset in REFERENCE_PRESETS],
+    ("a:2:2", 5), ("a:3:2", 5), ("bp:2:2", 5),
+]
+
+
+@pytest.mark.parametrize("pres, weight", [
+    *[(parse_preset(preset), weight) for preset, weight in TIER_1_SWEEPS],
+    *[(pres, 5) for pres in _criterion_1_presets()[:2]],
+    *[(pres, 4) for pres in _odd_presets()],
+    (make_presentation([("x", 1), ("v", 2), ("y", -3), ("z", 5)]), 4),
+], ids=[*(f"{p}-{w}" for p, w in TIER_1_SWEEPS), "one even", "one odd",
+        "0 odd", "1 odd", "2 odd", "3 odd", "x v y z"])
+def test_certified_sweep_equals_the_flow_on_the_tier_1_sweeps(pres, weight):
+    ms = multidegrees_up_to(pres, weight)
+    morse = morse_complexes(pres, tuple(map(max, zip(*ms))))
+    assert [row["computed"] for row in hkr_check(pres, ms).rows] == \
+        [_flow_dims(pres, m, morse) for m in ms]
+
+
+def _shifted_degree_rule(odd_x, odd_y):
+    """-1 only for two even letters: the sign that gives no cycle."""
+    return -1 if not odd_x and not odd_y else 1
+
+
+RULES = {"graded": hochschild._transposition, "shifted": _shifted_degree_rule,
+         "always -1": lambda odd_x, odd_y: -1, "always +1": lambda odd_x, odd_y: 1}
+
+
+@st.composite
+def critical_words(draw):
+    """A presentation of 1-4 generators and a packed critical word of at most
+    6 letters: each even generator at most once, each odd one up to 3 times,
+    in falling rank."""
+    odd = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    pres = make_presentation([(f"g{i}", 2 * draw(st.integers(-2, 2)) + o)
+                              for i, o in enumerate(odd)])
+    counts = tuple(draw(st.integers(0, 3 if o else 1)) for o in odd)
+    assume(sum(counts) <= 6)
+    pack = hochschild._packing(pres, counts)[0]
+    unit = [tuple(int(i == j) for j in range(len(odd))) for i in range(len(odd))]
+    word = tuple(pack(unit[i]) for i in hochschild._digit_order(pres)[::-1]
+                 for _ in range(counts[i]))
+    return pres, counts, word
+
+
+def _face_sum(word, rule, odd, masks):
+    """b(z_w) summed into one dict over every face of every distinct
+    arrangement sigma, sign(sigma) the product of rule over the letter pairs
+    sigma puts out of w's order (w falls in code)."""
+    total = sum(x & odd > 0 for x in word)
+
+    def sign(sigma):
+        return math.prod(rule(x & odd > 0, y & odd > 0)
+                         for i, x in enumerate(sigma) for y in sigma[i + 1:] if x < y)
+
+    return combine((face, sign(sigma) * e) for sigma in set(itertools.permutations(word))
+                   for face, e in hochschild._faces((0, *sigma), odd, masks, total))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(critical_words(), st.sampled_from(sorted(RULES)))
+def test_the_streamed_pair_check_agrees_with_the_face_dict_sum(case, rule):
+    """Under the graded sign rule and three wrong ones, the streamed check
+    passes exactly when b(z_w), summed over all faces, is zero."""
+    pres, m, word = case
+    _, unpack, odd, masks = hochschild._packing(pres, m)
+    classify = hochschild._matching(pres, m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hochschild, "_transposition", RULES[rule])
+        try:
+            hochschild._hkr_cycle(word, classify, unpack, odd, masks)
+            certified = True
+        except ArithmeticError as exc:
+            assert "do not cancel" in str(exc), exc
+            certified = False
+    assert certified == (not _face_sum(word, RULES[rule], odd, masks)), (word, rule)
+    if rule == "graded":
+        assert certified
+
+
+def _drop_the_rotation(real):
+    """_faces without the rotation face on tensors with a_0 = 1."""
+    def faces(t, *rest):
+        out = [*real(t, *rest)]
+        return out[:-1] if t[0] == 0 and len(t) > 1 else out
+    return faces
+
+
+def _call_an_arrangement_critical(real):
+    """A matching that calls every upper cell with a_0 = 1 critical."""
+    def matching(pres, m):
+        classify = real(pres, m)
+        return lambda t: (CRITICAL, None) if t[0] == 0 and classify(t)[0] == UPPER else classify(t)
+    return matching
+
+
+@pytest.mark.parametrize("name, mutant, message", [
+    ("_transposition", lambda real: _shifted_degree_rule, "do not cancel"),
+    ("_faces", _drop_the_rotation, "do not cancel"),
+    ("_matching", _call_an_arrangement_critical, "of a critical word is not upper"),
+], ids=["shifted-degree sign rule", "dropped rotation pair", "an arrangement called critical"])
+def test_a_broken_certificate_exits_1_with_one_error_line(monkeypatch, capsys, name, mutant,
+                                                          message):
+    monkeypatch.setattr(hochschild, name, mutant(getattr(hochschild, name)))
+    for argv in (["hh", "--preset", "a:2:2", "--multidegree", "v1:3,eps:1"],
+                 ["hkr-check", "--preset", "a:2:2", "--max-weight", "4"]):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, ""), (argv, captured.err)
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+        assert captured.err.endswith(f"{message}\n"), (argv, captured.err)

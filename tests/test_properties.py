@@ -10,7 +10,8 @@ polynomial ones.  Matrices
 are small and rational, with zero rows and columns, repeated rows, low rank
 and entries up to 10^6 in size.  The sparse product is checked on
 disjoint supports too, and the hit-row count of a one-term cone block,
-assembled through koszul_mul, against its rank.
+assembled through koszul_mul, against its rank.  The bar differential is
+checked linear in a monomial a_0 multiplied into slot 0, odd squares included.
 The bar-basis and degree-piece enumerators are checked against the simpler
 enumerations they replaced, the degree-piece counter against the sizes of
 the same reference, the counted ranks of cones on one term, or on up to
@@ -264,6 +265,33 @@ def test_bar_differential_squares_to_zero_on_chains(x):
     # b o b = 0 holds for any sign on the rotation face; D o b = 0 needs Koszul's
     if x.level == 2:
         assert D_map(hochschild_diff(x)).is_zero()
+
+
+def _times(a0, x):
+    """The monomial a0 times the bar chain x, into slot 0 with no sign."""
+    return x._new(((hit[1],) + t[1:], hit[0] * c) for t, c in x.terms.items()
+                  for hit in [koszul_mul(x.pres, a0, t[0])] if hit)
+
+
+# odd a0 against itself in slot 0 and in the last slot, which the rotation
+# multiplies into slot 0 (odd squares), and against another odd generator
+# there (a crossing sign)
+_ODD_A0 = make_presentation([("g0", 1), ("g1", 2), ("g2", -3)])
+_SQUARES = BarChain(_ODD_A0, 2, {((1, 1, 0), (0, 2, 1), (0, 1, 0)): Fraction(2),
+                                 ((0, 0, 1), (0, 1, 0), (1, 0, 0)): Fraction(-1, 3)})
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@example((_SQUARES, (1, 0, 0)))
+@example((_SQUARES, (1, 1, 1)))
+@example((BarChain(_ODD_A0, 1, {((0, 1, 0), (0, 0, 1)): Fraction(1)}), (1, 0, 0)))
+@given(bar_chains().flatmap(lambda x: st.tuples(st.just(x), monomials(x.pres))))
+def test_the_bar_differential_is_linear_in_a0(case):
+    """b(a0 t) = a0 b(t): inner faces keep slot 0, d_0 is associativity and
+    the rotation's Koszul sign absorbs |a0|; the HKR certificate needs it for
+    every a0 != 1."""
+    x, a0 = case
+    assert hochschild_diff(_times(a0, x)) == _times(a0, hochschild_diff(x))
 
 
 @PROPERTY
