@@ -34,8 +34,9 @@ c (t - c), c the popcount of the moved factor's mask and t the tensor's
 total of odd exponents.  bar_window packs its basis a level at a time and
 sums the faces into matrix columns (dg_complexes.assemble); hochschild_diff
 packs by the componentwise largest multidegree of its tensors and decodes
-the faces; hh_dims, hkr_check and morse_complexes pack once by a bound, for
-a whole sweep, and fill the matching's lowest-digit table per code reached.
+the faces; hkr_check and morse_complexes (whose sweep only the tests use)
+pack once by a bound, for a whole sweep, and fill the matching's
+lowest-digit table per code reached.
 
 trace_obstruction reads HH from morse_complex, the Morse complex of an
 algebraic Morse matching on that complex (Skoldberg, "Morse theory
@@ -91,23 +92,15 @@ critical and lower cells it reaches but not on upper faces, whose phi is 0;
 the tests check it on every cell, and Morse homology and boundaries against
 bar_window, which has no cell and no homology above the top critical level.
 
-hh_dims and hkr_check run no flow: explicit cycles show d_M = 0, so HH at m
-has one dimension per critical cell.  A critical cell is c = a_0 (x) w, w a
+hh_dims and hkr_check run no flow.  A critical cell is c = a_0 (x) w, w a
 falling word of single generators.  Its HKR cycle z_w (Loday, Cyclic
 Homology, 1.3.12 and 4.2) sums sign(sigma) 1 (x) sigma over the distinct
-arrangements sigma of w's letters, sign(sigma) the product over the letter
-pairs sigma puts out of w's order of -(-1)^{|x||y|}: -1 unless both are odd.
-Every sigma != w ascends somewhere, so classify calls it upper, and classify
-reads positions 1..s only: phi(a_0 z_w) = c.  b is A-linear in a_0, A being
-graded-commutative: inner faces keep a_0, d_0 is associativity and the
-rotation's Koszul sign absorbs |a_0|.  As phi(du) = 0 on upper u,
-d_M c = phi(dc) = phi(b(a_0 z_w)) = phi(a_0 b(z_w)) = 0 once b(z_w) = 0.
-_hkr_cycle checks, once per word and sweep, that each sigma != w classifies
-upper with a partner that classifies back, and that b(z_w)'s faces cancel in
-pairs: inner face i of sigma against inner face i of sigma with letters i,
-i+1 swapped, d_0 of sigma against the rotation face of sigma rotated left by
-one.  Faces of different kinds never coincide: an inner face keeps a_0 = 1
-and holds two letters in one slot, d_0 and the rotation put a letter in a_0.
+arrangements sigma of w, sign(sigma) the product of -(-1)^{|x||y|} over the
+letter pairs sigma puts out of w's order.  With every sigma != w upper,
+phi(a_0 z_w) = c (classify reads positions 1..s), and b is A-linear in a_0,
+so b(z_w) = 0 gives d_M c = phi(b(a_0 z_w)) = phi(a_0 b(z_w)) = 0, as
+phi(du) = 0 on upper u: HH at m has one dimension per critical cell.
+_hkr_cycle checks both, once per word and sweep.
 
 Homology is compared against the polynomial/exterior prediction: for every
 generator g a companion class in degree |g| + 1 with flipped parity (the
@@ -440,9 +433,8 @@ def _transposition(odd_x: bool, odd_y: bool) -> int:
 def _arrangements(word, head=(0,)):
     """head + each distinct arrangement of word's letters, lazily, word's
     own first; equal letters stand together in word, as in a critical word."""
-    if len(set(word)) == len(word):  # distinct letters: every permutation once
-        yield from (head + p for p in itertools.permutations(word))
-        return
+    if not word:
+        yield head
     for j, x in enumerate(word):
         if not j or x != word[j - 1]:
             yield from _arrangements(word[:j] + word[j + 1:], head + (x,))

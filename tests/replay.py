@@ -21,6 +21,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from gradedhh.cli import main  # noqa: E402  (after the path insert)
 
+CASES = json.loads((GOLDEN / "commands.json").read_text())
+
 
 def replay(case) -> str:
     """'' when the request reproduces its golden stdout and exit code, else why not."""
@@ -39,13 +41,12 @@ def replay(case) -> str:
 
 
 def run() -> int:
-    cases = json.loads((GOLDEN / "commands.json").read_text())
     failed = 0
-    for case in cases:
+    for case in CASES:
         problem = replay(case)
         failed += bool(problem)
         print(f"{'FAIL' if problem else 'ok':4} {case['name']}{': ' + problem if problem else ''}")
-    print(f"{len(cases) - failed} of {len(cases)} golden requests reproduced "
+    print(f"{len(CASES) - failed} of {len(CASES)} golden requests reproduced "
           f"under Python {sys.version.split()[0]}")
     return 1 if failed else 0
 
